@@ -45,6 +45,6 @@ from .scenario import (
     compatibility_residual,
     weighted_moment_check,
 )
-from .solver import RhsOutput, SchemeConfig, rhs, run, stable_dt, step
+from .solver import RhsOutput, SchemeConfig, rhs, run, run_lockstep, stable_dt, step
 
 __version__ = "0.1.0"

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, load_config
+from .config import RunConfig, load_config, parse_config
 from .core import Grid1D, PhysParams, constant_state, potential_energy
 from .diagnostics import central_tendencies, energy_drift, flux_identity_residual
 from .errors import BoundaryMonitorError, ConfigError, NumericalError
@@ -97,7 +97,7 @@ def cmd_simulate(args) -> int:
         return EXIT_CONFIG
     outdir = _resolve_outdir(args, config)
     try:
-        final, record = run(config.spec, config.params, config.scheme, config.grid, config.mode)
+        final, record = run(config.spec, config.run_params, config.scheme, config.grid)
     except BoundaryMonitorError as exc:
         print(f"aborted: {exc}", file=sys.stderr)
         return EXIT_BOUNDARY
@@ -184,7 +184,7 @@ def _check_steady_state():
     params = PhysParams()
     grid = Grid1D(20.0, 512)
     scheme = SchemeConfig()
-    out = rhs(constant_state(grid, params), params, scheme, grid, "resistive")
+    out = rhs(constant_state(grid, params), params, scheme, grid)
     sup = max(np.abs(out.d_rho).max(), np.abs(out.d_mom).max(), np.abs(out.d_b).max())
     tol = 1e-13 * max(params.rho_bar, abs(params.b_bar), 1.0)
     return sup < tol, f"tendency sup-norm {sup:.3e} (tolerance {tol:.1e})"
@@ -196,7 +196,7 @@ def _check_conservation():
     spec = ScenarioSpec(params=params)
     scheme = SchemeConfig(t_end=0.5)
     state0 = build_initial_state(spec, grid)
-    final, _ = run(spec, params, scheme, grid, "resistive")
+    final, _ = run(spec, params, scheme, grid)
     m0 = np.sum(state0.rho - params.rho_bar) * grid.dx
     m1 = np.sum(final.rho - params.rho_bar) * grid.dx
     budget = 1e-8 * np.sum(np.abs(state0.rho - params.rho_bar)) * grid.dx
@@ -208,16 +208,16 @@ def _check_energy_inequality():
     grid = Grid1D(20.0, 512)
     spec = ScenarioSpec(params=params)
     scheme = SchemeConfig(t_end=0.5)
-    _, record = run(spec, params, scheme, grid, "resistive")
+    _, record = run(spec, params, scheme, grid)
     drift = energy_drift(record)
     return drift <= 1e-3, f"relative drift {drift:.3e} (tolerance 1e-3)"
 
 
 def _check_mms_orders():
     params = PhysParams()
-    orders2 = observed_orders(params, SchemeConfig(t_end=0.4), "resistive", n_cells=(128, 256))
+    orders2 = observed_orders(params, SchemeConfig(t_end=0.4), n_cells=(128, 256))
     orders1 = observed_orders(params, SchemeConfig(t_end=0.4, reconstruction="first_order_upwind"),
-                              "resistive", n_cells=(128, 256))
+                              n_cells=(128, 256))
     ok = all(v >= 1.6 for v in orders2.values()) and all(v >= 0.8 for v in orders1.values())
     detail = ("muscl " + "/".join(f"{orders2[k]:.2f}" for k in ("rho", "u", "b"))
               + ", upwind " + "/".join(f"{orders1[k]:.2f}" for k in ("rho", "u", "b")))
@@ -226,7 +226,7 @@ def _check_mms_orders():
 
 def _check_flux_identity():
     params = PhysParams()
-    ms = manufactured_solution(params, "resistive")
+    ms = manufactured_solution(params)
     residuals = []
     for n in (512, 1024):
         grid = Grid1D(20.0, n)
@@ -238,15 +238,15 @@ def _check_flux_identity():
 
 
 def _check_mode_consistency():
-    params = PhysParams(nu=0.0)
-    grid = Grid1D(20.0, 256)
-    spec = ScenarioSpec(params=params)
-    scheme = SchemeConfig(t_end=0.1, n_samples=5)
-    f1, _ = run(spec, params, scheme, grid, "resistive")
-    f2, _ = run(spec, params, scheme, grid, "non_resistive")
+    small = {"grid": {"n_cells": 256}, "scheme": {"t_end": 0.1, "n_samples": 5}}
+    runs = []
+    for extra in ({"mode": "non_resistive"}, {"physics": {"nu": 0.0}}):
+        config = parse_config({**small, **extra})
+        runs.append(run(config.spec, config.run_params, config.scheme, config.grid))
+    (f1, r1), (f2, r2) = runs
     same = (np.array_equal(f1.rho, f2.rho) and np.array_equal(f1.mom, f2.mom)
-            and np.array_equal(f1.b, f2.b))
-    return same, "nu=0 resistive and non-resistive trajectories bit-identical"
+            and np.array_equal(f1.b, f2.b) and r1.to_csv() == r2.to_csv())
+    return same, "non_resistive config and nu=0 trajectories bit-identical"
 
 
 def _check_determinism():
@@ -254,8 +254,8 @@ def _check_determinism():
     grid = Grid1D(20.0, 256)
     spec = ScenarioSpec(params=params)
     scheme = SchemeConfig(t_end=0.1, n_samples=5)
-    _, r1 = run(spec, params, scheme, grid, "resistive")
-    _, r2 = run(spec, params, scheme, grid, "resistive")
+    _, r1 = run(spec, params, scheme, grid)
+    _, r2 = run(spec, params, scheme, grid)
     return r1.to_csv() == r2.to_csv(), "repeated run produces byte-identical diagnostics"
 
 
@@ -265,7 +265,7 @@ def _check_vacuum():
     spec = ScenarioSpec(params=params, preset="interior_vacuum", a_u=0.2,
                         a_b=-params.b_bar, sigma=2.0)
     scheme = SchemeConfig(t_end=0.1, n_samples=5)
-    _, record = run(spec, params, scheme, grid, "resistive")
+    _, record = run(spec, params, scheme, grid)
     record.validate()
     clips = int(record.final("clip_count"))
     return clips == 0, f"interior vacuum short run, {clips} density clips"

@@ -11,12 +11,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .core import Grid1D, PhysParams
 from .errors import ConfigError
 from .scenario import ScenarioSpec
-from .solver import MODES, SchemeConfig
+from .solver import SchemeConfig
+
+# The non-resistive system is the resistive one at nu = 0; see RunConfig.run_params.
+MODES = ("resistive", "non_resistive")
 
 DEFAULTS = {
     "physics": {"mu": 0.1, "nu": 1e-3, "gamma": 1.4, "rho_bar": 1.0, "b_bar": 1.0, "alpha": 2.0},
@@ -41,6 +44,11 @@ class RunConfig:
     nu_list: tuple = tuple(DEFAULTS["nu_list"])
     output_dir: str = "mhd1d_out"
     jobs: int = 1
+
+    @property
+    def run_params(self) -> PhysParams:
+        """The parameters a single run integrates: mode non_resistive means nu = 0."""
+        return replace(self.params, nu=0.0) if self.mode == "non_resistive" else self.params
 
     def as_dict(self) -> dict:
         return {
@@ -175,4 +183,4 @@ def load_config(path: str) -> RunConfig:
     return parse_config(raw)
 
 
-__all__ = ["DEFAULTS", "RunConfig", "parse_config", "load_config"]
+__all__ = ["MODES", "DEFAULTS", "RunConfig", "parse_config", "load_config"]

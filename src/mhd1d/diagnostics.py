@@ -129,8 +129,7 @@ class CentralTendencies:
     u_t: FieldScalar
 
 
-def central_tendencies(state: State, params: PhysParams, grid: Grid1D,
-                       mode: str = "resistive") -> CentralTendencies:
+def central_tendencies(state: State, params: PhysParams, grid: Grid1D) -> CentralTendencies:
     dx = grid.dx
     u = state.velocity()
     p = pressure(state.rho, params.gamma)
@@ -138,7 +137,7 @@ def central_tendencies(state: State, params: PhysParams, grid: Grid1D,
     d_mom = -derivative(state.mom * u + p + 0.5 * state.b**2, dx) \
         + params.mu * second_derivative(u, dx)
     d_b = -derivative(u * state.b, dx)
-    if mode == "resistive":
+    if params.nu > 0:
         d_b = d_b + params.nu * second_derivative(state.b, dx)
     u_t = (d_mom - u * d_rho) / np.maximum(state.rho, RHO_FLOOR)
     return CentralTendencies(d_rho=d_rho, d_mom=d_mom, d_b=d_b, u_t=u_t)

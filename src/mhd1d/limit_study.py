@@ -1,8 +1,8 @@
 """Vanishing-resistivity convergence study.
 
-For each resistivity nu a resistive and a non-resistive run advance in
-lockstep on the same grid with the identical dt sequence (dictated by the
-resistive run's stability bound), so time-discretization and flux-scheme
+For each resistivity nu a resistive and a non-resistive (nu = 0) run advance
+in lockstep on the same grid with the identical dt sequence (the smaller of
+the two members' stability bounds), so time-discretization and flux-scheme
 dissipation cancel in their difference.  The per-nu error functionals
 
     e_sup  = sup_t (||rho - rho~||^2 + ||u - u~||^2 + ||b - b~||^2)  (L2, squared)
@@ -25,10 +25,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import Grid1D, derivative
-from .diagnostics import Accumulators, DiagnosticsRecord, sample
+from .diagnostics import DiagnosticsRecord
 from .errors import SimulationError
 from .scenario import ScenarioSpec, build_initial_state
-from .solver import SchemeConfig, check_boundary, rhs, stable_dt, step
+from .solver import SchemeConfig, run_lockstep
 
 GUARD_FACTOR = 10.0
 SUPERLINEAR_SLOPE = 1.25
@@ -80,69 +80,32 @@ def run_pair(nu: float, shared: SharedConfig) -> tuple[PairErrors, DiagnosticsRe
     Returns the error functionals of the pair and the resistive member's
     diagnostics record (used by the resistivity-independence audit).
     """
-    grid, scheme = shared.grid, shared.scheme
-    params = replace(shared.spec.params, nu=nu)
-    spec = replace(shared.spec, params=params)
-    state_r = build_initial_state(spec, grid)
-    state_n = state_r.copy()
+    grid = shared.grid
     dx = grid.dx
-
+    params = replace(shared.spec.params, nu=nu)
+    state = build_initial_state(replace(shared.spec, params=params), grid)
     errors = PairErrors(nu=nu)
-    accum = Accumulators()
-    accum.start(state_r, params, grid)
-    record = DiagnosticsRecord()
-    record.append(sample(state_r, rhs(state_r, params, scheme, grid, "resistive"),
-                         params, grid, accum))
+    g_prev = h_prev = 0.0  # e_diss and aux integrands at the previous step
 
-    def update_sup():
+    def observe(states, dt):
+        nonlocal g_prev, h_prev
+        state_r, state_n = states
+        du = state_r.velocity() - state_n.velocity()
         d_rho = _l2sq(state_r.rho - state_n.rho, dx)
-        d_u = _l2sq(state_r.velocity() - state_n.velocity(), dx)
+        d_u = _l2sq(du, dx)
         d_b = _l2sq(state_r.b - state_n.b, dx)
         errors.e_sup_rho = max(errors.e_sup_rho, d_rho)
         errors.e_sup_u = max(errors.e_sup_u, d_u)
         errors.e_sup_b = max(errors.e_sup_b, d_b)
         errors.e_sup = max(errors.e_sup, d_rho + d_u + d_b)
+        g = params.mu * _l2sq(derivative(du, dx), dx)
+        h = nu**2 * _l2sq(derivative(state_r.b, dx), dx)
+        errors.e_diss += 0.5 * dt * (g_prev + g)
+        errors.aux += 0.5 * dt * (h_prev + h)
+        g_prev, h_prev = g, h
 
-    def diss_integrand():
-        du = state_r.velocity() - state_n.velocity()
-        return params.mu * _l2sq(derivative(du, dx), dx)
-
-    def aux_integrand():
-        return nu**2 * _l2sq(derivative(state_r.b, dx), dx)
-
-    update_sup()
-    g_prev, h_prev = diss_integrand(), aux_integrand()
-
-    t_end = scheme.t_end
-    if t_end > 0:
-        sample_times = [t_end * k / scheme.n_samples for k in range(1, scheme.n_samples + 1)]
-        next_sample = 0
-        while next_sample < len(sample_times):
-            target = sample_times[next_sample]
-            dt = stable_dt(state_r, params, scheme, grid)
-            landed = False
-            if state_r.t + dt >= target - 1e-12 * t_end:
-                dt = target - state_r.t
-                landed = True
-            state_r, clips = step(state_r, dt, params, scheme, grid, "resistive")
-            state_n, _ = step(state_n, dt, params, scheme, grid, "non_resistive")
-            if landed:
-                state_r.t = state_n.t = target
-            accum.clip_count += clips
-            accum.advance(state_r, params, grid, dt)
-            check_boundary(state_r, params)
-            check_boundary(state_n, params)
-
-            update_sup()
-            g_cur, h_cur = diss_integrand(), aux_integrand()
-            errors.e_diss += 0.5 * dt * (g_prev + g_cur)
-            errors.aux += 0.5 * dt * (h_prev + h_cur)
-            g_prev, h_prev = g_cur, h_cur
-            if landed:
-                record.append(sample(state_r, rhs(state_r, params, scheme, grid, "resistive"),
-                                     params, grid, accum))
-                next_sample += 1
-
+    _, record = run_lockstep([(state, params), (state.copy(), replace(params, nu=0.0))],
+                             shared.scheme, grid, observe=observe)
     errors.e_total = errors.e_sup + errors.e_diss
     return errors, record
 

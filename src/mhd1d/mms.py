@@ -49,12 +49,12 @@ class ManufacturedSolution:
         }
 
 
-def manufactured_solution(params: PhysParams, mode: str, amplitude: float = 0.1,
+def manufactured_solution(params: PhysParams, amplitude: float = 0.1,
                           sigma: float = 3.0, omega: float = 1.0) -> ManufacturedSolution:
     """Gaussian-bump fields oscillating in time, far-field compatible.
 
-    The resistive term enters the magnetic source only in resistive mode, so
-    (rho*, u*, b*) solves whichever forced system the run uses.
+    The magnetic source carries params.nu (nothing at nu = 0), so
+    (rho*, u*, b*) solves the forced system of the run with the same params.
     """
     import sympy as sp
 
@@ -70,8 +70,7 @@ def manufactured_solution(params: PhysParams, mode: str, amplitude: float = 0.1,
     s_rho = sp.diff(rho_s, t) + sp.diff(m_s, x)
     s_mom = (sp.diff(m_s, t) + sp.diff(m_s * u_s + pressure_s + b_s**2 / 2, x)
              - params.mu * sp.diff(u_s, x, 2))
-    nu_eff = params.nu if mode == "resistive" else 0
-    s_b = sp.diff(b_s, t) + sp.diff(u_s * b_s, x) - nu_eff * sp.diff(b_s, x, 2)
+    s_b = sp.diff(b_s, t) + sp.diff(u_s * b_s, x) - params.nu * sp.diff(b_s, x, 2)
 
     def lam(expr):
         return sp.lambdify((x, t), sp.simplify(expr), "numpy")
@@ -83,9 +82,9 @@ def manufactured_solution(params: PhysParams, mode: str, amplitude: float = 0.1,
 
 
 def mms_rhs(state: State, params: PhysParams, scheme: SchemeConfig, grid: Grid1D,
-            mode: str, manufactured: ManufacturedSolution) -> RhsOutput:
+            manufactured: ManufacturedSolution) -> RhsOutput:
     """Plain tendencies plus the analytic sources evaluated at state.t."""
-    out = rhs(state, params, scheme, grid, mode)
+    out = rhs(state, params, scheme, grid)
     x = grid.x
     d_rho = out.d_rho + manufactured.source_rho(x, state.t)
     d_mom = out.d_mom + manufactured.source_mom(x, state.t)
@@ -96,28 +95,28 @@ def mms_rhs(state: State, params: PhysParams, scheme: SchemeConfig, grid: Grid1D
 
 
 def run_manufactured(params: PhysParams, scheme: SchemeConfig, grid: Grid1D,
-                     mode: str, manufactured: ManufacturedSolution) -> dict[str, float]:
+                     manufactured: ManufacturedSolution) -> dict[str, float]:
     """Integrate the forced system from the exact initial data; return L2 errors."""
 
-    def forced(state, params_, scheme_, grid_, mode_):
-        return mms_rhs(state, params_, scheme_, grid_, mode_, manufactured)
+    def forced(state, params_, scheme_, grid_):
+        return mms_rhs(state, params_, scheme_, grid_, manufactured)
 
-    final, _ = run(None, params, scheme, grid, mode, rhs_fn=forced,
+    final, _ = run(None, params, scheme, grid, rhs_fn=forced,
                    initial_state=manufactured.initial_state(grid))
     return manufactured.errors(final, grid)
 
 
-def observed_orders(params: PhysParams, scheme: SchemeConfig, mode: str,
+def observed_orders(params: PhysParams, scheme: SchemeConfig,
                     n_cells: tuple[int, ...] = (512, 1024, 2048),
                     half_width: float = 20.0,
                     manufactured: ManufacturedSolution | None = None) -> dict[str, float]:
     """Least-squares slope of log error against log dx over a grid sequence."""
-    ms = manufactured or manufactured_solution(params, mode)
+    ms = manufactured or manufactured_solution(params)
     errs = {"rho": [], "u": [], "b": []}
     dxs = []
     for n in n_cells:
         grid = Grid1D(half_width, n)
-        e = run_manufactured(params, scheme, grid, mode, ms)
+        e = run_manufactured(params, scheme, grid, ms)
         for k in errs:
             errs[k].append(e[k])
         dxs.append(grid.dx)

@@ -1,18 +1,19 @@
 """Method-of-lines integrator for 1D compressible isentropic MHD.
 
-Two systems share one right-hand side:
+One right-hand side covers both systems:
 
 * resistive:      rho_t + (rho u)_x = 0
                   (rho u)_t + (rho u^2 + P + b^2/2)_x = (mu u_x)_x
                   b_t + (u b)_x = nu b_xx
-* non-resistive:  same with the nu b_xx term omitted exactly.
+* non-resistive:  nu = 0, where the nu b_xx term is omitted exactly.
 
 Convective fluxes use a local Lax-Friedrichs interface flux with either
 piecewise-constant or MUSCL/minmod reconstruction of the conserved variables
 (rho, m, b); diffusion terms are second-order central and integrated
 explicitly.  Far-field Dirichlet values enter through two ghost cells per
-side.  Everything is plain sequential numpy, so repeated runs are
-bit-reproducible.
+side.  One driver advances any number of runs on a shared dt sequence: a
+single run is one member, a matched pair is two.  Everything is plain
+sequential numpy, so repeated runs are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .core import (
 from .errors import BoundaryMonitorError, NumericalError, SimulationError
 from .scenario import ScenarioSpec, build_initial_state
 
-MODES = ("resistive", "non_resistive")
 RECONSTRUCTIONS = ("first_order_upwind", "muscl_minmod")
 INTEGRATORS = ("ssp_rk2", "ssp_rk3")
 
@@ -113,15 +113,12 @@ def _physical_flux(rho, mom, b, gamma):
     return mom, mom * u + rho**gamma + 0.5 * b * b, u * b
 
 
-def rhs(state: State, params: PhysParams, scheme: SchemeConfig, grid: Grid1D,
-        mode: str) -> RhsOutput:
+def rhs(state: State, params: PhysParams, scheme: SchemeConfig, grid: Grid1D) -> RhsOutput:
     """Semi-discrete tendencies at one instant.
 
     Local Lax-Friedrichs interface fluxes with the configured reconstruction;
-    mu*u_xx and (resistive only) nu*b_xx by central differences.
+    mu*u_xx and (for nu > 0 only) nu*b_xx by central differences.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     n = grid.n_cells
     dx = grid.dx
     rho_e, mom_e, b_e = _extend(state, params)
@@ -163,7 +160,7 @@ def rhs(state: State, params: PhysParams, scheme: SchemeConfig, grid: Grid1D,
     visc_floor = max(RHO_FLOOR, VISC_FLOOR_FRACTION * params.rho_bar)
     u_visc = mom_e / np.maximum(rho_e, visc_floor)
     d_mom += params.mu * (u_visc[3:-1] - 2.0 * u_visc[2:-2] + u_visc[1:-3]) / dx**2
-    if mode == "resistive":
+    if params.nu > 0:
         d_b += params.nu * (b_e[3:-1] - 2.0 * b_e[2:-2] + b_e[1:-3]) / dx**2
 
     u = state.velocity()
@@ -185,8 +182,8 @@ def stable_dt(state: State, params: PhysParams, scheme: SchemeConfig, grid: Grid
     return min(dt_adv, dt_diff)
 
 
-def _euler_stage(state: State, dt: float, params, scheme, grid, mode, rhs_fn):
-    out = rhs_fn(state, params, scheme, grid, mode)
+def _euler_stage(state: State, dt: float, params, scheme, grid, rhs_fn):
+    out = rhs_fn(state, params, scheme, grid)
     rho = state.rho + dt * out.d_rho
     clipped = int(np.sum(rho < 0.0))
     if clipped:
@@ -196,24 +193,24 @@ def _euler_stage(state: State, dt: float, params, scheme, grid, mode, rhs_fn):
 
 
 def step(state: State, dt: float, params: PhysParams, scheme: SchemeConfig,
-         grid: Grid1D, mode: str, rhs_fn=None) -> tuple[State, int]:
+         grid: Grid1D, rhs_fn=None) -> tuple[State, int]:
     """Advance one SSP Runge-Kutta step; returns the new state and the number
     of nodes where the density had to be clipped to zero."""
     rhs_fn = rhs_fn or rhs
-    s1, c1 = _euler_stage(state, dt, params, scheme, grid, mode, rhs_fn)
+    s1, c1 = _euler_stage(state, dt, params, scheme, grid, rhs_fn)
     if scheme.time_integrator == "ssp_rk2":
-        s2, c2 = _euler_stage(s1, dt, params, scheme, grid, mode, rhs_fn)
+        s2, c2 = _euler_stage(s1, dt, params, scheme, grid, rhs_fn)
         new = State(0.5 * (state.rho + s2.rho),
                     0.5 * (state.mom + s2.mom),
                     0.5 * (state.b + s2.b),
                     state.t + dt)
         return new, c1 + c2
-    s2, c2 = _euler_stage(s1, dt, params, scheme, grid, mode, rhs_fn)
+    s2, c2 = _euler_stage(s1, dt, params, scheme, grid, rhs_fn)
     mid = State(0.75 * state.rho + 0.25 * s2.rho,
                 0.75 * state.mom + 0.25 * s2.mom,
                 0.75 * state.b + 0.25 * s2.b,
                 state.t + 0.5 * dt)
-    s3, c3 = _euler_stage(mid, dt, params, scheme, grid, mode, rhs_fn)
+    s3, c3 = _euler_stage(mid, dt, params, scheme, grid, rhs_fn)
     new = State(state.rho / 3.0 + 2.0 / 3.0 * s3.rho,
                 state.mom / 3.0 + 2.0 / 3.0 * s3.mom,
                 state.b / 3.0 + 2.0 / 3.0 * s3.b,
@@ -232,52 +229,73 @@ def check_boundary(state: State, params: PhysParams):
         raise BoundaryMonitorError(time=state.t, deviation=dev)
 
 
-def run(spec: ScenarioSpec | None, params: PhysParams, scheme: SchemeConfig,
-        grid: Grid1D, mode: str, rhs_fn=None, initial_state: State | None = None,
-        max_steps: int = 10_000_000) -> tuple[State, diagnostics.DiagnosticsRecord]:
-    """Integrate from t = 0 to t_end with diagnostics at a uniform cadence.
+def run_lockstep(members: list[tuple[State, PhysParams]], scheme: SchemeConfig,
+                 grid: Grid1D, rhs_fn=None, observe=None,
+                 max_steps: int = 10_000_000) -> tuple[list[State], diagnostics.DiagnosticsRecord]:
+    """Integrate every (state, params) member from t = 0 to t_end on one dt sequence.
 
-    Dissipation accumulators advance every accepted step (trapezoid in time);
-    sample times are hit exactly by clipping dt, which keeps records from
-    different runs directly comparable.
+    dt is the smallest stable step over all members, clipped so that the
+    uniform sample times are hit exactly; this keeps records from different
+    runs directly comparable.  Member 0 carries the dissipation accumulators
+    (trapezoid in time, advanced every accepted step) and the diagnostics
+    record; density clips of every member are counted.  ``observe(states, dt)``
+    is called at t = 0 with dt = 0 and after every accepted step.
     """
     rhs_fn = rhs_fn or rhs
-    state = initial_state.copy() if initial_state is not None else build_initial_state(spec, grid)
-    check_boundary(state, params)
+    states = [s for s, _ in members]
+    params = [p for _, p in members]
+    for s, p in members:
+        check_boundary(s, p)
 
     accum = diagnostics.Accumulators()
-    accum.start(state, params, grid)
+    accum.start(states[0], params[0], grid)
     record = diagnostics.DiagnosticsRecord()
-    record.append(diagnostics.sample(state, rhs_fn(state, params, scheme, grid, mode),
-                                     params, grid, accum))
-    t_end = scheme.t_end
-    if t_end == 0.0:
-        return state, record
 
-    sample_times = [t_end * k / scheme.n_samples for k in range(1, scheme.n_samples + 1)]
+    def record_sample():
+        out = rhs_fn(states[0], params[0], scheme, grid)
+        record.append(diagnostics.sample(states[0], out, params[0], grid, accum))
+
+    record_sample()
+    if observe is not None:
+        observe(states, 0.0)
+    t_end = scheme.t_end
+    sample_times = ([t_end * k / scheme.n_samples for k in range(1, scheme.n_samples + 1)]
+                    if t_end > 0 else [])
     next_sample = 0
     steps = 0
     while next_sample < len(sample_times):
         target = sample_times[next_sample]
-        dt = stable_dt(state, params, scheme, grid)
-        landed = False
-        if state.t + dt >= target - 1e-12 * t_end:
-            dt = target - state.t
-            landed = True
-        state, clips = step(state, dt, params, scheme, grid, mode, rhs_fn)
+        dt = min(stable_dt(s, p, scheme, grid) for s, p in zip(states, params))
+        landed = states[0].t + dt >= target - 1e-12 * t_end
         if landed:
-            state.t = target
-        accum.clip_count += clips
-        accum.advance(state, params, grid, dt)
-        check_boundary(state, params)
+            dt = target - states[0].t
+        for i, p in enumerate(params):
+            states[i], clips = step(states[i], dt, p, scheme, grid, rhs_fn)
+            accum.clip_count += clips
+            if landed:
+                states[i].t = target
+        accum.advance(states[0], params[0], grid, dt)
+        for s, p in zip(states, params):
+            check_boundary(s, p)
+        if observe is not None:
+            observe(states, dt)
         if landed:
-            record.append(diagnostics.sample(state, rhs_fn(state, params, scheme, grid, mode),
-                                             params, grid, accum))
+            record_sample()
             next_sample += 1
         steps += 1
         if steps > max_steps:
-            raise SimulationError(f"exceeded {max_steps} steps at t={state.t:.6g}")
-    return state, record
+            raise SimulationError(f"exceeded {max_steps} steps at t={states[0].t:.6g}")
+    return states, record
+
+
+def run(spec: ScenarioSpec | None, params: PhysParams, scheme: SchemeConfig,
+        grid: Grid1D, rhs_fn=None, initial_state: State | None = None,
+        max_steps: int = 10_000_000) -> tuple[State, diagnostics.DiagnosticsRecord]:
+    """Integrate one configuration: the single-member case of ``run_lockstep``."""
+    state = initial_state.copy() if initial_state is not None else build_initial_state(spec, grid)
+    (final,), record = run_lockstep([(state, params)], scheme, grid, rhs_fn=rhs_fn,
+                                    max_steps=max_steps)
+    return final, record
 
 
 def save_checkpoint(state: State, grid: Grid1D) -> str:
@@ -304,7 +322,6 @@ def load_checkpoint(text: str) -> tuple[State, Grid1D]:
 
 
 __all__ = [
-    "MODES",
     "RECONSTRUCTIONS",
     "INTEGRATORS",
     "VISC_FLOOR_FRACTION",
@@ -316,6 +333,7 @@ __all__ = [
     "stable_dt",
     "step",
     "check_boundary",
+    "run_lockstep",
     "run",
     "save_checkpoint",
     "load_checkpoint",

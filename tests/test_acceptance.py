@@ -69,18 +69,18 @@ def acceptance_sweep(pinned_params, pinned_grid, pinned_spec):
 def standard_run(pinned_params, pinned_grid, pinned_spec):
     state0 = build_initial_state(pinned_spec, pinned_grid)
     final, record = run(pinned_spec, pinned_params, SchemeConfig(t_end=1.0),
-                        pinned_grid, "resistive")
+                        pinned_grid)
     return state0, final, record
 
 
 @pytest.fixture(scope="session")
 def mms_study(pinned_params):
     start = time.monotonic()
-    second = observed_orders(pinned_params, SchemeConfig(t_end=0.4), "resistive",
+    second = observed_orders(pinned_params, SchemeConfig(t_end=0.4),
                              n_cells=(512, 1024, 2048))
     first = observed_orders(pinned_params,
                             SchemeConfig(t_end=0.4, reconstruction="first_order_upwind"),
-                            "resistive", n_cells=(512, 1024, 2048))
+                            n_cells=(512, 1024, 2048))
     return second, first, time.monotonic() - start
 
 
@@ -151,7 +151,7 @@ def test_criterion_5_mms_orders(mms_study):
 
 def test_criterion_6_steady_state_and_conservation(pinned_params, pinned_grid, standard_run):
     out = rhs(constant_state(pinned_grid, pinned_params), pinned_params,
-              SchemeConfig(), pinned_grid, "resistive")
+              SchemeConfig(), pinned_grid)
     sup = max(np.abs(out.d_rho).max(), np.abs(out.d_mom).max(), np.abs(out.d_b).max())
     tol = 1e-13 * max(pinned_params.rho_bar, abs(pinned_params.b_bar), 1.0)
     assert sup < tol
@@ -187,7 +187,7 @@ def test_criterion_7_potential_energy_envelopes():
 
 
 def test_criterion_8_flux_identity_contraction(pinned_params):
-    ms = manufactured_solution(pinned_params, "resistive")
+    ms = manufactured_solution(pinned_params)
     residuals = []
     for n in (512, 1024):
         grid = Grid1D(20.0, n)
@@ -203,7 +203,7 @@ def test_criterion_9_vacuum_robustness(pinned_params):
     grid = Grid1D(20.0, 1024)
     spec = ScenarioSpec(params=pinned_params, preset="interior_vacuum",
                         a_u=0.2, a_b=-pinned_params.b_bar, sigma=2.0)
-    final, record = run(spec, pinned_params, SchemeConfig(t_end=1.0), grid, "resistive")
+    final, record = run(spec, pinned_params, SchemeConfig(t_end=1.0), grid)
     record.validate()  # finiteness and monotone accumulators
     assert final.t == 1.0
     assert record.final("clip_count") == 0

@@ -107,6 +107,22 @@ class TestSimulateCommand:
         lines = (out / "diagnostics.csv").read_text().strip().splitlines()
         assert len(lines) == 2  # header + one sample
 
+    def test_non_resistive_mode_is_nu_zero(self, tmp_path):
+        # mode non_resistive ignores the configured nu everywhere: tendency,
+        # dt bound and the resistive dissipation column
+        base = {"grid": {"half_width": 20.0, "n_cells": 256}, "scheme": {"t_end": 0.2}}
+        outs = []
+        for name, extra in (("non_resistive", {"mode": "non_resistive", "physics": {"nu": 0.5}}),
+                            ("nu_zero", {"mode": "resistive", "physics": {"nu": 0}})):
+            cfg = write_config(tmp_path, {**base, **extra}, name=f"{name}.json")
+            out = tmp_path / name
+            assert main(["simulate", "--config", cfg, "--output-dir", str(out)]) == 0
+            outs.append(out)
+        record = DiagnosticsRecord.from_csv((outs[0] / "diagnostics.csv").read_text())
+        assert np.all(record.column("diss_b") == 0.0)
+        for fname in ("diagnostics.csv", "state_final.txt"):
+            assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
     def test_boundary_trip_exit_code(self, tmp_path):
         payload = {
             "grid": {"half_width": 5.0, "n_cells": 128},

@@ -134,11 +134,11 @@ class TestMomentumPotential:
 class TestFluxIdentity:
     def test_constant_state_zero(self, params, grid):
         s = constant_state(grid, params)
-        out = rhs(s, params, SchemeConfig(), grid, "resistive")
+        out = rhs(s, params, SchemeConfig(), grid)
         assert flux_identity_residual(s, out, params, grid) < 1e-13
 
     def test_two_grid_contraction_with_central_tendencies(self, params):
-        ms = manufactured_solution(params, "resistive")
+        ms = manufactured_solution(params)
         residuals = []
         for n in (512, 1024):
             g = Grid1D(20.0, n)
@@ -160,7 +160,7 @@ class TestFluxIdentity:
 class TestRecord:
     def _make_record(self, params, grid, spec, t_end=0.1):
         _, record = run(spec, params, SchemeConfig(t_end=t_end, n_samples=5),
-                        grid, "resistive")
+                        grid)
         return record
 
     def test_csv_round_trip_bit_exact(self, params, grid, gaussian_spec):
@@ -197,7 +197,7 @@ class TestRecord:
         s = constant_state(grid, params)
         accum = Accumulators()
         accum.start(s, params, grid)
-        out = rhs(s, params, SchemeConfig(), grid, "resistive")
+        out = rhs(s, params, SchemeConfig(), grid)
         row = sample(s, out, params, grid, accum)
         assert row["sup_rho"] == params.rho_bar
         assert row["sup_abs_b"] == abs(params.b_bar)
@@ -215,7 +215,7 @@ class TestRecord:
         s = build_initial_state(spec, grid)
         accum = Accumulators()
         accum.start(s, params, grid)
-        out = rhs(s, params, SchemeConfig(), grid, "resistive")
+        out = rhs(s, params, SchemeConfig(), grid)
         row = sample(s, out, params, grid, accum)
         assert all(np.isfinite(v) for v in row.values())
 

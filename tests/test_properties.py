@@ -1,0 +1,134 @@
+"""Properties that hold over the admissible parameter space, not just at hand-picked points.
+
+Each example is a JSON configuration drawn from admissible physics (gamma > 1,
+mu > 0, nu >= 0 including exactly 0, rho_bar >= 1, b_bar != 0), both presets
+(the vacuum one with a_b = -b_bar, so the field vanishes with the density),
+both reconstructions and both integrators, on grids of at most 128 cells and
+short horizons.
+
+The default profile is derandomized with a small example budget, so the suite
+is reproducible and cheap; ``HYPOTHESIS_PROFILE=explore`` draws many more,
+random, examples.
+"""
+
+import json
+import os
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from mhd1d.config import parse_config
+from mhd1d.diagnostics import DiagnosticsRecord, energy_drift
+from mhd1d.scenario import build_initial_state
+from mhd1d.solver import load_checkpoint, run, save_checkpoint
+
+settings.register_profile("default", max_examples=60, derandomize=True, deadline=None,
+                          database=None, suppress_health_check=[HealthCheck.too_slow])
+settings.register_profile("explore", max_examples=300, deadline=None, database=None,
+                          suppress_health_check=[HealthCheck.too_slow])
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+
+@st.composite
+def configs(draw):
+    """A raw JSON configuration for one short, small admissible run."""
+    b_bar = draw(st.floats(0.5, 2.0)) * draw(st.sampled_from((1.0, -1.0)))
+    physics = {
+        "gamma": draw(st.floats(1.1, 3.0)),
+        "mu": draw(st.floats(0.01, 1.0)),
+        "nu": draw(st.one_of(st.just(0.0), st.floats(1e-5, 0.1))),
+        "rho_bar": draw(st.floats(1.0, 2.0)),
+        "b_bar": b_bar,
+    }
+    amplitude = st.floats(-0.5, 0.5)
+    preset = draw(st.sampled_from(("gaussian_bump", "interior_vacuum")))
+    scenario = {"preset": preset, "a_u": draw(amplitude), "sigma": draw(st.floats(1.0, 3.0))}
+    if preset == "gaussian_bump":
+        scenario.update(a_rho=draw(amplitude), a_b=draw(amplitude))
+    else:
+        scenario["a_b"] = -b_bar
+    return {
+        "physics": physics,
+        "scenario": scenario,
+        "grid": {"half_width": 20.0, "n_cells": draw(st.sampled_from((64, 128)))},
+        "scheme": {"t_end": draw(st.floats(0.02, 0.2)), "n_samples": 4,
+                   "reconstruction": draw(st.sampled_from(("muscl_minmod",
+                                                           "first_order_upwind"))),
+                   "time_integrator": draw(st.sampled_from(("ssp_rk2", "ssp_rk3")))},
+    }
+
+
+def _simulate(raw: dict):
+    config = parse_config(raw)
+    final, record = run(config.spec, config.run_params, config.scheme, config.grid)
+    return config, final, record
+
+
+@given(configs())
+def test_admissible_run_is_sound(raw):
+    config, final, record = _simulate(raw)
+    params, grid = config.params, config.grid
+
+    assert record.final("clip_count") == 0
+    assert np.all(final.rho >= 0.0)
+    record.validate()
+
+    # conservative fluxes: total mass moves only through the far-field edges,
+    # where the perturbation is exponentially small
+    rho0 = build_initial_state(config.spec, grid).rho
+    m0 = np.sum(rho0 - params.rho_bar) * grid.dx
+    m1 = np.sum(final.rho - params.rho_bar) * grid.dx
+    rounding = 1e-12 * params.rho_bar * 2.0 * grid.half_width
+    budget = 1e-8 * np.sum(np.abs(rho0 - params.rho_bar)) * grid.dx + rounding
+    assert abs(m1 - m0) <= budget
+
+    # Two known defects keep the drift bound from holding everywhere; each has
+    # a strict xfail reproducer below.
+    if raw["scenario"]["preset"] == "gaussian_bump" and record.column("energy")[0] > 1e-9:
+        assert energy_drift(record) <= 1e-3
+
+    again = DiagnosticsRecord.from_csv(record.to_csv())
+    assert np.array_equal(np.array(again.rows), np.array(record.rows))
+    loaded, loaded_grid = load_checkpoint(save_checkpoint(final, grid))
+    assert (loaded_grid.n_cells, loaded_grid.half_width) == (grid.n_cells, grid.half_width)
+    assert loaded.t == final.t
+    for name in ("rho", "mom", "b"):
+        assert np.array_equal(getattr(loaded, name), getattr(final, name))
+
+    assert parse_config(json.loads(config.to_json())) == config
+
+
+@given(configs())
+def test_non_resistive_mode_is_nu_zero(raw):
+    config, final_n, record_n = _simulate({**raw, "mode": "non_resistive"})
+    _, final_0, record_0 = _simulate({**raw, "physics": {**raw["physics"], "nu": 0.0}})
+    assert record_n.to_csv() == record_0.to_csv()
+    assert np.all(record_n.column("diss_b") == 0.0)
+    assert save_checkpoint(final_n, config.grid) == save_checkpoint(final_0, config.grid)
+
+
+def _small(physics: dict, scenario: dict, n_cells: int) -> dict:
+    return {"physics": physics, "scenario": scenario,
+            "grid": {"half_width": 20.0, "n_cells": n_cells},
+            "scheme": {"t_end": 0.125, "n_samples": 4}}
+
+
+@pytest.mark.xfail(strict=True, reason="known energy_drift defects, see the parameter ids")
+@pytest.mark.parametrize("raw", [
+    # diss_u integrates mu*|u_x|^2 with u = m/max(rho, RHO_FLOOR), while the
+    # scheme's viscous term caps the velocity recovery at VISC_FLOOR_FRACTION*rho_bar:
+    # near vacuum the recorded dissipation outgrows the energy actually dissipated
+    pytest.param(_small({"gamma": 2.0, "mu": 1.0, "nu": 0.0},
+                        {"preset": "interior_vacuum", "a_u": 0.0, "a_b": -1.0}, 128),
+                 id="vacuum_dissipation_uses_uncapped_velocity"),
+    # Phi(rho) cancels to ~1e-15 absolute near rho_bar and energy_drift divides
+    # by E(0) with no rounding floor, so tiny perturbations read as huge drift
+    pytest.param(_small({"gamma": 1.5, "mu": 1.0, "nu": 0.0},
+                        {"a_rho": 0.0, "a_u": 1e-9, "a_b": 0.0, "sigma": 1.0}, 64),
+                 id="rounding_dominated_energy"),
+])
+def test_energy_drift_known_defects(raw):
+    _, _, record = _simulate(raw)
+    assert energy_drift(record) <= 1e-3

@@ -18,8 +18,9 @@ from mhd1d import (
     step,
     total_energy,
 )
-from mhd1d.errors import BoundaryMonitorError, NumericalError
-from mhd1d.solver import load_checkpoint, save_checkpoint
+from mhd1d.config import parse_config
+from mhd1d.errors import BoundaryMonitorError, NumericalError, SimulationError
+from mhd1d.solver import load_checkpoint, run_lockstep, save_checkpoint
 
 
 class TestSchemeConfig:
@@ -37,7 +38,7 @@ class TestSchemeConfig:
             SchemeConfig(**kwargs)
 
 
-def _oracle_rhs_first_order(state, params, grid, mode):
+def _oracle_rhs_first_order(state, params, grid):
     """Scalar re-implementation of the semi-discrete system, loops and all."""
     n, dx, g = grid.n_cells, grid.dx, params.gamma
     rho = np.concatenate([[params.rho_bar] * 2, state.rho, [params.rho_bar] * 2])
@@ -69,16 +70,15 @@ def _oracle_rhs_first_order(state, params, grid, mode):
     uv = mom / np.maximum(rho, visc_floor)
     for i in range(n):
         d_mom[i] += params.mu * (uv[i + 3] - 2.0 * uv[i + 2] + uv[i + 1]) / dx**2
-        if mode == "resistive":
-            d_b[i] += params.nu * (b[i + 3] - 2.0 * b[i + 2] + b[i + 1]) / dx**2
+        d_b[i] += params.nu * (b[i + 3] - 2.0 * b[i + 2] + b[i + 1]) / dx**2
     return d_rho, d_mom, d_b
 
 
 class TestRhs:
     def test_constant_state_is_fixed_point(self, params, grid):
         scheme = SchemeConfig()
-        for mode in ("resistive", "non_resistive"):
-            out = rhs(constant_state(grid, params), params, scheme, grid, mode)
+        for p in (params, replace(params, nu=0.0)):
+            out = rhs(constant_state(grid, p), p, scheme, grid)
             for arr in (out.d_rho, out.d_mom, out.d_b):
                 assert np.abs(arr).max() < 1e-13 * max(params.rho_bar, params.b_bar, 1.0)
 
@@ -90,9 +90,9 @@ class TestRhs:
         u = 0.3 * np.exp(-x**2)
         state = State(rho=rho, mom=rho * u, b=np.full(8, params.b_bar))
         scheme = SchemeConfig(reconstruction="first_order_upwind")
-        for mode in ("resistive", "non_resistive"):
-            out = rhs(state, params, scheme, grid, mode)
-            o_rho, o_mom, o_b = _oracle_rhs_first_order(state, params, grid, mode)
+        for p in (params, replace(params, nu=0.0)):
+            out = rhs(state, p, scheme, grid)
+            o_rho, o_mom, o_b = _oracle_rhs_first_order(state, p, grid)
             assert np.allclose(out.d_rho, o_rho, atol=1e-13)
             assert np.allclose(out.d_mom, o_mom, atol=1e-13)
             assert np.allclose(out.d_b, o_b, atol=1e-13)
@@ -105,8 +105,8 @@ class TestRhs:
         rho = np.full(8, params.rho_bar)
         u = 0.3 * np.exp(-grid.x**2)
         state = State(rho=rho, mom=rho * u, b=np.full(8, params.b_bar))
-        out = rhs(state, params, SchemeConfig(reconstruction="first_order_upwind"),
-                  grid, "non_resistive")
+        out = rhs(state, replace(params, nu=0.0),
+                  SchemeConfig(reconstruction="first_order_upwind"), grid)
         m_ext = np.concatenate([[0.0], rho * u, [0.0]])
         expected = -(m_ext[2:] - m_ext[:-2]) / (2.0 * grid.dx)
         assert np.allclose(out.d_rho, expected, atol=1e-14)
@@ -114,8 +114,8 @@ class TestRhs:
     def test_modes_differ_exactly_by_resistive_term(self, params, grid, gaussian_spec):
         state = build_initial_state(gaussian_spec, grid)
         scheme = SchemeConfig()
-        out_r = rhs(state, params, scheme, grid, "resistive")
-        out_n = rhs(state, params, scheme, grid, "non_resistive")
+        out_r = rhs(state, params, scheme, grid)
+        out_n = rhs(state, replace(params, nu=0.0), scheme, grid)
         assert np.array_equal(out_r.d_rho, out_n.d_rho)
         assert np.array_equal(out_r.d_mom, out_n.d_mom)
         b_ext = np.concatenate([[params.b_bar], state.b, [params.b_bar]])
@@ -126,12 +126,8 @@ class TestRhs:
         state = constant_state(grid, params)
         state.mom[17] = np.nan
         with pytest.raises(NumericalError) as err:
-            rhs(state, params, SchemeConfig(), grid, "resistive")
+            rhs(state, params, SchemeConfig(), grid)
         assert err.value.node is not None
-
-    def test_rejects_unknown_mode(self, params, grid):
-        with pytest.raises(ValueError, match="mode"):
-            rhs(constant_state(grid, params), params, SchemeConfig(), grid, "ideal")
 
 
 class TestStableDt:
@@ -182,7 +178,7 @@ class TestStep:
         scheme = SchemeConfig(time_integrator=integrator)
         state = constant_state(grid, params)
         for _ in range(5):
-            state, clips = step(state, 1e-3, params, scheme, grid, "resistive")
+            state, clips = step(state, 1e-3, params, scheme, grid)
             assert clips == 0
         assert np.all(state.rho == params.rho_bar)
         assert np.all(state.mom == 0.0)
@@ -200,7 +196,7 @@ class TestStep:
         scheme = SchemeConfig()
         while state.t < t_end - 1e-12:
             dt = min(stable_dt(state, params, scheme, grid), t_end - state.t)
-            state, _ = step(state, dt, params, scheme, grid, "non_resistive")
+            state, _ = step(state, dt, params, scheme, grid)
         core = np.abs(x) < 10.0  # edges are polluted by the far-field ghosts
         assert np.abs(state.rho - params.rho_bar)[core].max() < 1e-7
         assert np.abs(state.velocity() - c)[core].max() < 1e-7
@@ -223,7 +219,7 @@ class TestStep:
             scheme = SchemeConfig(time_integrator=integ)
             while state.t < t_end - 1e-12:
                 dt = min(stable_dt(state, params, scheme, grid), t_end - state.t)
-                state, _ = step(state, dt, params, scheme, grid, "non_resistive")
+                state, _ = step(state, dt, params, scheme, grid)
             core = np.abs(x) < 10.0
             exact = eps * np.exp(-(x[core] - c * t_end) ** 2)
             errors[integ] = np.sqrt(np.sum(((state.b - params.b_bar)[core] - exact) ** 2))
@@ -233,24 +229,24 @@ class TestStep:
 class TestRun:
     def test_t_zero_returns_single_sample(self, params, grid, gaussian_spec):
         scheme = SchemeConfig(t_end=0.0)
-        final, record = run(gaussian_spec, params, scheme, grid, "resistive")
+        final, record = run(gaussian_spec, params, scheme, grid)
         assert final.t == 0.0
         assert len(record.rows) == 1
 
     def test_sample_times_exact(self, params, grid, gaussian_spec):
         scheme = SchemeConfig(t_end=0.2, n_samples=8)
-        _, record = run(gaussian_spec, params, scheme, grid, "resistive")
+        _, record = run(gaussian_spec, params, scheme, grid)
         assert np.array_equal(record.times, np.linspace(0.0, 0.2, 9))
 
     def test_deterministic(self, params, grid, gaussian_spec):
         scheme = SchemeConfig(t_end=0.1, n_samples=5)
-        _, r1 = run(gaussian_spec, params, scheme, grid, "resistive")
-        _, r2 = run(gaussian_spec, params, scheme, grid, "resistive")
+        _, r1 = run(gaussian_spec, params, scheme, grid)
+        _, r2 = run(gaussian_spec, params, scheme, grid)
         assert r1.to_csv() == r2.to_csv()
 
     def test_energy_never_exceeds_initial(self, params, grid, gaussian_spec):
         scheme = SchemeConfig(t_end=1.0, n_samples=20)
-        final, record = run(gaussian_spec, params, scheme, grid, "resistive")
+        final, record = run(gaussian_spec, params, scheme, grid)
         e = record.column("energy")
         assert e[-1] <= e[0] * (1.0 + 1e-6)
         assert total_energy(final, params, grid) == pytest.approx(e[-1])
@@ -259,18 +255,21 @@ class TestRun:
         for preset, a_b in (("gaussian_bump", 0.2), ("interior_vacuum", -params.b_bar)):
             spec = ScenarioSpec(params=params, preset=preset, a_b=a_b)
             _, record = run(spec, params, SchemeConfig(t_end=0.2, n_samples=5),
-                            grid, "resistive")
+                            grid)
             assert record.final("clip_count") == 0
 
     def test_mode_consistency_bitwise(self, grid):
-        params = PhysParams(nu=0.0)
-        spec = ScenarioSpec(params=params)
-        scheme = SchemeConfig(t_end=0.1, n_samples=5)
-        f1, _ = run(spec, params, scheme, grid, "resistive")
-        f2, _ = run(spec, params, scheme, grid, "non_resistive")
+        # mode non_resistive reaches the solver only as nu = 0
+        small = {"grid": {"n_cells": grid.n_cells}, "scheme": {"t_end": 0.1, "n_samples": 5}}
+        runs = []
+        for extra in ({"mode": "non_resistive"}, {"physics": {"nu": 0.0}}):
+            config = parse_config({**small, **extra})
+            runs.append(run(config.spec, config.run_params, config.scheme, config.grid))
+        (f1, r1), (f2, r2) = runs
         assert np.array_equal(f1.rho, f2.rho)
         assert np.array_equal(f1.mom, f2.mom)
         assert np.array_equal(f1.b, f2.b)
+        assert r1.to_csv() == r2.to_csv()
 
     def test_boundary_monitor_aborts(self):
         params = PhysParams()
@@ -278,20 +277,76 @@ class TestRun:
         spec = ScenarioSpec(params=params, sigma=1.0)
         scheme = SchemeConfig(t_end=2.0, n_samples=10)
         with pytest.raises(BoundaryMonitorError):
-            run(spec, params, scheme, grid, "resistive")
+            run(spec, params, scheme, grid)
 
     def test_accumulators_monotone(self, params, grid, gaussian_spec):
         _, record = run(gaussian_spec, params, SchemeConfig(t_end=0.3, n_samples=10),
-                        grid, "resistive")
+                        grid)
         record.validate()
         for col in ("diss_u", "diss_b", "l6_b_pert_accum"):
             assert np.all(np.diff(record.column(col)) >= 0)
 
 
+class TestRunLockstep:
+    def test_dt_is_minimum_over_members(self, grid, gaussian_spec):
+        # member 1's large resistivity makes its diffusive bound the tighter one
+        p0 = PhysParams(nu=1e-3)
+        p1 = replace(p0, nu=5.0)
+        scheme = SchemeConfig(t_end=0.01, n_samples=2)
+        sample_times = [scheme.t_end * k / scheme.n_samples for k in (1, 2)]
+        state = build_initial_state(gaussian_spec, grid)
+        seen = []
+
+        def observe(states, dt):
+            bounds = [stable_dt(s, p, scheme, grid) for s, p in zip(states, (p0, p1))]
+            seen.append((dt, states[0].t, bounds))
+
+        run_lockstep([(state, p0), (state.copy(), p1)], scheme, grid, observe=observe)
+        assert seen[0][:2] == (0.0, 0.0)
+        assert len(seen) > 3
+        for (dt, t, _), (_, _, bounds) in zip(seen[1:], seen[:-1]):
+            assert bounds[1] < bounds[0]
+            if t in sample_times:
+                assert dt <= bounds[1]
+            else:
+                assert dt == bounds[1]
+
+    def test_clips_of_every_member_counted(self, params, grid, gaussian_spec):
+        mid = grid.n_cells // 2
+
+        def rhs_fn(state, params_, scheme_, grid_):
+            out = rhs(state, params_, scheme_, grid_)
+            if params_.nu == 0.0 and state.t == 0.0:
+                out.d_rho[mid] = -1e6  # first stage of the nu = 0 member only
+            return out
+
+        scheme = SchemeConfig(t_end=1e-3, n_samples=1)
+        state = build_initial_state(gaussian_spec, grid)
+        members = [(state, params), (state.copy(), replace(params, nu=0.0))]
+        _, record = run_lockstep(members, scheme, grid, rhs_fn=rhs_fn)
+        assert record.final("clip_count") > 0
+        _, alone = run_lockstep(members[:1], scheme, grid, rhs_fn=rhs_fn)
+        assert alone.final("clip_count") == 0
+
+    def test_single_member_is_run(self, params, grid, gaussian_spec):
+        scheme = SchemeConfig(t_end=0.05, n_samples=3)
+        final, record = run(gaussian_spec, params, scheme, grid)
+        (state,), record2 = run_lockstep([(build_initial_state(gaussian_spec, grid), params)],
+                                         scheme, grid)
+        assert np.array_equal(state.b, final.b)
+        assert record2.to_csv() == record.to_csv()
+
+    def test_max_steps_guard(self, params, grid, gaussian_spec):
+        state = build_initial_state(gaussian_spec, grid)
+        with pytest.raises(SimulationError, match="exceeded 2 steps"):
+            run_lockstep([(state, params)], SchemeConfig(t_end=1.0, n_samples=1), grid,
+                         max_steps=2)
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, params, grid, gaussian_spec):
         scheme = SchemeConfig(t_end=0.05, n_samples=2)
-        final, _ = run(gaussian_spec, params, scheme, grid, "resistive")
+        final, _ = run(gaussian_spec, params, scheme, grid)
         text = save_checkpoint(final, grid)
         loaded, loaded_grid = load_checkpoint(text)
         assert loaded_grid.n_cells == grid.n_cells
