@@ -19,6 +19,7 @@ import json
 import os
 import sys
 import tempfile
+import time
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -287,11 +288,13 @@ CHECKS = [
 def cmd_verify(args) -> int:
     failures = 0
     for name, check in CHECKS:
+        start = time.perf_counter()
         try:
             ok, detail = check()
         except Exception as exc:  # a crashed check is a failed check
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-        print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
+        elapsed = time.perf_counter() - start
+        print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail} ({elapsed:.2f} s)")
         failures += 0 if ok else 1
     if failures:
         print(f"verify: {failures} of {len(CHECKS)} checks failed")

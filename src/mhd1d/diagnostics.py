@@ -26,6 +26,7 @@ from .core import (
     potential_energy,
     pressure,
     second_derivative,
+    viscous_velocity,
 )
 
 COLUMNS = [
@@ -156,7 +157,7 @@ class Accumulators:
     _last: tuple | None = None
 
     def integrand(self, state: State, params: PhysParams, grid: Grid1D) -> tuple:
-        u_x = derivative(state.velocity(), grid.dx)
+        u_x = derivative(viscous_velocity(state.mom, state.rho, params.rho_bar), grid.dx)
         b_x = derivative(state.b, grid.dx)
         b_pert = state.b - params.b_bar
         return (

@@ -25,25 +25,21 @@ import numpy as np
 from . import diagnostics
 from .core import (
     RHO_FLOOR,
+    VISC_FLOOR_FRACTION,  # re-exported with the solver's public names
     FieldScalar,
     Grid1D,
     PhysParams,
     State,
     fast_speed,
     fast_speed_state,
+    viscous_floor,
+    viscous_velocity,
 )
 from .errors import BoundaryMonitorError, NumericalError, SimulationError
 from .scenario import ScenarioSpec, build_initial_state
 
 RECONSTRUCTIONS = ("first_order_upwind", "muscl_minmod")
 INTEGRATORS = ("ssp_rk2", "ssp_rk3")
-
-# Fraction of the far-field density used as a lower bound in the viscous
-# velocity recovery and the diffusive dt bound.  Explicit integration of
-# mu*u_xx is violently unstable where u = m/rho divides by a near-vacuum
-# density; capping the recovery at 0.01*rho_bar keeps the momentum diffusion
-# stable at a usable dt while leaving every vacuum-free run untouched.
-VISC_FLOOR_FRACTION = 0.01
 
 # Run-validity monitor: abort when the outermost interior nodes deviate from
 # the far field by more than this (Dirichlet far-field values are then no
@@ -157,8 +153,7 @@ def rhs(state: State, params: PhysParams, scheme: SchemeConfig, grid: Grid1D) ->
         f_hat = 0.5 * (f_l + f_r) - 0.5 * a * (q_r - q_l)
         out[:] = -(f_hat[1:] - f_hat[:-1]) / dx
 
-    visc_floor = max(RHO_FLOOR, VISC_FLOOR_FRACTION * params.rho_bar)
-    u_visc = mom_e / np.maximum(rho_e, visc_floor)
+    u_visc = viscous_velocity(mom_e, rho_e, params.rho_bar)
     d_mom += params.mu * (u_visc[3:-1] - 2.0 * u_visc[2:-2] + u_visc[1:-3]) / dx**2
     if params.nu > 0:
         d_b += params.nu * (b_e[3:-1] - 2.0 * b_e[2:-2] + b_e[1:-3]) / dx**2
@@ -175,8 +170,8 @@ def rhs(state: State, params: PhysParams, scheme: SchemeConfig, grid: Grid1D) ->
 def stable_dt(state: State, params: PhysParams, scheme: SchemeConfig, grid: Grid1D) -> float:
     """Explicit step bound: advective CFL and the diffusive dx^2 restriction."""
     dt_adv = scheme.cfl_number * grid.dx / float(np.max(fast_speed_state(state, params)))
-    visc_floor = max(RHO_FLOOR, VISC_FLOOR_FRACTION * params.rho_bar)
-    rho_min = max(float(np.min(np.maximum(state.rho, RHO_FLOOR))), visc_floor)
+    rho_min = max(float(np.min(np.maximum(state.rho, RHO_FLOOR))),
+                  viscous_floor(params.rho_bar))
     diff_coef = max(params.mu / rho_min, params.nu)
     dt_diff = scheme.diffusion_number * grid.dx**2 / diff_coef
     return min(dt_adv, dt_diff)

@@ -1,8 +1,14 @@
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mhd1d
 from mhd1d.cli import CHECKS, main
 from mhd1d.config import DEFAULTS, load_config, parse_config
 from mhd1d.diagnostics import DiagnosticsRecord
@@ -195,3 +201,25 @@ class TestVerifyCommand:
         printed = capsys.readouterr().out
         assert printed.count("[PASS]") == len(CHECKS)
         assert "[FAIL]" not in printed
+        # every check line ends with its wall time
+        timed = re.compile(r"^\[PASS\] \w+: .+ \(\d+\.\d\d s\)$")
+        assert sum(bool(timed.match(ln)) for ln in printed.splitlines()) == len(CHECKS)
+
+    def test_verify_never_imports_sympy(self):
+        code = ("import sys; from mhd1d.cli import main; rc = main(['verify']); "
+                "print('sympy imported:', 'sympy' in sys.modules); sys.exit(rc)")
+        src = str(Path(mhd1d.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stdout.splitlines()[-1] == "sympy imported: False"
+
+
+def test_runtime_dependencies_are_numpy_only():
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text())["project"]
+    names = [re.split(r"[\s<>=!~;\[]", dep, maxsplit=1)[0] for dep in project["dependencies"]]
+    assert names == ["numpy"]
+    assert any(dep.startswith("sympy") for dep in project["optional-dependencies"]["test"])

@@ -1,7 +1,10 @@
+import functools
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mhd1d import Grid1D, PhysParams, SchemeConfig, manufactured_solution, mms_rhs, run_manufactured
 from mhd1d.mms import observed_orders
@@ -50,6 +53,55 @@ class TestManufacturedSolution:
                             np.abs(out.d_b).max()))
         assert sups[0] < 5e-3
         assert sups[0] > sups[1] > sups[2]
+
+
+FIELDS = ("rho", "u", "b", "mom", "source_rho", "source_mom", "source_b")
+PARAM_NAMES = ("gamma", "mu", "nu", "rho_bar", "b_bar", "amplitude", "sigma", "omega")
+
+
+@functools.lru_cache(maxsize=1)
+def _sympy_oracle():
+    """The seven callables differentiated by sympy, parameters kept symbolic.
+
+    The residuals are written in conservation form, independently of the
+    hand-expanded closed forms in ``mms.py``, and lambdified once without
+    simplification.
+    """
+    sp = pytest.importorskip("sympy")
+    x, t = sp.symbols("x t", real=True)
+    gamma, mu, nu, rho_bar, b_bar, amp, sigma, omega = sp.symbols(PARAM_NAMES, real=True)
+    g = sp.exp(-(x**2) / sigma**2)
+    th = sp.cos(omega * t)
+    rho_s = rho_bar + amp * g * th
+    u_s = amp * x * g * th
+    b_s = b_bar + amp * g * th
+    m_s = rho_s * u_s
+    s_rho = sp.diff(rho_s, t) + sp.diff(m_s, x)
+    s_mom = (sp.diff(m_s, t) + sp.diff(m_s * u_s + rho_s**gamma + b_s**2 / 2, x)
+             - mu * sp.diff(u_s, x, 2))
+    s_b = sp.diff(b_s, t) + sp.diff(u_s * b_s, x) - nu * sp.diff(b_s, x, 2)
+    args = (x, t, gamma, mu, nu, rho_bar, b_bar, amp, sigma, omega)
+    return [sp.lambdify(args, e, "numpy") for e in (rho_s, u_s, b_s, m_s, s_rho, s_mom, s_b)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(gamma=st.floats(1.1, 3.0), mu=st.floats(0.01, 1.0),
+       nu=st.one_of(st.just(0.0), st.floats(1e-5, 0.1)),
+       rho_bar=st.floats(1.0, 2.0),
+       b_bar=st.floats(0.5, 2.0).flatmap(lambda v: st.sampled_from((v, -v))),
+       amplitude=st.one_of(st.just(0.0), st.floats(-0.5, 0.5)),
+       sigma=st.floats(1.0, 4.0), omega=st.floats(0.0, 4.0))
+def test_closed_forms_match_sympy_derivation(gamma, mu, nu, rho_bar, b_bar, amplitude,
+                                             sigma, omega):
+    oracle = _sympy_oracle()
+    params = PhysParams(mu=mu, nu=nu, gamma=gamma, rho_bar=rho_bar, b_bar=b_bar)
+    ms = manufactured_solution(params, amplitude=amplitude, sigma=sigma, omega=omega)
+    x = np.linspace(-20.0, 20.0, 257)
+    for t in (0.0, 0.37, 1.3, 2.9):
+        for name, ref_fn in zip(FIELDS, oracle):
+            ref = ref_fn(x, t, gamma, mu, nu, rho_bar, b_bar, amplitude, sigma, omega) + 0.0 * x
+            got = getattr(ms, name)(x, t)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), (name, t)
 
 
 class TestForcedRuns:
