@@ -28,8 +28,14 @@ import numpy as np
 from . import __version__
 from .config import RunConfig, load_config, parse_config
 from .core import Grid1D, PhysParams, constant_state, potential_energy
-from .diagnostics import central_tendencies, energy_drift, flux_identity_residual
-from .errors import BoundaryMonitorError, ConfigError, NumericalError
+from .diagnostics import (
+    DiagnosticsRecord,
+    RunTelemetry,
+    central_tendencies,
+    energy_drift,
+    flux_identity_residual,
+)
+from .errors import BoundaryMonitorError, ConfigError, NumericalError, SimulationError
 from .limit_study import SharedConfig, sweep
 from .mms import manufactured_solution, observed_orders
 from .scenario import ScenarioSpec, build_initial_state
@@ -62,22 +68,57 @@ def _utcnow() -> str:
 
 
 def _write_manifest(outdir: Path, config: RunConfig, started: str, outputs: list[str],
-                    clip_count: int, boundary_status: str):
+                    clip_count: int, telemetry: dict, wall_s: dict,
+                    error: SimulationError | None = None):
+    """Provenance, run telemetry and wall time per phase; on abort, the failure locus.
+
+    Timings live only here, so the other outputs stay byte-reproducible.
+    """
     manifest = {
         "tool_version": __version__,
         "config_fingerprint": config.fingerprint(),
         "config_canonical": config.canonical(),
         "started_utc": started,
         "finished_utc": _utcnow(),
+        "status": "ok" if error is None else "aborted",
         "clip_count": clip_count,
-        "boundary_monitor": boundary_status,
+        "boundary_monitor": "tripped" if isinstance(error, BoundaryMonitorError) else "ok",
         "outputs": sorted(outputs),
+        "telemetry": telemetry,
+        "wall_s": wall_s,
         "notes": {
             "sampling": "dissipation accumulators advance every step; sampled "
                         "columns are evaluated at the cadence times only"
         },
     }
+    if error is not None:
+        locus = {"kind": type(error).__name__, "t": error.time}
+        if isinstance(error, BoundaryMonitorError):
+            locus["deviation"] = error.deviation
+        else:
+            locus["node"] = error.node
+        manifest["error"] = locus
     _atomic_write(outdir / "manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+
+
+def _clip_count(record: DiagnosticsRecord) -> int:
+    return int(record.final("clip_count")) if record.rows else 0
+
+
+def _aborted(exc: SimulationError, outdir: Path, config: RunConfig, started: str,
+             csv_name: str, integrate_s: float) -> int:
+    """Write the rows gathered before the failure and a manifest with its locus."""
+    print(f"aborted: {exc}", file=sys.stderr)
+    record = exc.record if exc.record is not None else DiagnosticsRecord()
+    start = time.perf_counter()
+    outputs = []
+    if record.rows:
+        _atomic_write(outdir / csv_name, record.to_csv())
+        outputs.append(csv_name)
+    wall_s = {"integrate": integrate_s, "write": time.perf_counter() - start}
+    _write_manifest(outdir, config, started, outputs, _clip_count(record),
+                    record.telemetry.as_dict(), wall_s, error=exc)
+    return EXIT_BOUNDARY if isinstance(exc, BoundaryMonitorError) else EXIT_NUMERICAL
 
 
 def _resolve_outdir(args, config: RunConfig) -> Path:
@@ -97,20 +138,20 @@ def cmd_simulate(args) -> int:
         print(exc, file=sys.stderr)
         return EXIT_CONFIG
     outdir = _resolve_outdir(args, config)
+    start = time.perf_counter()
     try:
         final, record = run(config.spec, config.run_params, config.scheme, config.grid)
-    except BoundaryMonitorError as exc:
-        print(f"aborted: {exc}", file=sys.stderr)
-        return EXIT_BOUNDARY
-    except NumericalError as exc:
-        print(f"aborted: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    except (BoundaryMonitorError, NumericalError) as exc:
+        return _aborted(exc, outdir, config, started, "diagnostics.csv",
+                        time.perf_counter() - start)
+    integrated = time.perf_counter()
 
     outputs = ["diagnostics.csv", "state_final.txt"]
     _atomic_write(outdir / "diagnostics.csv", record.to_csv())
     _atomic_write(outdir / "state_final.txt", save_checkpoint(final, config.grid))
-    _write_manifest(outdir, config, started, outputs,
-                    clip_count=int(record.final("clip_count")), boundary_status="ok")
+    wall_s = {"integrate": integrated - start, "write": time.perf_counter() - integrated}
+    _write_manifest(outdir, config, started, outputs, _clip_count(record),
+                    record.telemetry.as_dict(), wall_s)
     print(f"simulate: T={config.scheme.t_end} done, outputs in {outdir}")
     return EXIT_OK
 
@@ -125,15 +166,14 @@ def cmd_sweep(args) -> int:
     outdir = _resolve_outdir(args, config)
     jobs = args.jobs or config.jobs
     shared = SharedConfig(spec=config.spec, scheme=config.scheme, grid=config.grid)
+    start = time.perf_counter()
     try:
         result = sweep(config.nu_list, shared, jobs=jobs,
                        config_fingerprint=config.fingerprint())
-    except BoundaryMonitorError as exc:
-        print(f"aborted: {exc}", file=sys.stderr)
-        return EXIT_BOUNDARY
-    except NumericalError as exc:
-        print(f"aborted: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    except (BoundaryMonitorError, NumericalError) as exc:
+        return _aborted(exc, outdir, config, started, "diag_aborted.csv",
+                        time.perf_counter() - start)
+    integrated = time.perf_counter()
 
     outputs = ["report.json"]
     for nu, record in result.records:
@@ -141,9 +181,14 @@ def cmd_sweep(args) -> int:
         _atomic_write(outdir / name, record.to_csv())
         outputs.append(name)
     _atomic_write(outdir / "report.json", result.report.to_json())
-    clip_total = sum(int(rec.final("clip_count")) for _, rec in result.records)
-    _write_manifest(outdir, config, started, outputs,
-                    clip_count=clip_total, boundary_status="ok")
+    clip_total = sum(_clip_count(rec) for _, rec in result.records)
+    wall_s = {"integrate": integrated - start, "write": time.perf_counter() - integrated}
+    guard = result.report.guard.telemetry
+    telemetry = {
+        "pairs": RunTelemetry.combined(rec.telemetry for _, rec in result.records).as_dict(),
+        "guard": guard.as_dict() if guard is not None else None,
+    }
+    _write_manifest(outdir, config, started, outputs, clip_total, telemetry, wall_s)
     r = result.report
     if r.fit_skipped_reason:
         print(f"sweep: fit skipped ({r.fit_skipped_reason}); outputs in {outdir}")

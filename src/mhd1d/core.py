@@ -14,6 +14,7 @@ travels alongside as an explicit argument.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,10 +53,13 @@ class Grid1D:
     def dx(self) -> float:
         return 2.0 * self.half_width / self.n_cells
 
-    @property
+    @cached_property
     def x(self) -> FieldScalar:
+        """Node coordinates, built once per grid and read-only."""
         dx = self.dx
-        return -self.half_width + (np.arange(self.n_cells) + 0.5) * dx
+        x = -self.half_width + (np.arange(self.n_cells) + 0.5) * dx
+        x.flags.writeable = False
+        return x
 
 
 @dataclass(frozen=True)
@@ -100,12 +104,16 @@ class State:
         n = len(self.rho)
         if len(self.mom) != n or len(self.b) != n:
             raise ValueError("rho, mom and b must have equal length")
-        if np.any(self.rho < 0):
+        if (self.rho < 0).any():
             raise ValueError("density must be non-negative at every node")
 
-    def velocity(self) -> FieldScalar:
-        """u = m / max(rho, floor); the floor only guards division."""
-        return self.mom / np.maximum(self.rho, RHO_FLOOR)
+    def velocity(self, out: FieldScalar | None = None) -> FieldScalar:
+        """u = m / max(rho, floor); the floor only guards division.
+
+        With ``out`` the result is written there instead of a fresh array.
+        """
+        out = np.maximum(self.rho, RHO_FLOOR, out=out)
+        return np.divide(self.mom, out, out=out)
 
     def copy(self) -> "State":
         return State(self.rho.copy(), self.mom.copy(), self.b.copy(), self.t)
@@ -116,13 +124,16 @@ def viscous_floor(rho_bar: float) -> float:
     return max(RHO_FLOOR, VISC_FLOOR_FRACTION * rho_bar)
 
 
-def viscous_velocity(mom: FieldScalar, rho: FieldScalar, rho_bar: float) -> FieldScalar:
+def viscous_velocity(mom: FieldScalar, rho: FieldScalar, rho_bar: float,
+                     out: FieldScalar | None = None) -> FieldScalar:
     """u = m / max(rho, viscous_floor(rho_bar)), the velocity viscosity acts on.
 
     The scheme's mu*u_xx term and the recorded viscous dissipation both use
-    it, so the dissipation audit measures what the scheme dissipates.
+    it, so the dissipation audit measures what the scheme dissipates.  With
+    ``out`` the result is written there instead of a fresh array.
     """
-    return mom / np.maximum(rho, viscous_floor(rho_bar))
+    out = np.maximum(rho, viscous_floor(rho_bar), out=out)
+    return np.divide(mom, out, out=out)
 
 
 def derivative(values: FieldScalar, dx: float) -> FieldScalar:

@@ -10,7 +10,8 @@ not depend on the resistivity must show small relative spread.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -66,13 +67,25 @@ def lp_norm(values: FieldScalar, p, grid: Grid1D) -> float:
         return float(np.max(np.abs(f))) if f.size else 0.0
     if p not in (2, 4, 6):
         raise ValueError(f"unsupported norm order {p!r}")
-    return float((np.sum(np.abs(f) ** p) * grid.dx) ** (1.0 / p))
+    return float(((np.abs(f) ** p).sum() * grid.dx) ** (1.0 / p))
+
+
+@lru_cache(maxsize=4)
+def _spreading_weight(grid: Grid1D, alpha: float) -> FieldScalar:
+    """|x|^alpha at the grid nodes, computed once per (grid, alpha) and read-only."""
+    weight = np.abs(grid.x) ** alpha
+    weight.flags.writeable = False
+    return weight
+
+
+def _weighted_l2_of_square(square: FieldScalar, weight: FieldScalar, dx: float) -> float:
+    return float(np.sqrt((square * weight).sum() * dx))
 
 
 def weighted_l2(values: FieldScalar, alpha: float, grid: Grid1D) -> float:
     """(sum f^2 |x|^alpha dx)^(1/2)."""
     f = np.asarray(values, dtype=float)
-    return float(np.sqrt(np.sum(f**2 * np.abs(grid.x) ** alpha) * grid.dx))
+    return _weighted_l2_of_square(f**2, _spreading_weight(grid, alpha), grid.dx)
 
 
 def energy_density(state: State, params: PhysParams) -> FieldScalar:
@@ -92,7 +105,7 @@ def total_energy(state: State, params: PhysParams, grid: Grid1D) -> float:
 
 def weighted_energy(state: State, params: PhysParams, grid: Grid1D) -> float:
     """Energy integral with the spreading weight |x|^alpha."""
-    integrand = energy_density(state, params) * np.abs(grid.x) ** params.alpha
+    integrand = energy_density(state, params) * _spreading_weight(grid, params.alpha)
     return float(np.trapezoid(integrand, dx=grid.dx))
 
 
@@ -108,11 +121,25 @@ def momentum_potential(state: State, grid: Grid1D) -> FieldScalar:
     return xi
 
 
-def flux_identity_residual(state: State, rhs_output, params: PhysParams, grid: Grid1D) -> float:
-    """L2 norm of rho*du/dt - F_x; vanishes at the scheme's order on smooth states."""
-    udot = material_derivative(state, rhs_output.u_t, grid)
+def velocity_tendency(state: State, tendencies) -> FieldScalar:
+    """u_t = (m_t - u*rho_t) / max(rho, RHO_FLOOR) from the tendencies of rho and m."""
+    u = state.velocity()
+    return (tendencies.d_mom - u * tendencies.d_rho) / np.maximum(state.rho, RHO_FLOOR)
+
+
+def _flux_residual(state: State, udot: FieldScalar, params: PhysParams, grid: Grid1D) -> float:
     flux = effective_viscous_flux(state, params, grid)
     return lp_norm(state.rho * udot - derivative(flux, grid.dx), 2, grid)
+
+
+def flux_identity_residual(state: State, tendencies, params: PhysParams, grid: Grid1D) -> float:
+    """L2 norm of rho*du/dt - F_x; vanishes at the scheme's order on smooth states.
+
+    ``tendencies`` is any object with ``d_rho`` and ``d_mom`` (an ``rhs``
+    output or ``central_tendencies``).
+    """
+    udot = material_derivative(state, velocity_tendency(state, tendencies), grid)
+    return _flux_residual(state, udot, params, grid)
 
 
 @dataclass
@@ -127,7 +154,6 @@ class CentralTendencies:
     d_rho: FieldScalar
     d_mom: FieldScalar
     d_b: FieldScalar
-    u_t: FieldScalar
 
 
 def central_tendencies(state: State, params: PhysParams, grid: Grid1D) -> CentralTendencies:
@@ -140,8 +166,7 @@ def central_tendencies(state: State, params: PhysParams, grid: Grid1D) -> Centra
     d_b = -derivative(u * state.b, dx)
     if params.nu > 0:
         d_b = d_b + params.nu * second_derivative(state.b, dx)
-    u_t = (d_mom - u * d_rho) / np.maximum(state.rho, RHO_FLOOR)
-    return CentralTendencies(d_rho=d_rho, d_mom=d_mom, d_b=d_b, u_t=u_t)
+    return CentralTendencies(d_rho=d_rho, d_mom=d_mom, d_b=d_b)
 
 
 @dataclass
@@ -157,14 +182,16 @@ class Accumulators:
     _last: tuple | None = None
 
     def integrand(self, state: State, params: PhysParams, grid: Grid1D) -> tuple:
-        u_x = derivative(viscous_velocity(state.mom, state.rho, params.rho_bar), grid.dx)
-        b_x = derivative(state.b, grid.dx)
+        dx = grid.dx
+        weight = _spreading_weight(grid, params.alpha)
+        u_x2 = derivative(viscous_velocity(state.mom, state.rho, params.rho_bar), dx) ** 2
+        b_x2 = derivative(state.b, dx) ** 2
         b_pert = state.b - params.b_bar
         return (
-            params.mu * np.sum(u_x**2) * grid.dx,
-            params.nu * np.sum(b_x**2) * grid.dx,
-            params.mu * weighted_l2(u_x, params.alpha, grid) ** 2,
-            params.nu * weighted_l2(b_x, params.alpha, grid) ** 2,
+            params.mu * u_x2.sum() * dx,
+            params.nu * b_x2.sum() * dx,
+            params.mu * _weighted_l2_of_square(u_x2, weight, dx) ** 2,
+            params.nu * _weighted_l2_of_square(b_x2, weight, dx) ** 2,
             lp_norm(b_pert, 6, grid) ** 6,
         )
 
@@ -184,10 +211,50 @@ class Accumulators:
 
 
 @dataclass
+class RunTelemetry:
+    """Deterministic counters of one time-stepping run.
+
+    Each accepted step is counted under the bound that set its dt: the
+    advective CFL bound, the diffusive bound, or the landing on a sample time.
+    ``rhs_evals`` counts every right-hand-side evaluation, RK stages of every
+    member and the diagnostics samples alike.
+    """
+
+    steps: int = 0
+    rhs_evals: int = 0
+    dt_advective: int = 0
+    dt_diffusive: int = 0
+    dt_sample_landing: int = 0
+    peak_boundary_deviation: float = 0.0
+
+    def as_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def combined(cls, parts) -> "RunTelemetry":
+        """Counters summed over runs; the peak deviation is the largest one."""
+        total = cls()
+        for p in parts:
+            total.steps += p.steps
+            total.rhs_evals += p.rhs_evals
+            total.dt_advective += p.dt_advective
+            total.dt_diffusive += p.dt_diffusive
+            total.dt_sample_landing += p.dt_sample_landing
+            total.peak_boundary_deviation = max(total.peak_boundary_deviation,
+                                                p.peak_boundary_deviation)
+        return total
+
+
+@dataclass
 class DiagnosticsRecord:
-    """Time series with one row per sample; columns as in COLUMNS."""
+    """Time series with one row per sample; columns as in COLUMNS.
+
+    ``telemetry`` holds the counters of the run that produced the rows; it is
+    not part of the CSV.
+    """
 
     rows: list = field(default_factory=list)
+    telemetry: RunTelemetry = field(default_factory=RunTelemetry, compare=False)
 
     def append(self, row: dict):
         self.rows.append([float(row[c]) for c in COLUMNS])
@@ -242,7 +309,7 @@ def sample(state: State, rhs_output, params: PhysParams, grid: Grid1D,
     """Evaluate every record column at one instant."""
     u = state.velocity()
     b_pert = state.b - params.b_bar
-    udot = material_derivative(state, rhs_output.u_t, grid)
+    udot = material_derivative(state, velocity_tendency(state, rhs_output), grid)
     return {
         "t": state.t,
         "energy": total_energy(state, params, grid),
@@ -263,7 +330,7 @@ def sample(state: State, rhs_output, params: PhysParams, grid: Grid1D,
         "l2_rho_t": lp_norm(rhs_output.d_rho, 2, grid),
         "l2_b_t": lp_norm(rhs_output.d_b, 2, grid),
         "l2_sqrt_rho_udot": lp_norm(np.sqrt(state.rho) * udot, 2, grid),
-        "flux_residual": flux_identity_residual(state, rhs_output, params, grid),
+        "flux_residual": _flux_residual(state, udot, params, grid),
         "xi_sup": lp_norm(momentum_potential(state, grid), "inf", grid),
         "clip_count": accum.clip_count,
     }
@@ -371,10 +438,12 @@ __all__ = [
     "total_energy",
     "weighted_energy",
     "momentum_potential",
+    "velocity_tendency",
     "flux_identity_residual",
     "CentralTendencies",
     "central_tendencies",
     "Accumulators",
+    "RunTelemetry",
     "DiagnosticsRecord",
     "sample",
     "energy_drift",

@@ -2,7 +2,13 @@
 
 
 class SimulationError(Exception):
-    """Base class for runtime failures of a simulation."""
+    """Base class for runtime failures of a simulation.
+
+    When raised from the time loop, ``record`` holds the diagnostics record
+    gathered up to the failure (rows and run telemetry).
+    """
+
+    record = None
 
 
 class NumericalError(SimulationError):

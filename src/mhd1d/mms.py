@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import RHO_FLOOR, Grid1D, PhysParams, State
+from .core import Grid1D, PhysParams, State
 from .diagnostics import lp_norm
 from .solver import RhsOutput, SchemeConfig, rhs, run
 
@@ -109,9 +109,7 @@ def mms_rhs(state: State, params: PhysParams, scheme: SchemeConfig, grid: Grid1D
     d_rho = out.d_rho + manufactured.source_rho(x, state.t)
     d_mom = out.d_mom + manufactured.source_mom(x, state.t)
     d_b = out.d_b + manufactured.source_b(x, state.t)
-    u = state.velocity()
-    u_t = (d_mom - u * d_rho) / np.maximum(state.rho, RHO_FLOOR)
-    return RhsOutput(d_rho=d_rho, d_mom=d_mom, d_b=d_b, u_t=u_t)
+    return RhsOutput(d_rho=d_rho, d_mom=d_mom, d_b=d_b)
 
 
 def run_manufactured(params: PhysParams, scheme: SchemeConfig, grid: Grid1D,

@@ -30,7 +30,6 @@ from .core import (
     Grid1D,
     PhysParams,
     State,
-    fast_speed,
     fast_speed_state,
     viscous_floor,
     viscous_velocity,
@@ -39,7 +38,8 @@ from .errors import BoundaryMonitorError, NumericalError, SimulationError
 from .scenario import ScenarioSpec, build_initial_state
 
 RECONSTRUCTIONS = ("first_order_upwind", "muscl_minmod")
-INTEGRATORS = ("ssp_rk2", "ssp_rk3")
+STAGES = {"ssp_rk2": 2, "ssp_rk3": 3}  # rhs evaluations per step
+INTEGRATORS = tuple(STAGES)
 
 # Run-validity monitor: abort when the outermost interior nodes deviate from
 # the far field by more than this (Dirichlet far-field values are then no
@@ -79,108 +79,198 @@ class SchemeConfig:
 
 @dataclass
 class RhsOutput:
-    """Tendencies of (rho, m, b) plus the derived u_t for diagnostics."""
+    """Tendencies of (rho, m, b)."""
 
     d_rho: FieldScalar
     d_mom: FieldScalar
     d_b: FieldScalar
-    u_t: FieldScalar
 
 
-def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.where(a * b > 0.0, np.sign(a) * np.minimum(np.abs(a), np.abs(b)), 0.0)
+class _Workspace:
+    """Scratch arrays of ``rhs`` for one grid size.
+
+    Stacked arrays hold one row per conserved field (0 rho, 1 m, 2 b), and
+    every row is w = n + 4 long, the ghost-extended length.  The slope
+    limiter therefore runs over the flattened stack in one pass, and each
+    field's left and right interface states sit next to each other, so the
+    flux and wave-speed formulas run over one contiguous block for both
+    sides.  Entries past a row's valid length are scratch: they hold finite
+    filler and never reach the tendencies.
+
+    Every temporary of ``rhs`` lives here and is written with ``out=``.  At
+    production grid sizes freshly allocated temporaries are large enough for
+    malloc to hand them back to the OS on free and fault them in again on
+    the next call, which costs more than the arithmetic.  Temporaries of
+    different phases share one scratch block: the limiter's, then the
+    flux and wave-speed ones, then the interface flux and jump, each set
+    dead before the next is written.
+    """
+
+    def __init__(self, n: int):
+        w = n + 4
+        self.n = n
+        self.ext = np.empty((3, w))                 # fields plus two ghosts per side
+        self.half_slope = np.zeros((3, w))          # [field, extended cell - 1]
+        self.faces = np.ones((3, 2, w))             # [field, left/right, interface]
+        self.flux = np.empty((3, 2, w))
+        self.half_a = np.empty(w)
+        self.u_visc = np.empty(w)
+        self.lap = np.empty(n)
+        self.positive = np.empty(3 * w - 2, dtype=bool)
+        self.finite = np.empty((3, n), dtype=bool)
+        scratch = np.empty(9 * w)
+        # slope limiter, on the flattened stack
+        self.diff = scratch[:3 * w - 1]             # neighbour differences
+        self.prod = scratch[3 * w:6 * w - 2]
+        self.abs_min = scratch[6 * w:9 * w - 2]
+        # flux and wave speed, both sides at once
+        self.rho_safe, self.u, self.work, self.speed = scratch[:8 * w].reshape(4, 2, w)
+        # interface flux
+        self.f_hat, self.jump = scratch[:6 * w].reshape(2, 3, w)
 
 
-def _extend(state: State, params: PhysParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Append two far-field ghost cells per side."""
-    n = len(state.rho)
-    rho_e = np.empty(n + 4)
-    mom_e = np.empty(n + 4)
-    b_e = np.empty(n + 4)
-    rho_e[2:-2], mom_e[2:-2], b_e[2:-2] = state.rho, state.mom, state.b
-    rho_e[:2] = rho_e[-2:] = params.rho_bar
-    mom_e[:2] = mom_e[-2:] = 0.0
-    b_e[:2] = b_e[-2:] = params.b_bar
-    return rho_e, mom_e, b_e
+_workspace: _Workspace | None = None
 
 
-def _physical_flux(rho, mom, b, gamma):
-    u = mom / np.maximum(rho, RHO_FLOOR)
-    return mom, mom * u + rho**gamma + 0.5 * b * b, u * b
+def _workspace_for(n: int) -> _Workspace:
+    """The shared workspace, reallocated only when the grid size changes.
+
+    One module-level workspace makes ``rhs`` non-re-entrant across threads;
+    parallel sweeps use processes.
+    """
+    global _workspace
+    if _workspace is None or _workspace.n != n:
+        _workspace = None  # free the old size before allocating the new one
+        _workspace = _Workspace(n)
+    return _workspace
+
+
+def _half_minmod_slopes(ws: _Workspace) -> np.ndarray:
+    """0.5 * minmod(q_j - q_{j-1}, q_{j+1} - q_j) for extended cells j = 1..n+2.
+
+    Row r, column j - 1 of the result belongs to cell j of field r.  The
+    slope is zero unless the product of the two differences is positive; a
+    product that underflows to zero therefore also gives a zero slope.
+    """
+    flat = ws.ext.reshape(-1)
+    d = np.subtract(flat[1:], flat[:-1], out=ws.diff)
+    a, b = d[:-1], d[1:]
+    np.greater(np.multiply(a, b, out=ws.prod), 0.0, out=ws.positive)
+    np.minimum(np.abs(a, out=ws.abs_min), np.abs(b, out=ws.prod), out=ws.abs_min)
+    np.copysign(ws.abs_min, a, out=ws.abs_min)  # sign(a) * min(|a|, |b|)
+    half_slope = ws.half_slope.reshape(-1)[:len(a)]
+    half_slope.fill(0.0)
+    np.multiply(ws.abs_min, 0.5, out=half_slope, where=ws.positive)
+    return ws.half_slope
 
 
 def rhs(state: State, params: PhysParams, scheme: SchemeConfig, grid: Grid1D) -> RhsOutput:
     """Semi-discrete tendencies at one instant.
 
     Local Lax-Friedrichs interface fluxes with the configured reconstruction;
-    mu*u_xx and (for nu > 0 only) nu*b_xx by central differences.
+    mu*u_xx and (for nu > 0 only) nu*b_xx by central differences.  Every
+    temporary lives in a per-grid-size workspace; only the returned
+    tendencies are fresh arrays.
     """
     n = grid.n_cells
     dx = grid.dx
-    rho_e, mom_e, b_e = _extend(state, params)
+    ws = _workspace_for(n)
+    ext = ws.ext
+    ext[0, 2:-2], ext[1, 2:-2], ext[2, 2:-2] = state.rho, state.mom, state.b
+    ext[0, :2] = ext[0, -2:] = params.rho_bar
+    ext[1, :2] = ext[1, -2:] = 0.0
+    ext[2, :2] = ext[2, -2:] = params.b_bar
 
+    faces = ws.faces
+    left, right = faces[:, 0, :n + 1], faces[:, 1, :n + 1]
     if scheme.reconstruction == "muscl_minmod":
-        def faces(q):
-            d = np.diff(q)
-            s = _minmod(d[:-1], d[1:])  # slope for extended cells 1..n+2
-            return q[1:n + 2] + 0.5 * s[:n + 1], q[2:n + 3] - 0.5 * s[1:n + 2]
+        half_slope = _half_minmod_slopes(ws)
+        np.add(ext[:, 1:n + 2], half_slope[:, :n + 1], out=left)
+        np.subtract(ext[:, 2:n + 3], half_slope[:, 1:n + 2], out=right)
     else:
-        def faces(q):
-            return q[1:n + 2], q[2:n + 3]
-
-    rho_l, rho_r = faces(rho_e)
-    mom_l, mom_r = faces(mom_e)
-    b_l, b_r = faces(b_e)
+        left[...], right[...] = ext[:, 1:n + 2], ext[:, 2:n + 3]
+    rho_f, mom_f, b_f = faces
     # minmod keeps interface values inside the neighbor range, so negative
     # reconstructed densities can only be rounding residue.
-    rho_l = np.maximum(rho_l, 0.0)
-    rho_r = np.maximum(rho_r, 0.0)
+    np.maximum(rho_f, 0.0, out=rho_f)
 
+    # Physical flux (m, m*u + rho^gamma + b^2/2, u*b) and the fast magnetosonic
+    # speed |u| + sqrt(gamma*rho^(gamma-1) + b^2/rho) on both sides at once,
+    # sharing u = m / max(rho, RHO_FLOOR).  In-place ** keeps numpy's scalar
+    # exponent fast paths, so every value matches the out-of-place formulas.
     gamma = params.gamma
-    fl = _physical_flux(rho_l, mom_l, b_l, gamma)
-    fr = _physical_flux(rho_r, mom_r, b_r, gamma)
-    a = np.maximum(fast_speed(rho_l, mom_l, b_l, gamma),
-                   fast_speed(rho_r, mom_r, b_r, gamma))
+    rho_safe = np.maximum(rho_f, RHO_FLOOR, out=ws.rho_safe)
+    u = np.divide(mom_f, rho_safe, out=ws.u)
+    work = ws.work
+    flux = ws.flux
+    flux[0] = mom_f
+    f_mom = np.multiply(mom_f, u, out=flux[1])
+    work[...] = rho_f
+    work **= gamma
+    f_mom += work
+    np.multiply(b_f, 0.5, out=work)
+    work *= b_f
+    f_mom += work
+    np.multiply(u, b_f, out=flux[2])
 
-    d_rho = np.empty(n)
-    d_mom = np.empty(n)
-    d_b = np.empty(n)
-    for out, f_l, f_r, q_l, q_r in (
-        (d_rho, fl[0], fr[0], rho_l, rho_r),
-        (d_mom, fl[1], fr[1], mom_l, mom_r),
-        (d_b, fl[2], fr[2], b_l, b_r),
-    ):
-        f_hat = 0.5 * (f_l + f_r) - 0.5 * a * (q_r - q_l)
-        out[:] = -(f_hat[1:] - f_hat[:-1]) / dx
+    speed = ws.speed
+    speed[...] = rho_safe
+    speed **= gamma - 1.0
+    speed *= gamma
+    np.square(b_f, out=work)
+    work /= rho_safe
+    speed += work
+    np.sqrt(speed, out=speed)
+    speed += np.abs(u, out=work)
+    half_a = np.maximum(speed[0], speed[1], out=ws.half_a)
+    half_a *= 0.5
 
-    u_visc = viscous_velocity(mom_e, rho_e, params.rho_bar)
-    d_mom += params.mu * (u_visc[3:-1] - 2.0 * u_visc[2:-2] + u_visc[1:-3]) / dx**2
-    if params.nu > 0:
-        d_b += params.nu * (b_e[3:-1] - 2.0 * b_e[2:-2] + b_e[1:-3]) / dx**2
+    # f_hat = (f_l + f_r)/2 - a/2 * (q_r - q_l), then -(f_hat[1:] - f_hat[:-1])/dx
+    f_hat = np.add(flux[:, 0], flux[:, 1], out=ws.f_hat)
+    f_hat *= 0.5
+    jump = np.subtract(faces[:, 1], faces[:, 0], out=ws.jump)
+    jump *= half_a
+    f_hat -= jump
+    tend = np.empty((3, n))
+    np.subtract(f_hat[:, 1:n + 1], f_hat[:, :n], out=tend)
+    tend /= -dx
 
-    u = state.velocity()
-    u_t = (d_mom - u * d_rho) / np.maximum(state.rho, RHO_FLOOR)
+    lap = ws.lap
+    u_visc = viscous_velocity(ext[1], ext[0], params.rho_bar, out=ws.u_visc)
+    for row, q, coef in ((1, u_visc, params.mu), (2, ext[2], params.nu)):
+        if coef > 0:
+            np.multiply(q[2:-2], 2.0, out=lap)
+            np.subtract(q[3:-1], lap, out=lap)
+            lap += q[1:-3]
+            lap *= coef
+            lap /= dx**2
+            tend[row] += lap
 
-    if not (np.all(np.isfinite(d_rho)) and np.all(np.isfinite(d_mom)) and np.all(np.isfinite(d_b))):
-        bad = np.flatnonzero(~(np.isfinite(d_rho) & np.isfinite(d_mom) & np.isfinite(d_b)))
+    finite = np.isfinite(tend, out=ws.finite)
+    if not finite.all():
+        bad = np.flatnonzero(~finite.all(axis=0))
         raise NumericalError("non-finite tendency", node=int(bad[0]), time=state.t)
-    return RhsOutput(d_rho=d_rho, d_mom=d_mom, d_b=d_b, u_t=u_t)
+    return RhsOutput(d_rho=tend[0], d_mom=tend[1], d_b=tend[2])
+
+
+def _diffusive_dt(state: State, params: PhysParams, scheme: SchemeConfig, grid: Grid1D) -> float:
+    """The dx^2 restriction of explicit viscosity and resistivity."""
+    rho_min = max(float(np.maximum(state.rho, RHO_FLOOR).min()),
+                  viscous_floor(params.rho_bar))
+    diff_coef = max(params.mu / rho_min, params.nu)
+    return scheme.diffusion_number * grid.dx**2 / diff_coef
 
 
 def stable_dt(state: State, params: PhysParams, scheme: SchemeConfig, grid: Grid1D) -> float:
     """Explicit step bound: advective CFL and the diffusive dx^2 restriction."""
-    dt_adv = scheme.cfl_number * grid.dx / float(np.max(fast_speed_state(state, params)))
-    rho_min = max(float(np.min(np.maximum(state.rho, RHO_FLOOR))),
-                  viscous_floor(params.rho_bar))
-    diff_coef = max(params.mu / rho_min, params.nu)
-    dt_diff = scheme.diffusion_number * grid.dx**2 / diff_coef
-    return min(dt_adv, dt_diff)
+    dt_adv = scheme.cfl_number * grid.dx / float(fast_speed_state(state, params).max())
+    return min(dt_adv, _diffusive_dt(state, params, scheme, grid))
 
 
 def _euler_stage(state: State, dt: float, params, scheme, grid, rhs_fn):
     out = rhs_fn(state, params, scheme, grid)
     rho = state.rho + dt * out.d_rho
-    clipped = int(np.sum(rho < 0.0))
+    clipped = np.count_nonzero(rho < 0.0)
     if clipped:
         rho = np.maximum(rho, 0.0)
     return State(rho, state.mom + dt * out.d_mom, state.b + dt * out.d_b,
@@ -213,15 +303,19 @@ def step(state: State, dt: float, params: PhysParams, scheme: SchemeConfig,
     return new, c1 + c2 + c3
 
 
-def check_boundary(state: State, params: PhysParams):
-    """Abort when the perturbation reaches the outermost interior nodes."""
+def check_boundary(state: State, params: PhysParams) -> float:
+    """Abort when the perturbation reaches the outermost interior nodes.
+
+    Returns the largest deviation from the far field over those nodes.
+    """
     k = BOUNDARY_NODES
-    dev = 0.0
-    for arr, far in ((state.rho, params.rho_bar), (state.mom, 0.0), (state.b, params.b_bar)):
-        dev = max(dev, float(np.max(np.abs(arr[:k] - far))),
-                  float(np.max(np.abs(arr[-k:] - far))))
+    edges = np.concatenate((state.rho[:k], state.rho[-k:], state.mom[:k], state.mom[-k:],
+                            state.b[:k], state.b[-k:]))
+    edges -= np.repeat((params.rho_bar, 0.0, params.b_bar), 2 * k)
+    dev = float(np.abs(edges, out=edges).max())
     if dev > BOUNDARY_TOLERANCE:
         raise BoundaryMonitorError(time=state.t, deviation=dev)
+    return dev
 
 
 def run_lockstep(members: list[tuple[State, PhysParams]], scheme: SchemeConfig,
@@ -234,52 +328,69 @@ def run_lockstep(members: list[tuple[State, PhysParams]], scheme: SchemeConfig,
     runs directly comparable.  Member 0 carries the dissipation accumulators
     (trapezoid in time, advanced every accepted step) and the diagnostics
     record; density clips of every member are counted.  ``observe(states, dt)``
-    is called at t = 0 with dt = 0 and after every accepted step.
+    is called at t = 0 with dt = 0 and after every accepted step.  The
+    record's telemetry counts steps, rhs evaluations and the bound that set
+    each dt.  A ``SimulationError`` leaves with the record gathered so far
+    attached as ``exc.record``.
     """
     rhs_fn = rhs_fn or rhs
+    stages = STAGES[scheme.time_integrator]
     states = [s for s, _ in members]
     params = [p for _, p in members]
-    for s, p in members:
-        check_boundary(s, p)
-
-    accum = diagnostics.Accumulators()
-    accum.start(states[0], params[0], grid)
     record = diagnostics.DiagnosticsRecord()
+    telemetry = record.telemetry
+    accum = diagnostics.Accumulators()
+
+    def check_members():
+        for s, p in zip(states, params):
+            telemetry.peak_boundary_deviation = max(telemetry.peak_boundary_deviation,
+                                                    check_boundary(s, p))
 
     def record_sample():
         out = rhs_fn(states[0], params[0], scheme, grid)
+        telemetry.rhs_evals += 1
         record.append(diagnostics.sample(states[0], out, params[0], grid, accum))
 
-    record_sample()
-    if observe is not None:
-        observe(states, 0.0)
-    t_end = scheme.t_end
-    sample_times = ([t_end * k / scheme.n_samples for k in range(1, scheme.n_samples + 1)]
-                    if t_end > 0 else [])
-    next_sample = 0
-    steps = 0
-    while next_sample < len(sample_times):
-        target = sample_times[next_sample]
-        dt = min(stable_dt(s, p, scheme, grid) for s, p in zip(states, params))
-        landed = states[0].t + dt >= target - 1e-12 * t_end
-        if landed:
-            dt = target - states[0].t
-        for i, p in enumerate(params):
-            states[i], clips = step(states[i], dt, p, scheme, grid, rhs_fn)
-            accum.clip_count += clips
-            if landed:
-                states[i].t = target
-        accum.advance(states[0], params[0], grid, dt)
-        for s, p in zip(states, params):
-            check_boundary(s, p)
+    try:
+        check_members()
+        accum.start(states[0], params[0], grid)
+        record_sample()
         if observe is not None:
-            observe(states, dt)
-        if landed:
-            record_sample()
-            next_sample += 1
-        steps += 1
-        if steps > max_steps:
-            raise SimulationError(f"exceeded {max_steps} steps at t={states[0].t:.6g}")
+            observe(states, 0.0)
+        t_end = scheme.t_end
+        sample_times = ([t_end * k / scheme.n_samples for k in range(1, scheme.n_samples + 1)]
+                        if t_end > 0 else [])
+        next_sample = 0
+        while next_sample < len(sample_times):
+            target = sample_times[next_sample]
+            dt = min(stable_dt(s, p, scheme, grid) for s, p in zip(states, params))
+            landed = states[0].t + dt >= target - 1e-12 * t_end
+            if landed:
+                dt = target - states[0].t
+                telemetry.dt_sample_landing += 1
+            elif dt < min(_diffusive_dt(s, p, scheme, grid) for s, p in zip(states, params)):
+                telemetry.dt_advective += 1
+            else:
+                telemetry.dt_diffusive += 1
+            for i, p in enumerate(params):
+                states[i], clips = step(states[i], dt, p, scheme, grid, rhs_fn)
+                telemetry.rhs_evals += stages
+                accum.clip_count += clips
+                if landed:
+                    states[i].t = target
+            accum.advance(states[0], params[0], grid, dt)
+            check_members()
+            if observe is not None:
+                observe(states, dt)
+            if landed:
+                record_sample()
+                next_sample += 1
+            telemetry.steps += 1
+            if telemetry.steps > max_steps:
+                raise SimulationError(f"exceeded {max_steps} steps at t={states[0].t:.6g}")
+    except SimulationError as exc:
+        exc.record = record
+        raise
     return states, record
 
 

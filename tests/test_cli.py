@@ -12,7 +12,7 @@ import mhd1d
 from mhd1d.cli import CHECKS, main
 from mhd1d.config import DEFAULTS, load_config, parse_config
 from mhd1d.diagnostics import DiagnosticsRecord
-from mhd1d.errors import ConfigError
+from mhd1d.errors import ConfigError, NumericalError
 from mhd1d.solver import load_checkpoint
 
 
@@ -26,6 +26,13 @@ SMALL = {
     "grid": {"half_width": 20.0, "n_cells": 256},
     "scheme": {"t_end": 0.1, "n_samples": 5},
     "nu_list": [1e-2, 1e-3, 1e-4],
+}
+
+# a narrow bump on a short domain reaches the edge nodes well before T
+BOUNDARY_TRIP = {
+    "grid": {"half_width": 5.0, "n_cells": 128},
+    "scenario": {"sigma": 1.0},
+    "scheme": {"t_end": 2.0, "n_samples": 4},
 }
 
 CONSTANT = {
@@ -130,13 +137,58 @@ class TestSimulateCommand:
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
     def test_boundary_trip_exit_code(self, tmp_path):
-        payload = {
-            "grid": {"half_width": 5.0, "n_cells": 128},
-            "scenario": {"sigma": 1.0},
-            "scheme": {"t_end": 2.0, "n_samples": 4},
-        }
-        cfg = write_config(tmp_path, payload)
+        cfg = write_config(tmp_path, BOUNDARY_TRIP)
         assert main(["simulate", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 4
+
+    def test_boundary_abort_leaves_manifest_and_partial_diagnostics(self, tmp_path):
+        cfg = write_config(tmp_path, BOUNDARY_TRIP)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg, "--output-dir", str(out)]) == 4
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "aborted"
+        assert manifest["boundary_monitor"] == "tripped"
+        error = manifest["error"]
+        assert error["kind"] == "BoundaryMonitorError"
+        assert 0.0 < error["t"] < BOUNDARY_TRIP["scheme"]["t_end"]
+        assert error["deviation"] > 1e-6
+        assert manifest["outputs"] == ["diagnostics.csv"]
+        assert not (out / "state_final.txt").exists()
+        record = DiagnosticsRecord.from_csv((out / "diagnostics.csv").read_text())
+        record.validate()
+        assert 1 <= len(record.rows) <= BOUNDARY_TRIP["scheme"]["n_samples"]
+        assert record.times[-1] <= error["t"]
+        telemetry = manifest["telemetry"]
+        assert telemetry["steps"] > 0
+        assert telemetry["peak_boundary_deviation"] <= 1e-6 < error["deviation"]
+        assert set(manifest["wall_s"]) == {"integrate", "write"}
+
+    def test_numerical_abort_leaves_manifest(self, tmp_path, monkeypatch):
+        def failing_run(*args, **kwargs):
+            raise NumericalError("non-finite tendency", node=7, time=0.25)
+
+        monkeypatch.setattr(mhd1d.cli, "run", failing_run)
+        cfg = write_config(tmp_path, CONSTANT)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg, "--output-dir", str(out)]) == 3
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "aborted"
+        assert manifest["boundary_monitor"] == "ok"
+        assert manifest["error"] == {"kind": "NumericalError", "t": 0.25, "node": 7}
+        assert manifest["outputs"] == []
+
+    def test_manifest_carries_run_telemetry(self, tmp_path):
+        cfg = write_config(tmp_path, SMALL)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--output-dir", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "ok"
+        t = manifest["telemetry"]
+        n_samples = SMALL["scheme"]["n_samples"]
+        assert t["steps"] == t["dt_advective"] + t["dt_diffusive"] + t["dt_sample_landing"]
+        assert t["dt_sample_landing"] == n_samples
+        assert t["rhs_evals"] == 2 * t["steps"] + n_samples + 1  # ssp_rk2, one member
+        assert 0.0 <= t["peak_boundary_deviation"] <= 1e-6
+        assert all(v >= 0 for v in manifest["wall_s"].values())
 
     def test_config_error_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, {"physics": {"gamma": 0.5}})
@@ -168,6 +220,14 @@ class TestSweepCommand:
         assert report["guard"]["passed"]
         for nu in SMALL["nu_list"]:
             assert (out / f"diag_nu_{nu:g}.csv").exists()
+        manifest = json.loads((out / "manifest.json").read_text())
+        pairs, guard = manifest["telemetry"]["pairs"], manifest["telemetry"]["guard"]
+        n_samples = SMALL["scheme"]["n_samples"]
+        # two members, two stages each, plus one sample evaluation per record row
+        assert pairs["rhs_evals"] == 4 * pairs["steps"] + len(SMALL["nu_list"]) * (n_samples + 1)
+        assert pairs["dt_sample_landing"] == len(SMALL["nu_list"]) * n_samples
+        assert guard["rhs_evals"] == 4 * guard["steps"] + n_samples + 1
+        assert guard["steps"] > pairs["steps"] / len(SMALL["nu_list"])  # doubled grid
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, SMALL)

@@ -1,0 +1,265 @@
+"""The stacked, workspace-backed ``rhs`` against the per-field reference kernel.
+
+``reference_rhs`` below is the earlier form of ``mhd1d.solver.rhs``: one
+field at a time, fresh arrays for every temporary, and ``u_t`` computed on
+every call.  The production kernel must reproduce it bit for bit (sign of
+zero included) over the admissible parameter space, so any change to the
+kernel's arithmetic shows up here first.
+"""
+
+import sys
+from dataclasses import dataclass
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from mhd1d import Grid1D, PhysParams, ScenarioSpec, SchemeConfig, State, build_initial_state
+from mhd1d.core import (
+    RHO_FLOOR,
+    FieldScalar,
+    derivative,
+    effective_viscous_flux,
+    fast_speed,
+    material_derivative,
+    viscous_velocity,
+)
+from mhd1d.diagnostics import Accumulators, lp_norm, sample
+from mhd1d.errors import NumericalError
+from mhd1d.solver import rhs, stable_dt, step
+
+# ---------------------------------------------------------------------------
+# reference kernel (per-field form)
+
+
+@dataclass
+class ReferenceOutput:
+    d_rho: FieldScalar
+    d_mom: FieldScalar
+    d_b: FieldScalar
+    u_t: FieldScalar
+
+
+def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.where(a * b > 0.0, np.sign(a) * np.minimum(np.abs(a), np.abs(b)), 0.0)
+
+
+def _extend(state: State, params: PhysParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Append two far-field ghost cells per side."""
+    n = len(state.rho)
+    rho_e = np.empty(n + 4)
+    mom_e = np.empty(n + 4)
+    b_e = np.empty(n + 4)
+    rho_e[2:-2], mom_e[2:-2], b_e[2:-2] = state.rho, state.mom, state.b
+    rho_e[:2] = rho_e[-2:] = params.rho_bar
+    mom_e[:2] = mom_e[-2:] = 0.0
+    b_e[:2] = b_e[-2:] = params.b_bar
+    return rho_e, mom_e, b_e
+
+
+def _physical_flux(rho, mom, b, gamma):
+    u = mom / np.maximum(rho, RHO_FLOOR)
+    return mom, mom * u + rho**gamma + 0.5 * b * b, u * b
+
+
+def reference_rhs(state: State, params: PhysParams, scheme: SchemeConfig,
+                  grid: Grid1D) -> ReferenceOutput:
+    """Semi-discrete tendencies at one instant.
+
+    Local Lax-Friedrichs interface fluxes with the configured reconstruction;
+    mu*u_xx and (for nu > 0 only) nu*b_xx by central differences.
+    """
+    n = grid.n_cells
+    dx = grid.dx
+    rho_e, mom_e, b_e = _extend(state, params)
+
+    if scheme.reconstruction == "muscl_minmod":
+        def faces(q):
+            d = np.diff(q)
+            s = _minmod(d[:-1], d[1:])  # slope for extended cells 1..n+2
+            return q[1:n + 2] + 0.5 * s[:n + 1], q[2:n + 3] - 0.5 * s[1:n + 2]
+    else:
+        def faces(q):
+            return q[1:n + 2], q[2:n + 3]
+
+    rho_l, rho_r = faces(rho_e)
+    mom_l, mom_r = faces(mom_e)
+    b_l, b_r = faces(b_e)
+    # minmod keeps interface values inside the neighbor range, so negative
+    # reconstructed densities can only be rounding residue.
+    rho_l = np.maximum(rho_l, 0.0)
+    rho_r = np.maximum(rho_r, 0.0)
+
+    gamma = params.gamma
+    fl = _physical_flux(rho_l, mom_l, b_l, gamma)
+    fr = _physical_flux(rho_r, mom_r, b_r, gamma)
+    a = np.maximum(fast_speed(rho_l, mom_l, b_l, gamma),
+                   fast_speed(rho_r, mom_r, b_r, gamma))
+
+    d_rho = np.empty(n)
+    d_mom = np.empty(n)
+    d_b = np.empty(n)
+    for out, f_l, f_r, q_l, q_r in (
+        (d_rho, fl[0], fr[0], rho_l, rho_r),
+        (d_mom, fl[1], fr[1], mom_l, mom_r),
+        (d_b, fl[2], fr[2], b_l, b_r),
+    ):
+        f_hat = 0.5 * (f_l + f_r) - 0.5 * a * (q_r - q_l)
+        out[:] = -(f_hat[1:] - f_hat[:-1]) / dx
+
+    u_visc = viscous_velocity(mom_e, rho_e, params.rho_bar)
+    d_mom += params.mu * (u_visc[3:-1] - 2.0 * u_visc[2:-2] + u_visc[1:-3]) / dx**2
+    if params.nu > 0:
+        d_b += params.nu * (b_e[3:-1] - 2.0 * b_e[2:-2] + b_e[1:-3]) / dx**2
+
+    u = state.velocity()
+    u_t = (d_mom - u * d_rho) / np.maximum(state.rho, RHO_FLOOR)
+
+    if not (np.all(np.isfinite(d_rho)) and np.all(np.isfinite(d_mom)) and np.all(np.isfinite(d_b))):
+        bad = np.flatnonzero(~(np.isfinite(d_rho) & np.isfinite(d_mom) & np.isfinite(d_b)))
+        raise NumericalError("non-finite tendency", node=int(bad[0]), time=state.t)
+    return ReferenceOutput(d_rho=d_rho, d_mom=d_mom, d_b=d_b, u_t=u_t)
+
+
+def reference_sample_terms(state, ref: ReferenceOutput, params, grid) -> dict:
+    """The two sampled columns that read u_t, evaluated from the reference u_t."""
+    udot = material_derivative(state, ref.u_t, grid)
+    flux = effective_viscous_flux(state, params, grid)
+    return {
+        "flux_residual": lp_norm(state.rho * udot - derivative(flux, grid.dx), 2, grid),
+        "l2_sqrt_rho_udot": lp_norm(np.sqrt(state.rho) * udot, 2, grid),
+    }
+
+
+# ---------------------------------------------------------------------------
+# helpers
+
+
+def assert_same_bits(out, ref):
+    for name in ("d_rho", "d_mom", "d_b"):
+        got, want = getattr(out, name), getattr(ref, name)
+        assert np.array_equal(got, want), name
+        assert got.tobytes() == want.tobytes(), f"{name}: sign of zero differs"
+
+
+def make_state(gamma, mu, nu, rho_bar, b_bar, preset, a_rho, a_u, a_b, sigma, n):
+    params = PhysParams(mu=mu, nu=nu, gamma=gamma, rho_bar=rho_bar, b_bar=b_bar)
+    if preset == "interior_vacuum":
+        a_b = -b_bar  # the field vanishes with the density, as the presets require
+    spec = ScenarioSpec(params=params, preset=preset, a_rho=a_rho, a_u=a_u, a_b=a_b,
+                        sigma=sigma)
+    grid = Grid1D(max(20.0, 5.0 * sigma), n)
+    return build_initial_state(spec, grid), params, grid
+
+
+@st.composite
+def cases(draw):
+    amplitude = st.floats(-0.5, 0.5)
+    state, params, grid = make_state(
+        gamma=draw(st.one_of(st.sampled_from((2.0, 3.0, 1.5)), st.floats(1.05, 3.0))),
+        mu=draw(st.floats(0.01, 1.0)),
+        nu=draw(st.one_of(st.just(0.0), st.floats(1e-5, 0.1))),
+        rho_bar=draw(st.floats(1.0, 2.0)),
+        b_bar=draw(st.floats(0.5, 2.0)) * draw(st.sampled_from((1.0, -1.0))),
+        preset=draw(st.sampled_from(("gaussian_bump", "interior_vacuum"))),
+        a_rho=draw(amplitude), a_u=draw(amplitude), a_b=draw(amplitude),
+        # sigma near 1 on L = 20 leaves Gaussian tails near 1e-170, where the
+        # product of neighbouring slopes underflows to zero
+        sigma=draw(st.one_of(st.floats(0.8, 1.2), st.floats(1.0, 4.0))),
+        n=draw(st.one_of(st.sampled_from((8, 9, 64, 255, 1024, 4096)), st.integers(8, 4096))),
+    )
+    scheme = SchemeConfig(
+        reconstruction=draw(st.sampled_from(("muscl_minmod", "first_order_upwind"))),
+        time_integrator=draw(st.sampled_from(("ssp_rk2", "ssp_rk3"))))
+    for _ in range(draw(st.integers(0, 3))):
+        state, _ = step(state, stable_dt(state, params, scheme, grid), params, scheme, grid)
+    return state, params, scheme, grid
+
+
+# ---------------------------------------------------------------------------
+# bit identity
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cases())
+def test_rhs_matches_reference_bitwise(case):
+    state, params, scheme, grid = case
+    ref = reference_rhs(state, params, scheme, grid)
+    out = rhs(state, params, scheme, grid)
+    assert_same_bits(out, ref)
+
+    accum = Accumulators()
+    accum.start(state, params, grid)
+    row = sample(state, out, params, grid, accum)
+    for key, value in reference_sample_terms(state, ref, params, grid).items():
+        assert row[key] == value or (np.isnan(row[key]) and np.isnan(value)), key
+
+
+def test_underflowing_slope_product_gives_zero_slope():
+    # slopes (1e-170, 2e-170): a*b underflows to 0, so minmod must return 0,
+    # not min(a, b) as a min/max-only limiter would
+    params = PhysParams(nu=0.0)
+    grid = Grid1D(20.0, 16)
+    rho = np.full(16, params.rho_bar)
+    mom = np.zeros(16)
+    mom[5:9] = (1e-170, 2e-170, 4e-170, 8e-170)
+    state = State(rho=rho, mom=mom, b=np.full(16, params.b_bar))
+    d = np.diff(mom)
+    assert d[5] * d[6] == 0.0 and d[5] > 0 and d[6] > 0
+    ref = reference_rhs(state, params, SchemeConfig(), grid)
+    assert_same_bits(rhs(state, params, SchemeConfig(), grid), ref)
+
+
+@pytest.mark.parametrize("node", [0, 17, 255])
+def test_non_finite_state_reports_the_reference_node(node, params, grid):
+    state = build_initial_state(ScenarioSpec(params=params), grid)
+    state.b[node] = np.inf
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NumericalError) as want:
+            reference_rhs(state, params, SchemeConfig(), grid)
+        with pytest.raises(NumericalError) as got:
+            rhs(state, params, SchemeConfig(), grid)
+    assert got.value.node == want.value.node
+
+
+def test_outputs_do_not_alias_the_workspace(params):
+    # callers hold several rhs outputs at once; a later call, on another
+    # state or another grid size, must not write into an earlier output
+    scheme = SchemeConfig()
+    grid = Grid1D(20.0, 256)
+    first_state = build_initial_state(ScenarioSpec(params=params), grid)
+    first = rhs(first_state, params, scheme, grid)
+    kept = [a.copy() for a in (first.d_rho, first.d_mom, first.d_b)]
+
+    other = build_initial_state(ScenarioSpec(params=params, a_u=-0.3, a_b=0.4), grid)
+    rhs(other, params, scheme, grid)
+    finer = Grid1D(20.0, 512)
+    rhs(build_initial_state(ScenarioSpec(params=params), finer), params, scheme, finer)
+    for before, after in zip(kept, (first.d_rho, first.d_mom, first.d_b)):
+        assert before.tobytes() == after.tobytes()
+    assert_same_bits(rhs(first_state, params, scheme, grid),
+                     reference_rhs(first_state, params, scheme, grid))
+
+
+# ---------------------------------------------------------------------------
+# allocation
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor page faults are Linux-specific")
+@pytest.mark.parametrize("n", [4096, 8192])
+def test_rhs_takes_no_page_faults_in_steady_state(n, params):
+    # temporaries above malloc's trim threshold are returned to the OS on
+    # free and fault in again on the next call; the workspace avoids that
+    resource = pytest.importorskip("resource")
+    grid = Grid1D(20.0, n)
+    state = build_initial_state(ScenarioSpec(params=params), grid)
+    scheme = SchemeConfig()
+    for _ in range(2):
+        rhs(state, params, scheme, grid)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(200):
+        rhs(state, params, scheme, grid)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults / 200 < 1.0

@@ -336,6 +336,32 @@ class TestRunLockstep:
         assert np.array_equal(state.b, final.b)
         assert record2.to_csv() == record.to_csv()
 
+    def test_telemetry_counts_steps_evaluations_and_bounds(self, params, grid, gaussian_spec):
+        scheme = SchemeConfig(t_end=0.05, n_samples=3, time_integrator="ssp_rk3")
+        state = build_initial_state(gaussian_spec, grid)
+        members = [(state, params), (state.copy(), replace(params, nu=0.0))]
+        dts = []
+        _, record = run_lockstep(members, scheme, grid, observe=lambda states, dt: dts.append(dt))
+        t = record.telemetry
+        assert t.steps == len(dts) - 1
+        assert t.dt_sample_landing == scheme.n_samples
+        assert t.dt_advective + t.dt_diffusive + t.dt_sample_landing == t.steps
+        assert t.rhs_evals == 3 * 2 * t.steps + len(record.rows)
+        assert 0.0 <= t.peak_boundary_deviation <= 1e-6
+
+    def test_abort_carries_the_record_so_far(self):
+        params = PhysParams()
+        grid = Grid1D(5.0, 128)
+        spec = ScenarioSpec(params=params, sigma=1.0)
+        scheme = SchemeConfig(t_end=2.0, n_samples=10)
+        with pytest.raises(BoundaryMonitorError) as err:
+            run(spec, params, scheme, grid)
+        record = err.value.record
+        assert 1 <= len(record.rows) < scheme.n_samples + 1
+        assert record.times[-1] <= err.value.time
+        assert record.telemetry.steps > 0
+        record.validate()
+
     def test_max_steps_guard(self, params, grid, gaussian_spec):
         state = build_initial_state(gaussian_spec, grid)
         with pytest.raises(SimulationError, match="exceeded 2 steps"):
