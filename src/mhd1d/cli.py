@@ -23,23 +23,12 @@ import time
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__
-from .config import RunConfig, load_config, parse_config
-from .core import Grid1D, PhysParams, constant_state, potential_energy
-from .diagnostics import (
-    DiagnosticsRecord,
-    RunTelemetry,
-    central_tendencies,
-    energy_drift,
-    flux_identity_residual,
-)
+from . import __version__, battery
+from .config import RunConfig, load_config
+from .diagnostics import DiagnosticsRecord, RunTelemetry
 from .errors import BoundaryMonitorError, ConfigError, NumericalError, SimulationError
 from .limit_study import SharedConfig, sweep
-from .mms import manufactured_solution, observed_orders
-from .scenario import ScenarioSpec, build_initial_state
-from .solver import SchemeConfig, rhs, run, save_checkpoint
+from .solver import run, save_checkpoint
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -203,148 +192,24 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# verification battery
-
-
-def _check_potential_energy_bounds():
-    for gamma in (1.4, 2.0, 3.0):
-        for rho_bar in (1.0, 2.0):
-            rho = np.linspace(0.0, 2.0 * rho_bar, 2001)
-            inner = np.abs(rho - rho_bar) > 1e-9
-            phi = potential_energy(rho, gamma, rho_bar)
-            ratio = phi[inner] / (rho[inner] - rho_bar) ** 2
-            c1, c2 = ratio.min(), ratio.max()
-            if not (0 < c1 <= c2 < np.inf):
-                return False, f"quadratic envelope failed for gamma={gamma}, rho_bar={rho_bar}"
-            rho_hi = np.linspace(2.0 * rho_bar + 1e-6, 10.0 * rho_bar, 2001)
-            phi_hi = potential_energy(rho_hi, gamma, rho_bar)
-            r1 = (rho_hi**gamma - rho_bar**gamma) / (rho_hi - rho_bar) ** gamma
-            r2 = (rho_hi - rho_bar) ** gamma / phi_hi
-            if not (np.all(np.isfinite(r1)) and r1.max() > 0 and np.all(np.isfinite(r2)) and r2.max() > 0):
-                return False, f"growth envelope failed for gamma={gamma}, rho_bar={rho_bar}"
-    return True, "empirical constants finite and positive for 6 (gamma, rho_bar) pairs"
-
-
-def _check_steady_state():
-    params = PhysParams()
-    grid = Grid1D(20.0, 512)
-    scheme = SchemeConfig()
-    out = rhs(constant_state(grid, params), params, scheme, grid)
-    sup = max(np.abs(out.d_rho).max(), np.abs(out.d_mom).max(), np.abs(out.d_b).max())
-    tol = 1e-13 * max(params.rho_bar, abs(params.b_bar), 1.0)
-    return sup < tol, f"tendency sup-norm {sup:.3e} (tolerance {tol:.1e})"
-
-
-def _check_conservation():
-    params = PhysParams()
-    grid = Grid1D(20.0, 512)
-    spec = ScenarioSpec(params=params)
-    scheme = SchemeConfig(t_end=0.5)
-    state0 = build_initial_state(spec, grid)
-    final, _ = run(spec, params, scheme, grid)
-    m0 = np.sum(state0.rho - params.rho_bar) * grid.dx
-    m1 = np.sum(final.rho - params.rho_bar) * grid.dx
-    budget = 1e-8 * np.sum(np.abs(state0.rho - params.rho_bar)) * grid.dx
-    return abs(m1 - m0) <= budget, f"mass defect {abs(m1 - m0):.3e} (budget {budget:.3e})"
-
-
-def _check_energy_inequality():
-    params = PhysParams()
-    grid = Grid1D(20.0, 512)
-    spec = ScenarioSpec(params=params)
-    scheme = SchemeConfig(t_end=0.5)
-    _, record = run(spec, params, scheme, grid)
-    drift = energy_drift(record)
-    return drift <= 1e-3, f"relative drift {drift:.3e} (tolerance 1e-3)"
-
-
-def _check_mms_orders():
-    params = PhysParams()
-    orders2 = observed_orders(params, SchemeConfig(t_end=0.4), n_cells=(128, 256))
-    orders1 = observed_orders(params, SchemeConfig(t_end=0.4, reconstruction="first_order_upwind"),
-                              n_cells=(128, 256))
-    ok = all(v >= 1.6 for v in orders2.values()) and all(v >= 0.8 for v in orders1.values())
-    detail = ("muscl " + "/".join(f"{orders2[k]:.2f}" for k in ("rho", "u", "b"))
-              + ", upwind " + "/".join(f"{orders1[k]:.2f}" for k in ("rho", "u", "b")))
-    return ok, detail
-
-
-def _check_flux_identity():
-    params = PhysParams()
-    ms = manufactured_solution(params)
-    residuals = []
-    for n in (512, 1024):
-        grid = Grid1D(20.0, n)
-        state = ms.initial_state(grid)
-        residuals.append(flux_identity_residual(state, central_tendencies(state, params, grid),
-                                                params, grid))
-    contraction = residuals[0] / residuals[1]
-    return contraction >= 3.5, f"two-grid contraction {contraction:.2f} (needs >= 3.5)"
-
-
-def _check_mode_consistency():
-    small = {"grid": {"n_cells": 256}, "scheme": {"t_end": 0.1, "n_samples": 5}}
-    runs = []
-    for extra in ({"mode": "non_resistive"}, {"physics": {"nu": 0.0}}):
-        config = parse_config({**small, **extra})
-        runs.append(run(config.spec, config.run_params, config.scheme, config.grid))
-    (f1, r1), (f2, r2) = runs
-    same = (np.array_equal(f1.rho, f2.rho) and np.array_equal(f1.mom, f2.mom)
-            and np.array_equal(f1.b, f2.b) and r1.to_csv() == r2.to_csv())
-    return same, "non_resistive config and nu=0 trajectories bit-identical"
-
-
-def _check_determinism():
-    params = PhysParams()
-    grid = Grid1D(20.0, 256)
-    spec = ScenarioSpec(params=params)
-    scheme = SchemeConfig(t_end=0.1, n_samples=5)
-    _, r1 = run(spec, params, scheme, grid)
-    _, r2 = run(spec, params, scheme, grid)
-    return r1.to_csv() == r2.to_csv(), "repeated run produces byte-identical diagnostics"
-
-
-def _check_vacuum():
-    params = PhysParams()
-    grid = Grid1D(20.0, 256)
-    spec = ScenarioSpec(params=params, preset="interior_vacuum", a_u=0.2,
-                        a_b=-params.b_bar, sigma=2.0)
-    scheme = SchemeConfig(t_end=0.1, n_samples=5)
-    _, record = run(spec, params, scheme, grid)
-    record.validate()
-    clips = int(record.final("clip_count"))
-    return clips == 0, f"interior vacuum short run, {clips} density clips"
-
-
-CHECKS = [
-    ("potential_energy_bounds", _check_potential_energy_bounds),
-    ("steady_state_fixed_point", _check_steady_state),
-    ("mass_conservation", _check_conservation),
-    ("energy_inequality", _check_energy_inequality),
-    ("mms_orders", _check_mms_orders),
-    ("flux_identity_contraction", _check_flux_identity),
-    ("mode_consistency", _check_mode_consistency),
-    ("determinism", _check_determinism),
-    ("vacuum_robustness", _check_vacuum),
-]
-
-
 def cmd_verify(args) -> int:
+    suite = battery.Battery(battery.VERIFY)
+    checks = battery.CHECKS
     failures = 0
-    for name, check in CHECKS:
+    for name, check in checks:
         start = time.perf_counter()
         try:
-            ok, detail = check()
+            outcome = check(suite)
+            ok, detail = outcome.ok, outcome.detail
         except Exception as exc:  # a crashed check is a failed check
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         elapsed = time.perf_counter() - start
         print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail} ({elapsed:.2f} s)")
         failures += 0 if ok else 1
     if failures:
-        print(f"verify: {failures} of {len(CHECKS)} checks failed")
+        print(f"verify: {failures} of {len(checks)} checks failed")
         return EXIT_FAILURE
-    print(f"verify: all {len(CHECKS)} checks passed")
+    print(f"verify: all {len(checks)} checks passed")
     return EXIT_OK
 
 

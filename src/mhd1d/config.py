@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .core import Grid1D, PhysParams
 from .errors import ConfigError
@@ -21,12 +21,21 @@ from .solver import SchemeConfig
 # The non-resistive system is the resistive one at nu = 0; see RunConfig.run_params.
 MODES = ("resistive", "non_resistive")
 
+# ScenarioSpec fields that are not configuration keys: the physics section
+# supplies params, and custom fields are API-only.
+_NOT_KEYS = ("params", "custom_fields")
+
+
+def _section(source) -> dict:
+    """A section's keys and values from a dataclass; a class gives its defaults."""
+    return {f.name: getattr(source, f.name) for f in fields(source) if f.name not in _NOT_KEYS}
+
+
 DEFAULTS = {
-    "physics": {"mu": 0.1, "nu": 1e-3, "gamma": 1.4, "rho_bar": 1.0, "b_bar": 1.0, "alpha": 2.0},
-    "scenario": {"preset": "gaussian_bump", "a_rho": 0.2, "a_u": 0.2, "a_b": 0.2, "sigma": 2.0},
+    "physics": _section(PhysParams),
+    "scenario": _section(ScenarioSpec),
     "grid": {"half_width": 20.0, "n_cells": 2048},
-    "scheme": {"cfl_number": 0.45, "diffusion_number": 0.4, "reconstruction": "muscl_minmod",
-               "time_integrator": "ssp_rk2", "t_end": 1.0, "n_samples": 50},
+    "scheme": _section(SchemeConfig),
     "mode": "resistive",
     "nu_list": [1e-2, 3e-3, 1e-3, 3e-4, 1e-4],
     "output_dir": "mhd1d_out",
@@ -52,17 +61,10 @@ class RunConfig:
 
     def as_dict(self) -> dict:
         return {
-            "physics": {"mu": self.params.mu, "nu": self.params.nu, "gamma": self.params.gamma,
-                        "rho_bar": self.params.rho_bar, "b_bar": self.params.b_bar,
-                        "alpha": self.params.alpha},
-            "scenario": {"preset": self.spec.preset, "a_rho": self.spec.a_rho,
-                         "a_u": self.spec.a_u, "a_b": self.spec.a_b, "sigma": self.spec.sigma},
+            "physics": _section(self.params),
+            "scenario": _section(self.spec),
             "grid": {"half_width": self.grid.half_width, "n_cells": self.grid.n_cells},
-            "scheme": {"cfl_number": self.scheme.cfl_number,
-                       "diffusion_number": self.scheme.diffusion_number,
-                       "reconstruction": self.scheme.reconstruction,
-                       "time_integrator": self.scheme.time_integrator,
-                       "t_end": self.scheme.t_end, "n_samples": self.scheme.n_samples},
+            "scheme": _section(self.scheme),
             "mode": self.mode,
             "nu_list": list(self.nu_list),
             "output_dir": self.output_dir,
@@ -102,9 +104,8 @@ def parse_config(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError(["top level: expected a JSON object"])
     problems: list[str] = []
-    known_top = {"physics", "scenario", "grid", "scheme", "mode", "nu_list", "output_dir", "jobs"}
     for key in raw:
-        if key not in known_top:
+        if key not in DEFAULTS:
             problems.append(f"{key}: unknown field")
 
     phys_d = _merge_section(raw, "physics", problems)

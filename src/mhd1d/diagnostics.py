@@ -10,7 +10,7 @@ not depend on the resistivity must show small relative spread.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
 
 import numpy as np
@@ -233,13 +233,11 @@ class RunTelemetry:
     @classmethod
     def combined(cls, parts) -> "RunTelemetry":
         """Counters summed over runs; the peak deviation is the largest one."""
+        counters = [f.name for f in fields(cls) if f.name != "peak_boundary_deviation"]
         total = cls()
         for p in parts:
-            total.steps += p.steps
-            total.rhs_evals += p.rhs_evals
-            total.dt_advective += p.dt_advective
-            total.dt_diffusive += p.dt_diffusive
-            total.dt_sample_landing += p.dt_sample_landing
+            for name in counters:
+                setattr(total, name, getattr(total, name) + getattr(p, name))
             total.peak_boundary_deviation = max(total.peak_boundary_deviation,
                                                 p.peak_boundary_deviation)
         return total

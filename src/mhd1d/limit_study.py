@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -57,17 +57,7 @@ class PairErrors:
     failed: str | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "nu": self.nu,
-            "e_sup_rho": self.e_sup_rho,
-            "e_sup_u": self.e_sup_u,
-            "e_sup_b": self.e_sup_b,
-            "e_sup": self.e_sup,
-            "e_diss": self.e_diss,
-            "e_total": self.e_total,
-            "aux": self.aux,
-            "failed": self.failed,
-        }
+        return asdict(self)
 
 
 def run_pair(nu: float, shared: SharedConfig) -> tuple[PairErrors, DiagnosticsRecord]:
@@ -182,35 +172,20 @@ class ConvergenceReport:
     config_fingerprint: str = ""
 
     def to_json(self) -> str:
-        d = {
-            "nu_values": self.nu_values,
-            "entries": [e.as_dict() for e in self.entries],
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "fit_rms": self.fit_rms,
-            "slope_u": self.slope_u,
-            "slope_aux": self.slope_aux,
-            "fit_skipped_reason": self.fit_skipped_reason,
-            "degenerate": self.degenerate,
-            "superlinear_flagged": self.superlinear_flagged,
-            "guard": self.guard.as_dict(),
-            "config_fingerprint": self.config_fingerprint,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["entries"] = [e.as_dict() for e in self.entries]
+        d["guard"] = self.guard.as_dict()
         return json.dumps(d, sort_keys=True, indent=2) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "ConvergenceReport":
         d = json.loads(text)
-        entries = [PairErrors(**e) for e in d["entries"]]
+        d["entries"] = [PairErrors(**e) for e in d["entries"]]
         g = dict(d["guard"])
         if g.get("ratio") is None:
             g["ratio"] = float("inf")
-        guard = GuardResult(**g)
-        return cls(nu_values=d["nu_values"], entries=entries, slope=d["slope"],
-                   intercept=d["intercept"], fit_rms=d["fit_rms"], slope_u=d["slope_u"],
-                   slope_aux=d["slope_aux"], fit_skipped_reason=d["fit_skipped_reason"],
-                   degenerate=d["degenerate"], superlinear_flagged=d["superlinear_flagged"],
-                   guard=guard, config_fingerprint=d["config_fingerprint"])
+        d["guard"] = GuardResult(**g)
+        return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
 @dataclass

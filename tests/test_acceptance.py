@@ -1,15 +1,15 @@
 """Acceptance suite: one test per release criterion, at pinned tolerances.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one line per
-criterion.  The expensive artifacts (the resistivity sweep, the standard
-run, the order study, the vacuum run) are session fixtures shared across
-criteria.
+criterion.  Criteria 1-3 share one resistivity sweep; criteria 4-9 run the
+checks of ``mhd1d.battery`` (the code behind ``mhd1d verify``) at its
+``ACCEPTANCE`` sizes, on one session-wide battery whose standard run
+criteria 4 and 6 share.
 """
 
 import json
 import time
 
-import numpy as np
 import pytest
 
 from mhd1d import (
@@ -18,20 +18,11 @@ from mhd1d import (
     ScenarioSpec,
     SchemeConfig,
     SharedConfig,
-    build_initial_state,
-    constant_state,
-    energy_drift,
-    flux_identity_residual,
-    manufactured_solution,
     nu_independence_report,
-    potential_energy,
-    rhs,
-    run,
     sweep,
 )
+from mhd1d.battery import ACCEPTANCE, Battery
 from mhd1d.cli import main
-from mhd1d.diagnostics import central_tendencies
-from mhd1d.mms import observed_orders
 
 NU_LIST = [1e-2, 3e-3, 1e-3, 3e-4, 1e-4]
 
@@ -41,47 +32,24 @@ def announce(number, name, detail):
 
 
 @pytest.fixture(scope="session")
-def pinned_params():
+def acceptance_sweep():
     # documented defaults: mu=0.1, gamma=1.4, rho_bar=1, b_bar=1, alpha=2
-    return PhysParams(nu=1e-3)
-
-
-@pytest.fixture(scope="session")
-def pinned_grid():
-    return Grid1D(20.0, 2048)
-
-
-@pytest.fixture(scope="session")
-def pinned_spec(pinned_params):
-    return ScenarioSpec(params=pinned_params, a_rho=0.2, a_u=0.2, a_b=0.2, sigma=2.0)
-
-
-@pytest.fixture(scope="session")
-def acceptance_sweep(pinned_params, pinned_grid, pinned_spec):
-    shared = SharedConfig(spec=pinned_spec, scheme=SchemeConfig(t_end=1.0),
-                          grid=pinned_grid)
+    params = PhysParams(nu=1e-3)
+    spec = ScenarioSpec(params=params, a_rho=0.2, a_u=0.2, a_b=0.2, sigma=2.0)
+    shared = SharedConfig(spec=spec, scheme=SchemeConfig(t_end=1.0), grid=Grid1D(20.0, 2048))
     start = time.monotonic()
     result = sweep(NU_LIST, shared, config_fingerprint="acceptance")
     return result, time.monotonic() - start
 
 
 @pytest.fixture(scope="session")
-def standard_run(pinned_params, pinned_grid, pinned_spec):
-    state0 = build_initial_state(pinned_spec, pinned_grid)
-    final, record = run(pinned_spec, pinned_params, SchemeConfig(t_end=1.0),
-                        pinned_grid)
-    return state0, final, record
+def battery():
+    return Battery(ACCEPTANCE)
 
 
-@pytest.fixture(scope="session")
-def mms_study(pinned_params):
-    start = time.monotonic()
-    second = observed_orders(pinned_params, SchemeConfig(t_end=0.4),
-                             n_cells=(512, 1024, 2048))
-    first = observed_orders(pinned_params,
-                            SchemeConfig(t_end=0.4, reconstruction="first_order_upwind"),
-                            n_cells=(512, 1024, 2048))
-    return second, first, time.monotonic() - start
+def passed(outcome):
+    assert outcome.ok, outcome.detail
+    return outcome.values
 
 
 def test_criterion_1_nonresistive_limit_rate(acceptance_sweep):
@@ -130,86 +98,44 @@ def test_criterion_3_nu_independent_bounds(acceptance_sweep):
              f"worst spread {worst:.2e} over {sum(not r.excluded for r in report.rows)} quantities")
 
 
-def test_criterion_4_energy_inequality(standard_run):
-    _, _, record = standard_run
-    drift = energy_drift(record)
-    assert drift <= 1e-3
-    announce(4, "discrete energy inequality", f"relative drift {drift:.2e}")
+def test_criterion_4_energy_inequality(battery):
+    values = passed(battery.energy_inequality())
+    announce(4, "discrete energy inequality", f"relative drift {values['drift']:.2e}")
 
 
-def test_criterion_5_mms_orders(mms_study):
-    second, first, elapsed = mms_study
-    for field in ("rho", "u", "b"):
-        assert second[field] >= 1.8, f"muscl order for {field}: {second[field]}"
-        assert first[field] >= 0.9, f"upwind order for {field}: {first[field]}"
-    assert elapsed < 300.0
-    announce(5, "manufactured-solution orders",
-             "muscl " + "/".join(f"{second[k]:.2f}" for k in ("rho", "u", "b"))
-             + ", upwind " + "/".join(f"{first[k]:.2f}" for k in ("rho", "u", "b"))
-             + f", {elapsed:.0f}s")
-
-
-def test_criterion_6_steady_state_and_conservation(pinned_params, pinned_grid, standard_run):
-    out = rhs(constant_state(pinned_grid, pinned_params), pinned_params,
-              SchemeConfig(), pinned_grid)
-    sup = max(np.abs(out.d_rho).max(), np.abs(out.d_mom).max(), np.abs(out.d_b).max())
-    tol = 1e-13 * max(pinned_params.rho_bar, abs(pinned_params.b_bar), 1.0)
-    assert sup < tol
-
-    state0, final, record = standard_run
-    dx = pinned_grid.dx
-    defect = abs(np.sum(final.rho - pinned_params.rho_bar) * dx
-                 - np.sum(state0.rho - pinned_params.rho_bar) * dx)
-    budget = 1e-8 * np.sum(np.abs(state0.rho - pinned_params.rho_bar)) * dx
-    assert defect <= budget
-    assert record.final("clip_count") == 0
-    announce(6, "steady state and conservation",
-             f"tendency sup {sup:.1e}, mass defect {defect:.2e} (budget {budget:.2e})")
-
-
-def test_criterion_7_potential_energy_envelopes():
+def test_criterion_5_mms_orders(battery):
     start = time.monotonic()
-    for gamma in (1.4, 2.0, 3.0):
-        for rho_bar in (1.0, 2.0):
-            rho = np.linspace(0.0, 2.0 * rho_bar, 4001)
-            keep = np.abs(rho - rho_bar) > 1e-9
-            ratio = potential_energy(rho, gamma, rho_bar)[keep] / (rho[keep] - rho_bar) ** 2
-            assert np.isfinite(ratio.min()) and ratio.min() > 0
-            assert np.isfinite(ratio.max()) and ratio.max() >= ratio.min()
-            hi = np.linspace(2.0 * rho_bar + 1e-9, 10.0 * rho_bar, 4001)
-            phi = potential_energy(hi, gamma, rho_bar)
-            c1 = np.max((hi**gamma - rho_bar**gamma) / (hi - rho_bar) ** gamma)
-            c2 = np.max(c1 * (hi - rho_bar) ** gamma / phi)
-            assert np.isfinite(c1) and c1 > 0
-            assert np.isfinite(c2) and c2 > 0
+    outcome = battery.mms_orders()
+    elapsed = time.monotonic() - start
+    passed(outcome)
+    assert elapsed < 300.0
+    announce(5, "manufactured-solution orders", f"{outcome.detail}, {elapsed:.0f}s")
+
+
+def test_criterion_6_steady_state_and_conservation(battery):
+    sup = passed(battery.steady_state_fixed_point())["sup"]
+    mass = passed(battery.mass_conservation())
+    announce(6, "steady state and conservation",
+             f"tendency sup {sup:.1e}, mass defect {mass['defect']:.2e} "
+             f"(budget {mass['budget']:.2e})")
+
+
+def test_criterion_7_potential_energy_envelopes(battery):
+    start = time.monotonic()
+    passed(battery.potential_energy_bounds())
     announce(7, "potential-energy envelopes",
              f"6 (gamma, rho_bar) pairs in {time.monotonic() - start:.2f}s")
 
 
-def test_criterion_8_flux_identity_contraction(pinned_params):
-    ms = manufactured_solution(pinned_params)
-    residuals = []
-    for n in (512, 1024):
-        grid = Grid1D(20.0, n)
-        state = ms.initial_state(grid)
-        residuals.append(flux_identity_residual(
-            state, central_tendencies(state, pinned_params, grid), pinned_params, grid))
-    contraction = residuals[0] / residuals[1]
-    assert contraction >= 3.5
-    announce(8, "flux identity", f"two-grid contraction {contraction:.2f}")
+def test_criterion_8_flux_identity_contraction(battery):
+    values = passed(battery.flux_identity_contraction())
+    announce(8, "flux identity", f"two-grid contraction {values['contraction']:.2f}")
 
 
-def test_criterion_9_vacuum_robustness(pinned_params):
-    grid = Grid1D(20.0, 1024)
-    spec = ScenarioSpec(params=pinned_params, preset="interior_vacuum",
-                        a_u=0.2, a_b=-pinned_params.b_bar, sigma=2.0)
-    final, record = run(spec, pinned_params, SchemeConfig(t_end=1.0), grid)
-    record.validate()  # finiteness and monotone accumulators
-    assert final.t == 1.0
-    assert record.final("clip_count") == 0
-    assert np.all(final.rho >= 0.0)
+def test_criterion_9_vacuum_robustness(battery):
+    values = passed(battery.vacuum_robustness())
     announce(9, "interior vacuum to T=1",
-             f"zero clips, min density {final.rho.min():.3e}")
+             f"zero clips, min density {values['min_density']:.3e}")
 
 
 def test_criterion_10_determinism(tmp_path):

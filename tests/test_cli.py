@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 
 import mhd1d
-from mhd1d.cli import CHECKS, main
+from mhd1d import battery
+from mhd1d.battery import CHECKS, Outcome
+from mhd1d.cli import main
 from mhd1d.config import DEFAULTS, load_config, parse_config
 from mhd1d.diagnostics import DiagnosticsRecord
 from mhd1d.errors import ConfigError, NumericalError
-from mhd1d.solver import load_checkpoint
+from mhd1d.solver import load_checkpoint, run
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -95,6 +97,20 @@ class TestConfig:
         c1 = parse_config({"grid": {"n_cells": 512, "half_width": 20.0}})
         c2 = parse_config({"grid": {"half_width": 20.0, "n_cells": 512}})
         assert c1.fingerprint() == c2.fingerprint()
+        # pinned: the canonical form of the defaults and of the benchmark's
+        # seed-0 sweep configuration must not drift
+        defaults = "a4268d8ec3f5ab55b1b713612b171a294acacb788fd56f4d5fbc73dc8458ba28"
+        assert parse_config({}).fingerprint() == defaults
+        sweep_seed0 = {
+            "physics": {"mu": 0.1, "nu": 1e-3},
+            "scenario": {"preset": "gaussian_bump", "a_rho": 0.2, "a_u": 0.2, "a_b": 0.2,
+                         "sigma": 2.0},
+            "grid": {"half_width": 20.0, "n_cells": 2048},
+            "scheme": {"t_end": 1.0},
+            "nu_list": [1e-2, 3e-3, 1e-3, 3e-4, 1e-4],
+            "jobs": 1,
+        }
+        assert parse_config(sweep_seed0).fingerprint() == defaults
 
 
 class TestSimulateCommand:
@@ -256,7 +272,14 @@ class TestVerifyCommand:
         assert "potential_energy_bounds" in names
         assert "flux_identity_contraction" in names
 
-    def test_fresh_build_passes(self, capsys):
+    def test_fresh_build_passes(self, monkeypatch, capsys):
+        cells = []
+
+        def counted_run(spec, params, scheme, grid):
+            cells.append(grid.n_cells)
+            return run(spec, params, scheme, grid)
+
+        monkeypatch.setattr(battery, "run", counted_run)
         assert main(["verify"]) == 0
         printed = capsys.readouterr().out
         assert printed.count("[PASS]") == len(CHECKS)
@@ -264,6 +287,22 @@ class TestVerifyCommand:
         # every check line ends with its wall time
         timed = re.compile(r"^\[PASS\] \w+: .+ \(\d+\.\d\d s\)$")
         assert sum(bool(timed.match(ln)) for ln in printed.splitlines()) == len(CHECKS)
+        # mass_conservation and energy_inequality share one standard run
+        assert cells.count(battery.VERIFY.standard_cells) == 1
+
+    def test_failed_and_crashed_checks_fail_verify(self, monkeypatch, capsys):
+        monkeypatch.setattr(battery, "CHECKS", [
+            ("holds", lambda suite: Outcome(True, "the claim holds")),
+            ("refuted", lambda suite: Outcome(False, "the claim does not hold")),
+            ("crashed", lambda suite: 1 / 0),
+        ])
+        assert main(["verify"]) == 1
+        lines = [re.sub(r" \(\d+\.\d\d s\)$", "", ln)
+                 for ln in capsys.readouterr().out.splitlines()]
+        assert lines == ["[PASS] holds: the claim holds",
+                         "[FAIL] refuted: the claim does not hold",
+                         "[FAIL] crashed: raised ZeroDivisionError: division by zero",
+                         "verify: 2 of 3 checks failed"]
 
     def test_verify_never_imports_sympy(self):
         code = ("import sys; from mhd1d.cli import main; rc = main(['verify']); "
