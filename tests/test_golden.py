@@ -1,0 +1,126 @@
+"""Golden outputs: the criterion-10 sweep and a short interior-vacuum run.
+
+Both run through the command line, so the test does not depend on the
+library API.  Every number of ``report.json`` and every row of the CSV and
+checkpoint outputs is compared with the checked-in copy under
+``tests/golden`` at relative tolerance 1e-12, which holds across numpy
+builds and still catches any real change.  Table entries also get an
+absolute floor of 1e-15 times the largest magnitude in their column, so
+rounding residue such as far-field momentum of order 1e-42 cannot fail the
+comparison on another libm.  When the installed numpy is the version the
+copy was made with, the SHA-256 of every output must match as well.
+
+A change that moves numbers on purpose regenerates the copy with
+``python tests/test_golden.py`` and commits it in the same change, so the
+diff shows every number that moved.
+"""
+
+import hashlib
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from mhd1d.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+RTOL = 1e-12
+COLUMN_FLOOR = 1e-15
+
+# Acceptance criterion 10's configuration, and a short interior-vacuum run
+# whose magnetic field vanishes with the density (a_b = -b_bar).
+CASES = {
+    "criterion10_sweep": ("sweep", {
+        "grid": {"half_width": 20.0, "n_cells": 256},
+        "scheme": {"t_end": 0.2, "n_samples": 10},
+        "nu_list": [1e-2, 1e-3, 1e-4],
+    }),
+    "interior_vacuum_simulate": ("simulate", {
+        "scenario": {"preset": "interior_vacuum", "a_b": -1.0},
+        "grid": {"n_cells": 256},
+        "scheme": {"t_end": 0.1, "n_samples": 5},
+    }),
+}
+
+
+def _produce(case: str, workdir: Path) -> dict[str, bytes]:
+    """Run one case; return every output except the (timed) manifest."""
+    command, config = CASES[case]
+    cfg = workdir / f"{case}.json"
+    cfg.write_text(json.dumps(config))
+    outdir = workdir / case
+    assert main([command, "--config", str(cfg), "--output-dir", str(outdir)]) == 0
+    return {p.name: p.read_bytes() for p in sorted(outdir.iterdir()) if p.name != "manifest.json"}
+
+
+def _assert_json_close(actual, expected, where):
+    if isinstance(expected, dict):
+        assert isinstance(actual, dict) and sorted(actual) == sorted(expected), where
+        for key in expected:
+            _assert_json_close(actual[key], expected[key], f"{where}.{key}")
+    elif isinstance(expected, list):
+        assert isinstance(actual, list) and len(actual) == len(expected), where
+        for i, (a, e) in enumerate(zip(actual, expected)):
+            _assert_json_close(a, e, f"{where}[{i}]")
+    elif isinstance(expected, float) and not isinstance(actual, bool):
+        assert isinstance(actual, (int, float)), where
+        assert math.isclose(actual, expected, rel_tol=RTOL, abs_tol=0.0), \
+            f"{where}: {actual!r} != {expected!r}"
+    else:
+        assert actual == expected, f"{where}: {actual!r} != {expected!r}"
+
+
+def _assert_table_close(actual: str, expected: str, where: str):
+    """First line (CSV column names, checkpoint "n_cells L t") exactly, rows numerically."""
+    a_lines, e_lines = actual.splitlines(), expected.splitlines()
+    assert len(a_lines) == len(e_lines), f"{where}: {len(a_lines)} lines, expected {len(e_lines)}"
+    assert a_lines[0] == e_lines[0], f"{where}: first line differs"
+    a, e = (np.array([[float(v) for v in ln.replace(",", " ").split()] for ln in lines[1:]])
+            for lines in (a_lines, e_lines))
+    assert a.shape == e.shape, where
+    tol = RTOL * np.abs(e) + COLUMN_FLOOR * np.abs(e).max(axis=0)
+    bad = np.argwhere(~(np.abs(a - e) <= tol))
+    assert bad.size == 0, (f"{where}: {len(bad)} entries moved, first at row {bad[0][0] + 1}, "
+                           f"column {bad[0][1]}: {a[tuple(bad[0])]!r} != {e[tuple(bad[0])]!r}")
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_outputs_match_golden(case, tmp_path):
+    recorded = json.loads((GOLDEN / "golden.json").read_text())
+    outputs = _produce(case, tmp_path)
+    expected_dir = GOLDEN / case
+    assert sorted(outputs) == sorted(p.name for p in expected_dir.iterdir())
+    for name, data in outputs.items():
+        expected = (expected_dir / name).read_text()
+        if name.endswith(".json"):
+            _assert_json_close(json.loads(data), json.loads(expected), f"{case}/{name}")
+        else:
+            _assert_table_close(data.decode(), expected, f"{case}/{name}")
+    if np.__version__ == recorded["numpy"]:
+        digests = {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
+        assert digests == recorded["sha256"][case]
+
+
+def regenerate():
+    """Rewrite the golden copy from the current code."""
+    import tempfile
+
+    recorded = {"numpy": np.__version__, "sha256": {}}
+    with tempfile.TemporaryDirectory() as work:
+        for case in sorted(CASES):
+            outputs = _produce(case, Path(work))
+            target = GOLDEN / case
+            target.mkdir(parents=True, exist_ok=True)
+            for stale in target.iterdir():
+                stale.unlink()
+            for name, data in outputs.items():
+                (target / name).write_bytes(data)
+            recorded["sha256"][case] = {name: hashlib.sha256(data).hexdigest()
+                                        for name, data in outputs.items()}
+    (GOLDEN / "golden.json").write_text(json.dumps(recorded, sort_keys=True, indent=2) + "\n")
+
+
+if __name__ == "__main__":
+    regenerate()
