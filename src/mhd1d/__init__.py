@@ -15,6 +15,7 @@ from .core import (
     potential_energy,
     pressure,
 )
+from .config import RunConfig, parse_config
 from .diagnostics import (
     Accumulators,
     DiagnosticsRecord,
@@ -31,7 +32,6 @@ from .diagnostics import (
 from .errors import BoundaryMonitorError, ConfigError, NumericalError, SimulationError
 from .limit_study import (
     ConvergenceReport,
-    SharedConfig,
     SweepResult,
     fit_rate,
     run_pair,

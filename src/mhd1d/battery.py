@@ -72,9 +72,9 @@ class Battery:
     @cached_property
     def standard_run(self):
         """(initial state, final state, record) of the default Gaussian bump."""
-        spec = ScenarioSpec(params=self.params)
+        spec = ScenarioSpec()
         scheme = SchemeConfig(t_end=self.sizes.standard_t_end)
-        state0 = build_initial_state(spec, self.standard_grid)
+        state0 = build_initial_state(spec, self.params, self.standard_grid)
         final, record = run(spec, self.params, scheme, self.standard_grid)
         return state0, final, record
 
@@ -163,7 +163,7 @@ class Battery:
 
     def determinism(self) -> Outcome:
         grid = Grid1D(HALF_WIDTH, 256)
-        spec = ScenarioSpec(params=self.params)
+        spec = ScenarioSpec()
         scheme = SchemeConfig(t_end=0.1, n_samples=5)
         _, r1 = run(spec, self.params, scheme, grid)
         _, r2 = run(spec, self.params, scheme, grid)
@@ -173,8 +173,7 @@ class Battery:
     def vacuum_robustness(self) -> Outcome:
         """Interior vacuum with a_b = -b_bar, so the field vanishes with the density."""
         sizes, params = self.sizes, self.params
-        spec = ScenarioSpec(params=params, preset="interior_vacuum", a_u=0.2,
-                            a_b=-params.b_bar, sigma=2.0)
+        spec = ScenarioSpec(preset="interior_vacuum", a_u=0.2, a_b=-params.b_bar, sigma=2.0)
         scheme = SchemeConfig(t_end=sizes.vacuum_t_end, n_samples=sizes.vacuum_samples)
         final, record = run(spec, params, scheme, Grid1D(HALF_WIDTH, sizes.vacuum_cells))
         record.validate()  # finiteness and monotone accumulators

@@ -27,7 +27,7 @@ from . import __version__, battery
 from .config import RunConfig, load_config
 from .diagnostics import DiagnosticsRecord, RunTelemetry
 from .errors import BoundaryMonitorError, ConfigError, NumericalError, SimulationError
-from .limit_study import SharedConfig, sweep
+from .limit_study import sweep
 from .solver import run, save_checkpoint
 
 EXIT_OK = 0
@@ -153,12 +153,9 @@ def cmd_sweep(args) -> int:
         print(exc, file=sys.stderr)
         return EXIT_CONFIG
     outdir = _resolve_outdir(args, config)
-    jobs = args.jobs or config.jobs
-    shared = SharedConfig(spec=config.spec, scheme=config.scheme, grid=config.grid)
     start = time.perf_counter()
     try:
-        result = sweep(config.nu_list, shared, jobs=jobs,
-                       config_fingerprint=config.fingerprint())
+        result = sweep(config, jobs=args.jobs or config.jobs)
     except (BoundaryMonitorError, NumericalError) as exc:
         return _aborted(exc, outdir, config, started, "diag_aborted.csv",
                         time.perf_counter() - start)
@@ -213,6 +210,12 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mhd1d",
@@ -230,7 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_swp = sub.add_parser("sweep", help="matched resistive/non-resistive runs over nu_list")
     p_swp.add_argument("--config", required=True, help="path to a JSON run configuration")
     p_swp.add_argument("--output-dir", default=None, help="override the output directory")
-    p_swp.add_argument("--jobs", type=int, default=None, help="parallel pair processes")
+    p_swp.add_argument("--jobs", type=_positive_int, default=None,
+                       help="parallel pair processes (default: the configuration's jobs)")
     p_swp.set_defaults(func=cmd_sweep)
 
     p_ver = sub.add_parser("verify", help="run the built-in verification battery")

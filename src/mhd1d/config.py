@@ -21,14 +21,10 @@ from .solver import SchemeConfig
 # The non-resistive system is the resistive one at nu = 0; see RunConfig.run_params.
 MODES = ("resistive", "non_resistive")
 
-# ScenarioSpec fields that are not configuration keys: the physics section
-# supplies params, and custom fields are API-only.
-_NOT_KEYS = ("params", "custom_fields")
-
 
 def _section(source) -> dict:
     """A section's keys and values from a dataclass; a class gives its defaults."""
-    return {f.name: getattr(source, f.name) for f in fields(source) if f.name not in _NOT_KEYS}
+    return {f.name: getattr(source, f.name) for f in fields(source)}
 
 
 DEFAULTS = {
@@ -45,6 +41,8 @@ DEFAULTS = {
 
 @dataclass(frozen=True)
 class RunConfig:
+    """Every input of ``simulate`` and ``sweep``; ``fingerprint`` identifies them all."""
+
     params: PhysParams
     spec: ScenarioSpec
     grid: Grid1D
@@ -108,29 +106,16 @@ def parse_config(raw: dict) -> RunConfig:
         if key not in DEFAULTS:
             problems.append(f"{key}: unknown field")
 
-    phys_d = _merge_section(raw, "physics", problems)
-    scen_d = _merge_section(raw, "scenario", problems)
-    grid_d = _merge_section(raw, "grid", problems)
-    schm_d = _merge_section(raw, "scheme", problems)
-
-    params = grid = scheme = spec = None
-    try:
-        params = PhysParams(**phys_d)
-    except (ValueError, TypeError) as exc:
-        problems.extend(f"physics: {p}" for p in str(exc).split("; "))
-    try:
-        grid = Grid1D(**grid_d)
-    except (ValueError, TypeError) as exc:
-        problems.append(f"grid: {exc}")
-    try:
-        scheme = SchemeConfig(**schm_d)
-    except (ValueError, TypeError) as exc:
-        problems.extend(f"scheme: {p}" for p in str(exc).split("; "))
-    if params is not None:
+    # Each section is validated on its own, so one bad section hides no other's problems.
+    sections = {"physics": PhysParams, "scenario": ScenarioSpec, "grid": Grid1D,
+                "scheme": SchemeConfig}
+    built = {}
+    for section, cls in sections.items():
         try:
-            spec = ScenarioSpec(params=params, **scen_d)
+            built[section] = cls(**_merge_section(raw, section, problems))
         except (ValueError, TypeError) as exc:
-            problems.append(f"scenario: {exc}")
+            problems.extend(f"{section}: {p}" for p in str(exc).split("; "))
+    params, spec, grid, scheme = (built.get(section) for section in sections)
 
     mode = raw.get("mode", DEFAULTS["mode"])
     if mode not in MODES:

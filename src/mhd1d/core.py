@@ -119,6 +119,15 @@ class State:
         return State(self.rho.copy(), self.mom.copy(), self.b.copy(), self.t)
 
 
+@dataclass
+class RhsOutput:
+    """Tendencies of (rho, m, b)."""
+
+    d_rho: FieldScalar
+    d_mom: FieldScalar
+    d_b: FieldScalar
+
+
 def viscous_floor(rho_bar: float) -> float:
     """Density at which the viscous velocity recovery is capped."""
     return max(RHO_FLOOR, VISC_FLOOR_FRACTION * rho_bar)
@@ -232,6 +241,7 @@ __all__ = [
     "Grid1D",
     "PhysParams",
     "State",
+    "RhsOutput",
     "viscous_floor",
     "viscous_velocity",
     "derivative",

@@ -20,6 +20,7 @@ from .core import (
     FieldScalar,
     Grid1D,
     PhysParams,
+    RhsOutput,
     State,
     derivative,
     effective_viscous_flux,
@@ -135,28 +136,19 @@ def _flux_residual(state: State, udot: FieldScalar, params: PhysParams, grid: Gr
 def flux_identity_residual(state: State, tendencies, params: PhysParams, grid: Grid1D) -> float:
     """L2 norm of rho*du/dt - F_x; vanishes at the scheme's order on smooth states.
 
-    ``tendencies`` is any object with ``d_rho`` and ``d_mom`` (an ``rhs``
-    output or ``central_tendencies``).
+    ``tendencies`` is an ``RhsOutput``, from ``rhs`` or ``central_tendencies``.
     """
     udot = material_derivative(state, velocity_tendency(state, tendencies), grid)
     return _flux_residual(state, udot, params, grid)
 
 
-@dataclass
-class CentralTendencies:
+def central_tendencies(state: State, params: PhysParams, grid: Grid1D) -> RhsOutput:
     """Tendencies evaluated with this module's central stencils only.
 
     The production scheme's interface fluxes carry slope-limiter kinks near
     extrema; this limiter-free evaluation converges cleanly at second order
     and is the reference for flux-identity audits.
     """
-
-    d_rho: FieldScalar
-    d_mom: FieldScalar
-    d_b: FieldScalar
-
-
-def central_tendencies(state: State, params: PhysParams, grid: Grid1D) -> CentralTendencies:
     dx = grid.dx
     u = state.velocity()
     p = pressure(state.rho, params.gamma)
@@ -166,7 +158,7 @@ def central_tendencies(state: State, params: PhysParams, grid: Grid1D) -> Centra
     d_b = -derivative(u * state.b, dx)
     if params.nu > 0:
         d_b = d_b + params.nu * second_derivative(state.b, dx)
-    return CentralTendencies(d_rho=d_rho, d_mom=d_mom, d_b=d_b)
+    return RhsOutput(d_rho=d_rho, d_mom=d_mom, d_b=d_b)
 
 
 @dataclass
@@ -438,7 +430,6 @@ __all__ = [
     "momentum_potential",
     "velocity_tendency",
     "flux_identity_residual",
-    "CentralTendencies",
     "central_tendencies",
     "Accumulators",
     "RunTelemetry",

@@ -24,24 +24,16 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
+from .config import RunConfig
 from .core import Grid1D, derivative
 from .diagnostics import DiagnosticsRecord, RunTelemetry
 from .errors import SimulationError
-from .scenario import ScenarioSpec, build_initial_state
-from .solver import SchemeConfig, run_lockstep
+from .scenario import build_initial_state
+from .solver import run_lockstep
 
 GUARD_FACTOR = 10.0
 SUPERLINEAR_SLOPE = 1.25
 MIN_DECADES_SPAN = 100.0
-
-
-@dataclass(frozen=True)
-class SharedConfig:
-    """Everything a pair shares: scenario (with base parameters), scheme, grid."""
-
-    spec: ScenarioSpec
-    scheme: SchemeConfig
-    grid: Grid1D
 
 
 @dataclass
@@ -60,16 +52,17 @@ class PairErrors:
         return asdict(self)
 
 
-def run_pair(nu: float, shared: SharedConfig) -> tuple[PairErrors, DiagnosticsRecord]:
+def run_pair(nu: float, config: RunConfig) -> tuple[PairErrors, DiagnosticsRecord]:
     """Evolve the resistive(nu) and non-resistive systems in lockstep.
 
+    Both start from the configured scenario, physics and grid; only nu differs.
     Returns the error functionals of the pair and the resistive member's
     diagnostics record (used by the resistivity-independence audit).
     """
-    grid = shared.grid
+    grid = config.grid
     dx = grid.dx
-    params = replace(shared.spec.params, nu=nu)
-    state = build_initial_state(replace(shared.spec, params=params), grid)
+    params = replace(config.params, nu=nu)
+    state = build_initial_state(config.spec, params, grid)
     errors = PairErrors(nu=nu)
     g_prev = h_prev = 0.0  # e_diss and aux integrands at the previous step
     du, scratch, square = (np.empty(grid.n_cells) for _ in range(3))
@@ -95,7 +88,7 @@ def run_pair(nu: float, shared: SharedConfig) -> tuple[PairErrors, DiagnosticsRe
         g_prev, h_prev = g, h
 
     _, record = run_lockstep([(state, params), (state.copy(), replace(params, nu=0.0))],
-                             shared.scheme, grid, observe=observe)
+                             config.scheme, grid, observe=observe)
     errors.e_total = errors.e_sup + errors.e_diss
     return errors, record
 
@@ -143,10 +136,9 @@ class GuardResult:
                 "ratio": ratio, "passed": self.passed}
 
 
-def grid_pollution_guard(nu_min: float, signal: float, shared: SharedConfig) -> GuardResult:
+def grid_pollution_guard(nu_min: float, signal: float, config: RunConfig) -> GuardResult:
     """Re-measure e_total(nu_min) on a doubled grid and compare."""
-    fine = SharedConfig(spec=shared.spec, scheme=shared.scheme,
-                        grid=Grid1D(shared.grid.half_width, 2 * shared.grid.n_cells))
+    fine = replace(config, grid=Grid1D(config.grid.half_width, 2 * config.grid.n_cells))
     errors_fine, record = run_pair(nu_min, fine)
     proxy = abs(signal - errors_fine.e_total)
     ratio = signal / proxy if proxy > 0 else float("inf")
@@ -195,29 +187,30 @@ class SweepResult:
 
 
 def _pair_task(args):
-    nu, shared = args
+    nu, config = args
     try:
-        errors, record = run_pair(nu, shared)
+        errors, record = run_pair(nu, config)
         return nu, errors, record, None
     except SimulationError as exc:
         return nu, None, None, f"{type(exc).__name__}: {exc}"
 
 
-def sweep(nu_list, shared: SharedConfig, jobs: int = 1, config_fingerprint: str = "",
-          run_guard: bool = True) -> SweepResult:
-    """Run one matched pair per nu, fit the rates and apply the grid guard.
+def sweep(config: RunConfig, jobs: int = 1, run_guard: bool = True) -> SweepResult:
+    """Run one matched pair per nu in ``config.nu_list``, fit the rates, apply the guard.
 
     Pairs are independent; with jobs > 1 they execute in separate processes.
-    Failed pairs are recorded and excluded from the fit.
+    ``jobs`` is separate from ``config.jobs`` so that ``sweep --jobs`` can
+    override it without changing the fingerprint the report carries.  Failed
+    pairs are recorded and excluded from the fit.
     """
-    requested = [float(v) for v in nu_list]
+    requested = [float(v) for v in config.nu_list]
     nus = sorted(set(requested), reverse=True)
     if len(nus) != len(requested):
         raise ValueError("nu values must be distinct")
     if any(v < 0 for v in nus):
         raise ValueError("nu values must be non-negative")
 
-    tasks = [(nu, shared) for nu in nus]
+    tasks = [(nu, config) for nu in nus]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_pair_task, tasks))
@@ -234,7 +227,7 @@ def sweep(nu_list, shared: SharedConfig, jobs: int = 1, config_fingerprint: str 
             records.append((nu, record))
 
     report = ConvergenceReport(nu_values=nus, entries=entries,
-                               config_fingerprint=config_fingerprint)
+                               config_fingerprint=config.fingerprint())
     good = [e for e in entries if e.failed is None]
     if len(good) < 3:
         report.fit_skipped_reason = "fewer than 3 usable resistivity values"
@@ -254,14 +247,13 @@ def sweep(nu_list, shared: SharedConfig, jobs: int = 1, config_fingerprint: str 
 
     if run_guard and report.fit_skipped_reason is None and not report.degenerate:
         smallest = min(good, key=lambda e: e.nu)
-        report.guard = grid_pollution_guard(smallest.nu, smallest.e_total, shared)
+        report.guard = grid_pollution_guard(smallest.nu, smallest.e_total, config)
     return SweepResult(report=report, records=records)
 
 
 __all__ = [
     "GUARD_FACTOR",
     "SUPERLINEAR_SLOPE",
-    "SharedConfig",
     "PairErrors",
     "run_pair",
     "fit_rate",

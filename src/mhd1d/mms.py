@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import Grid1D, PhysParams, State
 from .diagnostics import lp_norm
-from .solver import RhsOutput, SchemeConfig, rhs, run
+from .solver import RhsOutput, SchemeConfig, rhs, run_lockstep
 
 
 @dataclass(frozen=True)
@@ -119,8 +119,8 @@ def run_manufactured(params: PhysParams, scheme: SchemeConfig, grid: Grid1D,
     def forced(state, params_, scheme_, grid_):
         return mms_rhs(state, params_, scheme_, grid_, manufactured)
 
-    final, _ = run(None, params, scheme, grid, rhs_fn=forced,
-                   initial_state=manufactured.initial_state(grid))
+    (final,), _ = run_lockstep([(manufactured.initial_state(grid), params)], scheme, grid,
+                               rhs_fn=forced)
     return manufactured.errors(final, grid)
 
 

@@ -13,21 +13,13 @@ truncated domain is valid whenever L >= 5*sigma.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .core import (
-    FieldScalar,
-    Grid1D,
-    PhysParams,
-    State,
-    derivative,
-    potential_energy,
-    pressure,
-)
+from .core import FieldScalar, Grid1D, PhysParams, State, derivative, pressure
+from .diagnostics import weighted_energy
 
-PRESETS = ("gaussian_bump", "interior_vacuum", "custom")
+PRESETS = ("gaussian_bump", "interior_vacuum")
 
 # Below this density the compatibility audit cannot divide by sqrt(rho)
 # stably; such nodes are flagged instead of evaluated.
@@ -38,30 +30,28 @@ RHO_COMPAT = 1e-6
 class ScenarioSpec:
     """Initial-data recipe: preset name, amplitudes and width.
 
-    ``custom`` takes callables rho0/u0/b0 of x (API use only; the JSON config
-    schema covers the two named presets).
+    The physical parameters are not part of the recipe; ``build_initial_state``
+    takes them from the run.
     """
 
-    params: PhysParams
     preset: str = "gaussian_bump"
     a_rho: float = 0.2
     a_u: float = 0.2
     a_b: float = 0.2
     sigma: float = 2.0
-    custom_fields: tuple[Callable, Callable, Callable] | None = None
 
     def __post_init__(self):
+        problems = []
         if self.preset not in PRESETS:
-            raise ValueError(f"unknown preset {self.preset!r}; expected one of {PRESETS}")
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if self.preset == "custom" and self.custom_fields is None:
-            raise ValueError("custom preset requires custom_fields=(rho0, u0, b0)")
+            problems.append(f"unknown preset {self.preset!r}, expected one of {PRESETS}")
+        if not self.sigma > 0:
+            problems.append(f"sigma > 0 required, got {self.sigma}")
+        if problems:
+            raise ValueError("; ".join(problems))
 
 
-def build_initial_state(spec: ScenarioSpec, grid: Grid1D) -> State:
+def build_initial_state(spec: ScenarioSpec, params: PhysParams, grid: Grid1D) -> State:
     """Sample the preset's closed-form fields at the grid nodes (t = 0)."""
-    p = spec.params
     if grid.half_width < 5.0 * spec.sigma:
         raise ValueError(
             f"domain too small: L = {grid.half_width} < 5*sigma = {5.0 * spec.sigma}; "
@@ -71,24 +61,17 @@ def build_initial_state(spec: ScenarioSpec, grid: Grid1D) -> State:
     bump = np.exp(-(x**2) / spec.sigma**2)
 
     if spec.preset == "gaussian_bump":
-        if spec.a_rho <= -p.rho_bar:
+        if spec.a_rho <= -params.rho_bar:
             raise ValueError(
-                f"a_rho = {spec.a_rho} <= -rho_bar = {-p.rho_bar} would make the density negative"
+                f"a_rho = {spec.a_rho} <= -rho_bar = {-params.rho_bar} "
+                "would make the density negative"
             )
-        rho0 = p.rho_bar + spec.a_rho * bump
-    elif spec.preset == "interior_vacuum":
-        rho0 = p.rho_bar * (1.0 - bump) ** 2
+        rho0 = params.rho_bar + spec.a_rho * bump
     else:
-        rho0_f, u0_f, b0_f = spec.custom_fields
-        rho0 = np.asarray(rho0_f(x), dtype=float)
-        u0 = np.asarray(u0_f(x), dtype=float)
-        b0 = np.asarray(b0_f(x), dtype=float)
-        if np.any(rho0 < 0):
-            raise ValueError("custom rho0 must be non-negative")
-        return State(rho=rho0, mom=rho0 * u0, b=b0, t=0.0)
+        rho0 = params.rho_bar * (1.0 - bump) ** 2
 
     u0 = spec.a_u * x * bump
-    b0 = p.b_bar + spec.a_b * bump
+    b0 = params.b_bar + spec.a_b * bump
     return State(rho=rho0, mom=rho0 * u0, b=b0, t=0.0)
 
 
@@ -98,13 +81,7 @@ def weighted_moment_check(state0: State, params: PhysParams, grid: Grid1D) -> fl
     Finite for every preset; the weight |x|^alpha with alpha in (1, 2] controls
     how far the initial disturbance spreads.
     """
-    u0 = state0.velocity()
-    integrand = (
-        0.5 * state0.rho * u0**2
-        + potential_energy(state0.rho, params.gamma, params.rho_bar)
-        + 0.5 * (state0.b - params.b_bar) ** 2
-    ) * np.abs(grid.x) ** params.alpha
-    return float(np.trapezoid(integrand, dx=grid.dx))
+    return weighted_energy(state0, params, grid)
 
 
 @dataclass(frozen=True)

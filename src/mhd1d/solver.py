@@ -26,9 +26,9 @@ from . import diagnostics
 from .core import (
     RHO_FLOOR,
     VISC_FLOOR_FRACTION,  # re-exported with the solver's public names
-    FieldScalar,
     Grid1D,
     PhysParams,
+    RhsOutput,
     State,
     fast_speed_state,
     viscous_floor,
@@ -75,15 +75,6 @@ class SchemeConfig:
             problems.append(f"n_samples >= 1 required, got {self.n_samples}")
         if problems:
             raise ValueError("; ".join(problems))
-
-
-@dataclass
-class RhsOutput:
-    """Tendencies of (rho, m, b)."""
-
-    d_rho: FieldScalar
-    d_mom: FieldScalar
-    d_b: FieldScalar
 
 
 class _Workspace:
@@ -394,13 +385,11 @@ def run_lockstep(members: list[tuple[State, PhysParams]], scheme: SchemeConfig,
     return states, record
 
 
-def run(spec: ScenarioSpec | None, params: PhysParams, scheme: SchemeConfig,
-        grid: Grid1D, rhs_fn=None, initial_state: State | None = None,
+def run(spec: ScenarioSpec, params: PhysParams, scheme: SchemeConfig, grid: Grid1D,
         max_steps: int = 10_000_000) -> tuple[State, diagnostics.DiagnosticsRecord]:
-    """Integrate one configuration: the single-member case of ``run_lockstep``."""
-    state = initial_state.copy() if initial_state is not None else build_initial_state(spec, grid)
-    (final,), record = run_lockstep([(state, params)], scheme, grid, rhs_fn=rhs_fn,
-                                    max_steps=max_steps)
+    """Integrate one scenario: the single-member case of ``run_lockstep``."""
+    state = build_initial_state(spec, params, grid)
+    (final,), record = run_lockstep([(state, params)], scheme, grid, max_steps=max_steps)
     return final, record
 
 

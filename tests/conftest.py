@@ -16,7 +16,7 @@ def grid():
 
 @pytest.fixture
 def gaussian_spec(params):
-    return ScenarioSpec(params=params)
+    return ScenarioSpec()
 
 
 @pytest.fixture

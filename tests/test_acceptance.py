@@ -15,9 +15,9 @@ import pytest
 from mhd1d import (
     Grid1D,
     PhysParams,
+    RunConfig,
     ScenarioSpec,
     SchemeConfig,
-    SharedConfig,
     nu_independence_report,
     sweep,
 )
@@ -35,10 +35,11 @@ def announce(number, name, detail):
 def acceptance_sweep():
     # documented defaults: mu=0.1, gamma=1.4, rho_bar=1, b_bar=1, alpha=2
     params = PhysParams(nu=1e-3)
-    spec = ScenarioSpec(params=params, a_rho=0.2, a_u=0.2, a_b=0.2, sigma=2.0)
-    shared = SharedConfig(spec=spec, scheme=SchemeConfig(t_end=1.0), grid=Grid1D(20.0, 2048))
+    spec = ScenarioSpec(a_rho=0.2, a_u=0.2, a_b=0.2, sigma=2.0)
+    config = RunConfig(params=params, spec=spec, grid=Grid1D(20.0, 2048),
+                       scheme=SchemeConfig(t_end=1.0), nu_list=tuple(NU_LIST))
     start = time.monotonic()
-    result = sweep(NU_LIST, shared, config_fingerprint="acceptance")
+    result = sweep(config)
     return result, time.monotonic() - start
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import mhd1d
-from mhd1d import battery
+from mhd1d import battery, cli
 from mhd1d.battery import CHECKS, Outcome
 from mhd1d.cli import main
 from mhd1d.config import DEFAULTS, load_config, parse_config
@@ -80,6 +80,16 @@ class TestConfig:
                 assert fragment in text
         else:
             pytest.fail("expected ConfigError")
+
+    def test_scenario_violations_listed_beside_physics_ones(self):
+        with pytest.raises(ConfigError) as info:
+            parse_config({"physics": {"mu": -1}, "scenario": {"sigma": -1, "preset": "square"}})
+        assert info.value.violations == [
+            "physics: mu > 0 required, got -1",
+            "scenario: unknown preset 'square', "
+            "expected one of ('gaussian_bump', 'interior_vacuum')",
+            "scenario: sigma > 0 required, got -1",
+        ]
 
     def test_cross_checks_at_load_time(self):
         with pytest.raises(ConfigError, match="half_width"):
@@ -254,6 +264,16 @@ class TestSweepCommand:
         for nu in SMALL["nu_list"]:
             name = f"diag_nu_{nu:g}.csv"
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+    def test_jobs_below_one_rejected_before_integration(self, jobs, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "sweep", lambda *args, **kwargs: pytest.fail("sweep ran"))
+        cfg = write_config(tmp_path, SMALL)
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", "--config", cfg, "--output-dir", str(tmp_path / "o"), "--jobs", jobs])
+        assert info.value.code == 2
+        assert "--jobs: expected a positive integer" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_single_nu_fit_skipped(self, tmp_path):
         payload = dict(SMALL)

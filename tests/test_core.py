@@ -173,7 +173,7 @@ class TestEffectiveViscousFlux:
 
     def test_gaussian_preset_pointwise(self, params, gaussian_spec):
         grid = Grid1D(20.0, 2048)
-        state = build_initial_state(gaussian_spec, grid)
+        state = build_initial_state(gaussian_spec, params, grid)
         x = grid.x
         bump = np.exp(-(x**2) / gaussian_spec.sigma**2)
         rho0 = params.rho_bar + gaussian_spec.a_rho * bump
@@ -225,7 +225,7 @@ class TestFastSpeed:
 
 
 def test_field_ops_preserve_length_and_finiteness(params, grid, gaussian_spec):
-    state = build_initial_state(gaussian_spec, grid)
+    state = build_initial_state(gaussian_spec, params, grid)
     n = grid.n_cells
     for field in (pressure(state.rho, params.gamma),
                   potential_energy(state.rho, params.gamma, params.rho_bar),

@@ -149,7 +149,7 @@ class TestFluxIdentity:
 
     def test_offset_convention_invariance(self, params, grid, gaussian_spec):
         # shifting the b_bar reference adds a constant to F; F_x is unchanged
-        state = build_initial_state(gaussian_spec, grid)
+        state = build_initial_state(gaussian_spec, params, grid)
         out = central_tendencies(state, params, grid)
         r1 = flux_identity_residual(state, out, params, grid)
         shifted = replace(params, b_bar=2.0)
@@ -205,14 +205,14 @@ class TestRecord:
             assert row[key] == pytest.approx(0.0, abs=1e-13)
 
     def test_two_samples_of_steady_state_identical(self, params, grid):
-        spec = ScenarioSpec(params=params, a_rho=0.0, a_u=0.0, a_b=0.0)
+        spec = ScenarioSpec(a_rho=0.0, a_u=0.0, a_b=0.0)
         record = self._make_record(params, grid, spec)
         assert record.rows[0][1:] == record.rows[1][1:]  # all but time
 
     def test_vacuum_row_finite(self, params):
         grid = Grid1D(20.0, 255)  # node exactly at the vacuum point
-        spec = ScenarioSpec(params=params, preset="interior_vacuum", a_b=-params.b_bar)
-        s = build_initial_state(spec, grid)
+        spec = ScenarioSpec(preset="interior_vacuum", a_b=-params.b_bar)
+        s = build_initial_state(spec, params, grid)
         accum = Accumulators()
         accum.start(s, params, grid)
         out = rhs(s, params, SchemeConfig(), grid)

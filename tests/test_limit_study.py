@@ -1,30 +1,21 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from mhd1d import (
-    ConvergenceReport,
-    Grid1D,
-    PhysParams,
-    ScenarioSpec,
-    SchemeConfig,
-    SharedConfig,
-    fit_rate,
-    run_pair,
-    sweep,
-)
+from mhd1d import ConvergenceReport, fit_rate, parse_config, run_pair, sweep
 
 
 @pytest.fixture(scope="module")
-def small_shared():
-    params = PhysParams()
-    return SharedConfig(spec=ScenarioSpec(params=params),
-                        scheme=SchemeConfig(t_end=0.2, n_samples=10),
-                        grid=Grid1D(20.0, 256))
+def small_config():
+    return parse_config({"grid": {"half_width": 20.0, "n_cells": 256},
+                         "scheme": {"t_end": 0.2, "n_samples": 10},
+                         "nu_list": [1e-2, 1e-3, 1e-4]})
 
 
 @pytest.fixture(scope="module")
-def small_sweep(small_shared):
-    return sweep([1e-2, 1e-3, 1e-4], small_shared, config_fingerprint="test")
+def small_sweep(small_config):
+    return sweep(small_config)
 
 
 class TestFitRate:
@@ -63,24 +54,22 @@ class TestFitRate:
 
 
 class TestRunPair:
-    def test_zero_resistivity_pair_is_identical(self, small_shared):
-        errors, record = run_pair(0.0, small_shared)
+    def test_zero_resistivity_pair_is_identical(self, small_config):
+        errors, record = run_pair(0.0, small_config)
         assert errors.e_sup == 0.0
         assert errors.e_diss == 0.0
         assert errors.e_total == 0.0
         assert errors.aux == 0.0
 
     def test_zero_horizon(self):
-        params = PhysParams()
-        shared = SharedConfig(spec=ScenarioSpec(params=params),
-                              scheme=SchemeConfig(t_end=0.0),
-                              grid=Grid1D(20.0, 256))
-        errors, record = run_pair(1e-3, shared)
+        config = parse_config({"grid": {"half_width": 20.0, "n_cells": 256},
+                               "scheme": {"t_end": 0.0}})
+        errors, record = run_pair(1e-3, config)
         assert errors.e_total == 0.0
         assert len(record.rows) == 1
 
-    def test_errors_positive_and_record_sound(self, small_shared):
-        errors, record = run_pair(1e-3, small_shared)
+    def test_errors_positive_and_record_sound(self, small_config):
+        errors, record = run_pair(1e-3, small_config)
         assert errors.e_sup > 0
         assert errors.e_total >= errors.e_sup
         record.validate()
@@ -122,47 +111,45 @@ class TestSweep:
         assert back.to_json() == text
 
     def test_degenerate_sweep_flagged(self):
-        params = PhysParams()
-        shared = SharedConfig(
-            spec=ScenarioSpec(params=params, a_rho=0.0, a_u=0.0, a_b=0.0),
-            scheme=SchemeConfig(t_end=0.05, n_samples=2),
-            grid=Grid1D(20.0, 256))
-        result = sweep([1e-2, 1e-3, 1e-4], shared, run_guard=False)
+        config = parse_config({"scenario": {"a_rho": 0.0, "a_u": 0.0, "a_b": 0.0},
+                               "scheme": {"t_end": 0.05, "n_samples": 2},
+                               "grid": {"half_width": 20.0, "n_cells": 256},
+                               "nu_list": [1e-2, 1e-3, 1e-4]})
+        result = sweep(config, run_guard=False)
         assert result.report.degenerate
         assert result.report.slope is None
         assert result.report.fit_skipped_reason is not None
 
-    def test_single_nu_skips_fit(self, small_shared):
-        result = sweep([1e-3], small_shared, run_guard=False)
+    def test_single_nu_skips_fit(self, small_config):
+        result = sweep(replace(small_config, nu_list=(1e-3,)), run_guard=False)
         assert result.report.slope is None
         assert "fewer than 3" in result.report.fit_skipped_reason
 
-    def test_narrow_span_skips_fit(self, small_shared):
-        result = sweep([1e-2, 5e-3, 2e-3], small_shared, run_guard=False)
+    def test_narrow_span_skips_fit(self, small_config):
+        result = sweep(replace(small_config, nu_list=(1e-2, 5e-3, 2e-3)), run_guard=False)
         assert "two decades" in result.report.fit_skipped_reason
 
-    def test_rejects_duplicate_nus(self, small_shared):
+    def test_rejects_duplicate_nus(self, small_config):
         with pytest.raises(ValueError, match="distinct"):
-            sweep([1e-2, 1e-2, 1e-3], small_shared)
+            sweep(replace(small_config, nu_list=(1e-2, 1e-2, 1e-3)))
 
-    def test_deterministic(self, small_shared, small_sweep):
-        again = sweep([1e-2, 1e-3, 1e-4], small_shared, config_fingerprint="test")
+    def test_deterministic(self, small_config, small_sweep):
+        again = sweep(small_config)
         assert again.report.to_json() == small_sweep.report.to_json()
         for (nu1, r1), (nu2, r2) in zip(again.records, small_sweep.records):
             assert nu1 == nu2 and r1.to_csv() == r2.to_csv()
 
-    def test_parallel_matches_serial(self, small_shared, small_sweep):
-        parallel = sweep([1e-2, 1e-3, 1e-4], small_shared, jobs=2,
-                         config_fingerprint="test")
+    def test_parallel_matches_serial(self, small_config, small_sweep):
+        parallel = sweep(small_config, jobs=2)
         assert parallel.report.to_json() == small_sweep.report.to_json()
 
     def test_failed_pairs_are_marked(self):
         # perturbation reaches the edge of a deliberately small domain
-        params = PhysParams()
-        shared = SharedConfig(spec=ScenarioSpec(params=params, sigma=1.0),
-                              scheme=SchemeConfig(t_end=2.0, n_samples=4),
-                              grid=Grid1D(5.0, 128))
-        result = sweep([1e-2, 1e-3, 1e-4], shared, run_guard=False)
+        config = parse_config({"scenario": {"sigma": 1.0},
+                               "scheme": {"t_end": 2.0, "n_samples": 4},
+                               "grid": {"half_width": 5.0, "n_cells": 128},
+                               "nu_list": [1e-2, 1e-3, 1e-4]})
+        result = sweep(config, run_guard=False)
         assert all(e.failed is not None for e in result.report.entries)
         assert "BoundaryMonitorError" in result.report.entries[0].failed
         assert result.report.fit_skipped_reason is not None

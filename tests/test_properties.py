@@ -77,7 +77,7 @@ def test_admissible_run_is_sound(raw):
 
     # conservative fluxes: total mass moves only through the far-field edges,
     # where the perturbation is exponentially small
-    rho0 = build_initial_state(config.spec, grid).rho
+    rho0 = build_initial_state(config.spec, params, grid).rho
     m0 = np.sum(rho0 - params.rho_bar) * grid.dx
     m1 = np.sum(final.rho - params.rho_bar) * grid.dx
     rounding = 1e-12 * params.rho_bar * 2.0 * grid.half_width

@@ -147,10 +147,10 @@ def make_state(gamma, mu, nu, rho_bar, b_bar, preset, a_rho, a_u, a_b, sigma, n)
     params = PhysParams(mu=mu, nu=nu, gamma=gamma, rho_bar=rho_bar, b_bar=b_bar)
     if preset == "interior_vacuum":
         a_b = -b_bar  # the field vanishes with the density, as the presets require
-    spec = ScenarioSpec(params=params, preset=preset, a_rho=a_rho, a_u=a_u, a_b=a_b,
+    spec = ScenarioSpec(preset=preset, a_rho=a_rho, a_u=a_u, a_b=a_b,
                         sigma=sigma)
     grid = Grid1D(max(20.0, 5.0 * sigma), n)
-    return build_initial_state(spec, grid), params, grid
+    return build_initial_state(spec, params, grid), params, grid
 
 
 @st.composite
@@ -214,7 +214,7 @@ def test_underflowing_slope_product_gives_zero_slope():
 
 @pytest.mark.parametrize("node", [0, 17, 255])
 def test_non_finite_state_reports_the_reference_node(node, params, grid):
-    state = build_initial_state(ScenarioSpec(params=params), grid)
+    state = build_initial_state(ScenarioSpec(), params, grid)
     state.b[node] = np.inf
     with np.errstate(invalid="ignore"):
         with pytest.raises(NumericalError) as want:
@@ -229,14 +229,14 @@ def test_outputs_do_not_alias_the_workspace(params):
     # state or another grid size, must not write into an earlier output
     scheme = SchemeConfig()
     grid = Grid1D(20.0, 256)
-    first_state = build_initial_state(ScenarioSpec(params=params), grid)
+    first_state = build_initial_state(ScenarioSpec(), params, grid)
     first = rhs(first_state, params, scheme, grid)
     kept = [a.copy() for a in (first.d_rho, first.d_mom, first.d_b)]
 
-    other = build_initial_state(ScenarioSpec(params=params, a_u=-0.3, a_b=0.4), grid)
+    other = build_initial_state(ScenarioSpec(a_u=-0.3, a_b=0.4), params, grid)
     rhs(other, params, scheme, grid)
     finer = Grid1D(20.0, 512)
-    rhs(build_initial_state(ScenarioSpec(params=params), finer), params, scheme, finer)
+    rhs(build_initial_state(ScenarioSpec(), params, finer), params, scheme, finer)
     for before, after in zip(kept, (first.d_rho, first.d_mom, first.d_b)):
         assert before.tobytes() == after.tobytes()
     assert_same_bits(rhs(first_state, params, scheme, grid),
@@ -254,7 +254,7 @@ def test_rhs_takes_no_page_faults_in_steady_state(n, params):
     # free and fault in again on the next call; the workspace avoids that
     resource = pytest.importorskip("resource")
     grid = Grid1D(20.0, n)
-    state = build_initial_state(ScenarioSpec(params=params), grid)
+    state = build_initial_state(ScenarioSpec(), params, grid)
     scheme = SchemeConfig()
     for _ in range(2):
         rhs(state, params, scheme, grid)

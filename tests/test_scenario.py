@@ -14,74 +14,66 @@ from mhd1d import (
 
 class TestBuildInitialState:
     def test_zero_perturbation_is_far_field(self, params, grid):
-        spec = ScenarioSpec(params=params, a_rho=0.0, a_u=0.0, a_b=0.0)
-        s = build_initial_state(spec, grid)
+        spec = ScenarioSpec(a_rho=0.0, a_u=0.0, a_b=0.0)
+        s = build_initial_state(spec, params, grid)
         assert np.all(s.rho == params.rho_bar)
         assert np.all(s.mom == 0.0)
         assert np.all(s.b == params.b_bar)
 
     def test_gaussian_center_value(self, params):
         grid = Grid1D(20.0, 255)  # odd: node exactly at x=0
-        spec = ScenarioSpec(params=params, a_rho=0.5, sigma=1.0)
-        s = build_initial_state(spec, grid)
+        spec = ScenarioSpec(a_rho=0.5, sigma=1.0)
+        s = build_initial_state(spec, params, grid)
         assert s.rho[127] == pytest.approx(1.5)
 
     def test_vacuum_touches_zero_at_center_node(self, params):
         grid = Grid1D(20.0, 255)
-        spec = ScenarioSpec(params=params, preset="interior_vacuum", sigma=2.0)
-        s = build_initial_state(spec, grid)
+        spec = ScenarioSpec(preset="interior_vacuum", sigma=2.0)
+        s = build_initial_state(spec, params, grid)
         assert s.rho[127] == 0.0
         assert np.all(s.rho >= 0.0)
 
     def test_far_field_deviation_at_five_sigma(self, params):
         sigma = 4.0
         grid = Grid1D(5.0 * sigma, 2048)
-        spec = ScenarioSpec(params=params, sigma=sigma)
-        s = build_initial_state(spec, grid)
+        spec = ScenarioSpec(sigma=sigma)
+        s = build_initial_state(spec, params, grid)
         scale = max(params.rho_bar, abs(params.b_bar), 1.0)
         for arr, far in ((s.rho, params.rho_bar), (s.mom, 0.0), (s.b, params.b_bar)):
             assert abs(arr[0] - far) / scale < 1e-10
             assert abs(arr[-1] - far) / scale < 1e-10
 
     def test_rejects_negative_density_amplitude(self, params, grid):
-        spec = ScenarioSpec(params=params, a_rho=-1.0)
+        spec = ScenarioSpec(a_rho=-1.0)
         with pytest.raises(ValueError, match="a_rho"):
-            build_initial_state(spec, grid)
+            build_initial_state(spec, params, grid)
 
     def test_rejects_small_domain(self, params):
-        spec = ScenarioSpec(params=params, sigma=2.0)
+        spec = ScenarioSpec(sigma=2.0)
         with pytest.raises(ValueError, match="domain too small"):
-            build_initial_state(spec, Grid1D(9.9, 256))
+            build_initial_state(spec, params, Grid1D(9.9, 256))
 
     def test_deterministic(self, params, grid, gaussian_spec):
-        a = build_initial_state(gaussian_spec, grid)
-        b = build_initial_state(gaussian_spec, grid)
+        a = build_initial_state(gaussian_spec, params, grid)
+        b = build_initial_state(gaussian_spec, params, grid)
         assert np.array_equal(a.rho, b.rho)
         assert np.array_equal(a.mom, b.mom)
         assert np.array_equal(a.b, b.b)
 
-    def test_custom_preset(self, params, grid):
-        spec = ScenarioSpec(params=params, preset="custom",
-                            custom_fields=(lambda x: 1.0 + 0 * x,
-                                           lambda x: 0 * x,
-                                           lambda x: 1.0 + 0 * x))
-        s = build_initial_state(spec, grid)
-        assert np.all(s.rho == 1.0)
-
     def test_unknown_preset_rejected(self, params):
         with pytest.raises(ValueError, match="preset"):
-            ScenarioSpec(params=params, preset="square_wave")
+            ScenarioSpec(preset="square_wave")
 
 
 class TestWeightedMoment:
     def test_constant_state_is_zero(self, params, grid):
-        spec = ScenarioSpec(params=params, a_rho=0.0, a_u=0.0, a_b=0.0)
-        s = build_initial_state(spec, grid)
+        spec = ScenarioSpec(a_rho=0.0, a_u=0.0, a_b=0.0)
+        s = build_initial_state(spec, params, grid)
         assert weighted_moment_check(s, params, grid) == 0.0
 
     def test_matches_independent_quadrature(self, params, gaussian_spec):
         grid = Grid1D(20.0, 2048)
-        s = build_initial_state(gaussian_spec, grid)
+        s = build_initial_state(gaussian_spec, params, grid)
         value = weighted_moment_check(s, params, grid)
 
         def integrand(x):
@@ -96,18 +88,18 @@ class TestWeightedMoment:
         assert value > 0.0
 
     def test_doubling_magnetic_amplitude_quadruples_its_share(self, params, grid):
-        base = ScenarioSpec(params=params, a_rho=0.1, a_u=0.1, a_b=0.1)
-        doubled = ScenarioSpec(params=params, a_rho=0.1, a_u=0.1, a_b=0.2)
-        off = ScenarioSpec(params=params, a_rho=0.1, a_u=0.1, a_b=0.0)
-        w_base = weighted_moment_check(build_initial_state(base, grid), params, grid)
-        w_doubled = weighted_moment_check(build_initial_state(doubled, grid), params, grid)
-        w_off = weighted_moment_check(build_initial_state(off, grid), params, grid)
+        base = ScenarioSpec(a_rho=0.1, a_u=0.1, a_b=0.1)
+        doubled = ScenarioSpec(a_rho=0.1, a_u=0.1, a_b=0.2)
+        off = ScenarioSpec(a_rho=0.1, a_u=0.1, a_b=0.0)
+        w_base = weighted_moment_check(build_initial_state(base, params, grid), params, grid)
+        w_doubled = weighted_moment_check(build_initial_state(doubled, params, grid), params, grid)
+        w_off = weighted_moment_check(build_initial_state(off, params, grid), params, grid)
         assert (w_doubled - w_off) == pytest.approx(4.0 * (w_base - w_off), rel=1e-12)
 
     def test_grid_convergence_at_least_second_order(self):
         # |x|^1.5 weight limits the trapezoid rule to O(dx^(alpha+1)) near 0
         params = PhysParams(alpha=1.5)
-        spec = ScenarioSpec(params=params)
+        spec = ScenarioSpec()
 
         def integrand(x):
             rho = 1.0 + 0.2 * np.exp(-x**2 / 4.0)
@@ -120,15 +112,16 @@ class TestWeightedMoment:
         errs = []
         for n in (64, 128, 256):
             g = Grid1D(20.0, n)
-            errs.append(abs(weighted_moment_check(build_initial_state(spec, g), params, g) - oracle))
+            state = build_initial_state(spec, params, g)
+            errs.append(abs(weighted_moment_check(state, params, g) - oracle))
         orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert min(orders) > 1.9
 
 
 class TestCompatibilityResidual:
     def test_constant_state(self, params, grid):
-        spec = ScenarioSpec(params=params, a_rho=0.0, a_u=0.0, a_b=0.0)
-        res = compatibility_residual(build_initial_state(spec, grid), params, grid)
+        spec = ScenarioSpec(a_rho=0.0, a_u=0.0, a_b=0.0)
+        res = compatibility_residual(build_initial_state(spec, params, grid), params, grid)
         assert res.g_l2 == pytest.approx(0.0, abs=1e-13)
         assert res.n_flagged == 0
 
@@ -136,15 +129,15 @@ class TestCompatibilityResidual:
         values = []
         for n in (512, 1024):
             g = Grid1D(20.0, n)
-            res = compatibility_residual(build_initial_state(gaussian_spec, g), params, g)
+            res = compatibility_residual(build_initial_state(gaussian_spec, params, g), params, g)
             assert np.isfinite(res.g_l2)
             values.append(res.g_l2)
         assert abs(values[1] - values[0]) / values[0] < 0.05
 
     def test_vacuum_flags_near_zero_nodes(self, params):
         grid = Grid1D(20.0, 2048)
-        spec = ScenarioSpec(params=params, preset="interior_vacuum", a_b=-params.b_bar)
-        res = compatibility_residual(build_initial_state(spec, grid), params, grid)
+        spec = ScenarioSpec(preset="interior_vacuum", a_b=-params.b_bar)
+        res = compatibility_residual(build_initial_state(spec, params, grid), params, grid)
         assert res.n_flagged > 0
         assert np.isfinite(res.g_l2)
         # flagged nodes report g = 0

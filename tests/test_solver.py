@@ -112,7 +112,7 @@ class TestRhs:
         assert np.allclose(out.d_rho, expected, atol=1e-14)
 
     def test_modes_differ_exactly_by_resistive_term(self, params, grid, gaussian_spec):
-        state = build_initial_state(gaussian_spec, grid)
+        state = build_initial_state(gaussian_spec, params, grid)
         scheme = SchemeConfig()
         out_r = rhs(state, params, scheme, grid)
         out_n = rhs(state, replace(params, nu=0.0), scheme, grid)
@@ -146,7 +146,7 @@ class TestStableDt:
         dts = []
         for n in (256, 512):
             g = Grid1D(20.0, n)
-            dts.append(stable_dt(build_initial_state(gaussian_spec, g), p, scheme, g))
+            dts.append(stable_dt(build_initial_state(gaussian_spec, params, g), p, scheme, g))
         assert dts[1] <= 0.5 * dts[0] * (1 + 1e-12)
 
     def test_zero_resistivity_uses_viscous_bound(self, grid):
@@ -167,8 +167,8 @@ class TestStableDt:
 
     def test_positive_and_finite_on_vacuum(self, params):
         grid = Grid1D(20.0, 256)
-        spec = ScenarioSpec(params=params, preset="interior_vacuum", a_b=-params.b_bar)
-        dt = stable_dt(build_initial_state(spec, grid), params, SchemeConfig(), grid)
+        spec = ScenarioSpec(preset="interior_vacuum", a_b=-params.b_bar)
+        dt = stable_dt(build_initial_state(spec, params, grid), params, SchemeConfig(), grid)
         assert np.isfinite(dt) and dt > 0
 
 
@@ -253,7 +253,7 @@ class TestRun:
 
     def test_no_clipping_on_standard_presets(self, params, grid):
         for preset, a_b in (("gaussian_bump", 0.2), ("interior_vacuum", -params.b_bar)):
-            spec = ScenarioSpec(params=params, preset=preset, a_b=a_b)
+            spec = ScenarioSpec(preset=preset, a_b=a_b)
             _, record = run(spec, params, SchemeConfig(t_end=0.2, n_samples=5),
                             grid)
             assert record.final("clip_count") == 0
@@ -274,7 +274,7 @@ class TestRun:
     def test_boundary_monitor_aborts(self):
         params = PhysParams()
         grid = Grid1D(5.0, 128)
-        spec = ScenarioSpec(params=params, sigma=1.0)
+        spec = ScenarioSpec(sigma=1.0)
         scheme = SchemeConfig(t_end=2.0, n_samples=10)
         with pytest.raises(BoundaryMonitorError):
             run(spec, params, scheme, grid)
@@ -294,7 +294,7 @@ class TestRunLockstep:
         p1 = replace(p0, nu=5.0)
         scheme = SchemeConfig(t_end=0.01, n_samples=2)
         sample_times = [scheme.t_end * k / scheme.n_samples for k in (1, 2)]
-        state = build_initial_state(gaussian_spec, grid)
+        state = build_initial_state(gaussian_spec, p0, grid)
         seen = []
 
         def observe(states, dt):
@@ -321,7 +321,7 @@ class TestRunLockstep:
             return out
 
         scheme = SchemeConfig(t_end=1e-3, n_samples=1)
-        state = build_initial_state(gaussian_spec, grid)
+        state = build_initial_state(gaussian_spec, params, grid)
         members = [(state, params), (state.copy(), replace(params, nu=0.0))]
         _, record = run_lockstep(members, scheme, grid, rhs_fn=rhs_fn)
         assert record.final("clip_count") > 0
@@ -331,14 +331,14 @@ class TestRunLockstep:
     def test_single_member_is_run(self, params, grid, gaussian_spec):
         scheme = SchemeConfig(t_end=0.05, n_samples=3)
         final, record = run(gaussian_spec, params, scheme, grid)
-        (state,), record2 = run_lockstep([(build_initial_state(gaussian_spec, grid), params)],
-                                         scheme, grid)
+        state0 = build_initial_state(gaussian_spec, params, grid)
+        (state,), record2 = run_lockstep([(state0, params)], scheme, grid)
         assert np.array_equal(state.b, final.b)
         assert record2.to_csv() == record.to_csv()
 
     def test_telemetry_counts_steps_evaluations_and_bounds(self, params, grid, gaussian_spec):
         scheme = SchemeConfig(t_end=0.05, n_samples=3, time_integrator="ssp_rk3")
-        state = build_initial_state(gaussian_spec, grid)
+        state = build_initial_state(gaussian_spec, params, grid)
         members = [(state, params), (state.copy(), replace(params, nu=0.0))]
         dts = []
         _, record = run_lockstep(members, scheme, grid, observe=lambda states, dt: dts.append(dt))
@@ -352,7 +352,7 @@ class TestRunLockstep:
     def test_abort_carries_the_record_so_far(self):
         params = PhysParams()
         grid = Grid1D(5.0, 128)
-        spec = ScenarioSpec(params=params, sigma=1.0)
+        spec = ScenarioSpec(sigma=1.0)
         scheme = SchemeConfig(t_end=2.0, n_samples=10)
         with pytest.raises(BoundaryMonitorError) as err:
             run(spec, params, scheme, grid)
@@ -363,7 +363,7 @@ class TestRunLockstep:
         record.validate()
 
     def test_max_steps_guard(self, params, grid, gaussian_spec):
-        state = build_initial_state(gaussian_spec, grid)
+        state = build_initial_state(gaussian_spec, params, grid)
         with pytest.raises(SimulationError, match="exceeded 2 steps"):
             run_lockstep([(state, params)], SchemeConfig(t_end=1.0, n_samples=1), grid,
                          max_steps=2)
