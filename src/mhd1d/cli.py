@@ -25,7 +25,7 @@ from pathlib import Path
 
 from . import __version__, battery
 from .config import RunConfig, load_config
-from .diagnostics import DiagnosticsRecord, RunTelemetry
+from .diagnostics import DiagnosticsRecord
 from .errors import BoundaryMonitorError, ConfigError, NumericalError, SimulationError
 from .limit_study import sweep
 from .solver import run, save_checkpoint
@@ -171,7 +171,7 @@ def cmd_sweep(args) -> int:
     wall_s = {"integrate": integrated - start, "write": time.perf_counter() - integrated}
     guard = result.report.guard.telemetry
     telemetry = {
-        "pairs": RunTelemetry.combined(rec.telemetry for _, rec in result.records).as_dict(),
+        "pairs": result.telemetry.as_dict(),
         "guard": guard.as_dict() if guard is not None else None,
     }
     _write_manifest(outdir, config, started, outputs, clip_total, telemetry, wall_s)
@@ -234,7 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_swp.add_argument("--config", required=True, help="path to a JSON run configuration")
     p_swp.add_argument("--output-dir", default=None, help="override the output directory")
     p_swp.add_argument("--jobs", type=_positive_int, default=None,
-                       help="parallel pair processes (default: the configuration's jobs)")
+                       help="with 2 or more, run the guard pair in a worker process beside "
+                            "the sweep group (default: the configuration's jobs)")
     p_swp.set_defaults(func=cmd_sweep)
 
     p_ver = sub.add_parser("verify", help="run the built-in verification battery")

@@ -80,18 +80,32 @@ class RunConfig:
         return json.dumps(self.as_dict(), sort_keys=True, indent=2) + "\n"
 
 
-def _merge_section(raw: dict, section: str, problems: list[str]) -> dict:
+# Accepted JSON types of a field, by the type of its default; bools are never numbers.
+_NUMBERS = {float: ((int, float), "a number"), int: ((int,), "an integer")}
+
+
+def _merge_section(raw: dict, section: str, problems: list[str]) -> tuple[dict, bool]:
+    """The section's given values over its defaults, and whether every value had its type.
+
+    A value of the wrong type is reported and its default kept in its place.
+    """
     merged = dict(DEFAULTS[section])
     given = raw.get(section, {})
     if not isinstance(given, dict):
         problems.append(f"{section}: expected an object, got {type(given).__name__}")
-        return merged
+        return merged, True
+    typed = True
     for key, value in given.items():
         if key not in merged:
             problems.append(f"{section}.{key}: unknown field")
+            continue
+        accepted, kind = _NUMBERS.get(type(merged[key]), (None, None))
+        if accepted and (isinstance(value, bool) or not isinstance(value, accepted)):
+            problems.append(f"{section}.{key}: must be {kind}, got {value!r}")
+            typed = False
         else:
             merged[key] = value
-    return merged
+    return merged, typed
 
 
 def parse_config(raw: dict) -> RunConfig:
@@ -106,15 +120,20 @@ def parse_config(raw: dict) -> RunConfig:
         if key not in DEFAULTS:
             problems.append(f"{key}: unknown field")
 
-    # Each section is validated on its own, so one bad section hides no other's problems.
+    # Each section is validated on its own, so one bad section hides no other's
+    # problems; a section with a mistyped value is checked but not kept.
     sections = {"physics": PhysParams, "scenario": ScenarioSpec, "grid": Grid1D,
                 "scheme": SchemeConfig}
     built = {}
     for section, cls in sections.items():
+        merged, typed = _merge_section(raw, section, problems)
         try:
-            built[section] = cls(**_merge_section(raw, section, problems))
+            value = cls(**merged)
         except (ValueError, TypeError) as exc:
             problems.extend(f"{section}: {p}" for p in str(exc).split("; "))
+        else:
+            if typed:
+                built[section] = value
     params, spec, grid, scheme = (built.get(section) for section in sections)
 
     mode = raw.get("mode", DEFAULTS["mode"])

@@ -107,6 +107,16 @@ class State:
         if (self.rho < 0).any():
             raise ValueError("density must be non-negative at every node")
 
+    @classmethod
+    def _unchecked(cls, rho: FieldScalar, mom: FieldScalar, b: FieldScalar, t: float) -> "State":
+        """A State built without ``__post_init__``, for fields valid by construction.
+
+        The RK stages use it: they clip the density to >= 0 themselves.
+        """
+        state = object.__new__(cls)
+        state.rho, state.mom, state.b, state.t = rho, mom, b, t
+        return state
+
     def velocity(self, out: FieldScalar | None = None) -> FieldScalar:
         """u = m / max(rho, floor); the floor only guards division.
 
@@ -145,11 +155,15 @@ def viscous_velocity(mom: FieldScalar, rho: FieldScalar, rho_bar: float,
     return np.divide(mom, out, out=out)
 
 
-def derivative(values: FieldScalar, dx: float) -> FieldScalar:
-    """First derivative: central interior, one-sided second order at the ends."""
+def derivative(values: FieldScalar, dx: float, out: FieldScalar | None = None) -> FieldScalar:
+    """First derivative: central interior, one-sided second order at the ends.
+
+    With ``out`` (not aliasing ``values``) the result is written there.
+    """
     f = np.asarray(values, dtype=float)
-    out = np.empty_like(f)
-    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * dx)
+    out = np.empty_like(f) if out is None else out
+    np.subtract(f[2:], f[:-2], out=out[1:-1])
+    out[1:-1] /= 2.0 * dx
     out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * dx)
     out[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * dx)
     return out

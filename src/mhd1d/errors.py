@@ -5,10 +5,12 @@ class SimulationError(Exception):
     """Base class for runtime failures of a simulation.
 
     When raised from the time loop, ``record`` holds the diagnostics record
-    gathered up to the failure (rows and run telemetry).
+    gathered up to the failure (rows and run telemetry) and ``member`` the
+    index of the lockstep member that failed.
     """
 
     record = None
+    member = None
 
 
 class NumericalError(SimulationError):
@@ -42,6 +44,10 @@ class BoundaryMonitorError(SimulationError):
         )
         self.time = time
         self.deviation = deviation
+
+    def __reduce__(self):
+        # rebuild from the constructor's arguments; record and member ride in __dict__
+        return type(self), (self.time, self.deviation), self.__dict__
 
 
 class ConfigError(ValueError):

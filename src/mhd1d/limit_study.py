@@ -1,9 +1,10 @@
 """Vanishing-resistivity convergence study.
 
-For each resistivity nu a resistive and a non-resistive (nu = 0) run advance
-in lockstep on the same grid with the identical dt sequence (the smaller of
-the two members' stability bounds), so time-discretization and flux-scheme
-dissipation cancel in their difference.  The per-nu error functionals
+One resistive run per resistivity nu and a single non-resistive (nu = 0)
+reference advance in lockstep on the same grid with the identical dt
+sequence (the smallest of the members' stability bounds), so
+time-discretization and flux-scheme dissipation cancel in each resistive
+run's difference from the reference.  The per-nu error functionals
 
     e_sup  = sup_t (||rho - rho~||^2 + ||u - u~||^2 + ||b - b~||^2)  (L2, squared)
     e_diss = int_0^T mu ||(u - u~)_x||^2 dt
@@ -18,8 +19,9 @@ than discretization residue.
 
 from __future__ import annotations
 
+import contextlib
 import json
-from concurrent.futures import ProcessPoolExecutor
+import multiprocessing
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -52,44 +54,58 @@ class PairErrors:
         return asdict(self)
 
 
-def run_pair(nu: float, config: RunConfig) -> tuple[PairErrors, DiagnosticsRecord]:
-    """Evolve the resistive(nu) and non-resistive systems in lockstep.
+def run_group(nus, config: RunConfig) -> tuple[list[PairErrors], list[DiagnosticsRecord]]:
+    """Evolve one resistive member per nu and one shared non-resistive reference in lockstep.
 
-    Both start from the configured scenario, physics and grid; only nu differs.
-    Returns the error functionals of the pair and the resistive member's
-    diagnostics record (used by the resistivity-independence audit).
+    Every member starts from the configured scenario, physics and grid; only
+    nu differs.  Returns the error functionals of each resistive member
+    against the reference and each resistive member's diagnostics record
+    (used by the resistivity-independence audit), both in the order of
+    ``nus``.  A failure leaves with ``exc.member``, the index into ``nus`` of
+    the member that raised, or ``len(nus)`` for the reference.
     """
     grid = config.grid
     dx = grid.dx
-    params = replace(config.params, nu=nu)
-    state = build_initial_state(config.spec, params, grid)
-    errors = PairErrors(nu=nu)
-    g_prev = h_prev = 0.0  # e_diss and aux integrands at the previous step
-    du, scratch, square = (np.empty(grid.n_cells) for _ in range(3))
+    mu = config.params.mu
+    reference = replace(config.params, nu=0.0)
+    state = build_initial_state(config.spec, reference, grid)
+    errors = [PairErrors(nu=nu) for nu in nus]
+    g_prev = [0.0] * len(nus)  # e_diss integrand of each member at the previous step
+    h_prev = [0.0] * len(nus)  # aux integrand
+    ref_u, du, scratch, square = (np.empty(grid.n_cells) for _ in range(4))
 
     def l2sq(values: np.ndarray) -> float:
         return float(np.square(values, out=square).sum() * dx)
 
     def observe(states, dt):
-        nonlocal g_prev, h_prev
-        state_r, state_n = states
-        np.subtract(state_r.velocity(out=du), state_n.velocity(out=scratch), out=du)
-        d_rho = l2sq(np.subtract(state_r.rho, state_n.rho, out=scratch))
-        d_u = l2sq(du)
-        d_b = l2sq(np.subtract(state_r.b, state_n.b, out=scratch))
-        errors.e_sup_rho = max(errors.e_sup_rho, d_rho)
-        errors.e_sup_u = max(errors.e_sup_u, d_u)
-        errors.e_sup_b = max(errors.e_sup_b, d_b)
-        errors.e_sup = max(errors.e_sup, d_rho + d_u + d_b)
-        g = params.mu * l2sq(derivative(du, dx))
-        h = nu**2 * l2sq(derivative(state_r.b, dx))
-        errors.e_diss += 0.5 * dt * (g_prev + g)
-        errors.aux += 0.5 * dt * (h_prev + h)
-        g_prev, h_prev = g, h
+        state_n = states[-1]
+        state_n.velocity(out=ref_u)
+        for i, (state_r, e, nu) in enumerate(zip(states, errors, nus)):
+            np.subtract(state_r.velocity(out=du), ref_u, out=du)
+            d_rho = l2sq(np.subtract(state_r.rho, state_n.rho, out=scratch))
+            d_u = l2sq(du)
+            d_b = l2sq(np.subtract(state_r.b, state_n.b, out=scratch))
+            e.e_sup_rho = max(e.e_sup_rho, d_rho)
+            e.e_sup_u = max(e.e_sup_u, d_u)
+            e.e_sup_b = max(e.e_sup_b, d_b)
+            e.e_sup = max(e.e_sup, d_rho + d_u + d_b)
+            g = mu * l2sq(derivative(du, dx, out=scratch))
+            h = nu**2 * l2sq(derivative(state_r.b, dx, out=scratch))
+            e.e_diss += 0.5 * dt * (g_prev[i] + g)
+            e.aux += 0.5 * dt * (h_prev[i] + h)
+            g_prev[i], h_prev[i] = g, h
 
-    _, record = run_lockstep([(state, params), (state.copy(), replace(params, nu=0.0))],
-                             config.scheme, grid, observe=observe)
-    errors.e_total = errors.e_sup + errors.e_diss
+    members = [(state.copy(), replace(config.params, nu=nu)) for nu in nus]
+    _, records = run_lockstep(members + [(state, reference)], config.scheme, grid,
+                              observe=observe, recorded=len(nus))
+    for e in errors:
+        e.e_total = e.e_sup + e.e_diss
+    return errors, records
+
+
+def run_pair(nu: float, config: RunConfig) -> tuple[PairErrors, DiagnosticsRecord]:
+    """The resistive(nu) and non-resistive runs in lockstep: the one-member group."""
+    (errors,), (record,) = run_group([nu], config)
     return errors, record
 
 
@@ -136,14 +152,21 @@ class GuardResult:
                 "ratio": ratio, "passed": self.passed}
 
 
-def grid_pollution_guard(nu_min: float, signal: float, config: RunConfig) -> GuardResult:
-    """Re-measure e_total(nu_min) on a doubled grid and compare."""
-    fine = replace(config, grid=Grid1D(config.grid.half_width, 2 * config.grid.n_cells))
-    errors_fine, record = run_pair(nu_min, fine)
+def _doubled(config: RunConfig) -> RunConfig:
+    return replace(config, grid=Grid1D(config.grid.half_width, 2 * config.grid.n_cells))
+
+
+def _guard_result(signal: float, fine_pair: tuple[PairErrors, DiagnosticsRecord]) -> GuardResult:
+    errors_fine, record = fine_pair
     proxy = abs(signal - errors_fine.e_total)
     ratio = signal / proxy if proxy > 0 else float("inf")
     return GuardResult(proxy=proxy, signal=signal, ratio=ratio,
                        passed=ratio >= GUARD_FACTOR, telemetry=record.telemetry)
+
+
+def grid_pollution_guard(nu_min: float, signal: float, config: RunConfig) -> GuardResult:
+    """Re-measure e_total(nu_min) on a doubled grid and compare."""
+    return _guard_result(signal, run_pair(nu_min, _doubled(config)))
 
 
 @dataclass
@@ -184,24 +207,57 @@ class ConvergenceReport:
 class SweepResult:
     report: ConvergenceReport
     records: list  # (nu, DiagnosticsRecord) for the resistive members
+    telemetry: RunTelemetry  # counters of the lockstep group, summed over its re-runs
 
 
-def _pair_task(args):
-    nu, config = args
-    try:
-        errors, record = run_pair(nu, config)
-        return nu, errors, record, None
-    except SimulationError as exc:
-        return nu, None, None, f"{type(exc).__name__}: {exc}"
+def _sweep_group(nus: list, config: RunConfig) -> tuple[list, list, RunTelemetry]:
+    """Run the lockstep group over ``nus``, dropping each member that fails.
+
+    A failed member is marked with its own message and the group re-runs
+    from t = 0 without it; when the reference fails, every remaining nu
+    fails with its message.  Returns the entry of every nu in order, the
+    (nu, record) pairs of the survivors and the counters of every attempt.
+    """
+    live = list(nus)
+    failed = {}
+    spent = []
+    errors, records = [], []
+    while live:
+        try:
+            errors, records = run_group(live, config)
+            spent.append(records[0].telemetry)
+            break
+        except SimulationError as exc:
+            spent.append(exc.record.telemetry)
+            single = exc.member is not None and exc.member < len(live)
+            for nu in [live[exc.member]] if single else list(live):
+                failed[nu] = f"{type(exc).__name__}: {exc}"
+                live.remove(nu)
+    done = dict(zip(live, errors))
+    entries = [done[nu] if nu in done else PairErrors(nu=nu, failed=failed[nu]) for nu in nus]
+    return entries, list(zip(live, records)), RunTelemetry.combined(spent)
+
+
+def _unfit_reason(nus: list) -> str | None:
+    """Why a rate fit over these resistivities would be skipped, if it would."""
+    if len(nus) < 3:
+        return "fewer than 3 usable resistivity values"
+    if max(nus) < MIN_DECADES_SPAN * min(nus):
+        return "resistivity values span fewer than two decades"
+    return None
 
 
 def sweep(config: RunConfig, jobs: int = 1, run_guard: bool = True) -> SweepResult:
-    """Run one matched pair per nu in ``config.nu_list``, fit the rates, apply the guard.
+    """Run one lockstep group over ``config.nu_list``, fit the rates, apply the guard.
 
-    Pairs are independent; with jobs > 1 they execute in separate processes.
-    ``jobs`` is separate from ``config.jobs`` so that ``sweep --jobs`` can
-    override it without changing the fingerprint the report carries.  Failed
-    pairs are recorded and excluded from the fit.
+    The group holds one resistive member per nu and a shared non-resistive
+    reference.  Failed members are recorded and excluded from the fit.  With
+    jobs > 1 the guard's doubled-grid pair runs in a worker process beside
+    the group, started whenever the nu list allows a fit; its result, a
+    failure included, is used only if the guard is due, so the report does
+    not depend on ``jobs``.  ``jobs`` is separate from ``config.jobs`` so that
+    ``sweep --jobs`` can override it without changing the fingerprint the
+    report carries.
     """
     requested = [float(v) for v in config.nu_list]
     nus = sorted(set(requested), reverse=True)
@@ -210,51 +266,45 @@ def sweep(config: RunConfig, jobs: int = 1, run_guard: bool = True) -> SweepResu
     if any(v < 0 for v in nus):
         raise ValueError("nu values must be non-negative")
 
-    tasks = [(nu, config) for nu in nus]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_pair_task, tasks))
-    else:
-        results = [_pair_task(t) for t in tasks]
+    early = jobs > 1 and run_guard and _unfit_reason(nus) is None
+    # spawn, not fork: the worker starts from a fresh import of this package
+    with (multiprocessing.get_context("spawn").Pool(1) if early
+          else contextlib.nullcontext()) as pool:
+        early_guard = (pool.apply_async(run_pair, (min(nus), _doubled(config)))
+                       if pool is not None else None)
+        entries, records, telemetry = _sweep_group(nus, config)
 
-    entries = []
-    records = []
-    for nu, errors, record, failure in results:
-        if failure is not None:
-            entries.append(PairErrors(nu=nu, failed=failure))
-        else:
-            entries.append(errors)
-            records.append((nu, record))
+        report = ConvergenceReport(nu_values=nus, entries=entries,
+                                   config_fingerprint=config.fingerprint())
+        good = [e for e in entries if e.failed is None]
+        report.fit_skipped_reason = _unfit_reason([e.nu for e in good])
+        if report.fit_skipped_reason is None and any(e.e_total <= 0 for e in good):
+            report.degenerate = True
+            report.fit_skipped_reason = "degenerate sweep: non-positive error functionals"
+        if report.fit_skipped_reason is None:
+            xs = [e.nu for e in good]
+            report.slope, report.intercept, report.fit_rms = fit_rate(xs, [e.e_total for e in good])
+            for attr, values in (("slope_u", [e.e_sup_u for e in good]),
+                                 ("slope_aux", [e.aux for e in good])):
+                if all(v > 0 for v in values):
+                    setattr(report, attr, fit_rate(xs, values)[0])
+            report.superlinear_flagged = report.slope > SUPERLINEAR_SLOPE
 
-    report = ConvergenceReport(nu_values=nus, entries=entries,
-                               config_fingerprint=config.fingerprint())
-    good = [e for e in entries if e.failed is None]
-    if len(good) < 3:
-        report.fit_skipped_reason = "fewer than 3 usable resistivity values"
-    elif max(e.nu for e in good) < MIN_DECADES_SPAN * min(e.nu for e in good):
-        report.fit_skipped_reason = "resistivity values span fewer than two decades"
-    elif any(e.e_total <= 0 for e in good):
-        report.degenerate = True
-        report.fit_skipped_reason = "degenerate sweep: non-positive error functionals"
-    else:
-        xs = [e.nu for e in good]
-        report.slope, report.intercept, report.fit_rms = fit_rate(xs, [e.e_total for e in good])
-        for attr, values in (("slope_u", [e.e_sup_u for e in good]),
-                             ("slope_aux", [e.aux for e in good])):
-            if all(v > 0 for v in values):
-                setattr(report, attr, fit_rate(xs, values)[0])
-        report.superlinear_flagged = report.slope > SUPERLINEAR_SLOPE
-
-    if run_guard and report.fit_skipped_reason is None and not report.degenerate:
-        smallest = min(good, key=lambda e: e.nu)
-        report.guard = grid_pollution_guard(smallest.nu, smallest.e_total, config)
-    return SweepResult(report=report, records=records)
+            if run_guard:
+                smallest = min(good, key=lambda e: e.nu)
+                if early_guard is not None and smallest.nu == min(nus):
+                    # get() re-raises the worker's failure here, where a serial sweep fails
+                    report.guard = _guard_result(smallest.e_total, early_guard.get())
+                else:
+                    report.guard = grid_pollution_guard(smallest.nu, smallest.e_total, config)
+    return SweepResult(report=report, records=records, telemetry=telemetry)
 
 
 __all__ = [
     "GUARD_FACTOR",
     "SUPERLINEAR_SLOPE",
     "PairErrors",
+    "run_group",
     "run_pair",
     "fit_rate",
     "GuardResult",

@@ -12,8 +12,9 @@ piecewise-constant or MUSCL/minmod reconstruction of the conserved variables
 (rho, m, b); diffusion terms are second-order central and integrated
 explicitly.  Far-field Dirichlet values enter through two ghost cells per
 side.  One driver advances any number of runs on a shared dt sequence: a
-single run is one member, a matched pair is two.  Everything is plain
-sequential numpy, so repeated runs are bit-reproducible.
+single run is one member, a sweep group is one member per resistivity plus
+a shared non-resistive reference.  Everything is plain sequential numpy, so
+repeated runs are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .core import (
     PhysParams,
     RhsOutput,
     State,
-    fast_speed_state,
     viscous_floor,
     viscous_velocity,
 )
@@ -78,7 +78,7 @@ class SchemeConfig:
 
 
 class _Workspace:
-    """Scratch arrays of ``rhs`` for one grid size.
+    """Scratch arrays of ``rhs`` and ``stable_dt`` for one grid size.
 
     Stacked arrays hold one row per conserved field (0 rho, 1 m, 2 b), and
     every row is w = n + 4 long, the ghost-extended length.  The slope
@@ -118,6 +118,8 @@ class _Workspace:
         self.rho_safe, self.u, self.work, self.speed = scratch[:8 * w].reshape(4, 2, w)
         # interface flux
         self.f_hat, self.jump = scratch[:6 * w].reshape(2, 3, w)
+        # stable_dt: max(rho, RHO_FLOOR), |u|, and the two terms under the root
+        self.speed_terms = np.empty((4, n))
 
 
 _workspace: _Workspace | None = None
@@ -246,52 +248,79 @@ def rhs(state: State, params: PhysParams, scheme: SchemeConfig, grid: Grid1D) ->
 
 def _diffusive_dt(state: State, params: PhysParams, scheme: SchemeConfig, grid: Grid1D) -> float:
     """The dx^2 restriction of explicit viscosity and resistivity."""
-    rho_min = max(float(np.maximum(state.rho, RHO_FLOOR).min()),
-                  viscous_floor(params.rho_bar))
+    rho_min = max(float(state.rho.min()), viscous_floor(params.rho_bar))
     diff_coef = max(params.mu / rho_min, params.nu)
     return scheme.diffusion_number * grid.dx**2 / diff_coef
 
 
 def stable_dt(state: State, params: PhysParams, scheme: SchemeConfig, grid: Grid1D) -> float:
-    """Explicit step bound: advective CFL and the diffusive dx^2 restriction."""
-    dt_adv = scheme.cfl_number * grid.dx / float(fast_speed_state(state, params).max())
+    """Explicit step bound: advective CFL and the diffusive dx^2 restriction.
+
+    The fast speed is ``core.fast_speed`` evaluated in workspace arrays, with
+    the same operations in the same order.
+    """
+    rho_safe, u, sound, magnetic = _workspace_for(grid.n_cells).speed_terms
+    np.maximum(state.rho, RHO_FLOOR, out=rho_safe)
+    np.divide(state.mom, rho_safe, out=u)
+    sound[...] = rho_safe
+    sound **= params.gamma - 1.0
+    sound *= params.gamma
+    np.square(state.b, out=magnetic)
+    magnetic /= rho_safe
+    sound += magnetic
+    np.sqrt(sound, out=sound)
+    np.abs(u, out=u)
+    u += sound
+    dt_adv = scheme.cfl_number * grid.dx / float(u.max())
     return min(dt_adv, _diffusive_dt(state, params, scheme, grid))
 
 
+def _fields(state: State) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return state.rho, state.mom, state.b
+
+
 def _euler_stage(state: State, dt: float, params, scheme, grid, rhs_fn):
+    """q + dt*d for every field into fresh arrays, density clipped to >= 0."""
     out = rhs_fn(state, params, scheme, grid)
-    rho = state.rho + dt * out.d_rho
+    rho, mom, b = (np.multiply(d, dt) for d in (out.d_rho, out.d_mom, out.d_b))
+    rho += state.rho
+    mom += state.mom
+    b += state.b
     clipped = np.count_nonzero(rho < 0.0)
     if clipped:
-        rho = np.maximum(rho, 0.0)
-    return State(rho, state.mom + dt * out.d_mom, state.b + dt * out.d_b,
-                 state.t + dt), clipped
+        np.maximum(rho, 0.0, out=rho)
+    return State._unchecked(rho, mom, b, state.t + dt), clipped
 
 
 def step(state: State, dt: float, params: PhysParams, scheme: SchemeConfig,
          grid: Grid1D, rhs_fn=None) -> tuple[State, int]:
     """Advance one SSP Runge-Kutta step; returns the new state and the number
-    of nodes where the density had to be clipped to zero."""
+    of nodes where the density had to be clipped to zero.
+
+    Each RK combination is written into the arrays of the stage just
+    computed, which nothing else holds; the new state shares no memory with
+    ``state``.
+    """
     rhs_fn = rhs_fn or rhs
     s1, c1 = _euler_stage(state, dt, params, scheme, grid, rhs_fn)
-    if scheme.time_integrator == "ssp_rk2":
-        s2, c2 = _euler_stage(s1, dt, params, scheme, grid, rhs_fn)
-        new = State(0.5 * (state.rho + s2.rho),
-                    0.5 * (state.mom + s2.mom),
-                    0.5 * (state.b + s2.b),
-                    state.t + dt)
-        return new, c1 + c2
     s2, c2 = _euler_stage(s1, dt, params, scheme, grid, rhs_fn)
-    mid = State(0.75 * state.rho + 0.25 * s2.rho,
-                0.75 * state.mom + 0.25 * s2.mom,
-                0.75 * state.b + 0.25 * s2.b,
-                state.t + 0.5 * dt)
-    s3, c3 = _euler_stage(mid, dt, params, scheme, grid, rhs_fn)
-    new = State(state.rho / 3.0 + 2.0 / 3.0 * s3.rho,
-                state.mom / 3.0 + 2.0 / 3.0 * s3.mom,
-                state.b / 3.0 + 2.0 / 3.0 * s3.b,
-                state.t + dt)
-    return new, c1 + c2 + c3
+    if scheme.time_integrator == "ssp_rk2":
+        for q, new in zip(_fields(state), _fields(s2)):  # 0.5 * (q + s2)
+            new += q
+            new *= 0.5
+        s2.t = state.t + dt
+        return s2, c1 + c2
+    scaled = np.empty_like(state.rho)
+    for q, mid in zip(_fields(state), _fields(s2)):      # 0.75 * q + 0.25 * s2
+        mid *= 0.25
+        mid += np.multiply(q, 0.75, out=scaled)
+    s2.t = state.t + 0.5 * dt
+    s3, c3 = _euler_stage(s2, dt, params, scheme, grid, rhs_fn)
+    for q, new in zip(_fields(state), _fields(s3)):      # q / 3 + 2/3 * s3
+        new *= 2.0 / 3.0
+        new += np.divide(q, 3.0, out=scaled)
+    s3.t = state.t + dt
+    return s3, c1 + c2 + c3
 
 
 def check_boundary(state: State, params: PhysParams) -> float:
@@ -300,52 +329,60 @@ def check_boundary(state: State, params: PhysParams) -> float:
     Returns the largest deviation from the far field over those nodes.
     """
     k = BOUNDARY_NODES
-    edges = np.concatenate((state.rho[:k], state.rho[-k:], state.mom[:k], state.mom[-k:],
-                            state.b[:k], state.b[-k:]))
-    edges -= np.repeat((params.rho_bar, 0.0, params.b_bar), 2 * k)
-    dev = float(np.abs(edges, out=edges).max())
+    dev = 0.0
+    for q, far in ((state.rho, params.rho_bar), (state.mom, 0.0), (state.b, params.b_bar)):
+        for edge in (q[:k], q[-k:]):
+            for value in edge.tolist():
+                dev = max(dev, abs(value - far))
     if dev > BOUNDARY_TOLERANCE:
         raise BoundaryMonitorError(time=state.t, deviation=dev)
     return dev
 
 
 def run_lockstep(members: list[tuple[State, PhysParams]], scheme: SchemeConfig,
-                 grid: Grid1D, rhs_fn=None, observe=None,
-                 max_steps: int = 10_000_000) -> tuple[list[State], diagnostics.DiagnosticsRecord]:
+                 grid: Grid1D, rhs_fn=None, observe=None, max_steps: int = 10_000_000,
+                 recorded: int = 1) -> tuple[list[State], list[diagnostics.DiagnosticsRecord]]:
     """Integrate every (state, params) member from t = 0 to t_end on one dt sequence.
 
     dt is the smallest stable step over all members, clipped so that the
     uniform sample times are hit exactly; this keeps records from different
-    runs directly comparable.  Member 0 carries the dissipation accumulators
-    (trapezoid in time, advanced every accepted step) and the diagnostics
-    record; density clips of every member are counted.  ``observe(states, dt)``
-    is called at t = 0 with dt = 0 and after every accepted step.  The
-    record's telemetry counts steps, rhs evaluations and the bound that set
-    each dt.  A ``SimulationError`` leaves with the record gathered so far
-    attached as ``exc.record``.
+    runs directly comparable.  Each of the first ``recorded`` members carries
+    its own dissipation accumulators (trapezoid in time, advanced every
+    accepted step) and diagnostics record.  A recorded member's clip count
+    holds its own density clips plus those of every unrecorded member.
+    ``observe(states, dt)`` is called at t = 0 with dt = 0 and after every
+    accepted step.  The records share one telemetry, counting the group's
+    steps, rhs evaluations and the bound that set each dt.
+
+    A ``SimulationError`` leaves with ``exc.member``, the index of the member
+    that raised (None when no single member did), and ``exc.record``, that
+    member's record so far (member 0's when it carries none).
     """
     rhs_fn = rhs_fn or rhs
     stages = STAGES[scheme.time_integrator]
     states = [s for s, _ in members]
     params = [p for _, p in members]
-    record = diagnostics.DiagnosticsRecord()
-    telemetry = record.telemetry
-    accum = diagnostics.Accumulators()
+    telemetry = diagnostics.RunTelemetry()
+    records = [diagnostics.DiagnosticsRecord(telemetry=telemetry) for _ in range(recorded)]
+    accums = [diagnostics.Accumulators() for _ in range(recorded)]
 
-    def check_members():
-        for s, p in zip(states, params):
-            telemetry.peak_boundary_deviation = max(telemetry.peak_boundary_deviation,
-                                                    check_boundary(s, p))
+    def check(i):
+        telemetry.peak_boundary_deviation = max(telemetry.peak_boundary_deviation,
+                                                check_boundary(states[i], params[i]))
 
-    def record_sample():
-        out = rhs_fn(states[0], params[0], scheme, grid)
+    def record_sample(i):
+        out = rhs_fn(states[i], params[i], scheme, grid)
         telemetry.rhs_evals += 1
-        record.append(diagnostics.sample(states[0], out, params[0], grid, accum))
+        records[i].append(diagnostics.sample(states[i], out, params[i], grid, accums[i]))
 
+    member = None
     try:
-        check_members()
-        accum.start(states[0], params[0], grid)
-        record_sample()
+        for member in range(len(states)):
+            check(member)
+        for member in range(recorded):
+            accums[member].start(states[member], params[member], grid)
+            record_sample(member)
+        member = None
         if observe is not None:
             observe(states, 0.0)
         t_end = scheme.t_end
@@ -363,33 +400,43 @@ def run_lockstep(members: list[tuple[State, PhysParams]], scheme: SchemeConfig,
                 telemetry.dt_advective += 1
             else:
                 telemetry.dt_diffusive += 1
-            for i, p in enumerate(params):
-                states[i], clips = step(states[i], dt, p, scheme, grid, rhs_fn)
+            for member, p in enumerate(params):
+                states[member], clips = step(states[member], dt, p, scheme, grid, rhs_fn)
                 telemetry.rhs_evals += stages
-                accum.clip_count += clips
+                if member < recorded:
+                    accums[member].clip_count += clips
+                else:  # an unrecorded member's clips count toward every record
+                    for accum in accums:
+                        accum.clip_count += clips
                 if landed:
-                    states[i].t = target
-            accum.advance(states[0], params[0], grid, dt)
-            check_members()
+                    states[member].t = target
+            for member in range(recorded):
+                accums[member].advance(states[member], params[member], grid, dt)
+            for member in range(len(states)):
+                check(member)
+            member = None
             if observe is not None:
                 observe(states, dt)
             if landed:
-                record_sample()
+                for member in range(recorded):
+                    record_sample(member)
+                member = None
                 next_sample += 1
             telemetry.steps += 1
             if telemetry.steps > max_steps:
                 raise SimulationError(f"exceeded {max_steps} steps at t={states[0].t:.6g}")
     except SimulationError as exc:
-        exc.record = record
+        exc.member = member
+        exc.record = records[member if member is not None and member < recorded else 0]
         raise
-    return states, record
+    return states, records
 
 
 def run(spec: ScenarioSpec, params: PhysParams, scheme: SchemeConfig, grid: Grid1D,
         max_steps: int = 10_000_000) -> tuple[State, diagnostics.DiagnosticsRecord]:
     """Integrate one scenario: the single-member case of ``run_lockstep``."""
     state = build_initial_state(spec, params, grid)
-    (final,), record = run_lockstep([(state, params)], scheme, grid, max_steps=max_steps)
+    (final,), (record,) = run_lockstep([(state, params)], scheme, grid, max_steps=max_steps)
     return final, record
 
 

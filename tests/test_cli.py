@@ -220,6 +220,21 @@ class TestSimulateCommand:
         cfg = write_config(tmp_path, {"physics": {"gamma": 0.5}})
         assert main(["simulate", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("scenario", "a_rho", "x"),
+        ("scenario", "a_u", "x"),
+        ("physics", "b_bar", "x"),
+        ("physics", "mu", True),
+    ])
+    def test_non_numeric_field_is_a_config_error(self, section, key, value, tmp_path, capsys):
+        cfg = write_config(tmp_path, {section: {key: value}, "grid": {"n_cells": 7}})
+        assert main(["simulate", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        # reported beside the other violations
+        assert f"  - {section}.{key}: must be a number, got {value!r}" in err.splitlines()
+        assert "  - grid: n_cells must be at least 8, got 7" in err.splitlines()
+        assert not (tmp_path / "o").exists()
+
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, CONSTANT)
         target = tmp_path / "env_out"
@@ -249,11 +264,13 @@ class TestSweepCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         pairs, guard = manifest["telemetry"]["pairs"], manifest["telemetry"]["guard"]
         n_samples = SMALL["scheme"]["n_samples"]
-        # two members, two stages each, plus one sample evaluation per record row
-        assert pairs["rhs_evals"] == 4 * pairs["steps"] + len(SMALL["nu_list"]) * (n_samples + 1)
-        assert pairs["dt_sample_landing"] == len(SMALL["nu_list"]) * n_samples
+        # one group: k resistive members and the shared reference, two stages
+        # each, plus one sample evaluation per record row of each resistive member
+        k = len(SMALL["nu_list"])
+        assert pairs["rhs_evals"] == 2 * (k + 1) * pairs["steps"] + k * (n_samples + 1)
+        assert pairs["dt_sample_landing"] == n_samples
         assert guard["rhs_evals"] == 4 * guard["steps"] + n_samples + 1
-        assert guard["steps"] > pairs["steps"] / len(SMALL["nu_list"])  # doubled grid
+        assert guard["steps"] > pairs["steps"]  # doubled grid
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, SMALL)

@@ -3,7 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mhd1d import ConvergenceReport, fit_rate, parse_config, run_pair, sweep
+from mhd1d import ConvergenceReport, fit_rate, parse_config, run_pair, solver, sweep
+from mhd1d.errors import BoundaryMonitorError
 
 
 @pytest.fixture(scope="module")
@@ -142,6 +143,8 @@ class TestSweep:
     def test_parallel_matches_serial(self, small_config, small_sweep):
         parallel = sweep(small_config, jobs=2)
         assert parallel.report.to_json() == small_sweep.report.to_json()
+        assert ([(nu, r.to_csv()) for nu, r in parallel.records]
+                == [(nu, r.to_csv()) for nu, r in small_sweep.records])
 
     def test_failed_pairs_are_marked(self):
         # perturbation reaches the edge of a deliberately small domain
@@ -154,3 +157,38 @@ class TestSweep:
         assert "BoundaryMonitorError" in result.report.entries[0].failed
         assert result.report.fit_skipped_reason is not None
         assert result.records == []
+
+
+def _tripping_check_boundary(monkeypatch, nu_to_fail):
+    """Make the boundary monitor trip for the members with resistivity ``nu_to_fail``."""
+    check_boundary = solver.check_boundary
+
+    def tripping(state, params):
+        if params.nu == nu_to_fail and state.t > 0.05:
+            raise BoundaryMonitorError(time=state.t, deviation=1.0)
+        return check_boundary(state, params)
+
+    monkeypatch.setattr(solver, "check_boundary", tripping)
+
+
+class TestGroupFailures:
+    def test_failed_member_is_dropped_and_the_group_rerun(self, small_config, monkeypatch):
+        _tripping_check_boundary(monkeypatch, 1e-3)
+        result = sweep(small_config, run_guard=False)
+        entries = result.report.entries
+        assert [e.nu for e in entries if e.failed] == [1e-3]
+        assert entries[1].failed.startswith("BoundaryMonitorError: boundary validity monitor")
+        # the survivors' numbers are those of a sweep that never had the failed member
+        alone = sweep(replace(small_config, nu_list=(1e-2, 1e-4)), run_guard=False)
+        assert [entries[0], entries[2]] == alone.report.entries
+        assert ([(nu, r.to_csv()) for nu, r in result.records]
+                == [(nu, r.to_csv()) for nu, r in alone.records])
+        assert result.telemetry.steps > alone.telemetry.steps  # the aborted attempt counts
+
+    def test_failed_reference_fails_every_nu(self, small_config, monkeypatch):
+        _tripping_check_boundary(monkeypatch, 0.0)
+        result = sweep(small_config)
+        messages = {e.failed for e in result.report.entries}
+        assert len(messages) == 1 and None not in messages
+        assert result.records == []
+        assert result.report.fit_skipped_reason is not None

@@ -1,10 +1,12 @@
-"""The stacked, workspace-backed ``rhs`` against the per-field reference kernel.
+"""The workspace-backed kernels against their out-of-place reference forms.
 
 ``reference_rhs`` below is the earlier form of ``mhd1d.solver.rhs``: one
 field at a time, fresh arrays for every temporary, and ``u_t`` computed on
-every call.  The production kernel must reproduce it bit for bit (sign of
-zero included) over the admissible parameter space, so any change to the
-kernel's arithmetic shows up here first.
+every call.  ``reference_step`` and ``reference_integrand`` are the earlier
+forms of ``solver.step`` and ``Accumulators.integrand``, with a fresh array
+for every expression.  The production code must reproduce them bit for bit
+(sign of zero included) over the admissible parameter space, so any change
+to its arithmetic shows up here first.
 """
 
 import sys
@@ -25,6 +27,7 @@ from mhd1d.core import (
     material_derivative,
     viscous_velocity,
 )
+from mhd1d.diagnostics import _spreading_weight
 from mhd1d.diagnostics import Accumulators, lp_norm, sample
 from mhd1d.errors import NumericalError
 from mhd1d.solver import rhs, stable_dt, step
@@ -133,14 +136,89 @@ def reference_sample_terms(state, ref: ReferenceOutput, params, grid) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# reference RK step and accumulator integrand (out-of-place forms)
+
+
+def _reference_euler_stage(state: State, dt: float, params, scheme, grid):
+    out = rhs(state, params, scheme, grid)
+    rho = state.rho + dt * out.d_rho
+    clipped = np.count_nonzero(rho < 0.0)
+    if clipped:
+        rho = np.maximum(rho, 0.0)
+    return State(rho, state.mom + dt * out.d_mom, state.b + dt * out.d_b,
+                 state.t + dt), clipped
+
+
+def reference_step(state: State, dt: float, params, scheme, grid) -> tuple[State, int]:
+    s1, c1 = _reference_euler_stage(state, dt, params, scheme, grid)
+    if scheme.time_integrator == "ssp_rk2":
+        s2, c2 = _reference_euler_stage(s1, dt, params, scheme, grid)
+        new = State(0.5 * (state.rho + s2.rho),
+                    0.5 * (state.mom + s2.mom),
+                    0.5 * (state.b + s2.b),
+                    state.t + dt)
+        return new, c1 + c2
+    s2, c2 = _reference_euler_stage(s1, dt, params, scheme, grid)
+    mid = State(0.75 * state.rho + 0.25 * s2.rho,
+                0.75 * state.mom + 0.25 * s2.mom,
+                0.75 * state.b + 0.25 * s2.b,
+                state.t + 0.5 * dt)
+    s3, c3 = _reference_euler_stage(mid, dt, params, scheme, grid)
+    new = State(state.rho / 3.0 + 2.0 / 3.0 * s3.rho,
+                state.mom / 3.0 + 2.0 / 3.0 * s3.mom,
+                state.b / 3.0 + 2.0 / 3.0 * s3.b,
+                state.t + dt)
+    return new, c1 + c2 + c3
+
+
+def _reference_derivative(values, dx):
+    f = np.asarray(values, dtype=float)
+    out = np.empty_like(f)
+    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * dx)
+    out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * dx)
+    out[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * dx)
+    return out
+
+
+def _reference_weighted_l2_of_square(square, weight, dx):
+    return float(np.sqrt((square * weight).sum() * dx))
+
+
+def reference_integrand(state: State, params: PhysParams, grid: Grid1D) -> tuple:
+    dx = grid.dx
+    weight = _spreading_weight(grid, params.alpha)
+    u_x2 = _reference_derivative(viscous_velocity(state.mom, state.rho, params.rho_bar), dx) ** 2
+    b_x2 = _reference_derivative(state.b, dx) ** 2
+    b_pert = state.b - params.b_bar
+    return (
+        params.mu * u_x2.sum() * dx,
+        params.nu * b_x2.sum() * dx,
+        params.mu * _reference_weighted_l2_of_square(u_x2, weight, dx) ** 2,
+        params.nu * _reference_weighted_l2_of_square(b_x2, weight, dx) ** 2,
+        lp_norm(b_pert, 6, grid) ** 6,
+    )
+
+
+# ---------------------------------------------------------------------------
 # helpers
 
 
-def assert_same_bits(out, ref):
-    for name in ("d_rho", "d_mom", "d_b"):
+def assert_same_bits(out, ref, names=("d_rho", "d_mom", "d_b")):
+    for name in names:
         got, want = getattr(out, name), getattr(ref, name)
         assert np.array_equal(got, want), name
         assert got.tobytes() == want.tobytes(), f"{name}: sign of zero differs"
+
+
+def assert_same_step(state, dt, params, scheme, grid):
+    """``step`` against ``reference_step``: same fields, time and clips, no shared memory."""
+    new, clips = step(state, dt, params, scheme, grid)
+    ref, ref_clips = reference_step(state, dt, params, scheme, grid)
+    assert_same_bits(new, ref, names=("rho", "mom", "b"))
+    assert (new.t, clips) == (ref.t, ref_clips)
+    for a in (new.rho, new.mom, new.b):
+        assert not any(np.shares_memory(a, q) for q in (state.rho, state.mom, state.b))
+    return clips
 
 
 def make_state(gamma, mu, nu, rho_bar, b_bar, preset, a_rho, a_u, a_b, sigma, n):
@@ -195,6 +273,29 @@ def test_rhs_matches_reference_bitwise(case):
     row = sample(state, out, params, grid, accum)
     for key, value in reference_sample_terms(state, ref, params, grid).items():
         assert row[key] == value or (np.isnan(row[key]) and np.isnan(value)), key
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cases(), st.floats(0.05, 1.0))
+def test_step_and_integrand_match_reference_bitwise(case, dt_fraction):
+    state, params, scheme, grid = case
+    dt = dt_fraction * stable_dt(state, params, scheme, grid)
+    assert_same_step(state, dt, params, scheme, grid)
+    got = Accumulators().integrand(state, params, grid)
+    want = reference_integrand(state, params, grid)
+    assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+
+
+@pytest.mark.parametrize("integrator", ["ssp_rk2", "ssp_rk3"])
+@pytest.mark.parametrize("reconstruction", ["muscl_minmod", "first_order_upwind"])
+def test_clipping_step_matches_reference_bitwise(integrator, reconstruction):
+    # fifty times the stable dt drives the density next to the vacuum below zero
+    state, params, grid = make_state(2.0, 0.1, 1e-3, 1.0, 1.0, "interior_vacuum",
+                                     0.0, 2.0, 0.0, 2.0, 256)
+    scheme = SchemeConfig(reconstruction=reconstruction, time_integrator=integrator)
+    dt = 50.0 * stable_dt(state, params, scheme, grid)
+    assert assert_same_step(state, dt, params, scheme, grid) > 0
 
 
 def test_underflowing_slope_product_gives_zero_slope():

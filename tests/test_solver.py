@@ -1,4 +1,5 @@
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,7 @@ from mhd1d import (
     total_energy,
 )
 from mhd1d.config import parse_config
+from mhd1d.diagnostics import COLUMNS, DiagnosticsRecord
 from mhd1d.errors import BoundaryMonitorError, NumericalError, SimulationError
 from mhd1d.solver import load_checkpoint, run_lockstep, save_checkpoint
 
@@ -323,16 +325,20 @@ class TestRunLockstep:
         scheme = SchemeConfig(t_end=1e-3, n_samples=1)
         state = build_initial_state(gaussian_spec, params, grid)
         members = [(state, params), (state.copy(), replace(params, nu=0.0))]
-        _, record = run_lockstep(members, scheme, grid, rhs_fn=rhs_fn)
+        _, (record,) = run_lockstep(members, scheme, grid, rhs_fn=rhs_fn)
         assert record.final("clip_count") > 0
-        _, alone = run_lockstep(members[:1], scheme, grid, rhs_fn=rhs_fn)
+        _, (alone,) = run_lockstep(members[:1], scheme, grid, rhs_fn=rhs_fn)
         assert alone.final("clip_count") == 0
+        # an unrecorded member's clips count toward every record
+        group = [members[0], (state.copy(), replace(params, nu=1e-2)), members[1]]
+        _, records = run_lockstep(group, scheme, grid, rhs_fn=rhs_fn, recorded=2)
+        assert [r.final("clip_count") for r in records] == [record.final("clip_count")] * 2
 
     def test_single_member_is_run(self, params, grid, gaussian_spec):
         scheme = SchemeConfig(t_end=0.05, n_samples=3)
         final, record = run(gaussian_spec, params, scheme, grid)
         state0 = build_initial_state(gaussian_spec, params, grid)
-        (state,), record2 = run_lockstep([(state0, params)], scheme, grid)
+        (state,), (record2,) = run_lockstep([(state0, params)], scheme, grid)
         assert np.array_equal(state.b, final.b)
         assert record2.to_csv() == record.to_csv()
 
@@ -341,7 +347,8 @@ class TestRunLockstep:
         state = build_initial_state(gaussian_spec, params, grid)
         members = [(state, params), (state.copy(), replace(params, nu=0.0))]
         dts = []
-        _, record = run_lockstep(members, scheme, grid, observe=lambda states, dt: dts.append(dt))
+        _, (record,) = run_lockstep(members, scheme, grid,
+                                   observe=lambda states, dt: dts.append(dt))
         t = record.telemetry
         assert t.steps == len(dts) - 1
         assert t.dt_sample_landing == scheme.n_samples
@@ -361,6 +368,22 @@ class TestRunLockstep:
         assert record.times[-1] <= err.value.time
         assert record.telemetry.steps > 0
         record.validate()
+
+    @pytest.mark.parametrize("recorded", [1, 2])
+    def test_failure_names_the_member(self, recorded, params, grid, gaussian_spec):
+        def rhs_fn(state, params_, scheme_, grid_):
+            if params_.nu == 0.5 and state.t > 0:
+                raise NumericalError("forced", node=0, time=state.t)
+            return rhs(state, params_, scheme_, grid_)
+
+        state = build_initial_state(gaussian_spec, params, grid)
+        members = [(state, replace(params, nu=nu)) for nu in (1e-3, 0.5, 0.0)]
+        with pytest.raises(NumericalError) as err:
+            run_lockstep(members, SchemeConfig(t_end=0.01, n_samples=2), grid, rhs_fn=rhs_fn,
+                         recorded=recorded)
+        assert err.value.member == 1
+        # member 1's record, or member 0's when member 1 carries none: the t = 0 row
+        assert len(err.value.record.rows) == 1
 
     def test_max_steps_guard(self, params, grid, gaussian_spec):
         state = build_initial_state(gaussian_spec, params, grid)
@@ -398,3 +421,18 @@ class TestCheckpoint:
         lines[1] = " ".join(parts)
         with pytest.raises(ValueError, match="coordinates"):
             load_checkpoint("\n".join(lines))
+
+
+@pytest.mark.parametrize("error", [NumericalError("non-finite tendency", node=7, time=0.25),
+                                   BoundaryMonitorError(time=0.5, deviation=2e-6)])
+def test_simulation_errors_survive_pickling(error):
+    # a sweep's guard pair may fail in a worker process and be re-raised in the parent
+    error.record = DiagnosticsRecord(rows=[[0.5] * len(COLUMNS)])
+    error.record.telemetry.steps = 3
+    error.member = 1
+    back = pickle.loads(pickle.dumps(error))
+    assert type(back) is type(error) and str(back) == str(error)
+    attrs = ("time", "node") if isinstance(error, NumericalError) else ("time", "deviation")
+    for name in (*attrs, "member"):
+        assert getattr(back, name) == getattr(error, name)
+    assert back.record == error.record and back.record.telemetry == error.record.telemetry
