@@ -43,7 +43,6 @@ from .scenario import (
     ScenarioSpec,
     build_initial_state,
     compatibility_residual,
-    weighted_moment_check,
 )
 from .solver import RhsOutput, SchemeConfig, rhs, run, run_lockstep, stable_dt, step
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, fields, replace
 
 from .core import Grid1D, PhysParams
@@ -84,6 +85,19 @@ class RunConfig:
 _NUMBERS = {float: ((int, float), "a number"), int: ((int,), "an integer")}
 
 
+def _number_problem(value, accepted=(int, float), kind="a number") -> str | None:
+    """Why ``value`` is not a usable number, or None.
+
+    ``json.loads`` accepts NaN and Infinity, and a bool is an int to Python;
+    neither is a valid configuration number.
+    """
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        return f"must be {kind}, got {value!r}"
+    if not math.isfinite(value):
+        return f"must be a finite number, got {value!r}"
+    return None
+
+
 def _merge_section(raw: dict, section: str, problems: list[str]) -> tuple[dict, bool]:
     """The section's given values over its defaults, and whether every value had its type.
 
@@ -100,8 +114,9 @@ def _merge_section(raw: dict, section: str, problems: list[str]) -> tuple[dict, 
             problems.append(f"{section}.{key}: unknown field")
             continue
         accepted, kind = _NUMBERS.get(type(merged[key]), (None, None))
-        if accepted and (isinstance(value, bool) or not isinstance(value, accepted)):
-            problems.append(f"{section}.{key}: must be {kind}, got {value!r}")
+        problem = _number_problem(value, accepted, kind) if accepted else None
+        if problem:
+            problems.append(f"{section}.{key}: {problem}")
             typed = False
         else:
             merged[key] = value
@@ -144,10 +159,15 @@ def parse_config(raw: dict) -> RunConfig:
     if not isinstance(nu_list, (list, tuple)) or not nu_list:
         problems.append("nu_list: expected a non-empty list of resistivities")
     else:
+        given = len(problems)
         for i, v in enumerate(nu_list):
-            if not isinstance(v, (int, float)) or v < 0:
-                problems.append(f"nu_list[{i}]: expected a non-negative number, got {v!r}")
-        if len(set(nu_list)) != len(nu_list):
+            problem = _number_problem(v)
+            if problem is None and v < 0:
+                problem = f"must be non-negative, got {v!r}"
+            if problem:
+                problems.append(f"nu_list[{i}]: {problem}")
+        # set() needs hashable entries, which only valid numbers are sure to be
+        if len(problems) == given and len(set(nu_list)) != len(nu_list):
             problems.append("nu_list: values must be distinct")
 
     output_dir = raw.get("output_dir", DEFAULTS["output_dir"])
@@ -155,7 +175,7 @@ def parse_config(raw: dict) -> RunConfig:
         problems.append("output_dir: expected a non-empty string")
 
     jobs = raw.get("jobs", DEFAULTS["jobs"])
-    if not isinstance(jobs, int) or jobs < 1:
+    if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
         problems.append(f"jobs: expected a positive integer, got {jobs!r}")
 
     # Cross-section checks, reported here so they fail at load time.

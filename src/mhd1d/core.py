@@ -117,13 +117,9 @@ class State:
         state.rho, state.mom, state.b, state.t = rho, mom, b, t
         return state
 
-    def velocity(self, out: FieldScalar | None = None) -> FieldScalar:
-        """u = m / max(rho, floor); the floor only guards division.
-
-        With ``out`` the result is written there instead of a fresh array.
-        """
-        out = np.maximum(self.rho, RHO_FLOOR, out=out)
-        return np.divide(self.mom, out, out=out)
+    def velocity(self) -> FieldScalar:
+        """u = m / max(rho, floor); the floor only guards division."""
+        return self.mom / np.maximum(self.rho, RHO_FLOOR)
 
     def copy(self) -> "State":
         return State(self.rho.copy(), self.mom.copy(), self.b.copy(), self.t)
@@ -155,15 +151,11 @@ def viscous_velocity(mom: FieldScalar, rho: FieldScalar, rho_bar: float,
     return np.divide(mom, out, out=out)
 
 
-def derivative(values: FieldScalar, dx: float, out: FieldScalar | None = None) -> FieldScalar:
-    """First derivative: central interior, one-sided second order at the ends.
-
-    With ``out`` (not aliasing ``values``) the result is written there.
-    """
+def derivative(values: FieldScalar, dx: float) -> FieldScalar:
+    """First derivative: central interior, one-sided second order at the ends."""
     f = np.asarray(values, dtype=float)
-    out = np.empty_like(f) if out is None else out
-    np.subtract(f[2:], f[:-2], out=out[1:-1])
-    out[1:-1] /= 2.0 * dx
+    out = np.empty_like(f)
+    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * dx)
     out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * dx)
     out[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * dx)
     return out

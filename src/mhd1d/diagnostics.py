@@ -79,15 +79,8 @@ def _spreading_weight(grid: Grid1D, alpha: float) -> FieldScalar:
     return weight
 
 
-def _weighted_l2_of_square(square: FieldScalar, weight: FieldScalar, dx: float,
-                           out: FieldScalar | None = None) -> float:
-    return float(np.sqrt(np.multiply(square, weight, out=out).sum() * dx))
-
-
-@lru_cache(maxsize=4)
-def _integrand_scratch(n: int) -> np.ndarray:
-    """Three work rows of n nodes for ``Accumulators.integrand``, one set per grid size."""
-    return np.empty((3, n))
+def _weighted_l2_of_square(square: FieldScalar, weight: FieldScalar, dx: float) -> float:
+    return float(np.sqrt((square * weight).sum() * dx))
 
 
 def weighted_l2(values: FieldScalar, alpha: float, grid: Grid1D) -> float:
@@ -181,27 +174,17 @@ class Accumulators:
     _last: tuple | None = None
 
     def integrand(self, state: State, params: PhysParams, grid: Grid1D) -> tuple:
-        """Integrands of the five accumulators, computed in per-grid-size scratch rows.
-
-        Every expression and summation order is that of the plain formulas
-        (``lp_norm`` for the b perturbation), so the sums are bit for bit the same.
-        """
+        """Integrands of the five accumulators at one instant."""
         dx = grid.dx
         weight = _spreading_weight(grid, params.alpha)
-        work, u_x2, b_x2 = _integrand_scratch(grid.n_cells)
-        viscous_velocity(state.mom, state.rho, params.rho_bar, out=work)
-        np.square(derivative(work, dx, out=u_x2), out=u_x2)
-        np.square(derivative(state.b, dx, out=b_x2), out=b_x2)
-        diss_u_weighted = params.mu * _weighted_l2_of_square(u_x2, weight, dx, out=work) ** 2
-        diss_b_weighted = params.nu * _weighted_l2_of_square(b_x2, weight, dx, out=work) ** 2
-        b_pert6 = np.abs(np.subtract(state.b, params.b_bar, out=work), out=work)
-        b_pert6 **= 6
+        u_x2 = derivative(viscous_velocity(state.mom, state.rho, params.rho_bar), dx) ** 2
+        b_x2 = derivative(state.b, dx) ** 2
         return (
             params.mu * u_x2.sum() * dx,
             params.nu * b_x2.sum() * dx,
-            diss_u_weighted,
-            diss_b_weighted,
-            float((b_pert6.sum() * dx) ** (1.0 / 6)) ** 6,
+            params.mu * _weighted_l2_of_square(u_x2, weight, dx) ** 2,
+            params.nu * _weighted_l2_of_square(b_x2, weight, dx) ** 2,
+            lp_norm(state.b - params.b_bar, 6, grid) ** 6,
         )
 
     def start(self, state: State, params: PhysParams, grid: Grid1D):

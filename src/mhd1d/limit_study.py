@@ -72,25 +72,24 @@ def run_group(nus, config: RunConfig) -> tuple[list[PairErrors], list[Diagnostic
     errors = [PairErrors(nu=nu) for nu in nus]
     g_prev = [0.0] * len(nus)  # e_diss integrand of each member at the previous step
     h_prev = [0.0] * len(nus)  # aux integrand
-    ref_u, du, scratch, square = (np.empty(grid.n_cells) for _ in range(4))
 
     def l2sq(values: np.ndarray) -> float:
-        return float(np.square(values, out=square).sum() * dx)
+        return float((values**2).sum() * dx)
 
     def observe(states, dt):
         state_n = states[-1]
-        state_n.velocity(out=ref_u)
+        ref_u = state_n.velocity()
         for i, (state_r, e, nu) in enumerate(zip(states, errors, nus)):
-            np.subtract(state_r.velocity(out=du), ref_u, out=du)
-            d_rho = l2sq(np.subtract(state_r.rho, state_n.rho, out=scratch))
+            du = state_r.velocity() - ref_u
+            d_rho = l2sq(state_r.rho - state_n.rho)
             d_u = l2sq(du)
-            d_b = l2sq(np.subtract(state_r.b, state_n.b, out=scratch))
+            d_b = l2sq(state_r.b - state_n.b)
             e.e_sup_rho = max(e.e_sup_rho, d_rho)
             e.e_sup_u = max(e.e_sup_u, d_u)
             e.e_sup_b = max(e.e_sup_b, d_b)
             e.e_sup = max(e.e_sup, d_rho + d_u + d_b)
-            g = mu * l2sq(derivative(du, dx, out=scratch))
-            h = nu**2 * l2sq(derivative(state_r.b, dx, out=scratch))
+            g = mu * l2sq(derivative(du, dx))
+            h = nu**2 * l2sq(derivative(state_r.b, dx))
             e.e_diss += 0.5 * dt * (g_prev[i] + g)
             e.aux += 0.5 * dt * (h_prev[i] + h)
             g_prev[i], h_prev[i] = g, h

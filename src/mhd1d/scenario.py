@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FieldScalar, Grid1D, PhysParams, State, derivative, pressure
-from .diagnostics import weighted_energy
 
 PRESETS = ("gaussian_bump", "interior_vacuum")
 
@@ -75,15 +74,6 @@ def build_initial_state(spec: ScenarioSpec, params: PhysParams, grid: Grid1D) ->
     return State(rho=rho0, mom=rho0 * u0, b=b0, t=0.0)
 
 
-def weighted_moment_check(state0: State, params: PhysParams, grid: Grid1D) -> float:
-    """Trapezoid value of int (rho0*u0^2/2 + Phi(rho0) + (b0-b_bar)^2/2) |x|^alpha dx.
-
-    Finite for every preset; the weight |x|^alpha with alpha in (1, 2] controls
-    how far the initial disturbance spreads.
-    """
-    return weighted_energy(state0, params, grid)
-
-
 @dataclass(frozen=True)
 class CompatibilityResult:
     g: FieldScalar
@@ -114,6 +104,5 @@ __all__ = [
     "ScenarioSpec",
     "CompatibilityResult",
     "build_initial_state",
-    "weighted_moment_check",
     "compatibility_residual",
 ]

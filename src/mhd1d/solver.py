@@ -31,6 +31,7 @@ from .core import (
     PhysParams,
     RhsOutput,
     State,
+    fast_speed_state,
     viscous_floor,
     viscous_velocity,
 )
@@ -78,7 +79,7 @@ class SchemeConfig:
 
 
 class _Workspace:
-    """Scratch arrays of ``rhs`` and ``stable_dt`` for one grid size.
+    """Scratch arrays of ``rhs`` for one grid size.
 
     Stacked arrays hold one row per conserved field (0 rho, 1 m, 2 b), and
     every row is w = n + 4 long, the ghost-extended length.  The slope
@@ -118,8 +119,6 @@ class _Workspace:
         self.rho_safe, self.u, self.work, self.speed = scratch[:8 * w].reshape(4, 2, w)
         # interface flux
         self.f_hat, self.jump = scratch[:6 * w].reshape(2, 3, w)
-        # stable_dt: max(rho, RHO_FLOOR), |u|, and the two terms under the root
-        self.speed_terms = np.empty((4, n))
 
 
 _workspace: _Workspace | None = None
@@ -254,24 +253,8 @@ def _diffusive_dt(state: State, params: PhysParams, scheme: SchemeConfig, grid: 
 
 
 def stable_dt(state: State, params: PhysParams, scheme: SchemeConfig, grid: Grid1D) -> float:
-    """Explicit step bound: advective CFL and the diffusive dx^2 restriction.
-
-    The fast speed is ``core.fast_speed`` evaluated in workspace arrays, with
-    the same operations in the same order.
-    """
-    rho_safe, u, sound, magnetic = _workspace_for(grid.n_cells).speed_terms
-    np.maximum(state.rho, RHO_FLOOR, out=rho_safe)
-    np.divide(state.mom, rho_safe, out=u)
-    sound[...] = rho_safe
-    sound **= params.gamma - 1.0
-    sound *= params.gamma
-    np.square(state.b, out=magnetic)
-    magnetic /= rho_safe
-    sound += magnetic
-    np.sqrt(sound, out=sound)
-    np.abs(u, out=u)
-    u += sound
-    dt_adv = scheme.cfl_number * grid.dx / float(u.max())
+    """Explicit step bound: advective CFL and the diffusive dx^2 restriction."""
+    dt_adv = scheme.cfl_number * grid.dx / float(fast_speed_state(state, params).max())
     return min(dt_adv, _diffusive_dt(state, params, scheme, grid))
 
 

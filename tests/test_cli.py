@@ -235,6 +235,31 @@ class TestSimulateCommand:
         assert "  - grid: n_cells must be at least 8, got 7" in err.splitlines()
         assert not (tmp_path / "o").exists()
 
+    # json.loads reads NaN and Infinity; a NaN t_end is never reached, so the
+    # run would spin to the step limit, and a bool nu would run as nu = 1
+    @pytest.mark.parametrize("payload, line", [
+        ({"scheme": {"t_end": float("nan")}}, "scheme.t_end: must be a finite number, got nan"),
+        ({"scheme": {"t_end": float("inf")}}, "scheme.t_end: must be a finite number, got inf"),
+        ({"grid": {"half_width": float("inf")}},
+         "grid.half_width: must be a finite number, got inf"),
+        ({"physics": {"mu": float("inf")}}, "physics.mu: must be a finite number, got inf"),
+        ({"physics": {"b_bar": float("nan")}}, "physics.b_bar: must be a finite number, got nan"),
+        ({"scenario": {"a_u": float("nan")}}, "scenario.a_u: must be a finite number, got nan"),
+        ({"nu_list": [float("nan"), 0.01, 0.001]}, "nu_list[0]: must be a finite number, got nan"),
+        ({"nu_list": [True, 0.01, 0.001]}, "nu_list[0]: must be a number, got True"),
+        ({"nu_list": [[1], 0.01, 0.001]}, "nu_list[0]: must be a number, got [1]"),
+        ({"jobs": True}, "jobs: expected a positive integer, got True"),
+    ], ids=["t_end-nan", "t_end-inf", "half_width-inf", "mu-inf", "b_bar-nan", "a_u-nan",
+            "nu_list-nan", "nu_list-bool", "nu_list-list", "jobs-bool"])
+    def test_non_finite_or_boolean_number_is_a_config_error(self, payload, line, tmp_path, capsys):
+        payload = {**payload, "grid": {**payload.get("grid", {}), "n_cells": 7}}
+        cfg = write_config(tmp_path, payload)
+        assert main(["simulate", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert f"  - {line}" in err
+        assert "  - grid: n_cells must be at least 8, got 7" in err
+        assert not (tmp_path / "o").exists()
+
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, CONSTANT)
         target = tmp_path / "env_out"
@@ -358,4 +383,7 @@ def test_runtime_dependencies_are_numpy_only():
     project = tomllib.loads(pyproject.read_text())["project"]
     names = [re.split(r"[\s<>=!~;\[]", dep, maxsplit=1)[0] for dep in project["dependencies"]]
     assert names == ["numpy"]
+    # diagnostics integrates with np.trapezoid, which numpy has from 2.0 on
+    floor = re.fullmatch(r"numpy>=(\d+)\.(\d+)", project["dependencies"][0])
+    assert floor is not None and (int(floor[1]), int(floor[2])) >= (2, 0)
     assert any(dep.startswith("sympy") for dep in project["optional-dependencies"]["test"])

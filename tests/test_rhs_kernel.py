@@ -1,16 +1,18 @@
-"""The workspace-backed kernels against their out-of-place reference forms.
+"""The per-step kernels against their out-of-place reference forms.
 
 ``reference_rhs`` below is the earlier form of ``mhd1d.solver.rhs``: one
 field at a time, fresh arrays for every temporary, and ``u_t`` computed on
-every call.  ``reference_step`` and ``reference_integrand`` are the earlier
-forms of ``solver.step`` and ``Accumulators.integrand``, with a fresh array
-for every expression.  The production code must reproduce them bit for bit
-(sign of zero included) over the admissible parameter space, so any change
-to its arithmetic shows up here first.
+every call.  ``reference_step`` and ``reference_integrand`` are the
+out-of-place forms of ``solver.step`` and ``Accumulators.integrand``, with a
+fresh array for every expression, and ``reference_dt_bounds`` is the pair of
+bounds that ``bench/spans.py`` recomputes for every ``stable_dt`` call.  The
+production code must reproduce them bit for bit (sign of zero included) over
+the admissible parameter space, so any change to its arithmetic shows up
+here first.
 """
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -24,7 +26,9 @@ from mhd1d.core import (
     derivative,
     effective_viscous_flux,
     fast_speed,
+    fast_speed_state,
     material_derivative,
+    viscous_floor,
     viscous_velocity,
 )
 from mhd1d.diagnostics import _spreading_weight
@@ -199,6 +203,15 @@ def reference_integrand(state: State, params: PhysParams, grid: Grid1D) -> tuple
     )
 
 
+def reference_dt_bounds(state: State, params: PhysParams, scheme: SchemeConfig,
+                        grid: Grid1D) -> tuple[float, float]:
+    """The advective and diffusive bounds, as the benchmark tracer recomputes them."""
+    dt_adv = scheme.cfl_number * grid.dx / float(np.max(fast_speed_state(state, params)))
+    rho_min = max(float(np.min(np.maximum(state.rho, RHO_FLOOR))), viscous_floor(params.rho_bar))
+    dt_diff = scheme.diffusion_number * grid.dx**2 / max(params.mu / rho_min, params.nu)
+    return dt_adv, dt_diff
+
+
 # ---------------------------------------------------------------------------
 # helpers
 
@@ -255,6 +268,38 @@ def cases(draw):
     return state, params, scheme, grid
 
 
+@st.composite
+def dt_cases(draw):
+    """States of both presets, with zero-density nodes in the vacuum one, nu = 0
+    among the resistivities, and mu chosen so that the drawn bound sets dt."""
+    amplitude = st.floats(-0.5, 0.5)
+    preset = draw(st.sampled_from(("gaussian_bump", "interior_vacuum")))
+    state, params, grid = make_state(
+        gamma=draw(st.floats(1.05, 3.0)), mu=draw(st.floats(0.01, 1.0)), nu=0.0,
+        rho_bar=draw(st.floats(1.0, 2.0)), b_bar=draw(st.floats(0.5, 2.0)), preset=preset,
+        a_rho=draw(amplitude), a_u=draw(amplitude), a_b=draw(amplitude),
+        sigma=draw(st.floats(1.0, 4.0)), n=draw(st.integers(8, 4096)))
+    scheme = SchemeConfig(cfl_number=draw(st.floats(0.1, 1.0)),
+                          diffusion_number=draw(st.floats(0.05, 0.5)))
+    for _ in range(draw(st.integers(0, 2))):
+        state, _ = step(state, stable_dt(state, params, scheme, grid), params, scheme, grid)
+    if preset == "interior_vacuum":
+        k = int(np.argmin(state.rho))
+        state.rho[max(k - 1, 0):k + 2] = 0.0
+    dt_adv, _ = reference_dt_bounds(state, params, scheme, grid)
+    # diffusivity at which the two bounds are equal
+    even = scheme.diffusion_number * grid.dx**2 / dt_adv
+    rho_min = max(float(state.rho.min()), viscous_floor(params.rho_bar))
+    diffusive = draw(st.booleans())
+    if diffusive:
+        mu = rho_min * even * draw(st.floats(2.0, 100.0))
+        nu = even * draw(st.one_of(st.just(0.0), st.floats(1e-3, 100.0)))
+    else:
+        mu = rho_min * even * draw(st.floats(1e-3, 0.5))
+        nu = even * draw(st.one_of(st.just(0.0), st.floats(1e-3, 0.5)))
+    return state, replace(params, mu=mu, nu=nu), scheme, grid, diffusive
+
+
 # ---------------------------------------------------------------------------
 # bit identity
 
@@ -285,6 +330,16 @@ def test_step_and_integrand_match_reference_bitwise(case, dt_fraction):
     got = Accumulators().integrand(state, params, grid)
     want = reference_integrand(state, params, grid)
     assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(dt_cases())
+def test_stable_dt_matches_reference_bounds(case):
+    state, params, scheme, grid, diffusive = case
+    dt_adv, dt_diff = reference_dt_bounds(state, params, scheme, grid)
+    assert (dt_diff < dt_adv) == diffusive
+    assert stable_dt(state, params, scheme, grid) == min(dt_adv, dt_diff)
 
 
 @pytest.mark.parametrize("integrator", ["ssp_rk2", "ssp_rk3"])

@@ -8,7 +8,7 @@ from mhd1d import (
     ScenarioSpec,
     build_initial_state,
     compatibility_residual,
-    weighted_moment_check,
+    weighted_energy,
 )
 
 
@@ -69,12 +69,12 @@ class TestWeightedMoment:
     def test_constant_state_is_zero(self, params, grid):
         spec = ScenarioSpec(a_rho=0.0, a_u=0.0, a_b=0.0)
         s = build_initial_state(spec, params, grid)
-        assert weighted_moment_check(s, params, grid) == 0.0
+        assert weighted_energy(s, params, grid) == 0.0
 
     def test_matches_independent_quadrature(self, params, gaussian_spec):
         grid = Grid1D(20.0, 2048)
         s = build_initial_state(gaussian_spec, params, grid)
-        value = weighted_moment_check(s, params, grid)
+        value = weighted_energy(s, params, grid)
 
         def integrand(x):
             rho = 1.0 + 0.2 * np.exp(-x**2 / 4.0)
@@ -91,9 +91,9 @@ class TestWeightedMoment:
         base = ScenarioSpec(a_rho=0.1, a_u=0.1, a_b=0.1)
         doubled = ScenarioSpec(a_rho=0.1, a_u=0.1, a_b=0.2)
         off = ScenarioSpec(a_rho=0.1, a_u=0.1, a_b=0.0)
-        w_base = weighted_moment_check(build_initial_state(base, params, grid), params, grid)
-        w_doubled = weighted_moment_check(build_initial_state(doubled, params, grid), params, grid)
-        w_off = weighted_moment_check(build_initial_state(off, params, grid), params, grid)
+        w_base = weighted_energy(build_initial_state(base, params, grid), params, grid)
+        w_doubled = weighted_energy(build_initial_state(doubled, params, grid), params, grid)
+        w_off = weighted_energy(build_initial_state(off, params, grid), params, grid)
         assert (w_doubled - w_off) == pytest.approx(4.0 * (w_base - w_off), rel=1e-12)
 
     def test_grid_convergence_at_least_second_order(self):
@@ -113,7 +113,7 @@ class TestWeightedMoment:
         for n in (64, 128, 256):
             g = Grid1D(20.0, n)
             state = build_initial_state(spec, params, g)
-            errs.append(abs(weighted_moment_check(state, params, g) - oracle))
+            errs.append(abs(weighted_energy(state, params, g) - oracle))
         orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert min(orders) > 1.9
 
