@@ -13,7 +13,8 @@ travels alongside as an explicit argument.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -25,11 +26,22 @@ FieldScalar = np.ndarray
 RHO_FLOOR = 1e-12
 
 # Fraction of the far-field density used as a lower bound in the viscous
-# velocity recovery and the diffusive dt bound.  Explicit integration of
-# mu*u_xx is violently unstable where u = m/rho divides by a near-vacuum
-# density; capping the recovery at 0.01*rho_bar keeps the momentum diffusion
-# stable at a usable dt while leaving every vacuum-free run untouched.
+# velocity recovery and the diffusive bound.  The largest diffusivity of the
+# momentum diffusion is mu/max(rho_min, floor), so capping the recovery at
+# 0.01*rho_bar bounds the number of super-time-stepping stages a step needs
+# near vacuum while leaving every vacuum-free run untouched.
 VISC_FLOOR_FRACTION = 0.01
+
+
+def non_finite_problems(instance) -> list[str]:
+    """One problem per float field of a dataclass instance that is not finite.
+
+    NaN and infinities pass most range checks (or fail them with a misleading
+    message), so every parameter class reports them on their own.
+    """
+    return [f"{f.name} must be a finite number, got {getattr(instance, f.name)!r}"
+            for f in fields(instance)
+            if f.type in (float, "float") and not math.isfinite(getattr(instance, f.name))]
 
 
 @dataclass(frozen=True)
@@ -44,10 +56,13 @@ class Grid1D:
     n_cells: int
 
     def __post_init__(self):
+        problems = non_finite_problems(self)
         if self.half_width <= 0:
-            raise ValueError(f"half_width must be positive, got {self.half_width}")
+            problems.append(f"half_width must be positive, got {self.half_width}")
         if self.n_cells < 8:
-            raise ValueError(f"n_cells must be at least 8, got {self.n_cells}")
+            problems.append(f"n_cells must be at least 8, got {self.n_cells}")
+        if problems:
+            raise ValueError("; ".join(problems))
 
     @property
     def dx(self) -> float:
@@ -74,7 +89,7 @@ class PhysParams:
     alpha: float = 2.0
 
     def __post_init__(self):
-        problems = []
+        problems = non_finite_problems(self)
         if not self.mu > 0:
             problems.append(f"mu > 0 required, got {self.mu}")
         if not self.nu >= 0:
@@ -139,16 +154,14 @@ def viscous_floor(rho_bar: float) -> float:
     return max(RHO_FLOOR, VISC_FLOOR_FRACTION * rho_bar)
 
 
-def viscous_velocity(mom: FieldScalar, rho: FieldScalar, rho_bar: float,
-                     out: FieldScalar | None = None) -> FieldScalar:
+def viscous_velocity(mom: FieldScalar, rho: FieldScalar, rho_bar: float) -> FieldScalar:
     """u = m / max(rho, viscous_floor(rho_bar)), the velocity viscosity acts on.
 
-    The scheme's mu*u_xx term and the recorded viscous dissipation both use
-    it, so the dissipation audit measures what the scheme dissipates.  With
-    ``out`` the result is written there instead of a fresh array.
+    The scheme's mu*u_xx term, the recorded viscous dissipation and the
+    sampled velocity gradient all use it, so the audit measures what the
+    scheme dissipates.
     """
-    out = np.maximum(rho, viscous_floor(rho_bar), out=out)
-    return np.divide(mom, out, out=out)
+    return mom / np.maximum(rho, viscous_floor(rho_bar))
 
 
 def derivative(values: FieldScalar, dx: float) -> FieldScalar:
@@ -200,9 +213,11 @@ def effective_viscous_flux(state: State, params: PhysParams, grid: Grid1D) -> Fi
     """F = mu*u_x - (P(rho) - P(rho_bar) + (b^2 - b_bar^2)/2).
 
     The momentum equation reads rho*du/dt = F_x, which makes F the natural
-    quantity for flux-identity audits.
+    quantity for flux-identity audits.  u_x is taken of the viscous velocity,
+    the one the scheme's viscosity acts on; it is m/rho wherever the density
+    is at least the viscous floor.
     """
-    u = state.velocity()
+    u = viscous_velocity(state.mom, state.rho, params.rho_bar)
     p_pert = pressure(state.rho, params.gamma) - params.rho_bar**params.gamma
     mag_pert = 0.5 * (state.b**2 - params.b_bar**2)
     return params.mu * derivative(u, grid.dx) - (p_pert + mag_pert)

@@ -207,16 +207,18 @@ class RunTelemetry:
     """Deterministic counters of one time-stepping run.
 
     Each accepted step is counted under the bound that set its dt: the
-    advective CFL bound, the diffusive bound, or the landing on a sample time.
-    ``rhs_evals`` counts every right-hand-side evaluation, RK stages of every
-    member and the diagnostics samples alike.
+    advective CFL bound or the landing on a sample time.  ``rhs_evals``
+    counts every right-hand-side evaluation, RK stages of every member and
+    the diagnostics samples alike.  ``diffusion_stages`` sums the RKL2 stage
+    count over every diffusion half-step (two per step); every member of a
+    lockstep group takes that many.
     """
 
     steps: int = 0
     rhs_evals: int = 0
     dt_advective: int = 0
-    dt_diffusive: int = 0
     dt_sample_landing: int = 0
+    diffusion_stages: int = 0
     peak_boundary_deviation: float = 0.0
 
     def as_dict(self) -> dict:
@@ -296,7 +298,14 @@ class DiagnosticsRecord:
 
 def sample(state: State, rhs_output, params: PhysParams, grid: Grid1D,
            accum: Accumulators) -> dict:
-    """Evaluate every record column at one instant."""
+    """Evaluate every record column at one instant.
+
+    ``l2_ux`` and the viscous flux inside ``flux_residual`` differentiate the
+    viscous velocity m/max(rho, viscous floor), the velocity the scheme's
+    viscosity acts on and ``diss_u`` integrates; it equals m/rho wherever
+    the density is at least the floor.  ``sup_abs_u`` reads m/max(rho,
+    RHO_FLOOR).
+    """
     u = state.velocity()
     b_pert = state.b - params.b_bar
     udot = material_derivative(state, velocity_tendency(state, rhs_output), grid)
@@ -314,7 +323,8 @@ def sample(state: State, rhs_output, params: PhysParams, grid: Grid1D,
         "l2_rho_pert": lp_norm(state.rho - params.rho_bar, 2, grid),
         "l4_b_pert": lp_norm(b_pert, 4, grid),
         "l6_b_pert_accum": accum.l6_b_pert,
-        "l2_ux": lp_norm(derivative(u, grid.dx), 2, grid),
+        "l2_ux": lp_norm(derivative(viscous_velocity(state.mom, state.rho, params.rho_bar),
+                                    grid.dx), 2, grid),
         "l2_bx": lp_norm(derivative(state.b, grid.dx), 2, grid),
         "l2_rhox": lp_norm(derivative(state.rho, grid.dx), 2, grid),
         "l2_rho_t": lp_norm(rhs_output.d_rho, 2, grid),

@@ -16,7 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FieldScalar, Grid1D, PhysParams, State, derivative, pressure
+from .core import (
+    FieldScalar,
+    Grid1D,
+    PhysParams,
+    State,
+    derivative,
+    non_finite_problems,
+    pressure,
+)
 
 PRESETS = ("gaussian_bump", "interior_vacuum")
 
@@ -40,7 +48,7 @@ class ScenarioSpec:
     sigma: float = 2.0
 
     def __post_init__(self):
-        problems = []
+        problems = non_finite_problems(self)
         if self.preset not in PRESETS:
             problems.append(f"unknown preset {self.preset!r}, expected one of {PRESETS}")
         if not self.sigma > 0:

@@ -9,17 +9,21 @@ One right-hand side covers both systems:
 
 Convective fluxes use a local Lax-Friedrichs interface flux with either
 piecewise-constant or MUSCL/minmod reconstruction of the conserved variables
-(rho, m, b); diffusion terms are second-order central and integrated
-explicitly.  Far-field Dirichlet values enter through two ghost cells per
-side.  One driver advances any number of runs on a shared dt sequence: a
-single run is one member, a sweep group is one member per resistivity plus
-a shared non-resistive reference.  Everything is plain sequential numpy, so
-repeated runs are bit-reproducible.
+(rho, m, b) and advance by an SSP Runge-Kutta method.  The diffusion terms
+are second-order central and advance by second-order Runge-Kutta-Legendre
+(RKL2) super-time-stepping at frozen density, Strang-split around the
+hyperbolic step, so the advective CFL bound alone sets dt.  Far-field
+Dirichlet values enter through ghost cells.  One driver advances any number
+of runs on a shared dt sequence: a single run is one member, a sweep group
+is one member per resistivity plus a shared non-resistive reference.
+Everything is plain sequential numpy, so repeated runs are bit-reproducible.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,14 +36,14 @@ from .core import (
     RhsOutput,
     State,
     fast_speed_state,
+    non_finite_problems,
     viscous_floor,
-    viscous_velocity,
 )
 from .errors import BoundaryMonitorError, NumericalError, SimulationError
 from .scenario import ScenarioSpec, build_initial_state
 
 RECONSTRUCTIONS = ("first_order_upwind", "muscl_minmod")
-STAGES = {"ssp_rk2": 2, "ssp_rk3": 3}  # rhs evaluations per step
+STAGES = {"ssp_rk2": 2, "ssp_rk3": 3}  # rhs evaluations per hyperbolic step
 INTEGRATORS = tuple(STAGES)
 
 # Run-validity monitor: abort when the outermost interior nodes deviate from
@@ -51,7 +55,12 @@ BOUNDARY_NODES = 3
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Discretization knobs: CFL numbers, reconstruction, integrator, horizon."""
+    """Discretization knobs: CFL numbers, reconstruction, integrator, horizon.
+
+    ``diffusion_number`` is the safety factor of each super-time-stepping
+    stage: the RKL2 stage count is chosen so that every stage stays within
+    diffusion_number * dx^2 / (largest diffusivity).
+    """
 
     cfl_number: float = 0.45
     diffusion_number: float = 0.4
@@ -61,7 +70,7 @@ class SchemeConfig:
     n_samples: int = 50
 
     def __post_init__(self):
-        problems = []
+        problems = non_finite_problems(self)
         if not 0 < self.cfl_number <= 1:
             problems.append(f"cfl_number in (0, 1] required, got {self.cfl_number}")
         if not 0 < self.diffusion_number <= 0.5:
@@ -106,8 +115,8 @@ class _Workspace:
         self.faces = np.ones((3, 2, w))             # [field, left/right, interface]
         self.flux = np.empty((3, 2, w))
         self.half_a = np.empty(w)
-        self.u_visc = np.empty(w)
-        self.lap = np.empty(n)
+        self.diffusion_ext = np.empty((2, n + 2))   # (w, b) with one ghost per side
+        self.diffusion = np.empty((2, n))
         self.positive = np.empty(3 * w - 2, dtype=bool)
         self.finite = np.empty((3, n), dtype=bool)
         scratch = np.empty(9 * w)
@@ -156,13 +165,15 @@ def _half_minmod_slopes(ws: _Workspace) -> np.ndarray:
     return ws.half_slope
 
 
-def rhs(state: State, params: PhysParams, scheme: SchemeConfig, grid: Grid1D) -> RhsOutput:
+def rhs(state: State, params: PhysParams, scheme: SchemeConfig, grid: Grid1D,
+        diffusion: bool = True) -> RhsOutput:
     """Semi-discrete tendencies at one instant.
 
-    Local Lax-Friedrichs interface fluxes with the configured reconstruction;
-    mu*u_xx and (for nu > 0 only) nu*b_xx by central differences.  Every
-    temporary lives in a per-grid-size workspace; only the returned
-    tendencies are fresh arrays.
+    Local Lax-Friedrichs interface fluxes with the configured reconstruction,
+    plus the diffusion terms of ``diffusion_tendency`` unless ``diffusion``
+    is False: the hyperbolic stages of ``step`` omit them, since
+    super-time-stepping integrates them.  Every temporary lives in a
+    per-grid-size workspace; only the returned tendencies are fresh arrays.
     """
     n = grid.n_cells
     dx = grid.dx
@@ -227,16 +238,9 @@ def rhs(state: State, params: PhysParams, scheme: SchemeConfig, grid: Grid1D) ->
     np.subtract(f_hat[:, 1:n + 1], f_hat[:, :n], out=tend)
     tend /= -dx
 
-    lap = ws.lap
-    u_visc = viscous_velocity(ext[1], ext[0], params.rho_bar, out=ws.u_visc)
-    for row, q, coef in ((1, u_visc, params.mu), (2, ext[2], params.nu)):
-        if coef > 0:
-            np.multiply(q[2:-2], 2.0, out=lap)
-            np.subtract(q[3:-1], lap, out=lap)
-            lap += q[1:-3]
-            lap *= coef
-            lap /= dx**2
-            tend[row] += lap
+    if diffusion:
+        operator = _Diffusion(state.rho, params, grid, ext=ws.diffusion_ext)
+        tend[1:1 + operator.rows] += operator((state.mom, state.b), out=ws.diffusion)
 
     finite = np.isfinite(tend, out=ws.finite)
     if not finite.all():
@@ -245,17 +249,156 @@ def rhs(state: State, params: PhysParams, scheme: SchemeConfig, grid: Grid1D) ->
     return RhsOutput(d_rho=tend[0], d_mom=tend[1], d_b=tend[2])
 
 
+class _Diffusion:
+    """The diffusion terms at a frozen density, as a linear operator on (m, b).
+
+    Rows of the result: 0 the momentum tendency, 1 the magnetic one (only
+    when nu > 0).  The momentum row is (rho/max(rho, floor)) * mu * w_xx with
+    w = viscous_velocity(m, rho, rho_bar), the magnetic row nu * b_xx, both
+    by central differences with far-field ghosts (w = 0, b = b_bar).  The
+    weight rho/max(rho, floor) is exactly 1 wherever rho >= floor; below the
+    viscous floor it makes the deposited momentum scale with rho.  The
+    kinetic-energy change at frozen density, sum(u * d_m * dx) with u = m/rho,
+    is then mu * sum(w * w_xx * dx) = -mu * sum(w_x^2 * dx), vacuum included:
+    viscosity can only dissipate, by the amount the audit's ``diss_u``
+    records.  The weight is applied only when some node is below the floor.
+    ``ext`` is the ghost-extended scratch of (w, b); rhs passes its
+    workspace's.
+    """
+
+    def __init__(self, rho: np.ndarray, params: PhysParams, grid: Grid1D,
+                 ext: np.ndarray | None = None):
+        self.rho = rho
+        self.floor = viscous_floor(params.rho_bar)
+        self.weight = rho / np.maximum(rho, self.floor) if float(rho.min()) < self.floor else None
+        self.rows = 2 if params.nu > 0 else 1
+        self.coef = np.array([[params.mu], [params.nu]])[:self.rows]
+        self.dx2 = grid.dx**2
+        self.ext = np.empty((2, grid.n_cells + 2)) if ext is None else ext
+        self.ext[:, 0] = self.ext[:, -1] = (0.0, params.b_bar)
+
+    def __call__(self, y, out: np.ndarray) -> np.ndarray:
+        """The tendencies of (m, b) = (y[0], y[1]), written into out[:rows]."""
+        ext = self.ext[:self.rows]
+        w = np.maximum(self.rho, self.floor, out=ext[0, 1:-1])
+        np.divide(y[0], w, out=w)
+        if self.rows == 2:
+            ext[1, 1:-1] = y[1]
+        lap = out[:self.rows]
+        np.multiply(ext[:, 1:-1], 2.0, out=lap)
+        np.subtract(ext[:, 2:], lap, out=lap)
+        lap += ext[:, :-2]
+        lap *= self.coef
+        lap /= self.dx2
+        if self.weight is not None:
+            lap[0] *= self.weight
+        return lap
+
+
+def diffusion_tendency(state: State, params: PhysParams,
+                       grid: Grid1D) -> tuple[np.ndarray, np.ndarray | None]:
+    """(d_mom, d_b) of the diffusion terms alone; d_b is None when nu = 0.
+
+    d_mom = (rho/max(rho, viscous_floor)) * mu * w_xx, w the viscous velocity;
+    d_b = nu * b_xx.  See ``_Diffusion`` for the stencil and the weight.
+    """
+    operator = _Diffusion(state.rho, params, grid)
+    d = operator((state.mom, state.b), out=np.empty((2, grid.n_cells)))
+    return d[0], (d[1] if operator.rows == 2 else None)
+
+
+def _advective_dt(state: State, params: PhysParams, scheme: SchemeConfig, grid: Grid1D) -> float:
+    """The CFL bound of the hyperbolic step: cfl * dx / max fast speed."""
+    return scheme.cfl_number * grid.dx / float(fast_speed_state(state, params).max())
+
+
 def _diffusive_dt(state: State, params: PhysParams, scheme: SchemeConfig, grid: Grid1D) -> float:
-    """The dx^2 restriction of explicit viscosity and resistivity."""
+    """The dx^2 restriction of one explicit diffusion stage."""
     rho_min = max(float(state.rho.min()), viscous_floor(params.rho_bar))
     diff_coef = max(params.mu / rho_min, params.nu)
     return scheme.diffusion_number * grid.dx**2 / diff_coef
 
 
 def stable_dt(state: State, params: PhysParams, scheme: SchemeConfig, grid: Grid1D) -> float:
-    """Explicit step bound: advective CFL and the diffusive dx^2 restriction."""
-    dt_adv = scheme.cfl_number * grid.dx / float(fast_speed_state(state, params).max())
-    return min(dt_adv, _diffusive_dt(state, params, scheme, grid))
+    """Explicit step bound: advective CFL and the diffusive dx^2 restriction.
+
+    The driver steps at the advective bound alone; this is the bound a fully
+    explicit step would need.
+    """
+    return min(_advective_dt(state, params, scheme, grid),
+               _diffusive_dt(state, params, scheme, grid))
+
+
+def rkl2_stage_count(tau: float, dt_diffusive: float) -> int:
+    """Smallest s >= 2 with tau <= dt_diffusive * (s^2 + s - 2) / 4.
+
+    That is the stability bound of an s-stage RKL2 step of length tau when
+    ``dt_diffusive`` is the step one explicit stage may take.
+    """
+    # the root of s^2 + s - 2 = 4 tau / dt_diffusive, then exact integer checks
+    s = max(2, math.ceil((math.sqrt(9.0 + 16.0 * tau / dt_diffusive) - 1.0) / 2.0))
+    while s > 2 and tau <= dt_diffusive * (s * (s - 1) - 2) / 4.0:
+        s -= 1
+    while tau > dt_diffusive * (s * s + s - 2) / 4.0:
+        s += 1
+    return s
+
+
+@lru_cache(maxsize=64)
+def rkl2_coefficients(s: int) -> tuple[float, tuple[tuple[float, float, float, float], ...]]:
+    """mu~_1 and (mu_j, nu_j, mu~_j, gamma~_j) for j = 2..s of an s-stage RKL2 step.
+
+    Meyer, Balsara & Aslam, J. Comput. Phys. 257 (2014) 594: with
+    b_j = (j^2 + j - 2) / (2j(j+1)), b_0 = b_1 = 1/3, a_j = 1 - b_j and
+    w_1 = 4 / (s^2 + s - 2),
+        mu_j = (2j-1)/j * b_j/b_{j-1},  nu_j = -(j-1)/j * b_j/b_{j-2},
+        mu~_j = mu_j * w_1,  gamma~_j = -a_{j-1} * mu~_j,  mu~_1 = b_1 * w_1.
+    """
+    def b(j):
+        return 1.0 / 3.0 if j < 2 else (j * j + j - 2) / (2.0 * j * (j + 1))
+
+    w1 = 4.0 / (s * s + s - 2)
+    stages = []
+    for j in range(2, s + 1):
+        mu = (2 * j - 1) / j * b(j) / b(j - 1)
+        nu = -(j - 1) / j * b(j) / b(j - 2)
+        stages.append((mu, nu, mu * w1, -(1.0 - b(j - 1)) * mu * w1))
+    return b(1) * w1, tuple(stages)
+
+
+def _diffuse(state: State, tau: float, params: PhysParams, grid: Grid1D, s: int) -> State:
+    """Advance (m, b) by tau under the diffusion terms alone: one s-stage RKL2 step.
+
+    The density is frozen.  The stages run on increments d_j = Y_j - Y_0,
+    with the recursion's Y_0 terms cancelled exactly (the weights of Y_0
+    sum to one):
+        d_1 = L(Y_0) (mu~_1 tau),
+        d_j = (nu_j d_{j-2} + mu_j d_{j-1})
+              + (L(Y_0 + d_{j-1}) (mu~_j tau) + L(Y_0) (gamma~_j tau)),
+    and Y_s = Y_0 + d_s.  A state the operator leaves fixed, such as the far
+    field, therefore stays bit for bit.  The returned state shares rho (and b
+    when nu = 0) with ``state``; its other fields are fresh.
+    """
+    operator = _Diffusion(state.rho, params, grid)
+    y0 = np.array((state.mom, state.b)[:operator.rows])
+    l0 = operator(y0, out=np.empty_like(y0))
+    mu1, stages = rkl2_coefficients(s)
+    prev2 = np.zeros_like(y0)
+    prev = l0 * (mu1 * tau)
+    y = np.empty_like(y0)
+    d = np.empty_like(y0)
+    for mu, nu, mu_t, gamma_t in stages:
+        np.add(y0, prev, out=y)
+        operator(y, out=d)
+        d *= mu_t * tau
+        d += np.multiply(l0, gamma_t * tau, out=y)
+        prev2 *= nu  # d_{j-2} is not needed after this stage
+        prev2 += np.multiply(prev, mu, out=y)
+        prev2 += d
+        prev2, prev = prev, prev2
+    prev += y0
+    return State._unchecked(state.rho, prev[0], prev[1] if operator.rows == 2 else state.b,
+                            state.t)
 
 
 def _fields(state: State) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -263,8 +406,8 @@ def _fields(state: State) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _euler_stage(state: State, dt: float, params, scheme, grid, rhs_fn):
-    """q + dt*d for every field into fresh arrays, density clipped to >= 0."""
-    out = rhs_fn(state, params, scheme, grid)
+    """q + dt*d of the hyperbolic tendencies into fresh arrays, density clipped to >= 0."""
+    out = rhs_fn(state, params, scheme, grid, diffusion=False)
     rho, mom, b = (np.multiply(d, dt) for d in (out.d_rho, out.d_mom, out.d_b))
     rho += state.rho
     mom += state.mom
@@ -275,16 +418,12 @@ def _euler_stage(state: State, dt: float, params, scheme, grid, rhs_fn):
     return State._unchecked(rho, mom, b, state.t + dt), clipped
 
 
-def step(state: State, dt: float, params: PhysParams, scheme: SchemeConfig,
-         grid: Grid1D, rhs_fn=None) -> tuple[State, int]:
-    """Advance one SSP Runge-Kutta step; returns the new state and the number
-    of nodes where the density had to be clipped to zero.
+def _hyperbolic_step(state: State, dt: float, params, scheme, grid, rhs_fn) -> tuple[State, int]:
+    """One SSP Runge-Kutta step of the tendencies without diffusion.
 
     Each RK combination is written into the arrays of the stage just
-    computed, which nothing else holds; the new state shares no memory with
-    ``state``.
+    computed, which nothing else holds.
     """
-    rhs_fn = rhs_fn or rhs
     s1, c1 = _euler_stage(state, dt, params, scheme, grid, rhs_fn)
     s2, c2 = _euler_stage(s1, dt, params, scheme, grid, rhs_fn)
     if scheme.time_integrator == "ssp_rk2":
@@ -304,6 +443,27 @@ def step(state: State, dt: float, params: PhysParams, scheme: SchemeConfig,
         new += np.divide(q, 3.0, out=scaled)
     s3.t = state.t + dt
     return s3, c1 + c2 + c3
+
+
+def step(state: State, dt: float, params: PhysParams, scheme: SchemeConfig,
+         grid: Grid1D, rhs_fn=None, stages: int | None = None) -> tuple[State, int]:
+    """Advance one Strang-split step D(dt/2) H(dt) D(dt/2); returns the new
+    state and the number of nodes where the density had to be clipped to zero.
+
+    D is an RKL2 step of the diffusion terms with ``stages`` stages (by
+    default the fewest that keep this state's diffusion stable over dt/2), H
+    an SSP Runge-Kutta step of ``rhs_fn(..., diffusion=False)``.  Only H
+    evaluates ``rhs_fn``, and only H moves the time label, so time-dependent
+    forcing sees the hyperbolic stage times.  The new state shares no memory
+    with ``state``.
+    """
+    rhs_fn = rhs_fn or rhs
+    half = 0.5 * dt
+    if stages is None:
+        stages = rkl2_stage_count(half, _diffusive_dt(state, params, scheme, grid))
+    state = _diffuse(state, half, params, grid, stages)
+    state, clips = _hyperbolic_step(state, dt, params, scheme, grid, rhs_fn)
+    return _diffuse(state, half, params, grid, stages), clips
 
 
 def check_boundary(state: State, params: PhysParams) -> float:
@@ -327,22 +487,26 @@ def run_lockstep(members: list[tuple[State, PhysParams]], scheme: SchemeConfig,
                  recorded: int = 1) -> tuple[list[State], list[diagnostics.DiagnosticsRecord]]:
     """Integrate every (state, params) member from t = 0 to t_end on one dt sequence.
 
-    dt is the smallest stable step over all members, clipped so that the
+    dt is the smallest advective bound over all members, clipped so that the
     uniform sample times are hit exactly; this keeps records from different
-    runs directly comparable.  Each of the first ``recorded`` members carries
-    its own dissipation accumulators (trapezoid in time, advanced every
-    accepted step) and diagnostics record.  A recorded member's clip count
-    holds its own density clips plus those of every unrecorded member.
-    ``observe(states, dt)`` is called at t = 0 with dt = 0 and after every
-    accepted step.  The records share one telemetry, counting the group's
-    steps, rhs evaluations and the bound that set each dt.
+    runs directly comparable.  Every member takes the same number of RKL2
+    stages per diffusion half-step, the fewest that keep the member with the
+    largest diffusivity stable; with one dt and one stage count, the
+    splitting error cancels in the difference of two members.  Each of the
+    first ``recorded`` members carries its own dissipation accumulators
+    (trapezoid in time, advanced every accepted step) and diagnostics
+    record.  A recorded member's clip count holds its own density clips plus
+    those of every unrecorded member.  ``observe(states, dt)`` is called at
+    t = 0 with dt = 0 and after every accepted step.  The records share one
+    telemetry, counting the group's steps, rhs evaluations, the bound that
+    set each dt and the RKL2 stages.
 
     A ``SimulationError`` leaves with ``exc.member``, the index of the member
     that raised (None when no single member did), and ``exc.record``, that
     member's record so far (member 0's when it carries none).
     """
     rhs_fn = rhs_fn or rhs
-    stages = STAGES[scheme.time_integrator]
+    rhs_per_step = STAGES[scheme.time_integrator]
     states = [s for s, _ in members]
     params = [p for _, p in members]
     telemetry = diagnostics.RunTelemetry()
@@ -374,18 +538,19 @@ def run_lockstep(members: list[tuple[State, PhysParams]], scheme: SchemeConfig,
         next_sample = 0
         while next_sample < len(sample_times):
             target = sample_times[next_sample]
-            dt = min(stable_dt(s, p, scheme, grid) for s, p in zip(states, params))
+            dt = min(_advective_dt(s, p, scheme, grid) for s, p in zip(states, params))
             landed = states[0].t + dt >= target - 1e-12 * t_end
             if landed:
                 dt = target - states[0].t
                 telemetry.dt_sample_landing += 1
-            elif dt < min(_diffusive_dt(s, p, scheme, grid) for s, p in zip(states, params)):
-                telemetry.dt_advective += 1
             else:
-                telemetry.dt_diffusive += 1
+                telemetry.dt_advective += 1
+            stages = rkl2_stage_count(
+                0.5 * dt, min(_diffusive_dt(s, p, scheme, grid) for s, p in zip(states, params)))
+            telemetry.diffusion_stages += 2 * stages
             for member, p in enumerate(params):
-                states[member], clips = step(states[member], dt, p, scheme, grid, rhs_fn)
-                telemetry.rhs_evals += stages
+                states[member], clips = step(states[member], dt, p, scheme, grid, rhs_fn, stages)
+                telemetry.rhs_evals += rhs_per_step
                 if member < recorded:
                     accums[member].clip_count += clips
                 else:  # an unrecorded member's clips count toward every record
@@ -455,7 +620,10 @@ __all__ = [
     "SchemeConfig",
     "RhsOutput",
     "rhs",
+    "diffusion_tendency",
     "stable_dt",
+    "rkl2_stage_count",
+    "rkl2_coefficients",
     "step",
     "check_boundary",
     "run_lockstep",

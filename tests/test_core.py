@@ -1,9 +1,14 @@
+import math
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from mhd1d import (
     Grid1D,
     PhysParams,
+    ScenarioSpec,
+    SchemeConfig,
     State,
     build_initial_state,
     constant_state,
@@ -37,6 +42,33 @@ class TestGrid:
     def test_rejects_bad_grid(self, L, n):
         with pytest.raises(ValueError):
             Grid1D(L, n)
+
+
+def _float_fields(cls):
+    return [(cls, f.name) for f in fields(cls) if f.type == "float"]
+
+
+# NaN and infinities pass or confuse the range checks; t_end = nan once made a
+# run return a single t = 0 row, and t_end = inf stepped until the boundary
+# monitor tripped
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("cls, name", _float_fields(PhysParams) + _float_fields(SchemeConfig)
+                         + _float_fields(ScenarioSpec) + _float_fields(Grid1D))
+def test_constructors_reject_non_finite_numbers(cls, name, value):
+    kwargs = {"half_width": 20.0, "n_cells": 64} if cls is Grid1D else {}
+    with pytest.raises(ValueError, match=f"{name} must be a finite number, got {value!r}"):
+        cls(**{**kwargs, name: value})
+
+
+def test_non_finite_number_is_listed_with_the_other_problems():
+    with pytest.raises(ValueError) as err:
+        PhysParams(mu=math.inf, gamma=0.5)
+    assert str(err.value).split("; ") == ["mu must be a finite number, got inf",
+                                          "gamma > 1 required, got 0.5"]
+    with pytest.raises(ValueError) as err:
+        Grid1D(math.inf, 4)
+    assert str(err.value).split("; ") == ["half_width must be a finite number, got inf",
+                                          "n_cells must be at least 8, got 4"]
 
 
 class TestPhysParams:

@@ -22,7 +22,15 @@ from mhd1d import (
 from mhd1d.config import parse_config
 from mhd1d.diagnostics import COLUMNS, DiagnosticsRecord
 from mhd1d.errors import BoundaryMonitorError, NumericalError, SimulationError
-from mhd1d.solver import load_checkpoint, run_lockstep, save_checkpoint
+from mhd1d import solver
+from mhd1d.solver import (
+    _advective_dt,
+    _diffusive_dt,
+    load_checkpoint,
+    rkl2_stage_count,
+    run_lockstep,
+    save_checkpoint,
+)
 
 
 class TestSchemeConfig:
@@ -291,33 +299,63 @@ class TestRun:
 
 class TestRunLockstep:
     def test_dt_is_minimum_over_members(self, grid, gaussian_spec):
-        # member 1's large resistivity makes its diffusive bound the tighter one
+        # diffusion no longer bounds dt: member 1's large resistivity changes
+        # only the RKL2 stage count, and dt is the smaller advective bound
         p0 = PhysParams(nu=1e-3)
         p1 = replace(p0, nu=5.0)
-        scheme = SchemeConfig(t_end=0.01, n_samples=2)
+        scheme = SchemeConfig(t_end=0.2, n_samples=2)
         sample_times = [scheme.t_end * k / scheme.n_samples for k in (1, 2)]
         state = build_initial_state(gaussian_spec, p0, grid)
         seen = []
 
         def observe(states, dt):
-            bounds = [stable_dt(s, p, scheme, grid) for s, p in zip(states, (p0, p1))]
+            bounds = [_advective_dt(s, p, scheme, grid) for s, p in zip(states, (p0, p1))]
             seen.append((dt, states[0].t, bounds))
 
         run_lockstep([(state, p0), (state.copy(), p1)], scheme, grid, observe=observe)
         assert seen[0][:2] == (0.0, 0.0)
         assert len(seen) > 3
         for (dt, t, _), (_, _, bounds) in zip(seen[1:], seen[:-1]):
-            assert bounds[1] < bounds[0]
             if t in sample_times:
-                assert dt <= bounds[1]
+                assert dt <= min(bounds)
             else:
-                assert dt == bounds[1]
+                assert dt == min(bounds)
+        assert any(b[0] != b[1] for _, _, b in seen[1:])  # the members do differ
+
+    def test_members_share_the_stage_count(self, grid, gaussian_spec, monkeypatch):
+        # nu = 5 needs more RKL2 stages than nu = 1e-3; both members take the
+        # larger count, and dt is the smaller advective bound
+        p0 = PhysParams(nu=1e-3)
+        p1 = replace(p0, nu=5.0)
+        scheme = SchemeConfig(t_end=0.2, n_samples=2)
+        state = build_initial_state(gaussian_spec, p0, grid)
+        calls = []  # (state before the step, params, dt, stages), member by member
+        plain_step = solver.step
+
+        def recording_step(state, dt, params, scheme_, grid_, rhs_fn=None, stages=None):
+            calls.append((state, params, dt, stages))
+            return plain_step(state, dt, params, scheme_, grid_, rhs_fn, stages)
+
+        monkeypatch.setattr(solver, "step", recording_step)
+        _, (record,) = run_lockstep([(state, p0), (state.copy(), p1)], scheme, grid)
+        steps = list(zip(calls[::2], calls[1::2]))
+        assert len(steps) == record.telemetry.steps > 3
+        for (s0, q0, dt, stages), (s1, q1, dt1, stages1) in steps:
+            assert (q0, q1) == (p0, p1)
+            assert (dt1, stages1) == (dt, stages)
+            adv = min(_advective_dt(s0, p0, scheme, grid), _advective_dt(s1, p1, scheme, grid))
+            landing = min(abs(s0.t + dt - t) for t in (0.1, 0.2)) < 1e-12
+            assert dt == adv or (dt < adv and landing)
+            assert stages == rkl2_stage_count(0.5 * dt, min(_diffusive_dt(s0, p0, scheme, grid),
+                                                            _diffusive_dt(s1, p1, scheme, grid)))
+            assert stages > rkl2_stage_count(0.5 * dt, _diffusive_dt(s0, p0, scheme, grid))
+        assert record.telemetry.diffusion_stages == sum(2 * c[3] for c in calls[::2])
 
     def test_clips_of_every_member_counted(self, params, grid, gaussian_spec):
         mid = grid.n_cells // 2
 
-        def rhs_fn(state, params_, scheme_, grid_):
-            out = rhs(state, params_, scheme_, grid_)
+        def rhs_fn(state, params_, scheme_, grid_, diffusion=True):
+            out = rhs(state, params_, scheme_, grid_, diffusion=diffusion)
             if params_.nu == 0.0 and state.t == 0.0:
                 out.d_rho[mid] = -1e6  # first stage of the nu = 0 member only
             return out
@@ -352,8 +390,9 @@ class TestRunLockstep:
         t = record.telemetry
         assert t.steps == len(dts) - 1
         assert t.dt_sample_landing == scheme.n_samples
-        assert t.dt_advective + t.dt_diffusive + t.dt_sample_landing == t.steps
+        assert t.dt_advective + t.dt_sample_landing == t.steps
         assert t.rhs_evals == 3 * 2 * t.steps + len(record.rows)
+        assert t.diffusion_stages >= 2 * 2 * t.steps  # two half-steps of >= 2 stages
         assert 0.0 <= t.peak_boundary_deviation <= 1e-6
 
     def test_abort_carries_the_record_so_far(self):
@@ -371,10 +410,10 @@ class TestRunLockstep:
 
     @pytest.mark.parametrize("recorded", [1, 2])
     def test_failure_names_the_member(self, recorded, params, grid, gaussian_spec):
-        def rhs_fn(state, params_, scheme_, grid_):
+        def rhs_fn(state, params_, scheme_, grid_, diffusion=True):
             if params_.nu == 0.5 and state.t > 0:
                 raise NumericalError("forced", node=0, time=state.t)
-            return rhs(state, params_, scheme_, grid_)
+            return rhs(state, params_, scheme_, grid_, diffusion=diffusion)
 
         state = build_initial_state(gaussian_spec, params, grid)
         members = [(state, replace(params, nu=nu)) for nu in (1e-3, 0.5, 0.0)]
