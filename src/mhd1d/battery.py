@@ -20,7 +20,7 @@ from .core import Grid1D, PhysParams, constant_state, potential_energy
 from .diagnostics import central_tendencies, energy_drift, flux_identity_residual
 from .mms import manufactured_solution, observed_orders
 from .scenario import ScenarioSpec, build_initial_state
-from .solver import SchemeConfig, rhs, run
+from .solver import SchemeConfig, run, tendencies
 
 HALF_WIDTH = 20.0
 FIELDS = ("rho", "u", "b")
@@ -103,7 +103,7 @@ class Battery:
 
     def steady_state_fixed_point(self) -> Outcome:
         params, grid = self.params, self.standard_grid
-        out = rhs(constant_state(grid, params), params, SchemeConfig(), grid)
+        out = tendencies(constant_state(grid, params), params, SchemeConfig(), grid)
         sup = max(np.abs(out.d_rho).max(), np.abs(out.d_mom).max(), np.abs(out.d_b).max())
         tol = 1e-13 * max(params.rho_bar, abs(params.b_bar), 1.0)
         return Outcome(sup < tol, f"tendency sup-norm {sup:.3e} (tolerance {tol:.1e})",

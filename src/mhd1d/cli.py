@@ -25,9 +25,10 @@ from pathlib import Path
 
 from . import __version__, battery
 from .config import RunConfig, load_config
-from .diagnostics import DiagnosticsRecord
+from .diagnostics import DiagnosticsRecord, weighted_energy
 from .errors import BoundaryMonitorError, ConfigError, NumericalError, SimulationError
 from .limit_study import sweep
+from .scenario import build_initial_state, compatibility_residual
 from .solver import run, save_checkpoint
 
 EXIT_OK = 0
@@ -61,8 +62,14 @@ def _write_manifest(outdir: Path, config: RunConfig, started: str, outputs: list
                     error: SimulationError | None = None):
     """Provenance, run telemetry and wall time per phase; on abort, the failure locus.
 
-    Timings live only here, so the other outputs stay byte-reproducible.
+    ``initial_data`` holds the source paper's hypotheses on the configured
+    initial state: its |x|^alpha-weighted energy moment, and the L2 norm of
+    the compatibility residual g with the near-vacuum nodes g skips.  Timings
+    live only here, so the other outputs stay byte-reproducible.
     """
+    params, grid = config.run_params, config.grid
+    state0 = build_initial_state(config.spec, params, grid)
+    compat = compatibility_residual(state0, params, grid)
     manifest = {
         "tool_version": __version__,
         "config_fingerprint": config.fingerprint(),
@@ -71,6 +78,8 @@ def _write_manifest(outdir: Path, config: RunConfig, started: str, outputs: list
         "finished_utc": _utcnow(),
         "status": "ok" if error is None else "aborted",
         "clip_count": clip_count,
+        "initial_data": {"weighted_moment": weighted_energy(state0, params, grid),
+                         "compat_g_l2": compat.g_l2, "compat_flagged_nodes": compat.n_flagged},
         "boundary_monitor": "tripped" if isinstance(error, BoundaryMonitorError) else "ok",
         "outputs": sorted(outputs),
         "telemetry": telemetry,

@@ -136,7 +136,8 @@ def _flux_residual(state: State, udot: FieldScalar, params: PhysParams, grid: Gr
 def flux_identity_residual(state: State, tendencies, params: PhysParams, grid: Grid1D) -> float:
     """L2 norm of rho*du/dt - F_x; vanishes at the scheme's order on smooth states.
 
-    ``tendencies`` is an ``RhsOutput``, from ``rhs`` or ``central_tendencies``.
+    ``tendencies`` is an ``RhsOutput`` of the full semi-discrete tendency, from
+    ``solver.tendencies`` or ``central_tendencies``.
     """
     udot = material_derivative(state, velocity_tendency(state, tendencies), grid)
     return _flux_residual(state, udot, params, grid)
@@ -266,6 +267,8 @@ class DiagnosticsRecord:
         return float(self.rows[-1][COLUMNS.index(name)])
 
     def validate(self):
+        if not self.rows:
+            raise ValueError("diagnostics record has no rows")
         data = np.array(self.rows)
         if not np.all(np.isfinite(data)):
             raise ValueError("diagnostics record contains non-finite entries")
@@ -287,8 +290,7 @@ class DiagnosticsRecord:
     @classmethod
     def from_csv(cls, text: str) -> "DiagnosticsRecord":
         lines = [ln for ln in text.strip().splitlines() if ln]
-        header = lines[0].split(",")
-        if header != COLUMNS:
+        if not lines or lines[0].split(",") != COLUMNS:
             raise ValueError("unexpected diagnostics CSV header")
         rec = cls()
         for ln in lines[1:]:

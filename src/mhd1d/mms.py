@@ -102,13 +102,11 @@ def manufactured_solution(params: PhysParams, amplitude: float = 0.1,
 
 
 def mms_rhs(state: State, params: PhysParams, scheme: SchemeConfig, grid: Grid1D,
-            manufactured: ManufacturedSolution, diffusion: bool = True) -> RhsOutput:
-    """Plain tendencies plus the analytic sources evaluated at state.t.
-
-    ``diffusion`` is passed to ``rhs``; the sources are added either way, so
-    in a stepped run they ride on the hyperbolic stages.
-    """
-    out = rhs(state, params, scheme, grid, diffusion=diffusion)
+            manufactured: ManufacturedSolution) -> RhsOutput:
+    """Hyperbolic tendencies of ``rhs`` plus the full analytic sources at state.t,
+    diffusion residuals included: in a stepped run all of the forcing rides on
+    the hyperbolic stages.  ``tendencies`` adds the diffusion terms."""
+    out = rhs(state, params, scheme, grid)
     x = grid.x
     d_rho = out.d_rho + manufactured.source_rho(x, state.t)
     d_mom = out.d_mom + manufactured.source_mom(x, state.t)
@@ -120,8 +118,8 @@ def run_manufactured(params: PhysParams, scheme: SchemeConfig, grid: Grid1D,
                      manufactured: ManufacturedSolution) -> dict[str, float]:
     """Integrate the forced system from the exact initial data; return L2 errors."""
 
-    def forced(state, params_, scheme_, grid_, diffusion=True):
-        return mms_rhs(state, params_, scheme_, grid_, manufactured, diffusion=diffusion)
+    def forced(state, params_, scheme_, grid_):
+        return mms_rhs(state, params_, scheme_, grid_, manufactured)
 
     (final,), _ = run_lockstep([(manufactured.initial_state(grid), params)], scheme, grid,
                                rhs_fn=forced)

@@ -1,19 +1,16 @@
-"""Method-of-lines integrator for 1D compressible isentropic MHD.
+"""Method-of-lines integrator for 1D compressible isentropic MHD:
 
-One right-hand side covers both systems:
+    rho_t + (rho u)_x = 0,  (rho u)_t + (rho u^2 + P + b^2/2)_x = (mu u_x)_x,
+    b_t + (u b)_x = nu b_xx,
 
-* resistive:      rho_t + (rho u)_x = 0
-                  (rho u)_t + (rho u^2 + P + b^2/2)_x = (mu u_x)_x
-                  b_t + (u b)_x = nu b_xx
-* non-resistive:  nu = 0, where the nu b_xx term is omitted exactly.
-
-Convective fluxes use a local Lax-Friedrichs interface flux with either
-piecewise-constant or MUSCL/minmod reconstruction of the conserved variables
-(rho, m, b) and advance by an SSP Runge-Kutta method.  The diffusion terms
-are second-order central and advance by second-order Runge-Kutta-Legendre
-(RKL2) super-time-stepping at frozen density, Strang-split around the
-hyperbolic step, so the advective CFL bound alone sets dt.  Far-field
-Dirichlet values enter through ghost cells.  One driver advances any number
+the non-resistive system being nu = 0, where nu b_xx is omitted exactly.
+``rhs`` is the hyperbolic operator: local Lax-Friedrichs interface fluxes
+with piecewise-constant or MUSCL/minmod reconstruction of (rho, m, b),
+advanced by an SSP Runge-Kutta method.  ``diffusion_tendency`` is the
+second-order central diffusion terms, advanced by second-order
+Runge-Kutta-Legendre (RKL2) super-time-stepping at frozen density,
+Strang-split around the hyperbolic step, so the advective CFL bound alone
+sets dt; ``tendencies`` is the sum of the two.  Far-field Dirichlet values enter through ghost cells.  One driver advances any number
 of runs on a shared dt sequence: a single run is one member, a sweep group
 is one member per resistivity plus a shared non-resistive reference.
 Everything is plain sequential numpy, so repeated runs are bit-reproducible.
@@ -115,8 +112,6 @@ class _Workspace:
         self.faces = np.ones((3, 2, w))             # [field, left/right, interface]
         self.flux = np.empty((3, 2, w))
         self.half_a = np.empty(w)
-        self.diffusion_ext = np.empty((2, n + 2))   # (w, b) with one ghost per side
-        self.diffusion = np.empty((2, n))
         self.positive = np.empty(3 * w - 2, dtype=bool)
         self.finite = np.empty((3, n), dtype=bool)
         scratch = np.empty(9 * w)
@@ -165,15 +160,13 @@ def _half_minmod_slopes(ws: _Workspace) -> np.ndarray:
     return ws.half_slope
 
 
-def rhs(state: State, params: PhysParams, scheme: SchemeConfig, grid: Grid1D,
-        diffusion: bool = True) -> RhsOutput:
-    """Semi-discrete tendencies at one instant.
+def rhs(state: State, params: PhysParams, scheme: SchemeConfig, grid: Grid1D) -> RhsOutput:
+    """Hyperbolic tendencies at one instant, the operator of the SSP stages.
 
-    Local Lax-Friedrichs interface fluxes with the configured reconstruction,
-    plus the diffusion terms of ``diffusion_tendency`` unless ``diffusion``
-    is False: the hyperbolic stages of ``step`` omit them, since
-    super-time-stepping integrates them.  Every temporary lives in a
-    per-grid-size workspace; only the returned tendencies are fresh arrays.
+    Local Lax-Friedrichs interface fluxes with the configured reconstruction;
+    the diffusion terms are ``diffusion_tendency``'s, and ``tendencies`` adds
+    the two.  Every temporary lives in a per-grid-size workspace; only the
+    returned tendencies are fresh arrays.
     """
     n = grid.n_cells
     dx = grid.dx
@@ -238,10 +231,6 @@ def rhs(state: State, params: PhysParams, scheme: SchemeConfig, grid: Grid1D,
     np.subtract(f_hat[:, 1:n + 1], f_hat[:, :n], out=tend)
     tend /= -dx
 
-    if diffusion:
-        operator = _Diffusion(state.rho, params, grid, ext=ws.diffusion_ext)
-        tend[1:1 + operator.rows] += operator((state.mom, state.b), out=ws.diffusion)
-
     finite = np.isfinite(tend, out=ws.finite)
     if not finite.all():
         bad = np.flatnonzero(~finite.all(axis=0))
@@ -262,19 +251,16 @@ class _Diffusion:
     is then mu * sum(w * w_xx * dx) = -mu * sum(w_x^2 * dx), vacuum included:
     viscosity can only dissipate, by the amount the audit's ``diss_u``
     records.  The weight is applied only when some node is below the floor.
-    ``ext`` is the ghost-extended scratch of (w, b); rhs passes its
-    workspace's.
     """
 
-    def __init__(self, rho: np.ndarray, params: PhysParams, grid: Grid1D,
-                 ext: np.ndarray | None = None):
+    def __init__(self, rho: np.ndarray, params: PhysParams, grid: Grid1D):
         self.rho = rho
         self.floor = viscous_floor(params.rho_bar)
         self.weight = rho / np.maximum(rho, self.floor) if float(rho.min()) < self.floor else None
         self.rows = 2 if params.nu > 0 else 1
         self.coef = np.array([[params.mu], [params.nu]])[:self.rows]
         self.dx2 = grid.dx**2
-        self.ext = np.empty((2, grid.n_cells + 2)) if ext is None else ext
+        self.ext = np.empty((2, grid.n_cells + 2))  # (w, b) with one ghost per side
         self.ext[:, 0] = self.ext[:, -1] = (0.0, params.b_bar)
 
     def __call__(self, y, out: np.ndarray) -> np.ndarray:
@@ -307,6 +293,18 @@ def diffusion_tendency(state: State, params: PhysParams,
     return d[0], (d[1] if operator.rows == 2 else None)
 
 
+def tendencies(state: State, params: PhysParams, scheme: SchemeConfig, grid: Grid1D,
+               rhs_fn=None) -> RhsOutput:
+    """The full semi-discrete tendency: ``rhs_fn`` (default ``rhs``) plus
+    ``diffusion_tendency``, added in place to the arrays ``rhs_fn`` returns."""
+    out = (rhs_fn or rhs)(state, params, scheme, grid)
+    d_mom, d_b = diffusion_tendency(state, params, grid)
+    out.d_mom += d_mom
+    if d_b is not None:
+        out.d_b += d_b
+    return out
+
+
 def _advective_dt(state: State, params: PhysParams, scheme: SchemeConfig, grid: Grid1D) -> float:
     """The CFL bound of the hyperbolic step: cfl * dx / max fast speed."""
     return scheme.cfl_number * grid.dx / float(fast_speed_state(state, params).max())
@@ -317,16 +315,6 @@ def _diffusive_dt(state: State, params: PhysParams, scheme: SchemeConfig, grid: 
     rho_min = max(float(state.rho.min()), viscous_floor(params.rho_bar))
     diff_coef = max(params.mu / rho_min, params.nu)
     return scheme.diffusion_number * grid.dx**2 / diff_coef
-
-
-def stable_dt(state: State, params: PhysParams, scheme: SchemeConfig, grid: Grid1D) -> float:
-    """Explicit step bound: advective CFL and the diffusive dx^2 restriction.
-
-    The driver steps at the advective bound alone; this is the bound a fully
-    explicit step would need.
-    """
-    return min(_advective_dt(state, params, scheme, grid),
-               _diffusive_dt(state, params, scheme, grid))
 
 
 def rkl2_stage_count(tau: float, dt_diffusive: float) -> int:
@@ -407,7 +395,7 @@ def _fields(state: State) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _euler_stage(state: State, dt: float, params, scheme, grid, rhs_fn):
     """q + dt*d of the hyperbolic tendencies into fresh arrays, density clipped to >= 0."""
-    out = rhs_fn(state, params, scheme, grid, diffusion=False)
+    out = rhs_fn(state, params, scheme, grid)
     rho, mom, b = (np.multiply(d, dt) for d in (out.d_rho, out.d_mom, out.d_b))
     rho += state.rho
     mom += state.mom
@@ -419,7 +407,7 @@ def _euler_stage(state: State, dt: float, params, scheme, grid, rhs_fn):
 
 
 def _hyperbolic_step(state: State, dt: float, params, scheme, grid, rhs_fn) -> tuple[State, int]:
-    """One SSP Runge-Kutta step of the tendencies without diffusion.
+    """One SSP Runge-Kutta step of the hyperbolic tendencies ``rhs_fn``.
 
     Each RK combination is written into the arrays of the stage just
     computed, which nothing else holds.
@@ -452,7 +440,7 @@ def step(state: State, dt: float, params: PhysParams, scheme: SchemeConfig,
 
     D is an RKL2 step of the diffusion terms with ``stages`` stages (by
     default the fewest that keep this state's diffusion stable over dt/2), H
-    an SSP Runge-Kutta step of ``rhs_fn(..., diffusion=False)``.  Only H
+    an SSP Runge-Kutta step of ``rhs_fn``, the hyperbolic tendencies.  Only H
     evaluates ``rhs_fn``, and only H moves the time label, so time-dependent
     forcing sees the hyperbolic stage times.  The new state shares no memory
     with ``state``.
@@ -505,7 +493,6 @@ def run_lockstep(members: list[tuple[State, PhysParams]], scheme: SchemeConfig,
     that raised (None when no single member did), and ``exc.record``, that
     member's record so far (member 0's when it carries none).
     """
-    rhs_fn = rhs_fn or rhs
     rhs_per_step = STAGES[scheme.time_integrator]
     states = [s for s, _ in members]
     params = [p for _, p in members]
@@ -518,7 +505,7 @@ def run_lockstep(members: list[tuple[State, PhysParams]], scheme: SchemeConfig,
                                                 check_boundary(states[i], params[i]))
 
     def record_sample(i):
-        out = rhs_fn(states[i], params[i], scheme, grid)
+        out = tendencies(states[i], params[i], scheme, grid, rhs_fn)
         telemetry.rhs_evals += 1
         records[i].append(diagnostics.sample(states[i], out, params[i], grid, accums[i]))
 
@@ -621,7 +608,7 @@ __all__ = [
     "RhsOutput",
     "rhs",
     "diffusion_tendency",
-    "stable_dt",
+    "tendencies",
     "rkl2_stage_count",
     "rkl2_coefficients",
     "step",

@@ -187,6 +187,8 @@ class TestSimulateCommand:
         assert telemetry["steps"] > 0
         assert telemetry["peak_boundary_deviation"] <= 1e-6 < error["deviation"]
         assert set(manifest["wall_s"]) == {"integrate", "write"}
+        assert set(manifest["initial_data"]) == {"weighted_moment", "compat_g_l2",
+                                                 "compat_flagged_nodes"}
 
     def test_numerical_abort_leaves_manifest(self, tmp_path, monkeypatch):
         def failing_run(*args, **kwargs):
@@ -216,6 +218,22 @@ class TestSimulateCommand:
         assert t["rhs_evals"] == 2 * t["steps"] + n_samples + 1  # ssp_rk2, one member
         assert 0.0 <= t["peak_boundary_deviation"] <= 1e-6
         assert all(v >= 0 for v in manifest["wall_s"].values())
+
+    # the vacuum run's grid: its nodes next to x = 0 fall below RHO_COMPAT
+    @pytest.mark.parametrize("scenario, flagged", [
+        ({}, False),
+        ({"preset": "interior_vacuum", "a_b": -1.0}, True),
+    ], ids=["gaussian_bump", "interior_vacuum"])
+    def test_manifest_records_initial_data_hypotheses(self, scenario, flagged, tmp_path):
+        payload = {"grid": {"half_width": 20.0, "n_cells": 1024}, "scenario": scenario,
+                   "scheme": {"t_end": 0.01, "n_samples": 1}}
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--output-dir", str(out)]) == 0
+        data = json.loads((out / "manifest.json").read_text())["initial_data"]
+        assert np.isfinite(data["weighted_moment"]) and data["weighted_moment"] > 0
+        assert np.isfinite(data["compat_g_l2"])
+        assert (data["compat_flagged_nodes"] > 0) == flagged
 
     def test_config_error_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, {"physics": {"gamma": 0.5}})
@@ -297,6 +315,11 @@ class TestSweepCommand:
         assert pairs["dt_sample_landing"] == n_samples
         assert guard["rhs_evals"] == 4 * guard["steps"] + n_samples + 1
         assert guard["steps"] > pairs["steps"]  # doubled grid
+        # the hypotheses of the configured data on the sweep grid, as simulate records them
+        assert main(["simulate", "--config", cfg, "--output-dir", str(tmp_path / "sim")]) == 0
+        simulated = json.loads((tmp_path / "sim" / "manifest.json").read_text())
+        assert manifest["initial_data"] == simulated["initial_data"]
+        assert manifest["initial_data"]["compat_flagged_nodes"] == 0
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, SMALL)

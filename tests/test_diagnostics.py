@@ -18,9 +18,9 @@ from mhd1d import (
     manufactured_solution,
     momentum_potential,
     nu_independence_report,
-    rhs,
     run,
     sample,
+    tendencies,
     total_energy,
     weighted_energy,
     weighted_l2,
@@ -134,7 +134,7 @@ class TestMomentumPotential:
 class TestFluxIdentity:
     def test_constant_state_zero(self, params, grid):
         s = constant_state(grid, params)
-        out = rhs(s, params, SchemeConfig(), grid)
+        out = tendencies(s, params, SchemeConfig(), grid)
         assert flux_identity_residual(s, out, params, grid) < 1e-13
 
     def test_two_grid_contraction_with_central_tendencies(self, params):
@@ -181,6 +181,18 @@ class TestRecord:
         with pytest.raises(ValueError, match="non-finite"):
             rec.validate()
 
+    @pytest.mark.parametrize("record", [
+        DiagnosticsRecord(),
+        DiagnosticsRecord.from_csv(",".join(COLUMNS) + "\n"),
+    ], ids=["constructed", "header-only-csv"])
+    def test_validate_rejects_a_record_without_rows(self, record):
+        with pytest.raises(ValueError, match="no rows"):
+            record.validate()
+
+    def test_from_csv_rejects_empty_text(self):
+        with pytest.raises(ValueError, match="header"):
+            DiagnosticsRecord.from_csv("")
+
     def test_validate_catches_decreasing_accumulator(self):
         rec = DiagnosticsRecord()
         row1 = dict.fromkeys(COLUMNS, 0.0)
@@ -197,7 +209,7 @@ class TestRecord:
         s = constant_state(grid, params)
         accum = Accumulators()
         accum.start(s, params, grid)
-        out = rhs(s, params, SchemeConfig(), grid)
+        out = tendencies(s, params, SchemeConfig(), grid)
         row = sample(s, out, params, grid, accum)
         assert row["sup_rho"] == params.rho_bar
         assert row["sup_abs_b"] == abs(params.b_bar)
@@ -215,7 +227,7 @@ class TestRecord:
         s = build_initial_state(spec, params, grid)
         accum = Accumulators()
         accum.start(s, params, grid)
-        out = rhs(s, params, SchemeConfig(), grid)
+        out = tendencies(s, params, SchemeConfig(), grid)
         row = sample(s, out, params, grid, accum)
         assert all(np.isfinite(v) for v in row.values())
 

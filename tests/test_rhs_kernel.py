@@ -1,13 +1,14 @@
 """The per-step kernels against their out-of-place reference forms.
 
-``reference_rhs`` below is the earlier form of ``mhd1d.solver.rhs``: one
-field at a time, fresh arrays for every temporary, and ``u_t`` computed on
-every call.  ``reference_step`` and ``reference_integrand`` are the
-out-of-place forms of ``solver.step`` (the Strang step: RKL2 diffusion
-half-steps around the SSP Runge-Kutta step without diffusion) and
-``Accumulators.integrand``, with a fresh array for every expression, and
-``reference_dt_bounds`` is the pair of bounds that ``bench/spans.py``
-recomputes for every ``stable_dt`` call.  The production code must
+``reference_rhs`` below is the earlier form of ``mhd1d.solver.rhs``, the
+hyperbolic tendencies: one field at a time, with fresh arrays for every
+temporary.  ``reference_diffusion`` is the diffusion terms, and their sum is
+the full tendency of ``solver.tendencies``.  ``reference_step`` and
+``reference_integrand`` are the out-of-place forms of ``solver.step`` (the
+Strang step: RKL2 diffusion half-steps around the SSP Runge-Kutta step of
+``rhs``) and ``Accumulators.integrand``, with a fresh array for every
+expression, and ``reference_dt_bounds`` is the pair of step bounds,
+advective and diffusive, from public pieces.  The production code must
 reproduce them bit for bit (sign of zero included) over the admissible
 parameter space, so any change to its arithmetic shows up here first.  The
 properties of the diffusion operator and of the RKL2 integrator follow.
@@ -15,7 +16,7 @@ properties of the diffusion operator and of the RKL2 integrator follow.
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from hypothesis import strategies as st
 from mhd1d import Grid1D, PhysParams, ScenarioSpec, SchemeConfig, State, build_initial_state
 from mhd1d.core import (
     RHO_FLOOR,
-    FieldScalar,
+    RhsOutput,
     derivative,
     effective_viscous_flux,
     fast_speed,
@@ -40,24 +41,17 @@ from mhd1d.errors import NumericalError
 from mhd1d.solver import (
     _advective_dt,
     _diffuse,
+    _diffusive_dt,
     diffusion_tendency,
     rhs,
     rkl2_coefficients,
     rkl2_stage_count,
-    stable_dt,
     step,
+    tendencies,
 )
 
 # ---------------------------------------------------------------------------
 # reference kernel (per-field form)
-
-
-@dataclass
-class ReferenceOutput:
-    d_rho: FieldScalar
-    d_mom: FieldScalar
-    d_b: FieldScalar
-    u_t: FieldScalar
 
 
 def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -83,13 +77,9 @@ def _physical_flux(rho, mom, b, gamma):
 
 
 def reference_rhs(state: State, params: PhysParams, scheme: SchemeConfig,
-                  grid: Grid1D) -> ReferenceOutput:
-    """Semi-discrete tendencies at one instant.
-
-    Local Lax-Friedrichs interface fluxes with the configured reconstruction;
-    (rho/max(rho, viscous floor))*mu*u_xx and (for nu > 0 only) nu*b_xx by
-    central differences.
-    """
+                  grid: Grid1D) -> RhsOutput:
+    """Hyperbolic tendencies at one instant: local Lax-Friedrichs interface
+    fluxes with the configured reconstruction."""
     n = grid.n_cells
     dx = grid.dx
     rho_e, mom_e, b_e = _extend(state, params)
@@ -128,23 +118,26 @@ def reference_rhs(state: State, params: PhysParams, scheme: SchemeConfig,
         f_hat = 0.5 * (f_l + f_r) - 0.5 * a * (q_r - q_l)
         out[:] = -(f_hat[1:] - f_hat[:-1]) / dx
 
-    d_visc, d_res = reference_diffusion(state, params, grid)
-    d_mom += d_visc
-    if params.nu > 0:
-        d_b += d_res
-
-    u = state.velocity()
-    u_t = (d_mom - u * d_rho) / np.maximum(state.rho, RHO_FLOOR)
-
     if not (np.all(np.isfinite(d_rho)) and np.all(np.isfinite(d_mom)) and np.all(np.isfinite(d_b))):
         bad = np.flatnonzero(~(np.isfinite(d_rho) & np.isfinite(d_mom) & np.isfinite(d_b)))
         raise NumericalError("non-finite tendency", node=int(bad[0]), time=state.t)
-    return ReferenceOutput(d_rho=d_rho, d_mom=d_mom, d_b=d_b, u_t=u_t)
+    return RhsOutput(d_rho=d_rho, d_mom=d_mom, d_b=d_b)
 
 
-def reference_sample_terms(state, ref: ReferenceOutput, params, grid) -> dict:
-    """The two sampled columns that read u_t, evaluated from the reference u_t."""
-    udot = material_derivative(state, ref.u_t, grid)
+def reference_tendencies(state: State, params: PhysParams, scheme: SchemeConfig,
+                         grid: Grid1D) -> RhsOutput:
+    """The full tendency: ``reference_rhs`` plus ``reference_diffusion``
+    (nu*b_xx for nu > 0 only)."""
+    ref = reference_rhs(state, params, scheme, grid)
+    d_visc, d_res = reference_diffusion(state, params, grid)
+    return RhsOutput(d_rho=ref.d_rho, d_mom=ref.d_mom + d_visc,
+                     d_b=ref.d_b + d_res if params.nu > 0 else ref.d_b)
+
+
+def reference_sample_terms(state, ref: RhsOutput, params, grid) -> dict:
+    """The two sampled columns that read u_t, from the reference full tendency."""
+    u_t = (ref.d_mom - state.velocity() * ref.d_rho) / np.maximum(state.rho, RHO_FLOOR)
+    udot = material_derivative(state, u_t, grid)
     flux = effective_viscous_flux(state, params, grid)
     return {
         "flux_residual": lp_norm(state.rho * udot - derivative(flux, grid.dx), 2, grid),
@@ -187,7 +180,7 @@ def reference_rkl2(state: State, tau: float, params, grid, s: int) -> State:
 
 
 def _reference_euler_stage(state: State, dt: float, params, scheme, grid):
-    out = rhs(state, params, scheme, grid, diffusion=False)
+    out = rhs(state, params, scheme, grid)
     rho = state.rho + dt * out.d_rho
     clipped = np.count_nonzero(rho < 0.0)
     if clipped:
@@ -257,7 +250,7 @@ def reference_integrand(state: State, params: PhysParams, grid: Grid1D) -> tuple
 
 def reference_dt_bounds(state: State, params: PhysParams, scheme: SchemeConfig,
                         grid: Grid1D) -> tuple[float, float]:
-    """The advective and diffusive bounds, as the benchmark tracer recomputes them."""
+    """The advective CFL bound and the dx^2 bound of one explicit diffusion stage."""
     dt_adv = scheme.cfl_number * grid.dx / float(np.max(fast_speed_state(state, params)))
     rho_min = max(float(np.min(np.maximum(state.rho, RHO_FLOOR))), viscous_floor(params.rho_bar))
     dt_diff = scheme.diffusion_number * grid.dx**2 / max(params.mu / rho_min, params.nu)
@@ -316,7 +309,7 @@ def cases(draw):
         reconstruction=draw(st.sampled_from(("muscl_minmod", "first_order_upwind"))),
         time_integrator=draw(st.sampled_from(("ssp_rk2", "ssp_rk3"))))
     for _ in range(draw(st.integers(0, 3))):
-        state, _ = step(state, stable_dt(state, params, scheme, grid), params, scheme, grid)
+        state, _ = step(state, _advective_dt(state, params, scheme, grid), params, scheme, grid)
     return state, params, scheme, grid
 
 
@@ -334,7 +327,7 @@ def dt_cases(draw):
     scheme = SchemeConfig(cfl_number=draw(st.floats(0.1, 1.0)),
                           diffusion_number=draw(st.floats(0.05, 0.5)))
     for _ in range(draw(st.integers(0, 2))):
-        state, _ = step(state, stable_dt(state, params, scheme, grid), params, scheme, grid)
+        state, _ = step(state, _advective_dt(state, params, scheme, grid), params, scheme, grid)
     if preset == "interior_vacuum":
         k = int(np.argmin(state.rho))
         state.rho[max(k - 1, 0):k + 2] = 0.0
@@ -361,8 +354,18 @@ def dt_cases(draw):
 @given(cases())
 def test_rhs_matches_reference_bitwise(case):
     state, params, scheme, grid = case
-    ref = reference_rhs(state, params, scheme, grid)
-    out = rhs(state, params, scheme, grid)
+    assert_same_bits(rhs(state, params, scheme, grid), reference_rhs(state, params, scheme, grid))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cases())
+def test_tendencies_match_reference_bitwise(case):
+    # tendencies == reference_rhs + reference_diffusion, and the sampled
+    # columns that read the full tendency
+    state, params, scheme, grid = case
+    ref = reference_tendencies(state, params, scheme, grid)
+    out = tendencies(state, params, scheme, grid)
     assert_same_bits(out, ref)
 
     accum = Accumulators()
@@ -377,7 +380,7 @@ def test_rhs_matches_reference_bitwise(case):
 @given(cases(), st.floats(0.05, 1.0))
 def test_step_and_integrand_match_reference_bitwise(case, dt_fraction):
     state, params, scheme, grid = case
-    dt = dt_fraction * stable_dt(state, params, scheme, grid)
+    dt = dt_fraction * _advective_dt(state, params, scheme, grid)
     assert_same_step(state, dt, params, scheme, grid)
     got = Accumulators().integrand(state, params, grid)
     want = reference_integrand(state, params, grid)
@@ -388,10 +391,12 @@ def test_step_and_integrand_match_reference_bitwise(case, dt_fraction):
           suppress_health_check=[HealthCheck.too_slow])
 @given(dt_cases())
 def test_stable_dt_matches_reference_bounds(case):
+    # the advective bound sets dt, the diffusive one the RKL2 stage count
     state, params, scheme, grid, diffusive = case
     dt_adv, dt_diff = reference_dt_bounds(state, params, scheme, grid)
     assert (dt_diff < dt_adv) == diffusive
-    assert stable_dt(state, params, scheme, grid) == min(dt_adv, dt_diff)
+    assert _advective_dt(state, params, scheme, grid) == dt_adv
+    assert _diffusive_dt(state, params, scheme, grid) == dt_diff
 
 
 @pytest.mark.parametrize("integrator", ["ssp_rk2", "ssp_rk3"])

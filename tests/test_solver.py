@@ -15,8 +15,8 @@ from mhd1d import (
     constant_state,
     rhs,
     run,
-    stable_dt,
     step,
+    tendencies,
     total_energy,
 )
 from mhd1d.config import parse_config
@@ -26,6 +26,7 @@ from mhd1d import solver
 from mhd1d.solver import (
     _advective_dt,
     _diffusive_dt,
+    diffusion_tendency,
     load_checkpoint,
     rkl2_stage_count,
     run_lockstep,
@@ -49,7 +50,7 @@ class TestSchemeConfig:
 
 
 def _oracle_rhs_first_order(state, params, grid):
-    """Scalar re-implementation of the semi-discrete system, loops and all."""
+    """Scalar re-implementation of the full semi-discrete system, loops and all."""
     n, dx, g = grid.n_cells, grid.dx, params.gamma
     rho = np.concatenate([[params.rho_bar] * 2, state.rho, [params.rho_bar] * 2])
     mom = np.concatenate([[0.0] * 2, state.mom, [0.0] * 2])
@@ -88,9 +89,10 @@ class TestRhs:
     def test_constant_state_is_fixed_point(self, params, grid):
         scheme = SchemeConfig()
         for p in (params, replace(params, nu=0.0)):
-            out = rhs(constant_state(grid, p), p, scheme, grid)
-            for arr in (out.d_rho, out.d_mom, out.d_b):
-                assert np.abs(arr).max() < 1e-13 * max(params.rho_bar, params.b_bar, 1.0)
+            for operator in (rhs, tendencies):
+                out = operator(constant_state(grid, p), p, scheme, grid)
+                for arr in (out.d_rho, out.d_mom, out.d_b):
+                    assert np.abs(arr).max() < 1e-13 * max(params.rho_bar, params.b_bar, 1.0)
 
     def test_matches_hand_rolled_oracle_on_8_nodes(self):
         params = PhysParams(mu=0.05, nu=2e-3)
@@ -101,7 +103,7 @@ class TestRhs:
         state = State(rho=rho, mom=rho * u, b=np.full(8, params.b_bar))
         scheme = SchemeConfig(reconstruction="first_order_upwind")
         for p in (params, replace(params, nu=0.0)):
-            out = rhs(state, p, scheme, grid)
+            out = tendencies(state, p, scheme, grid)
             o_rho, o_mom, o_b = _oracle_rhs_first_order(state, p, grid)
             assert np.allclose(out.d_rho, o_rho, atol=1e-13)
             assert np.allclose(out.d_mom, o_mom, atol=1e-13)
@@ -122,15 +124,19 @@ class TestRhs:
         assert np.allclose(out.d_rho, expected, atol=1e-14)
 
     def test_modes_differ_exactly_by_resistive_term(self, params, grid, gaussian_spec):
+        # rhs does not read nu; the resistive term is diffusion_tendency's d_b alone
         state = build_initial_state(gaussian_spec, params, grid)
         scheme = SchemeConfig()
         out_r = rhs(state, params, scheme, grid)
         out_n = rhs(state, replace(params, nu=0.0), scheme, grid)
-        assert np.array_equal(out_r.d_rho, out_n.d_rho)
-        assert np.array_equal(out_r.d_mom, out_n.d_mom)
+        for name in ("d_rho", "d_mom", "d_b"):
+            assert getattr(out_r, name).tobytes() == getattr(out_n, name).tobytes(), name
+        d_mom_r, d_b = diffusion_tendency(state, params, grid)
+        d_mom_n, d_b_n = diffusion_tendency(state, replace(params, nu=0.0), grid)
+        assert np.array_equal(d_mom_r, d_mom_n) and d_b_n is None
         b_ext = np.concatenate([[params.b_bar], state.b, [params.b_bar]])
-        lap = (b_ext[2:] - 2.0 * b_ext[1:-1] + b_ext[:-2]) / grid.dx**2
-        assert np.allclose(out_r.d_b - out_n.d_b, params.nu * lap, atol=1e-15)
+        lap = params.nu * (b_ext[2:] - 2.0 * b_ext[1:-1] + b_ext[:-2]) / grid.dx**2
+        assert d_b.tobytes() == lap.tobytes()
 
     def test_non_finite_state_raises_with_node(self, params, grid):
         state = constant_state(grid, params)
@@ -141,13 +147,16 @@ class TestRhs:
 
 
 class TestStableDt:
+    """The two step bounds: ``_advective_dt`` sets dt, ``_diffusive_dt`` (one
+    explicit diffusion stage) the RKL2 stage count."""
+
     def test_acoustic_limit(self):
         # state (1, 0, 0) with gamma=2 and negligible diffusion: dt = cfl*dx/sqrt(2)
         params = PhysParams(mu=1e-30, nu=0.0, gamma=2.0, b_bar=1.0)
         grid = Grid1D(10.0, 64)
         state = State(rho=np.ones(64), mom=np.zeros(64), b=np.zeros(64))
         scheme = SchemeConfig(cfl_number=0.5)
-        assert stable_dt(state, params, scheme, grid) == pytest.approx(
+        assert _advective_dt(state, params, scheme, grid) == pytest.approx(
             0.5 * grid.dx / math.sqrt(2.0))
 
     def test_doubling_cells_at_most_halves_advective_bound(self, params, gaussian_spec):
@@ -156,7 +165,7 @@ class TestStableDt:
         dts = []
         for n in (256, 512):
             g = Grid1D(20.0, n)
-            dts.append(stable_dt(build_initial_state(gaussian_spec, params, g), p, scheme, g))
+            dts.append(_advective_dt(build_initial_state(gaussian_spec, params, g), p, scheme, g))
         assert dts[1] <= 0.5 * dts[0] * (1 + 1e-12)
 
     def test_zero_resistivity_uses_viscous_bound(self, grid):
@@ -164,7 +173,7 @@ class TestStableDt:
         params = PhysParams(mu=10.0, nu=0.0)
         state = constant_state(grid, params)
         scheme = SchemeConfig()
-        dt = stable_dt(state, params, scheme, grid)
+        dt = _diffusive_dt(state, params, scheme, grid)
         assert dt == pytest.approx(
             scheme.diffusion_number * grid.dx**2 * params.rho_bar / params.mu)
 
@@ -172,13 +181,13 @@ class TestStableDt:
         params = PhysParams(mu=0.1, nu=50.0)
         state = constant_state(grid, params)
         scheme = SchemeConfig()
-        dt = stable_dt(state, params, scheme, grid)
+        dt = _diffusive_dt(state, params, scheme, grid)
         assert dt == pytest.approx(scheme.diffusion_number * grid.dx**2 / params.nu)
 
     def test_positive_and_finite_on_vacuum(self, params):
         grid = Grid1D(20.0, 256)
         spec = ScenarioSpec(preset="interior_vacuum", a_b=-params.b_bar)
-        dt = stable_dt(build_initial_state(spec, params, grid), params, SchemeConfig(), grid)
+        dt = _diffusive_dt(build_initial_state(spec, params, grid), params, SchemeConfig(), grid)
         assert np.isfinite(dt) and dt > 0
 
 
@@ -205,7 +214,7 @@ class TestStep:
         state = State(rho=rho, mom=rho * c, b=params.b_bar + eps * np.exp(-x**2), t=0.0)
         scheme = SchemeConfig()
         while state.t < t_end - 1e-12:
-            dt = min(stable_dt(state, params, scheme, grid), t_end - state.t)
+            dt = min(_advective_dt(state, params, scheme, grid), t_end - state.t)
             state, _ = step(state, dt, params, scheme, grid)
         core = np.abs(x) < 10.0  # edges are polluted by the far-field ghosts
         assert np.abs(state.rho - params.rho_bar)[core].max() < 1e-7
@@ -228,7 +237,7 @@ class TestStep:
             state = State(rho=rho, mom=rho * c, b=params.b_bar + eps * np.exp(-x**2), t=0.0)
             scheme = SchemeConfig(time_integrator=integ)
             while state.t < t_end - 1e-12:
-                dt = min(stable_dt(state, params, scheme, grid), t_end - state.t)
+                dt = min(_advective_dt(state, params, scheme, grid), t_end - state.t)
                 state, _ = step(state, dt, params, scheme, grid)
             core = np.abs(x) < 10.0
             exact = eps * np.exp(-(x[core] - c * t_end) ** 2)
@@ -354,8 +363,8 @@ class TestRunLockstep:
     def test_clips_of_every_member_counted(self, params, grid, gaussian_spec):
         mid = grid.n_cells // 2
 
-        def rhs_fn(state, params_, scheme_, grid_, diffusion=True):
-            out = rhs(state, params_, scheme_, grid_, diffusion=diffusion)
+        def rhs_fn(state, params_, scheme_, grid_):
+            out = rhs(state, params_, scheme_, grid_)
             if params_.nu == 0.0 and state.t == 0.0:
                 out.d_rho[mid] = -1e6  # first stage of the nu = 0 member only
             return out
@@ -410,10 +419,10 @@ class TestRunLockstep:
 
     @pytest.mark.parametrize("recorded", [1, 2])
     def test_failure_names_the_member(self, recorded, params, grid, gaussian_spec):
-        def rhs_fn(state, params_, scheme_, grid_, diffusion=True):
+        def rhs_fn(state, params_, scheme_, grid_):
             if params_.nu == 0.5 and state.t > 0:
                 raise NumericalError("forced", node=0, time=state.t)
-            return rhs(state, params_, scheme_, grid_, diffusion=diffusion)
+            return rhs(state, params_, scheme_, grid_)
 
         state = build_initial_state(gaussian_spec, params, grid)
         members = [(state, replace(params, nu=nu)) for nu in (1e-3, 0.5, 0.0)]
