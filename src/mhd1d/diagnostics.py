@@ -212,7 +212,8 @@ class RunTelemetry:
     counts every right-hand-side evaluation, RK stages of every member and
     the diagnostics samples alike.  ``diffusion_stages`` sums the RKL2 stage
     count over every diffusion half-step (two per step); every member of a
-    lockstep group takes that many.
+    lockstep group takes that many.  ``clips`` counts the nodes where a
+    stage clipped the density to zero, over every member, recorded or not.
     """
 
     steps: int = 0
@@ -220,6 +221,7 @@ class RunTelemetry:
     dt_advective: int = 0
     dt_sample_landing: int = 0
     diffusion_stages: int = 0
+    clips: int = 0
     peak_boundary_deviation: float = 0.0
 
     def as_dict(self) -> dict:

@@ -54,15 +54,17 @@ class PairErrors:
         return asdict(self)
 
 
-def run_group(nus, config: RunConfig) -> tuple[list[PairErrors], list[DiagnosticsRecord]]:
+def run_group(nus, config: RunConfig,
+              recorded: bool = True) -> tuple[list[PairErrors], list[DiagnosticsRecord]]:
     """Evolve one resistive member per nu and one shared non-resistive reference in lockstep.
 
     Every member starts from the configured scenario, physics and grid; only
     nu differs.  Returns the error functionals of each resistive member
     against the reference and each resistive member's diagnostics record
     (used by the resistivity-independence audit), both in the order of
-    ``nus``.  A failure leaves with ``exc.member``, the index into ``nus`` of
-    the member that raised, or ``len(nus)`` for the reference.
+    ``nus``; unrecorded, the records are one row-less record that holds the
+    telemetry.  A failure leaves with ``exc.member``, the index into ``nus``
+    of the member that raised, or ``len(nus)`` for the reference.
     """
     grid = config.grid
     dx = grid.dx
@@ -96,7 +98,7 @@ def run_group(nus, config: RunConfig) -> tuple[list[PairErrors], list[Diagnostic
 
     members = [(state.copy(), replace(config.params, nu=nu)) for nu in nus]
     _, records = run_lockstep(members + [(state, reference)], config.scheme, grid,
-                              observe=observe, recorded=len(nus))
+                              observe=observe, recorded=len(nus) if recorded else 0)
     for e in errors:
         e.e_total = e.e_sup + e.e_diss
     return errors, records
@@ -155,8 +157,9 @@ def _doubled(config: RunConfig) -> RunConfig:
     return replace(config, grid=Grid1D(config.grid.half_width, 2 * config.grid.n_cells))
 
 
-def _guard_result(signal: float, fine_pair: tuple[PairErrors, DiagnosticsRecord]) -> GuardResult:
-    errors_fine, record = fine_pair
+def _guard_result(signal: float,
+                  fine_group: tuple[list[PairErrors], list[DiagnosticsRecord]]) -> GuardResult:
+    (errors_fine,), (record,) = fine_group
     proxy = abs(signal - errors_fine.e_total)
     ratio = signal / proxy if proxy > 0 else float("inf")
     return GuardResult(proxy=proxy, signal=signal, ratio=ratio,
@@ -164,8 +167,12 @@ def _guard_result(signal: float, fine_pair: tuple[PairErrors, DiagnosticsRecord]
 
 
 def grid_pollution_guard(nu_min: float, signal: float, config: RunConfig) -> GuardResult:
-    """Re-measure e_total(nu_min) on a doubled grid and compare."""
-    return _guard_result(signal, run_pair(nu_min, _doubled(config)))
+    """Re-measure e_total(nu_min) on a doubled grid and compare.
+
+    The doubled-grid pair runs unrecorded: only its error functional and
+    telemetry are read.
+    """
+    return _guard_result(signal, run_group([nu_min], _doubled(config), recorded=False))
 
 
 @dataclass
@@ -269,7 +276,7 @@ def sweep(config: RunConfig, jobs: int = 1, run_guard: bool = True) -> SweepResu
     # spawn, not fork: the worker starts from a fresh import of this package
     with (multiprocessing.get_context("spawn").Pool(1) if early
           else contextlib.nullcontext()) as pool:
-        early_guard = (pool.apply_async(run_pair, (min(nus), _doubled(config)))
+        early_guard = (pool.apply_async(run_group, ([min(nus)], _doubled(config), False))
                        if pool is not None else None)
         entries, records, telemetry = _sweep_group(nus, config)
 

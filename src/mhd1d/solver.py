@@ -254,9 +254,9 @@ class _Diffusion:
     """
 
     def __init__(self, rho: np.ndarray, params: PhysParams, grid: Grid1D):
-        self.rho = rho
-        self.floor = viscous_floor(params.rho_bar)
-        self.weight = rho / np.maximum(rho, self.floor) if float(rho.min()) < self.floor else None
+        floor = viscous_floor(params.rho_bar)
+        self.rho_safe = np.maximum(rho, floor)  # rho is frozen for the operator's lifetime
+        self.weight = rho / self.rho_safe if float(rho.min()) < floor else None
         self.rows = 2 if params.nu > 0 else 1
         self.coef = np.array([[params.mu], [params.nu]])[:self.rows]
         self.dx2 = grid.dx**2
@@ -266,8 +266,7 @@ class _Diffusion:
     def __call__(self, y, out: np.ndarray) -> np.ndarray:
         """The tendencies of (m, b) = (y[0], y[1]), written into out[:rows]."""
         ext = self.ext[:self.rows]
-        w = np.maximum(self.rho, self.floor, out=ext[0, 1:-1])
-        np.divide(y[0], w, out=w)
+        np.divide(y[0], self.rho_safe, out=ext[0, 1:-1])
         if self.rows == 2:
             ext[1, 1:-1] = y[1]
         lap = out[:self.rows]
@@ -400,7 +399,7 @@ def _euler_stage(state: State, dt: float, params, scheme, grid, rhs_fn):
     rho += state.rho
     mom += state.mom
     b += state.b
-    clipped = np.count_nonzero(rho < 0.0)
+    clipped = int(np.count_nonzero(rho < 0.0))
     if clipped:
         np.maximum(rho, 0.0, out=rho)
     return State._unchecked(rho, mom, b, state.t + dt), clipped
@@ -484,10 +483,13 @@ def run_lockstep(members: list[tuple[State, PhysParams]], scheme: SchemeConfig,
     first ``recorded`` members carries its own dissipation accumulators
     (trapezoid in time, advanced every accepted step) and diagnostics
     record.  A recorded member's clip count holds its own density clips plus
-    those of every unrecorded member.  ``observe(states, dt)`` is called at
-    t = 0 with dt = 0 and after every accepted step.  The records share one
-    telemetry, counting the group's steps, rhs evaluations, the bound that
-    set each dt and the RKL2 stages.
+    those of every unrecorded member.  With ``recorded = 0`` nothing is
+    sampled or accumulated; the steps, sample landings and final states are
+    those of a recorded run, and one row-less record is returned.
+    ``observe(states, dt)`` is called at t = 0 with dt = 0 and after every
+    accepted step.  The records share one telemetry, counting the group's
+    steps, rhs evaluations, the bound that set each dt, the RKL2 stages and
+    the density clips of every member.
 
     A ``SimulationError`` leaves with ``exc.member``, the index of the member
     that raised (None when no single member did), and ``exc.record``, that
@@ -497,7 +499,8 @@ def run_lockstep(members: list[tuple[State, PhysParams]], scheme: SchemeConfig,
     states = [s for s, _ in members]
     params = [p for _, p in members]
     telemetry = diagnostics.RunTelemetry()
-    records = [diagnostics.DiagnosticsRecord(telemetry=telemetry) for _ in range(recorded)]
+    records = [diagnostics.DiagnosticsRecord(telemetry=telemetry)
+               for _ in range(max(recorded, 1))]
     accums = [diagnostics.Accumulators() for _ in range(recorded)]
 
     def check(i):
@@ -538,6 +541,7 @@ def run_lockstep(members: list[tuple[State, PhysParams]], scheme: SchemeConfig,
             for member, p in enumerate(params):
                 states[member], clips = step(states[member], dt, p, scheme, grid, rhs_fn, stages)
                 telemetry.rhs_evals += rhs_per_step
+                telemetry.clips += clips
                 if member < recorded:
                     accums[member].clip_count += clips
                 else:  # an unrecorded member's clips count toward every record

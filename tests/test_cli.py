@@ -313,8 +313,11 @@ class TestSweepCommand:
         k = len(SMALL["nu_list"])
         assert pairs["rhs_evals"] == 2 * (k + 1) * pairs["steps"] + k * (n_samples + 1)
         assert pairs["dt_sample_landing"] == n_samples
-        assert guard["rhs_evals"] == 4 * guard["steps"] + n_samples + 1
+        # the guard pair runs unrecorded: two members, two stages each, no samples
+        assert guard["rhs_evals"] == 4 * guard["steps"]
+        assert guard["dt_sample_landing"] == n_samples
         assert guard["steps"] > pairs["steps"]  # doubled grid
+        assert pairs["clips"] == guard["clips"] == manifest["clip_count"] == 0
         # the hypotheses of the configured data on the sweep grid, as simulate records them
         assert main(["simulate", "--config", cfg, "--output-dir", str(tmp_path / "sim")]) == 0
         simulated = json.loads((tmp_path / "sim" / "manifest.json").read_text())

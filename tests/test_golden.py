@@ -1,4 +1,5 @@
-"""Golden outputs: the criterion-10 sweep and a short interior-vacuum run.
+"""Golden outputs: the criterion-10 sweep, a short interior-vacuum run and
+the lines ``mhd1d verify`` prints.
 
 Both run through the command line, so the test does not depend on the
 library API.  Every number of ``report.json`` and every row of the CSV and
@@ -8,16 +9,22 @@ builds and still catches any real change.  Table entries also get an
 absolute floor of 1e-15 times the largest magnitude in their column, so
 rounding residue such as far-field momentum of order 1e-42 cannot fail the
 comparison on another libm.  When the installed numpy is the version the
-copy was made with, the SHA-256 of every output must match as well.
+copy was made with, the SHA-256 of every output must match as well, and so
+must the text of the nine ``verify`` lines, wall times stripped
+(``verify.txt``); on another numpy only their check names and verdicts are
+compared, since their numbers are printed rounded.
 
 A change that moves numbers on purpose regenerates the copy with
 ``python tests/test_golden.py`` and commits it in the same change, so the
 diff shows every number that moved.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +60,15 @@ def _produce(case: str, workdir: Path, extra: tuple = ()) -> dict[str, bytes]:
     outdir = workdir / case
     assert main([command, "--config", str(cfg), "--output-dir", str(outdir), *extra]) == 0
     return {p.name: p.read_bytes() for p in sorted(outdir.iterdir()) if p.name != "manifest.json"}
+
+
+def _verify_lines() -> list[str]:
+    """The check lines of ``mhd1d verify``, without their trailing wall times."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["verify"]) == 0
+    return [re.sub(r" \([0-9.]+ s\)$", "", ln) for ln in out.getvalue().splitlines()
+            if ln.startswith("[")]
 
 
 def _assert_json_close(actual, expected, where):
@@ -108,6 +124,16 @@ def test_outputs_match_golden(case, extra, tmp_path):
         assert digests == recorded["sha256"][case]
 
 
+def test_verify_lines_match_golden():
+    recorded = json.loads((GOLDEN / "golden.json").read_text())
+    lines = _verify_lines()
+    expected = (GOLDEN / "verify.txt").read_text().splitlines()
+    assert len(expected) == 9
+    assert [ln.split(":")[0] for ln in lines] == [ln.split(":")[0] for ln in expected]
+    if np.__version__ == recorded["numpy"]:
+        assert lines == expected
+
+
 def regenerate():
     """Rewrite the golden copy from the current code."""
     import tempfile
@@ -125,6 +151,7 @@ def regenerate():
             recorded["sha256"][case] = {name: hashlib.sha256(data).hexdigest()
                                         for name, data in outputs.items()}
     (GOLDEN / "golden.json").write_text(json.dumps(recorded, sort_keys=True, indent=2) + "\n")
+    (GOLDEN / "verify.txt").write_text("\n".join(_verify_lines()) + "\n")
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mhd1d import ConvergenceReport, fit_rate, parse_config, run_pair, solver, sweep
+from mhd1d import ConvergenceReport, Grid1D, fit_rate, parse_config, run_pair, solver, sweep
 from mhd1d.errors import BoundaryMonitorError
 
 
@@ -102,6 +102,17 @@ class TestSweep:
     def test_guard_passes_on_small_config(self, small_sweep):
         g = small_sweep.report.guard
         assert g.passed and g.ratio >= 10.0
+
+    def test_guard_matches_the_recorded_doubled_pair(self, small_sweep, small_config):
+        # the guard runs its pair unrecorded; it measures what run_pair measures
+        g = small_sweep.report.guard
+        grid = Grid1D(small_config.grid.half_width, 2 * small_config.grid.n_cells)
+        errors, record = run_pair(min(small_config.nu_list), replace(small_config, grid=grid))
+        assert g.proxy == abs(g.signal - errors.e_total)
+        t, u = record.telemetry, g.telemetry
+        for name in ("steps", "dt_advective", "dt_sample_landing", "diffusion_stages", "clips"):
+            assert getattr(u, name) == getattr(t, name), name
+        assert u.rhs_evals == t.rhs_evals - len(record.rows) == 4 * u.steps
 
     def test_records_returned_per_nu(self, small_sweep):
         assert [nu for nu, _ in small_sweep.records] == [1e-2, 1e-3, 1e-4]

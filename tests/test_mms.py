@@ -12,6 +12,7 @@ from mhd1d import (
     SchemeConfig,
     manufactured_solution,
     mms_rhs,
+    rhs,
     run_manufactured,
     tendencies,
 )
@@ -34,9 +35,8 @@ class TestManufacturedSolution:
         grid = Grid1D(20.0, 64)
         x = grid.x
         for t in (0.0, 0.7):
-            assert np.all(np.asarray(flat.source_rho(x, t)) == 0.0)
-            assert np.all(np.asarray(flat.source_mom(x, t)) == 0.0)
-            assert np.all(np.asarray(flat.source_b(x, t)) == 0.0)
+            for source in flat.sources(x, t):
+                assert np.all(np.asarray(source) == 0.0)
         state = flat.initial_state(grid)
         assert np.all(state.rho == ms_params.rho_bar)
         assert len(state.rho) == grid.n_cells
@@ -64,13 +64,14 @@ class TestManufacturedSolution:
         assert sups[0] > sups[1] > sups[2]
 
 
-FIELDS = ("rho", "u", "b", "mom", "source_rho", "source_mom", "source_b")
+FIELDS = ("rho", "u", "b", "mom")
+SOURCES = ("source_rho", "source_mom", "source_b")
 PARAM_NAMES = ("gamma", "mu", "nu", "rho_bar", "b_bar", "amplitude", "sigma", "omega")
 
 
 @functools.lru_cache(maxsize=1)
 def _sympy_oracle():
-    """The seven callables differentiated by sympy, parameters kept symbolic.
+    """The four fields and three sources differentiated by sympy, parameters kept symbolic.
 
     The residuals are written in conservation form, independently of the
     hand-expanded closed forms in ``mms.py``, and lambdified once without
@@ -107,10 +108,53 @@ def test_closed_forms_match_sympy_derivation(gamma, mu, nu, rho_bar, b_bar, ampl
     ms = manufactured_solution(params, amplitude=amplitude, sigma=sigma, omega=omega)
     x = np.linspace(-20.0, 20.0, 257)
     for t in (0.0, 0.37, 1.3, 2.9):
-        for name, ref_fn in zip(FIELDS, oracle):
+        values = [getattr(ms, name)(x, t) for name in FIELDS] + list(ms.sources(x, t))
+        for name, ref_fn, got in zip(FIELDS + SOURCES, oracle, values):
             ref = ref_fn(x, t, gamma, mu, nu, rho_bar, b_bar, amplitude, sigma, omega) + 0.0 * x
-            got = getattr(ms, name)(x, t)
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), (name, t)
+
+
+def reference_sources(params, amplitude, sigma, omega, x, t):
+    """The hand-expanded residuals that the sympy test pins, restated operation
+    for operation, so ``sources`` (one evaluation of the closed-form derivatives
+    for all three) must equal them bit for bit."""
+    s2 = sigma**2
+    g = np.exp(-(x**2) / s2)
+    g_x = -2.0 * x / s2 * g
+    g_xx = (4.0 * x**2 / s2 - 2.0) / s2 * g
+    ac, aws = amplitude * np.cos(omega * t), amplitude * omega * np.sin(omega * t)
+    rho, u, b = params.rho_bar + ac * g, ac * x * g, params.b_bar + ac * g
+    rho_x, rho_t, u_x = ac * g_x, -aws * g, ac * (g + x * g_x)
+    u_xx, u_t, b_xx = ac * (2.0 * g_x + x * g_xx), -aws * x * g, ac * g_xx
+    s_rho = rho_t + rho_x * u + rho * u_x
+    s_mom = (rho_t * u + rho * u_t + (rho_x * u + 2.0 * rho * u_x) * u
+             + (params.gamma * rho ** (params.gamma - 1.0) + b) * rho_x
+             - params.mu * u_xx)
+    s_b = rho_t + u_x * b + u * rho_x - params.nu * b_xx
+    return s_rho, s_mom, s_b
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(gamma=st.floats(1.1, 3.0), mu=st.floats(0.01, 1.0),
+       nu=st.one_of(st.just(0.0), st.floats(1e-5, 0.1)),
+       amplitude=st.one_of(st.just(0.0), st.floats(-0.5, 0.5)),
+       sigma=st.floats(1.0, 4.0), omega=st.floats(0.0, 4.0),
+       t=st.one_of(st.just(0.0), st.floats(0.0, 3.0)))
+def test_sources_and_forced_rhs_match_reference_bitwise(gamma, mu, nu, amplitude, sigma,
+                                                        omega, t):
+    params = PhysParams(mu=mu, nu=nu, gamma=gamma)
+    ms = manufactured_solution(params, amplitude=amplitude, sigma=sigma, omega=omega)
+    grid = Grid1D(20.0, 128)
+    ref = reference_sources(params, amplitude, sigma, omega, grid.x, t)
+    for name, got, want in zip(SOURCES, ms.sources(grid.x, t), ref):
+        assert np.array_equal(got, want), name
+    # the forced operator is rhs plus those sources, bit for bit
+    state = replace(ms.initial_state(grid), t=t)
+    forced, plain = mms_rhs(state, params, SchemeConfig(), grid, ms), rhs(state, params,
+                                                                        SchemeConfig(), grid)
+    for got, d, source in zip((forced.d_rho, forced.d_mom, forced.d_b),
+                              (plain.d_rho, plain.d_mom, plain.d_b), ref):
+        assert np.array_equal(got, d + source)
 
 
 class TestForcedRuns:

@@ -380,6 +380,32 @@ class TestRunLockstep:
         group = [members[0], (state.copy(), replace(params, nu=1e-2)), members[1]]
         _, records = run_lockstep(group, scheme, grid, rhs_fn=rhs_fn, recorded=2)
         assert [r.final("clip_count") for r in records] == [record.final("clip_count")] * 2
+        # the telemetry counts every member's clips, so an unrecorded run reports them too
+        _, (bare,) = run_lockstep(members, scheme, grid, rhs_fn=rhs_fn, recorded=0)
+        assert bare.telemetry.clips == record.telemetry.clips == record.final("clip_count")
+        assert alone.telemetry.clips == 0
+
+    @pytest.mark.parametrize("integrator, nus", [
+        ("ssp_rk2", (1e-3,)),
+        ("ssp_rk3", (1e-3,)),
+        ("ssp_rk2", (1e-2, 1e-3, 0.0)),
+    ], ids=["ssp_rk2", "ssp_rk3", "group-with-nu0"])
+    def test_unrecorded_run_matches_recorded(self, integrator, nus, params, grid, gaussian_spec):
+        scheme = SchemeConfig(t_end=0.05, n_samples=3, time_integrator=integrator)
+        state = build_initial_state(gaussian_spec, params, grid)
+        members = [(state, replace(params, nu=nu)) for nu in nus]
+        finals, (record,) = run_lockstep(members, scheme, grid)
+        bare_finals, (bare,) = run_lockstep(members, scheme, grid, recorded=0)
+        for a, b in zip(finals, bare_finals):
+            assert a.t == b.t
+            for name in ("rho", "mom", "b"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert bare.rows == []
+        t, u = record.telemetry, bare.telemetry
+        for name in ("steps", "dt_advective", "dt_sample_landing", "diffusion_stages", "clips"):
+            assert getattr(u, name) == getattr(t, name), name
+        # only the samples are skipped: one evaluation per row of the recorded member
+        assert u.rhs_evals == t.rhs_evals - len(record.rows) == t.rhs_evals - 4
 
     def test_single_member_is_run(self, params, grid, gaussian_spec):
         scheme = SchemeConfig(t_end=0.05, n_samples=3)
@@ -417,7 +443,7 @@ class TestRunLockstep:
         assert record.telemetry.steps > 0
         record.validate()
 
-    @pytest.mark.parametrize("recorded", [1, 2])
+    @pytest.mark.parametrize("recorded", [0, 1, 2])
     def test_failure_names_the_member(self, recorded, params, grid, gaussian_spec):
         def rhs_fn(state, params_, scheme_, grid_):
             if params_.nu == 0.5 and state.t > 0:
@@ -430,8 +456,10 @@ class TestRunLockstep:
             run_lockstep(members, SchemeConfig(t_end=0.01, n_samples=2), grid, rhs_fn=rhs_fn,
                          recorded=recorded)
         assert err.value.member == 1
-        # member 1's record, or member 0's when member 1 carries none: the t = 0 row
-        assert len(err.value.record.rows) == 1
+        # member 1's record, or member 0's when member 1 carries none: the t = 0 row;
+        # an unrecorded run carries its one row-less record
+        assert len(err.value.record.rows) == min(recorded, 1)
+        assert err.value.record.telemetry.rhs_evals > 0
 
     def test_max_steps_guard(self, params, grid, gaussian_spec):
         state = build_initial_state(gaussian_spec, params, grid)
