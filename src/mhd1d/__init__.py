@@ -34,7 +34,6 @@ from .limit_study import (
     ConvergenceReport,
     SweepResult,
     fit_rate,
-    run_pair,
     sweep,
 )
 from .mms import manufactured_solution, mms_rhs, observed_orders, run_manufactured

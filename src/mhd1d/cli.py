@@ -99,22 +99,18 @@ def _write_manifest(outdir: Path, config: RunConfig, started: str, outputs: list
     _atomic_write(outdir / "manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
-def _clip_count(record: DiagnosticsRecord) -> int:
-    return int(record.final("clip_count")) if record.rows else 0
-
-
 def _aborted(exc: SimulationError, outdir: Path, config: RunConfig, started: str,
-             csv_name: str, integrate_s: float) -> int:
+             integrate_s: float) -> int:
     """Write the rows gathered before the failure and a manifest with its locus."""
     print(f"aborted: {exc}", file=sys.stderr)
     record = exc.record if exc.record is not None else DiagnosticsRecord()
     start = time.perf_counter()
     outputs = []
     if record.rows:
-        _atomic_write(outdir / csv_name, record.to_csv())
-        outputs.append(csv_name)
+        _atomic_write(outdir / "diagnostics.csv", record.to_csv())
+        outputs.append("diagnostics.csv")
     wall_s = {"integrate": integrate_s, "write": time.perf_counter() - start}
-    _write_manifest(outdir, config, started, outputs, _clip_count(record),
+    _write_manifest(outdir, config, started, outputs, record.telemetry.clips,
                     record.telemetry.as_dict(), wall_s, error=exc)
     return EXIT_BOUNDARY if isinstance(exc, BoundaryMonitorError) else EXIT_NUMERICAL
 
@@ -140,15 +136,14 @@ def cmd_simulate(args) -> int:
     try:
         final, record = run(config.spec, config.run_params, config.scheme, config.grid)
     except (BoundaryMonitorError, NumericalError) as exc:
-        return _aborted(exc, outdir, config, started, "diagnostics.csv",
-                        time.perf_counter() - start)
+        return _aborted(exc, outdir, config, started, time.perf_counter() - start)
     integrated = time.perf_counter()
 
     outputs = ["diagnostics.csv", "state_final.txt"]
     _atomic_write(outdir / "diagnostics.csv", record.to_csv())
     _atomic_write(outdir / "state_final.txt", save_checkpoint(final, config.grid))
     wall_s = {"integrate": integrated - start, "write": time.perf_counter() - integrated}
-    _write_manifest(outdir, config, started, outputs, _clip_count(record),
+    _write_manifest(outdir, config, started, outputs, record.telemetry.clips,
                     record.telemetry.as_dict(), wall_s)
     print(f"simulate: T={config.scheme.t_end} done, outputs in {outdir}")
     return EXIT_OK
@@ -166,8 +161,7 @@ def cmd_sweep(args) -> int:
     try:
         result = sweep(config, jobs=args.jobs or config.jobs)
     except (BoundaryMonitorError, NumericalError) as exc:
-        return _aborted(exc, outdir, config, started, "diag_aborted.csv",
-                        time.perf_counter() - start)
+        return _aborted(exc, outdir, config, started, time.perf_counter() - start)
     integrated = time.perf_counter()
 
     outputs = ["report.json"]
@@ -176,14 +170,14 @@ def cmd_sweep(args) -> int:
         _atomic_write(outdir / name, record.to_csv())
         outputs.append(name)
     _atomic_write(outdir / "report.json", result.report.to_json())
-    clip_total = sum(_clip_count(rec) for _, rec in result.records)
     wall_s = {"integrate": integrated - start, "write": time.perf_counter() - integrated}
     guard = result.report.guard.telemetry
     telemetry = {
         "pairs": result.telemetry.as_dict(),
         "guard": guard.as_dict() if guard is not None else None,
     }
-    _write_manifest(outdir, config, started, outputs, clip_total, telemetry, wall_s)
+    clips = result.telemetry.clips + (guard.clips if guard is not None else 0)
+    _write_manifest(outdir, config, started, outputs, clips, telemetry, wall_s)
     r = result.report
     if r.fit_skipped_reason:
         print(f"sweep: fit skipped ({r.fit_skipped_reason}); outputs in {outdir}")

@@ -164,14 +164,14 @@ def central_tendencies(state: State, params: PhysParams, grid: Grid1D) -> RhsOut
 
 @dataclass
 class Accumulators:
-    """Time integrals updated every accepted step (trapezoid in time)."""
+    """Time integrals of one run, updated every accepted step (trapezoid in time)."""
 
     diss_u: float = 0.0
     diss_b: float = 0.0
     diss_u_weighted: float = 0.0
     diss_b_weighted: float = 0.0
     l6_b_pert: float = 0.0
-    clip_count: int = 0
+    clip_count: int = 0  # density clips of this run alone
     _last: tuple | None = None
 
     def integrand(self, state: State, params: PhysParams, grid: Grid1D) -> tuple:
@@ -212,8 +212,8 @@ class RunTelemetry:
     counts every right-hand-side evaluation, RK stages of every member and
     the diagnostics samples alike.  ``diffusion_stages`` sums the RKL2 stage
     count over every diffusion half-step (two per step); every member of a
-    lockstep group takes that many.  ``clips`` counts the nodes where a
-    stage clipped the density to zero, over every member, recorded or not.
+    lockstep group takes that many.  ``clips`` counts the density clips to
+    zero of every member; a record's ``clip_count`` counts its own member's.
     """
 
     steps: int = 0
@@ -291,12 +291,15 @@ class DiagnosticsRecord:
 
     @classmethod
     def from_csv(cls, text: str) -> "DiagnosticsRecord":
-        lines = [ln for ln in text.strip().splitlines() if ln]
+        lines = text.strip().splitlines()
         if not lines or lines[0].split(",") != COLUMNS:
             raise ValueError("unexpected diagnostics CSV header")
         rec = cls()
-        for ln in lines[1:]:
-            rec.rows.append([float(v) for v in ln.split(",")])
+        for number, ln in enumerate(lines[1:], start=2):
+            values = ln.split(",")
+            if len(values) != len(COLUMNS):
+                raise ValueError(f"CSV line {number} has {len(values)} fields, not {len(COLUMNS)}")
+            rec.rows.append([float(v) for v in values])
         return rec
 
 

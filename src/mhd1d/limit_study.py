@@ -59,10 +59,10 @@ def run_group(nus, config: RunConfig,
     """Evolve one resistive member per nu and one shared non-resistive reference in lockstep.
 
     Every member starts from the configured scenario, physics and grid; only
-    nu differs.  Returns the error functionals of each resistive member
-    against the reference and each resistive member's diagnostics record
-    (used by the resistivity-independence audit), both in the order of
-    ``nus``; unrecorded, the records are one row-less record that holds the
+    nu differs.  Returns, in the order of ``nus``, each resistive member's
+    error functionals against the reference and its diagnostics record (for
+    the resistivity-independence audit), which counts that member's clips
+    alone.  Unrecorded, the records are one row-less record that holds the
     telemetry.  A failure leaves with ``exc.member``, the index into ``nus``
     of the member that raised, or ``len(nus)`` for the reference.
     """
@@ -102,12 +102,6 @@ def run_group(nus, config: RunConfig,
     for e in errors:
         e.e_total = e.e_sup + e.e_diss
     return errors, records
-
-
-def run_pair(nu: float, config: RunConfig) -> tuple[PairErrors, DiagnosticsRecord]:
-    """The resistive(nu) and non-resistive runs in lockstep: the one-member group."""
-    (errors,), (record,) = run_group([nu], config)
-    return errors, record
 
 
 def fit_rate(nu_values, errors) -> tuple[float, float, float]:
@@ -253,17 +247,17 @@ def _unfit_reason(nus: list) -> str | None:
     return None
 
 
-def sweep(config: RunConfig, jobs: int = 1, run_guard: bool = True) -> SweepResult:
+def sweep(config: RunConfig, jobs: int = 1) -> SweepResult:
     """Run one lockstep group over ``config.nu_list``, fit the rates, apply the guard.
 
     The group holds one resistive member per nu and a shared non-resistive
-    reference.  Failed members are recorded and excluded from the fit.  With
-    jobs > 1 the guard's doubled-grid pair runs in a worker process beside
-    the group, started whenever the nu list allows a fit; its result, a
-    failure included, is used only if the guard is due, so the report does
-    not depend on ``jobs``.  ``jobs`` is separate from ``config.jobs`` so that
-    ``sweep --jobs`` can override it without changing the fingerprint the
-    report carries.
+    reference.  Failed members are marked and excluded from the fit; only the
+    guard's failure propagates.  The guard runs exactly when the fit does.  With
+    jobs > 1 its doubled-grid pair runs in a worker process beside the group,
+    started whenever the nu list allows a fit; its result, a failure included,
+    is used only if the guard is due, so the report does not depend on ``jobs``.
+    ``jobs`` is separate from ``config.jobs`` so that ``sweep --jobs`` can
+    override it without changing the fingerprint the report carries.
     """
     requested = [float(v) for v in config.nu_list]
     nus = sorted(set(requested), reverse=True)
@@ -272,7 +266,7 @@ def sweep(config: RunConfig, jobs: int = 1, run_guard: bool = True) -> SweepResu
     if any(v < 0 for v in nus):
         raise ValueError("nu values must be non-negative")
 
-    early = jobs > 1 and run_guard and _unfit_reason(nus) is None
+    early = jobs > 1 and _unfit_reason(nus) is None
     # spawn, not fork: the worker starts from a fresh import of this package
     with (multiprocessing.get_context("spawn").Pool(1) if early
           else contextlib.nullcontext()) as pool:
@@ -296,13 +290,12 @@ def sweep(config: RunConfig, jobs: int = 1, run_guard: bool = True) -> SweepResu
                     setattr(report, attr, fit_rate(xs, values)[0])
             report.superlinear_flagged = report.slope > SUPERLINEAR_SLOPE
 
-            if run_guard:
-                smallest = min(good, key=lambda e: e.nu)
-                if early_guard is not None and smallest.nu == min(nus):
-                    # get() re-raises the worker's failure here, where a serial sweep fails
-                    report.guard = _guard_result(smallest.e_total, early_guard.get())
-                else:
-                    report.guard = grid_pollution_guard(smallest.nu, smallest.e_total, config)
+            smallest = min(good, key=lambda e: e.nu)
+            if early_guard is not None and smallest.nu == min(nus):
+                # get() re-raises the worker's failure here, where a serial sweep fails
+                report.guard = _guard_result(smallest.e_total, early_guard.get())
+            else:
+                report.guard = grid_pollution_guard(smallest.nu, smallest.e_total, config)
     return SweepResult(report=report, records=records, telemetry=telemetry)
 
 
@@ -311,7 +304,6 @@ __all__ = [
     "SUPERLINEAR_SLOPE",
     "PairErrors",
     "run_group",
-    "run_pair",
     "fit_rate",
     "GuardResult",
     "grid_pollution_guard",

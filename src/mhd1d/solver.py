@@ -482,10 +482,10 @@ def run_lockstep(members: list[tuple[State, PhysParams]], scheme: SchemeConfig,
     splitting error cancels in the difference of two members.  Each of the
     first ``recorded`` members carries its own dissipation accumulators
     (trapezoid in time, advanced every accepted step) and diagnostics
-    record.  A recorded member's clip count holds its own density clips plus
-    those of every unrecorded member.  With ``recorded = 0`` nothing is
-    sampled or accumulated; the steps, sample landings and final states are
-    those of a recorded run, and one row-less record is returned.
+    record, whose clip count holds that member's own density clips.  With
+    ``recorded = 0`` nothing is sampled or accumulated; the steps, sample
+    landings and final states are those of a recorded run, and one row-less
+    record is returned.
     ``observe(states, dt)`` is called at t = 0 with dt = 0 and after every
     accepted step.  The records share one telemetry, counting the group's
     steps, rhs evaluations, the bound that set each dt, the RKL2 stages and
@@ -544,9 +544,6 @@ def run_lockstep(members: list[tuple[State, PhysParams]], scheme: SchemeConfig,
                 telemetry.clips += clips
                 if member < recorded:
                     accums[member].clip_count += clips
-                else:  # an unrecorded member's clips count toward every record
-                    for accum in accums:
-                        accum.clip_count += clips
                 if landed:
                     states[member].t = target
             for member in range(recorded):
@@ -571,11 +568,11 @@ def run_lockstep(members: list[tuple[State, PhysParams]], scheme: SchemeConfig,
     return states, records
 
 
-def run(spec: ScenarioSpec, params: PhysParams, scheme: SchemeConfig, grid: Grid1D,
-        max_steps: int = 10_000_000) -> tuple[State, diagnostics.DiagnosticsRecord]:
+def run(spec: ScenarioSpec, params: PhysParams, scheme: SchemeConfig,
+        grid: Grid1D) -> tuple[State, diagnostics.DiagnosticsRecord]:
     """Integrate one scenario: the single-member case of ``run_lockstep``."""
     state = build_initial_state(spec, params, grid)
-    (final,), (record,) = run_lockstep([(state, params)], scheme, grid, max_steps=max_steps)
+    (final,), (record,) = run_lockstep([(state, params)], scheme, grid)
     return final, record
 
 
@@ -591,6 +588,8 @@ def save_checkpoint(state: State, grid: Grid1D) -> str:
 
 def load_checkpoint(text: str) -> tuple[State, Grid1D]:
     lines = text.strip().splitlines()
+    if not lines:
+        raise ValueError("checkpoint is empty")
     n_str, l_str, t_str = lines[0].split()
     n = int(n_str)
     grid = Grid1D(float(l_str), n)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import mhd1d
-from mhd1d import battery, cli
+from mhd1d import battery, cli, solver
 from mhd1d.battery import CHECKS, Outcome
 from mhd1d.cli import main
 from mhd1d.config import DEFAULTS, load_config, parse_config
@@ -323,6 +323,33 @@ class TestSweepCommand:
         simulated = json.loads((tmp_path / "sim" / "manifest.json").read_text())
         assert manifest["initial_data"] == simulated["initial_data"]
         assert manifest["initial_data"]["compat_flagged_nodes"] == 0
+
+    def test_manifest_counts_each_density_clip_once(self, tmp_path, monkeypatch):
+        # criterion 10's configuration, cut to one short sample interval
+        config = {"grid": {"half_width": 20.0, "n_cells": 256},
+                  "scheme": {"t_end": 1e-3, "n_samples": 1},
+                  "nu_list": [1e-2, 1e-3, 1e-4]}
+        mid = config["grid"]["n_cells"] // 2
+        plain_rhs = solver.rhs
+
+        def clipping_rhs(state, params, scheme, grid):
+            out = plain_rhs(state, params, scheme, grid)
+            if params.nu == 0.0 and state.t == 0.0:
+                out.d_rho[mid] = -1e6  # first stage of the nu = 0 member only
+            return out
+
+        monkeypatch.setattr(solver, "rhs", clipping_rhs)
+        cfg = write_config(tmp_path, config)
+        out = tmp_path / "swp"
+        assert main(["sweep", "--config", cfg, "--output-dir", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        pairs, guard = manifest["telemetry"]["pairs"], manifest["telemetry"]["guard"]
+        assert pairs["clips"] > 0 and guard["clips"] > 0
+        assert manifest["clip_count"] == pairs["clips"] + guard["clips"]
+        # only the unrecorded reference clipped, so no record counts a clip
+        for nu in config["nu_list"]:
+            record = DiagnosticsRecord.from_csv((out / f"diag_nu_{nu:g}.csv").read_text())
+            assert record.final("clip_count") == 0
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, SMALL)

@@ -193,6 +193,13 @@ class TestRecord:
         with pytest.raises(ValueError, match="header"):
             DiagnosticsRecord.from_csv("")
 
+    @pytest.mark.parametrize("row", ["0.0,1.0", ",".join(["0.0"] * (len(COLUMNS) + 1))],
+                             ids=["short", "long"])
+    def test_from_csv_rejects_a_row_of_the_wrong_width(self, row):
+        full = ",".join(["0.0"] * len(COLUMNS))
+        with pytest.raises(ValueError, match="line 3"):
+            DiagnosticsRecord.from_csv("\n".join([",".join(COLUMNS), full, row]) + "\n")
+
     def test_validate_catches_decreasing_accumulator(self):
         rec = DiagnosticsRecord()
         row1 = dict.fromkeys(COLUMNS, 0.0)

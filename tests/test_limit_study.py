@@ -3,8 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mhd1d import ConvergenceReport, Grid1D, fit_rate, parse_config, run_pair, solver, sweep
+from mhd1d import ConvergenceReport, Grid1D, fit_rate, parse_config, solver, sweep
 from mhd1d.errors import BoundaryMonitorError
+from mhd1d.limit_study import run_group
 
 
 @pytest.fixture(scope="module")
@@ -54,9 +55,16 @@ class TestFitRate:
             fit_rate([1e-2, 1e-3], [1.0, 0.1])
 
 
+def assert_guard_runs_iff_fit(report):
+    """The guard runs exactly when the rate fit does."""
+    assert (report.guard.telemetry is None) == (report.fit_skipped_reason is not None)
+
+
 class TestRunPair:
+    """A pair is the lockstep group of one resistive member and the reference."""
+
     def test_zero_resistivity_pair_is_identical(self, small_config):
-        errors, record = run_pair(0.0, small_config)
+        (errors,), _ = run_group([0.0], small_config)
         assert errors.e_sup == 0.0
         assert errors.e_diss == 0.0
         assert errors.e_total == 0.0
@@ -65,12 +73,12 @@ class TestRunPair:
     def test_zero_horizon(self):
         config = parse_config({"grid": {"half_width": 20.0, "n_cells": 256},
                                "scheme": {"t_end": 0.0}})
-        errors, record = run_pair(1e-3, config)
+        (errors,), (record,) = run_group([1e-3], config)
         assert errors.e_total == 0.0
         assert len(record.rows) == 1
 
     def test_errors_positive_and_record_sound(self, small_config):
-        errors, record = run_pair(1e-3, small_config)
+        (errors,), (record,) = run_group([1e-3], small_config)
         assert errors.e_sup > 0
         assert errors.e_total >= errors.e_sup
         record.validate()
@@ -102,12 +110,14 @@ class TestSweep:
     def test_guard_passes_on_small_config(self, small_sweep):
         g = small_sweep.report.guard
         assert g.passed and g.ratio >= 10.0
+        assert_guard_runs_iff_fit(small_sweep.report)
 
     def test_guard_matches_the_recorded_doubled_pair(self, small_sweep, small_config):
-        # the guard runs its pair unrecorded; it measures what run_pair measures
+        # the guard runs its pair unrecorded; it measures what the recorded pair measures
         g = small_sweep.report.guard
         grid = Grid1D(small_config.grid.half_width, 2 * small_config.grid.n_cells)
-        errors, record = run_pair(min(small_config.nu_list), replace(small_config, grid=grid))
+        (errors,), (record,) = run_group([min(small_config.nu_list)],
+                                         replace(small_config, grid=grid))
         assert g.proxy == abs(g.signal - errors.e_total)
         t, u = record.telemetry, g.telemetry
         for name in ("steps", "dt_advective", "dt_sample_landing", "diffusion_stages", "clips"):
@@ -127,19 +137,22 @@ class TestSweep:
                                "scheme": {"t_end": 0.05, "n_samples": 2},
                                "grid": {"half_width": 20.0, "n_cells": 256},
                                "nu_list": [1e-2, 1e-3, 1e-4]})
-        result = sweep(config, run_guard=False)
+        result = sweep(config)
         assert result.report.degenerate
         assert result.report.slope is None
         assert result.report.fit_skipped_reason is not None
+        assert_guard_runs_iff_fit(result.report)
 
     def test_single_nu_skips_fit(self, small_config):
-        result = sweep(replace(small_config, nu_list=(1e-3,)), run_guard=False)
+        result = sweep(replace(small_config, nu_list=(1e-3,)))
         assert result.report.slope is None
         assert "fewer than 3" in result.report.fit_skipped_reason
+        assert_guard_runs_iff_fit(result.report)
 
     def test_narrow_span_skips_fit(self, small_config):
-        result = sweep(replace(small_config, nu_list=(1e-2, 5e-3, 2e-3)), run_guard=False)
+        result = sweep(replace(small_config, nu_list=(1e-2, 5e-3, 2e-3)))
         assert "two decades" in result.report.fit_skipped_reason
+        assert_guard_runs_iff_fit(result.report)
 
     def test_rejects_duplicate_nus(self, small_config):
         with pytest.raises(ValueError, match="distinct"):
@@ -163,11 +176,12 @@ class TestSweep:
                                "scheme": {"t_end": 2.0, "n_samples": 4},
                                "grid": {"half_width": 5.0, "n_cells": 128},
                                "nu_list": [1e-2, 1e-3, 1e-4]})
-        result = sweep(config, run_guard=False)
+        result = sweep(config)
         assert all(e.failed is not None for e in result.report.entries)
         assert "BoundaryMonitorError" in result.report.entries[0].failed
         assert result.report.fit_skipped_reason is not None
         assert result.records == []
+        assert_guard_runs_iff_fit(result.report)
 
 
 def _tripping_check_boundary(monkeypatch, nu_to_fail):
@@ -185,12 +199,14 @@ def _tripping_check_boundary(monkeypatch, nu_to_fail):
 class TestGroupFailures:
     def test_failed_member_is_dropped_and_the_group_rerun(self, small_config, monkeypatch):
         _tripping_check_boundary(monkeypatch, 1e-3)
-        result = sweep(small_config, run_guard=False)
+        result = sweep(small_config)
+        assert_guard_runs_iff_fit(result.report)
         entries = result.report.entries
         assert [e.nu for e in entries if e.failed] == [1e-3]
         assert entries[1].failed.startswith("BoundaryMonitorError: boundary validity monitor")
         # the survivors' numbers are those of a sweep that never had the failed member
-        alone = sweep(replace(small_config, nu_list=(1e-2, 1e-4)), run_guard=False)
+        alone = sweep(replace(small_config, nu_list=(1e-2, 1e-4)))
+        assert_guard_runs_iff_fit(alone.report)
         assert [entries[0], entries[2]] == alone.report.entries
         assert ([(nu, r.to_csv()) for nu, r in result.records]
                 == [(nu, r.to_csv()) for nu, r in alone.records])
@@ -203,3 +219,4 @@ class TestGroupFailures:
         assert len(messages) == 1 and None not in messages
         assert result.records == []
         assert result.report.fit_skipped_reason is not None
+        assert_guard_runs_iff_fit(result.report)

@@ -373,17 +373,21 @@ class TestRunLockstep:
         state = build_initial_state(gaussian_spec, params, grid)
         members = [(state, params), (state.copy(), replace(params, nu=0.0))]
         _, (record,) = run_lockstep(members, scheme, grid, rhs_fn=rhs_fn)
-        assert record.final("clip_count") > 0
+        # a record counts its own member's clips; the telemetry counts every member's
+        assert record.final("clip_count") == 0
+        assert record.telemetry.clips > 0
         _, (alone,) = run_lockstep(members[:1], scheme, grid, rhs_fn=rhs_fn)
-        assert alone.final("clip_count") == 0
-        # an unrecorded member's clips count toward every record
+        assert alone.final("clip_count") == alone.telemetry.clips == 0
+        _, (kept, clipped) = run_lockstep(members, scheme, grid, rhs_fn=rhs_fn, recorded=2)
+        assert kept.final("clip_count") == 0
+        assert clipped.final("clip_count") == clipped.telemetry.clips == record.telemetry.clips
         group = [members[0], (state.copy(), replace(params, nu=1e-2)), members[1]]
         _, records = run_lockstep(group, scheme, grid, rhs_fn=rhs_fn, recorded=2)
-        assert [r.final("clip_count") for r in records] == [record.final("clip_count")] * 2
-        # the telemetry counts every member's clips, so an unrecorded run reports them too
+        assert [r.final("clip_count") for r in records] == [0, 0]
+        assert records[0].telemetry.clips == record.telemetry.clips
+        # an unrecorded run reports them through its telemetry
         _, (bare,) = run_lockstep(members, scheme, grid, rhs_fn=rhs_fn, recorded=0)
-        assert bare.telemetry.clips == record.telemetry.clips == record.final("clip_count")
-        assert alone.telemetry.clips == 0
+        assert bare.telemetry.clips == record.telemetry.clips
 
     @pytest.mark.parametrize("integrator, nus", [
         ("ssp_rk2", (1e-3,)),
@@ -488,6 +492,11 @@ class TestCheckpoint:
         assert float(first[1]) == grid.half_width
         assert float(first[2]) == 0.0
         assert len(text.splitlines()) == grid.n_cells + 1
+
+    @pytest.mark.parametrize("text", ["", " \n\t \n"], ids=["empty", "whitespace"])
+    def test_rejects_empty_text(self, text):
+        with pytest.raises(ValueError, match="empty"):
+            load_checkpoint(text)
 
     def test_rejects_mismatched_coordinates(self, params, grid):
         text = save_checkpoint(constant_state(grid, params), grid)
