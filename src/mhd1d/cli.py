@@ -2,10 +2,10 @@
 
 Exit codes:
     0  success (verify: every check passed)
-    1  verify: at least one check failed, or an unexpected error
+    1  a verify check, a sweep member or its guard pair failed, or an unexpected error
     2  configuration error (parse or validation)
-    3  numerical failure (non-finite state or tendency)
-    4  boundary-monitor abort (perturbation reached the domain edge)
+    3  simulate: numerical failure (non-finite state or tendency)
+    4  simulate: boundary-monitor abort (perturbation reached the domain edge)
 
 Output directory resolution: --output-dir flag, then the MHD1D_OUTPUT_DIR
 environment variable, then the configuration's output_dir.
@@ -99,22 +99,6 @@ def _write_manifest(outdir: Path, config: RunConfig, started: str, outputs: list
     _atomic_write(outdir / "manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
-def _aborted(exc: SimulationError, outdir: Path, config: RunConfig, started: str,
-             integrate_s: float) -> int:
-    """Write the rows gathered before the failure and a manifest with its locus."""
-    print(f"aborted: {exc}", file=sys.stderr)
-    record = exc.record if exc.record is not None else DiagnosticsRecord()
-    start = time.perf_counter()
-    outputs = []
-    if record.rows:
-        _atomic_write(outdir / "diagnostics.csv", record.to_csv())
-        outputs.append("diagnostics.csv")
-    wall_s = {"integrate": integrate_s, "write": time.perf_counter() - start}
-    _write_manifest(outdir, config, started, outputs, record.telemetry.clips,
-                    record.telemetry.as_dict(), wall_s, error=exc)
-    return EXIT_BOUNDARY if isinstance(exc, BoundaryMonitorError) else EXIT_NUMERICAL
-
-
 def _resolve_outdir(args, config: RunConfig) -> Path:
     if args.output_dir:
         return Path(args.output_dir)
@@ -126,42 +110,40 @@ def _resolve_outdir(args, config: RunConfig) -> Path:
 
 def cmd_simulate(args) -> int:
     started = _utcnow()
-    try:
-        config = load_config(args.config)
-    except ConfigError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_CONFIG
+    config = load_config(args.config)
     outdir = _resolve_outdir(args, config)
     start = time.perf_counter()
+    final = error = None
     try:
         final, record = run(config.spec, config.run_params, config.scheme, config.grid)
     except (BoundaryMonitorError, NumericalError) as exc:
-        return _aborted(exc, outdir, config, started, time.perf_counter() - start)
+        # an abort still writes the rows gathered before it, and its locus in the manifest
+        print(f"aborted: {exc}", file=sys.stderr)
+        error, record = exc, exc.record if exc.record is not None else DiagnosticsRecord()
     integrated = time.perf_counter()
 
-    outputs = ["diagnostics.csv", "state_final.txt"]
-    _atomic_write(outdir / "diagnostics.csv", record.to_csv())
-    _atomic_write(outdir / "state_final.txt", save_checkpoint(final, config.grid))
+    outputs = []
+    if record.rows:
+        _atomic_write(outdir / "diagnostics.csv", record.to_csv())
+        outputs.append("diagnostics.csv")
+    if final is not None:
+        _atomic_write(outdir / "state_final.txt", save_checkpoint(final, config.grid))
+        outputs.append("state_final.txt")
     wall_s = {"integrate": integrated - start, "write": time.perf_counter() - integrated}
     _write_manifest(outdir, config, started, outputs, record.telemetry.clips,
-                    record.telemetry.as_dict(), wall_s)
+                    record.telemetry.as_dict(), wall_s, error=error)
+    if error is not None:
+        return EXIT_BOUNDARY if isinstance(error, BoundaryMonitorError) else EXIT_NUMERICAL
     print(f"simulate: T={config.scheme.t_end} done, outputs in {outdir}")
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
     started = _utcnow()
-    try:
-        config = load_config(args.config)
-    except ConfigError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_CONFIG
+    config = load_config(args.config)
     outdir = _resolve_outdir(args, config)
     start = time.perf_counter()
-    try:
-        result = sweep(config, jobs=args.jobs or config.jobs)
-    except (BoundaryMonitorError, NumericalError) as exc:
-        return _aborted(exc, outdir, config, started, time.perf_counter() - start)
+    result = sweep(config, jobs=args.jobs or config.jobs)
     integrated = time.perf_counter()
 
     outputs = ["report.json"]
@@ -182,14 +164,14 @@ def cmd_sweep(args) -> int:
     if r.fit_skipped_reason:
         print(f"sweep: fit skipped ({r.fit_skipped_reason}); outputs in {outdir}")
     else:
-        print(f"sweep: slope={r.slope:.3f} guard_ratio={r.guard.ratio:.1f} "
-              f"outputs in {outdir}")
-    failed = [e for e in r.entries if e.failed]
-    if failed:
-        for e in failed:
-            print(f"  nu={e.nu:g} failed: {e.failed}", file=sys.stderr)
-        return EXIT_FAILURE
-    return EXIT_OK
+        ratio = "" if r.guard.failed else f" guard_ratio={r.guard.ratio:.1f}"
+        print(f"sweep: slope={r.slope:.3f}{ratio} outputs in {outdir}")
+    failures = [f"nu={e.nu:g} failed: {e.failed}" for e in r.entries if e.failed]
+    if r.guard.failed:
+        failures.append(f"guard failed: {r.guard.failed}")
+    for line in failures:
+        print(f"  {line}", file=sys.stderr)
+    return EXIT_FAILURE if failures else EXIT_OK
 
 
 def cmd_verify(args) -> int:
@@ -223,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mhd1d",
         description="1D compressible isentropic MHD: simulation, resistivity sweeps, verification.",
-        epilog="exit codes: 0 ok, 1 failure, 2 config error, 3 numerical failure, 4 boundary abort",
+        epilog="exit codes: 0 ok, 1 failure, 2 config error; simulate: 3 numerical, 4 boundary",
     )
     parser.add_argument("--version", action="version", version=f"mhd1d {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -248,7 +230,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:  # simulate and sweep load their configuration first
+        print(exc, file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

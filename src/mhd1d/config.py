@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields, replace
 
 from .core import Grid1D, PhysParams
 from .errors import ConfigError
-from .scenario import ScenarioSpec
+from .scenario import ScenarioSpec, admissibility_problems
 from .solver import SchemeConfig
 
 # The non-resistive system is the resistive one at nu = 0; see RunConfig.run_params.
@@ -180,16 +180,7 @@ def parse_config(raw: dict) -> RunConfig:
 
     # Cross-section checks, reported here so they fail at load time.
     if spec is not None and grid is not None:
-        if grid.half_width < 5.0 * spec.sigma:
-            problems.append(
-                f"grid.half_width: L = {grid.half_width} < 5*sigma = {5.0 * spec.sigma} "
-                "(far-field deviation at the boundary would exceed 1e-10)"
-            )
-        if spec.preset == "gaussian_bump" and params is not None and spec.a_rho <= -params.rho_bar:
-            problems.append(
-                f"scenario.a_rho: {spec.a_rho} <= -rho_bar = {-params.rho_bar} "
-                "would make the initial density negative"
-            )
+        problems.extend(admissibility_problems(spec, params, grid))
 
     if problems:
         raise ConfigError(problems)

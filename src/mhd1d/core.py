@@ -32,6 +32,9 @@ RHO_FLOOR = 1e-12
 # near vacuum while leaving every vacuum-free run untouched.
 VISC_FLOOR_FRACTION = 0.01
 
+# Edge deviation from the far field beyond which the truncation is unfaithful and runs abort.
+BOUNDARY_TOLERANCE = 1e-6
+
 
 def non_finite_problems(instance) -> list[str]:
     """One problem per float field of a dataclass instance that is not finite.
@@ -259,6 +262,7 @@ __all__ = [
     "FieldScalar",
     "RHO_FLOOR",
     "VISC_FLOOR_FRACTION",
+    "BOUNDARY_TOLERANCE",
     "Grid1D",
     "PhysParams",
     "State",

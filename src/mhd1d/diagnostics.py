@@ -56,8 +56,8 @@ COLUMNS = [
     "clip_count",
 ]
 
-# Relative spread above which a supposedly resistivity-independent quantity
-# is flagged in the sweep report.
+# Relative spread above which nu_independence_report flags a supposedly
+# resistivity-independent quantity (the sweep does not run that audit).
 SPREAD_TOLERANCE = 0.10
 
 

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from .core import BOUNDARY_TOLERANCE
+
 
 class SimulationError(Exception):
     """Base class for runtime failures of a simulation.
@@ -40,7 +42,7 @@ class BoundaryMonitorError(SimulationError):
     def __init__(self, time: float, deviation: float):
         super().__init__(
             f"boundary validity monitor tripped at t={time:.6g} "
-            f"(edge deviation {deviation:.3e} > 1e-6)"
+            f"(edge deviation {deviation:.3e} > {BOUNDARY_TOLERANCE:g})"
         )
         self.time = time
         self.deviation = deviation

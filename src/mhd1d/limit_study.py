@@ -130,43 +130,46 @@ class GuardResult:
     ``signal`` is e_total at the smallest nu on the sweep grid; ``proxy`` is
     how much that same matched-pair functional moves when the grid is doubled.
     A trustworthy sweep has signal >> proxy: the measured error then reflects
-    the resistivity difference, not discretization residue.
+    the resistivity difference, not discretization residue.  A failed
+    doubled-grid pair does not pass, and ``failed`` (reported only if set) says why.
     """
 
     proxy: float = 0.0
     signal: float = 0.0
     ratio: float = float("inf")
     passed: bool = True
+    failed: str | None = None
     # counters of the doubled-grid pair; run bookkeeping, not part of the report
     telemetry: RunTelemetry | None = field(default=None, compare=False)
 
     def as_dict(self) -> dict:
         # strict JSON has no Infinity; None marks an exactly-zero proxy
         ratio = self.ratio if np.isfinite(self.ratio) else None
+        failed = {"failed": self.failed} if self.failed is not None else {}
         return {"proxy": self.proxy, "signal": self.signal,
-                "ratio": ratio, "passed": self.passed}
+                "ratio": ratio, "passed": self.passed, **failed}
 
 
 def _doubled(config: RunConfig) -> RunConfig:
     return replace(config, grid=Grid1D(config.grid.half_width, 2 * config.grid.n_cells))
 
 
-def _guard_result(signal: float,
-                  fine_group: tuple[list[PairErrors], list[DiagnosticsRecord]]) -> GuardResult:
-    (errors_fine,), (record,) = fine_group
-    proxy = abs(signal - errors_fine.e_total)
+def _guard_result(signal: float, fine_group: tuple[list, list, RunTelemetry]) -> GuardResult:
+    (fine,), _, telemetry = fine_group
+    if fine.failed:
+        return GuardResult(signal=signal, passed=False, failed=fine.failed, telemetry=telemetry)
+    proxy = abs(signal - fine.e_total)
     ratio = signal / proxy if proxy > 0 else float("inf")
     return GuardResult(proxy=proxy, signal=signal, ratio=ratio,
-                       passed=ratio >= GUARD_FACTOR, telemetry=record.telemetry)
+                       passed=ratio >= GUARD_FACTOR, telemetry=telemetry)
 
 
 def grid_pollution_guard(nu_min: float, signal: float, config: RunConfig) -> GuardResult:
     """Re-measure e_total(nu_min) on a doubled grid and compare.
 
-    The doubled-grid pair runs unrecorded: only its error functional and
-    telemetry are read.
+    The doubled-grid pair runs unrecorded, and fails as a sweep member does.
     """
-    return _guard_result(signal, run_group([nu_min], _doubled(config), recorded=False))
+    return _guard_result(signal, _sweep_group([nu_min], _doubled(config), recorded=False))
 
 
 @dataclass
@@ -210,13 +213,14 @@ class SweepResult:
     telemetry: RunTelemetry  # counters of the lockstep group, summed over its re-runs
 
 
-def _sweep_group(nus: list, config: RunConfig) -> tuple[list, list, RunTelemetry]:
+def _sweep_group(nus: list, config: RunConfig, recorded=True) -> tuple[list, list, RunTelemetry]:
     """Run the lockstep group over ``nus``, dropping each member that fails.
 
     A failed member is marked with its own message and the group re-runs
     from t = 0 without it; when the reference fails, every remaining nu
-    fails with its message.  Returns the entry of every nu in order, the
-    (nu, record) pairs of the survivors and the counters of every attempt.
+    fails with its message; nothing raises.  Returns the entry of every nu in
+    order, the (nu, record) pairs of the survivors (row-less when unrecorded)
+    and the counters of every attempt.
     """
     live = list(nus)
     failed = {}
@@ -224,7 +228,7 @@ def _sweep_group(nus: list, config: RunConfig) -> tuple[list, list, RunTelemetry
     errors, records = [], []
     while live:
         try:
-            errors, records = run_group(live, config)
+            errors, records = run_group(live, config, recorded)
             spent.append(records[0].telemetry)
             break
         except SimulationError as exc:
@@ -251,11 +255,12 @@ def sweep(config: RunConfig, jobs: int = 1) -> SweepResult:
     """Run one lockstep group over ``config.nu_list``, fit the rates, apply the guard.
 
     The group holds one resistive member per nu and a shared non-resistive
-    reference.  Failed members are marked and excluded from the fit; only the
-    guard's failure propagates.  The guard runs exactly when the fit does.  With
-    jobs > 1 its doubled-grid pair runs in a worker process beside the group,
-    started whenever the nu list allows a fit; its result, a failure included,
-    is used only if the guard is due, so the report does not depend on ``jobs``.
+    reference.  Failed members are marked and excluded from the fit; a failed
+    guard pair is marked in ``report.guard`` the same way, and nothing raises.
+    The guard runs exactly when the fit does.  With jobs > 1 its doubled-grid
+    pair runs in a worker process beside the group, started whenever the nu
+    list allows a fit; its result, a failure included, is used only if the
+    guard is due, so the report does not depend on ``jobs``.
     ``jobs`` is separate from ``config.jobs`` so that ``sweep --jobs`` can
     override it without changing the fingerprint the report carries.
     """
@@ -270,7 +275,7 @@ def sweep(config: RunConfig, jobs: int = 1) -> SweepResult:
     # spawn, not fork: the worker starts from a fresh import of this package
     with (multiprocessing.get_context("spawn").Pool(1) if early
           else contextlib.nullcontext()) as pool:
-        early_guard = (pool.apply_async(run_group, ([min(nus)], _doubled(config), False))
+        early_guard = (pool.apply_async(_sweep_group, ([min(nus)], _doubled(config), False))
                        if pool is not None else None)
         entries, records, telemetry = _sweep_group(nus, config)
 
@@ -292,7 +297,6 @@ def sweep(config: RunConfig, jobs: int = 1) -> SweepResult:
 
             smallest = min(good, key=lambda e: e.nu)
             if early_guard is not None and smallest.nu == min(nus):
-                # get() re-raises the worker's failure here, where a serial sweep fails
                 report.guard = _guard_result(smallest.e_total, early_guard.get())
             else:
                 report.guard = grid_pollution_guard(smallest.nu, smallest.e_total, config)

@@ -57,22 +57,31 @@ class ScenarioSpec:
             raise ValueError("; ".join(problems))
 
 
+def admissibility_problems(spec: ScenarioSpec, params: PhysParams | None,
+                           grid: Grid1D) -> list[str]:
+    """Why the preset cannot be sampled on ``grid``, one problem per rule with its field path.
+
+    L >= 5*sigma; a Gaussian bump needs a_rho > -rho_bar, unchecked when ``params`` is None.
+    """
+    problems = []
+    if grid.half_width < 5.0 * spec.sigma:
+        problems.append(f"grid.half_width: domain too small: L = {grid.half_width} < 5*sigma = "
+                        f"{5.0 * spec.sigma} (far-field deviation at the boundary would exceed 1e-10)")
+    if spec.preset == "gaussian_bump" and params is not None and spec.a_rho <= -params.rho_bar:
+        problems.append(f"scenario.a_rho: {spec.a_rho} <= -rho_bar = {-params.rho_bar} "
+                        "would make the initial density negative")
+    return problems
+
+
 def build_initial_state(spec: ScenarioSpec, params: PhysParams, grid: Grid1D) -> State:
     """Sample the preset's closed-form fields at the grid nodes (t = 0)."""
-    if grid.half_width < 5.0 * spec.sigma:
-        raise ValueError(
-            f"domain too small: L = {grid.half_width} < 5*sigma = {5.0 * spec.sigma}; "
-            "far-field deviation at the boundary would exceed 1e-10"
-        )
+    problems = admissibility_problems(spec, params, grid)
+    if problems:
+        raise ValueError("; ".join(problems))
     x = grid.x
     bump = np.exp(-(x**2) / spec.sigma**2)
 
     if spec.preset == "gaussian_bump":
-        if spec.a_rho <= -params.rho_bar:
-            raise ValueError(
-                f"a_rho = {spec.a_rho} <= -rho_bar = {-params.rho_bar} "
-                "would make the density negative"
-            )
         rho0 = params.rho_bar + spec.a_rho * bump
     else:
         rho0 = params.rho_bar * (1.0 - bump) ** 2
@@ -111,6 +120,7 @@ __all__ = [
     "RHO_COMPAT",
     "ScenarioSpec",
     "CompatibilityResult",
+    "admissibility_problems",
     "build_initial_state",
     "compatibility_residual",
 ]

@@ -26,8 +26,9 @@ import numpy as np
 
 from . import diagnostics
 from .core import (
+    BOUNDARY_TOLERANCE,  # re-exported with the solver's public names
     RHO_FLOOR,
-    VISC_FLOOR_FRACTION,  # re-exported with the solver's public names
+    VISC_FLOOR_FRACTION,  # re-exported too
     Grid1D,
     PhysParams,
     RhsOutput,
@@ -43,11 +44,7 @@ RECONSTRUCTIONS = ("first_order_upwind", "muscl_minmod")
 STAGES = {"ssp_rk2": 2, "ssp_rk3": 3}  # rhs evaluations per hyperbolic step
 INTEGRATORS = tuple(STAGES)
 
-# Run-validity monitor: abort when the outermost interior nodes deviate from
-# the far field by more than this (Dirichlet far-field values are then no
-# longer a faithful truncation).
-BOUNDARY_TOLERANCE = 1e-6
-BOUNDARY_NODES = 3
+BOUNDARY_NODES = 3  # outermost interior nodes the monitor reads, per edge
 
 
 @dataclass(frozen=True)

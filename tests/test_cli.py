@@ -14,7 +14,7 @@ from mhd1d.battery import CHECKS, Outcome
 from mhd1d.cli import main
 from mhd1d.config import DEFAULTS, load_config, parse_config
 from mhd1d.diagnostics import DiagnosticsRecord
-from mhd1d.errors import ConfigError, NumericalError
+from mhd1d.errors import BoundaryMonitorError, ConfigError, NumericalError
 from mhd1d.solver import load_checkpoint, run
 
 
@@ -350,6 +350,44 @@ class TestSweepCommand:
         for nu in config["nu_list"]:
             record = DiagnosticsRecord.from_csv((out / f"diag_nu_{nu:g}.csv").read_text())
             assert record.final("clip_count") == 0
+
+    def test_failed_guard_keeps_the_group(self, tmp_path, monkeypatch, capsys):
+        # criterion 10's configuration; the monitor trips on the doubled guard grid alone
+        config = {"grid": {"half_width": 20.0, "n_cells": 256},
+                  "scheme": {"t_end": 0.2, "n_samples": 10},
+                  "nu_list": [1e-2, 1e-3, 1e-4]}
+        cfg = write_config(tmp_path, config)
+        plain = tmp_path / "plain"
+        assert main(["sweep", "--config", cfg, "--output-dir", str(plain), "--jobs", "1"]) == 0
+        check_boundary = solver.check_boundary
+
+        def tripping(state, params):
+            if len(state.rho) == 512 and state.t > 0.05:
+                raise BoundaryMonitorError(time=state.t, deviation=2e-6)
+            return check_boundary(state, params)
+
+        monkeypatch.setattr(solver, "check_boundary", tripping)
+        capsys.readouterr()
+        out = tmp_path / "swp"
+        # --jobs 1: a spawned guard worker would not see the patch
+        assert main(["sweep", "--config", cfg, "--output-dir", str(out), "--jobs", "1"]) == 1
+        captured = capsys.readouterr()
+        assert "guard failed: BoundaryMonitorError" in captured.err
+        assert "guard_ratio" not in captured.out
+        manifest = json.loads((out / "manifest.json").read_text())
+        names = [f"diag_nu_{nu:g}.csv" for nu in config["nu_list"]]
+        assert manifest["outputs"] == sorted(["report.json", *names])
+        assert manifest["telemetry"]["pairs"]["steps"] == 10
+        assert manifest["telemetry"]["guard"]["steps"] > 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["guard"]["passed"] is False
+        assert report["guard"]["failed"].startswith("BoundaryMonitorError")
+        # the group's numbers are those of the run whose guard passed
+        expected = json.loads((plain / "report.json").read_text())
+        assert report["entries"] == expected["entries"]
+        assert report["slope"] == expected["slope"]
+        for name in names:
+            assert (out / name).read_bytes() == (plain / name).read_bytes()
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, SMALL)

@@ -5,7 +5,7 @@ import pytest
 
 from mhd1d import ConvergenceReport, Grid1D, fit_rate, parse_config, solver, sweep
 from mhd1d.errors import BoundaryMonitorError
-from mhd1d.limit_study import run_group
+from mhd1d.limit_study import GuardResult, run_group
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +131,15 @@ class TestSweep:
         text = small_sweep.report.to_json()
         back = ConvergenceReport.from_json(text)
         assert back.to_json() == text
+
+    def test_failed_guard_round_trips(self, small_sweep):
+        failed = GuardResult(signal=1e-3, passed=False, failed="BoundaryMonitorError: tripped")
+        report = replace(small_sweep.report, guard=failed)
+        text = report.to_json()
+        back = ConvergenceReport.from_json(text)
+        assert back.guard == failed and back.to_json() == text
+        # a guard that did not fail reports no "failed" key
+        assert set(GuardResult().as_dict()) == {"proxy", "signal", "ratio", "passed"}
 
     def test_degenerate_sweep_flagged(self):
         config = parse_config({"scenario": {"a_rho": 0.0, "a_u": 0.0, "a_b": 0.0},

@@ -511,7 +511,7 @@ class TestCheckpoint:
 @pytest.mark.parametrize("error", [NumericalError("non-finite tendency", node=7, time=0.25),
                                    BoundaryMonitorError(time=0.5, deviation=2e-6)])
 def test_simulation_errors_survive_pickling(error):
-    # a sweep's guard pair may fail in a worker process and be re-raised in the parent
+    # concurrent simulations run in separate processes; a pool hands their failures back
     error.record = DiagnosticsRecord(rows=[[0.5] * len(COLUMNS)])
     error.record.telemetry.steps = 3
     error.member = 1
