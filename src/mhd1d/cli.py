@@ -59,14 +59,18 @@ def _utcnow() -> str:
 
 def _write_manifest(outdir: Path, config: RunConfig, started: str, outputs: list[str],
                     clip_count: int, telemetry: dict, wall_s: dict,
-                    error: SimulationError | None = None):
-    """Provenance, run telemetry and wall time per phase; on abort, the failure locus.
+                    error: SimulationError | None = None, failures: dict | None = None):
+    """Provenance, run telemetry and wall time per phase; on abort, the failure locus;
+    after a sweep, ``failures``: "nu=..." or "guard" -> "<exception type>: <message>".
 
     ``initial_data`` holds the source paper's hypotheses on the configured
     initial state: its |x|^alpha-weighted energy moment, and the L2 norm of
     the compatibility residual g with the near-vacuum nodes g skips.  Timings
     live only here, so the other outputs stay byte-reproducible.
     """
+    failures = failures or {}
+    tripped = isinstance(error, BoundaryMonitorError) or any(
+        m.startswith(f"{BoundaryMonitorError.__name__}:") for m in failures.values())
     params, grid = config.run_params, config.grid
     state0 = build_initial_state(config.spec, params, grid)
     compat = compatibility_residual(state0, params, grid)
@@ -76,11 +80,11 @@ def _write_manifest(outdir: Path, config: RunConfig, started: str, outputs: list
         "config_canonical": config.canonical(),
         "started_utc": started,
         "finished_utc": _utcnow(),
-        "status": "ok" if error is None else "aborted",
+        "status": "aborted" if error is not None else "failed" if failures else "ok",
         "clip_count": clip_count,
         "initial_data": {"weighted_moment": weighted_energy(state0, params, grid),
                          "compat_g_l2": compat.g_l2, "compat_flagged_nodes": compat.n_flagged},
-        "boundary_monitor": "tripped" if isinstance(error, BoundaryMonitorError) else "ok",
+        "boundary_monitor": "tripped" if tripped else "ok",
         "outputs": sorted(outputs),
         "telemetry": telemetry,
         "wall_s": wall_s,
@@ -96,6 +100,8 @@ def _write_manifest(outdir: Path, config: RunConfig, started: str, outputs: list
         else:
             locus["node"] = error.node
         manifest["error"] = locus
+    if failures:
+        manifest["failures"] = failures
     _atomic_write(outdir / "manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
@@ -159,18 +165,19 @@ def cmd_sweep(args) -> int:
         "guard": guard.as_dict() if guard is not None else None,
     }
     clips = result.telemetry.clips + (guard.clips if guard is not None else 0)
-    _write_manifest(outdir, config, started, outputs, clips, telemetry, wall_s)
     r = result.report
+    failures = {f"nu={e.nu:g}": e.failed for e in r.entries if e.failed}
+    if r.guard.failed:
+        failures["guard"] = r.guard.failed
+    _write_manifest(outdir, config, started, outputs, clips, telemetry, wall_s,
+                    failures=failures)
     if r.fit_skipped_reason:
         print(f"sweep: fit skipped ({r.fit_skipped_reason}); outputs in {outdir}")
     else:
         ratio = "" if r.guard.failed else f" guard_ratio={r.guard.ratio:.1f}"
         print(f"sweep: slope={r.slope:.3f}{ratio} outputs in {outdir}")
-    failures = [f"nu={e.nu:g} failed: {e.failed}" for e in r.entries if e.failed]
-    if r.guard.failed:
-        failures.append(f"guard failed: {r.guard.failed}")
-    for line in failures:
-        print(f"  {line}", file=sys.stderr)
+    for who, message in failures.items():
+        print(f"  {who} failed: {message}", file=sys.stderr)
     return EXIT_FAILURE if failures else EXIT_OK
 
 

@@ -202,14 +202,20 @@ def potential_energy(rho: FieldScalar, gamma: float, rho_bar: float) -> FieldSca
                / (gamma - 1)
 
     Non-negative, vanishing exactly at rho = rho_bar; quadratic near rho_bar
-    and growing like rho^gamma for large rho.
+    and growing like rho^gamma for large rho.  With d = (rho - rho_bar)/rho_bar
+    it is rho_bar^gamma * (expm1(gamma*log1p(d)) - gamma*d)/(gamma - 1), summed
+    as a binomial series in d for |d| < 1e-3, so nothing cancels near rho_bar.
     """
     rho = np.asarray(rho, dtype=float)
     if np.any(rho < 0):
         raise ValueError("potential_energy requires rho >= 0")
-    return (
-        rho**gamma - rho_bar**gamma - gamma * rho_bar ** (gamma - 1.0) * (rho - rho_bar)
-    ) / (gamma - 1.0)
+    d = (rho - rho_bar) / rho_bar  # the difference is exact near rho_bar
+    series = np.zeros_like(d)
+    for k in range(5, 1, -1):  # Horner: sum over k = 2..5 of (gamma-2)...(gamma-k+1)/k! d^(k-2)
+        series = series * d + math.prod(gamma - j for j in range(2, k)) / math.factorial(k)
+    with np.errstate(divide="ignore"):  # vacuum: log1p(-1) = -inf, expm1(-inf) = -1
+        phi = (np.expm1(gamma * np.log1p(d)) - gamma * d) / (gamma - 1.0)
+    return rho_bar**gamma * np.where(np.abs(d) < 1e-3, gamma * d * d * series, phi)
 
 
 def effective_viscous_flux(state: State, params: PhysParams, grid: Grid1D) -> FieldScalar:

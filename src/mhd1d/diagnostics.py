@@ -315,11 +315,13 @@ def sample(state: State, rhs_output, params: PhysParams, grid: Grid1D,
     """
     u = state.velocity()
     b_pert = state.b - params.b_bar
+    energy = energy_density(state, params)  # total_energy's and weighted_energy's integrand
     udot = material_derivative(state, velocity_tendency(state, rhs_output), grid)
     return {
         "t": state.t,
-        "energy": total_energy(state, params, grid),
-        "energy_weighted": weighted_energy(state, params, grid),
+        "energy": float(np.trapezoid(energy, dx=grid.dx)),
+        "energy_weighted": float(np.trapezoid(energy * _spreading_weight(grid, params.alpha),
+                                              dx=grid.dx)),
         "diss_u": accum.diss_u,
         "diss_b": accum.diss_b,
         "diss_u_weighted": accum.diss_u_weighted,

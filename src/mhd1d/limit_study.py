@@ -131,7 +131,8 @@ class GuardResult:
     how much that same matched-pair functional moves when the grid is doubled.
     A trustworthy sweep has signal >> proxy: the measured error then reflects
     the resistivity difference, not discretization residue.  A failed
-    doubled-grid pair does not pass, and ``failed`` (reported only if set) says why.
+    doubled-grid pair does not pass: its ratio is 0, and ``failed`` (reported
+    only if set) says why.
     """
 
     proxy: float = 0.0
@@ -157,7 +158,8 @@ def _doubled(config: RunConfig) -> RunConfig:
 def _guard_result(signal: float, fine_group: tuple[list, list, RunTelemetry]) -> GuardResult:
     (fine,), _, telemetry = fine_group
     if fine.failed:
-        return GuardResult(signal=signal, passed=False, failed=fine.failed, telemetry=telemetry)
+        return GuardResult(signal=signal, ratio=0.0, passed=False, failed=fine.failed,
+                           telemetry=telemetry)
     proxy = abs(signal - fine.e_total)
     ratio = signal / proxy if proxy > 0 else float("inf")
     return GuardResult(proxy=proxy, signal=signal, ratio=ratio,

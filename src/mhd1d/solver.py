@@ -5,15 +5,17 @@
 
 the non-resistive system being nu = 0, where nu b_xx is omitted exactly.
 ``rhs`` is the hyperbolic operator: local Lax-Friedrichs interface fluxes
-with piecewise-constant or MUSCL/minmod reconstruction of (rho, m, b),
-advanced by an SSP Runge-Kutta method.  ``diffusion_tendency`` is the
-second-order central diffusion terms, advanced by second-order
-Runge-Kutta-Legendre (RKL2) super-time-stepping at frozen density,
-Strang-split around the hyperbolic step, so the advective CFL bound alone
-sets dt; ``tendencies`` is the sum of the two.  Far-field Dirichlet values enter through ghost cells.  One driver advances any number
-of runs on a shared dt sequence: a single run is one member, a sweep group
-is one member per resistivity plus a shared non-resistive reference.
-Everything is plain sequential numpy, so repeated runs are bit-reproducible.
+with piecewise-constant or MUSCL reconstruction of (rho, m, b) under a
+min/max-only minmod limiter, one rho^gamma pass serving the flux and the
+fast speed, advanced by an SSP Runge-Kutta method.  ``diffusion_tendency``
+is the second-order central diffusion terms, advanced by second-order
+Runge-Kutta-Legendre (RKL2) super-time-stepping at frozen density on
+(m/max(rho, floor), b), Strang-split around the hyperbolic step, so the
+advective CFL bound alone sets dt; ``tendencies`` is the sum of the two.
+Far-field Dirichlet values enter through ghost cells.  One driver advances
+any number of runs on a shared dt sequence: a single run is one member, a
+sweep group is one member per resistivity plus a shared non-resistive
+reference.  Plain sequential numpy, so repeated runs are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -109,15 +111,15 @@ class _Workspace:
         self.faces = np.ones((3, 2, w))             # [field, left/right, interface]
         self.flux = np.empty((3, 2, w))
         self.half_a = np.empty(w)
-        self.positive = np.empty(3 * w - 2, dtype=bool)
         self.finite = np.empty((3, n), dtype=bool)
-        scratch = np.empty(9 * w)
+        scratch = np.empty(10 * w)
         # slope limiter, on the flattened stack
-        self.diff = scratch[:3 * w - 1]             # neighbour differences
-        self.prod = scratch[3 * w:6 * w - 2]
-        self.abs_min = scratch[6 * w:9 * w - 2]
+        self.half_diff = scratch[:3 * w - 1]        # halved neighbour differences
+        self.lo = scratch[3 * w:6 * w - 2]
+        self.hi = scratch[6 * w:9 * w - 2]
         # flux and wave speed, both sides at once
-        self.rho_safe, self.u, self.work, self.speed = scratch[:8 * w].reshape(4, 2, w)
+        self.rho_safe, self.u, self.pressure, self.work, self.speed = \
+            scratch.reshape(5, 2, w)
         # interface flux
         self.f_hat, self.jump = scratch[:6 * w].reshape(2, 3, w)
 
@@ -141,19 +143,19 @@ def _workspace_for(n: int) -> _Workspace:
 def _half_minmod_slopes(ws: _Workspace) -> np.ndarray:
     """0.5 * minmod(q_j - q_{j-1}, q_{j+1} - q_j) for extended cells j = 1..n+2.
 
-    Row r, column j - 1 of the result belongs to cell j of field r.  The
-    slope is zero unless the product of the two differences is positive; a
-    product that underflows to zero therefore also gives a zero slope.
+    Row r, column j - 1 of the result belongs to cell j of field r.  Of the
+    halved differences a, b, max(min(a, b), min(max(a, b), 0)) picks the one of
+    smaller magnitude when their signs agree and 0 otherwise; no product is
+    formed, so two tiny slopes of one sign never give 0 by underflow.
     """
     flat = ws.ext.reshape(-1)
-    d = np.subtract(flat[1:], flat[:-1], out=ws.diff)
+    d = np.subtract(flat[1:], flat[:-1], out=ws.half_diff)
+    d *= 0.5
     a, b = d[:-1], d[1:]
-    np.greater(np.multiply(a, b, out=ws.prod), 0.0, out=ws.positive)
-    np.minimum(np.abs(a, out=ws.abs_min), np.abs(b, out=ws.prod), out=ws.abs_min)
-    np.copysign(ws.abs_min, a, out=ws.abs_min)  # sign(a) * min(|a|, |b|)
-    half_slope = ws.half_slope.reshape(-1)[:len(a)]
-    half_slope.fill(0.0)
-    np.multiply(ws.abs_min, 0.5, out=half_slope, where=ws.positive)
+    lo = np.minimum(a, b, out=ws.lo)
+    hi = np.maximum(a, b, out=ws.hi)
+    np.minimum(hi, 0.0, out=hi)
+    np.maximum(lo, hi, out=ws.half_slope.reshape(-1)[:len(a)])
     return ws.half_slope
 
 
@@ -187,34 +189,30 @@ def rhs(state: State, params: PhysParams, scheme: SchemeConfig, grid: Grid1D) ->
     # reconstructed densities can only be rounding residue.
     np.maximum(rho_f, 0.0, out=rho_f)
 
-    # Physical flux (m, m*u + rho^gamma + b^2/2, u*b) and the fast magnetosonic
-    # speed |u| + sqrt(gamma*rho^(gamma-1) + b^2/rho) on both sides at once,
-    # sharing u = m / max(rho, RHO_FLOOR).  In-place ** keeps numpy's scalar
-    # exponent fast paths, so every value matches the out-of-place formulas.
+    # Physical flux (m, m*u + P + b^2/2, u*b) with P = rho^gamma, and the fast
+    # magnetosonic speed |u| + sqrt((gamma*P + b^2)/max(rho, RHO_FLOOR)) on both
+    # sides at once, sharing u = m / max(rho, RHO_FLOOR) and the one power
+    # pass.  Above the floor (gamma*P + b^2)/rho is gamma*rho^(gamma-1) + b^2/rho.
     gamma = params.gamma
     rho_safe = np.maximum(rho_f, RHO_FLOOR, out=ws.rho_safe)
     u = np.divide(mom_f, rho_safe, out=ws.u)
-    work = ws.work
+    pressure = ws.pressure
+    pressure[...] = rho_f
+    pressure **= gamma
     flux = ws.flux
     flux[0] = mom_f
     f_mom = np.multiply(mom_f, u, out=flux[1])
-    work[...] = rho_f
-    work **= gamma
-    f_mom += work
-    np.multiply(b_f, 0.5, out=work)
-    work *= b_f
-    f_mom += work
+    f_mom += pressure
     np.multiply(u, b_f, out=flux[2])
 
-    speed = ws.speed
-    speed[...] = rho_safe
-    speed **= gamma - 1.0
-    speed *= gamma
-    np.square(b_f, out=work)
-    work /= rho_safe
-    speed += work
+    b_sq = np.square(b_f, out=ws.work)
+    speed = np.multiply(pressure, gamma, out=ws.speed)
+    speed += b_sq
+    speed /= rho_safe
     np.sqrt(speed, out=speed)
-    speed += np.abs(u, out=work)
+    b_sq *= 0.5
+    f_mom += b_sq
+    speed += np.abs(u, out=ws.work)
     half_a = np.maximum(speed[0], speed[1], out=ws.half_a)
     half_a *= 0.5
 
@@ -236,45 +234,47 @@ def rhs(state: State, params: PhysParams, scheme: SchemeConfig, grid: Grid1D) ->
 
 
 class _Diffusion:
-    """The diffusion terms at a frozen density, as a linear operator on (m, b).
+    """The diffusion terms at a frozen density, as a linear operator on (w, b).
 
-    Rows of the result: 0 the momentum tendency, 1 the magnetic one (only
-    when nu > 0).  The momentum row is (rho/max(rho, floor)) * mu * w_xx with
-    w = viscous_velocity(m, rho, rho_bar), the magnetic row nu * b_xx, both
-    by central differences with far-field ghosts (w = 0, b = b_bar).  The
-    weight rho/max(rho, floor) is exactly 1 wherever rho >= floor; below the
-    viscous floor it makes the deposited momentum scale with rho.  The
-    kinetic-energy change at frozen density, sum(u * d_m * dx) with u = m/rho,
-    is then mu * sum(w * w_xx * dx) = -mu * sum(w_x^2 * dx), vacuum included:
-    viscosity can only dissipate, by the amount the audit's ``diss_u``
-    records.  The weight is applied only when some node is below the floor.
+    w = viscous_velocity(m, rho, rho_bar) = m/r with r = max(rho, floor).  The
+    momentum tendency (rho/r) * mu * w_xx moves w at the rate (rho/r) * mu *
+    w_xx / r, and b moves at nu * b_xx, by central differences with far-field
+    ghosts (w = 0, b = b_bar).  The weight rho/r is exactly 1 wherever rho >=
+    floor; below the viscous floor it makes the deposited momentum scale with
+    rho.  The kinetic-energy change at frozen density, sum(u * d_m * dx) with
+    u = m/rho, is then mu * sum(w * w_xx * dx) = -mu * sum(w_x^2 * dx), vacuum
+    included: viscosity can only dissipate, by the amount the audit's
+    ``diss_u`` records.  Row 1 (b) exists only when nu > 0.
     """
 
     def __init__(self, rho: np.ndarray, params: PhysParams, grid: Grid1D):
         floor = viscous_floor(params.rho_bar)
         self.rho_safe = np.maximum(rho, floor)  # rho is frozen for the operator's lifetime
-        self.weight = rho / self.rho_safe if float(rho.min()) < floor else None
+        self.w_rate = (params.mu / grid.dx**2) / self.rho_safe
+        if float(rho.min()) < floor:  # elsewhere the weight is exactly 1
+            self.w_rate *= rho / self.rho_safe
+        self.b_rate = params.nu / grid.dx**2
         self.rows = 2 if params.nu > 0 else 1
-        self.coef = np.array([[params.mu], [params.nu]])[:self.rows]
-        self.dx2 = grid.dx**2
-        self.ext = np.empty((2, grid.n_cells + 2))  # (w, b) with one ghost per side
-        self.ext[:, 0] = self.ext[:, -1] = (0.0, params.b_bar)
+        self.ext = np.empty((self.rows, grid.n_cells + 2))  # one ghost per side
+        self.ext[:, 0] = self.ext[:, -1] = (0.0, params.b_bar)[:self.rows]
+        self.fields = self.ext[:, 1:-1]
+        self.grad = np.empty((self.rows, grid.n_cells + 1))
 
-    def __call__(self, y, out: np.ndarray) -> np.ndarray:
-        """The tendencies of (m, b) = (y[0], y[1]), written into out[:rows]."""
-        ext = self.ext[:self.rows]
-        np.divide(y[0], self.rho_safe, out=ext[0, 1:-1])
+    def load(self, mom: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Write (w, b) into ``fields`` and return them."""
+        np.divide(mom, self.rho_safe, out=self.fields[0])
+        self.fields[1:] = b  # no row when nu = 0
+        return self.fields
+
+    def __call__(self, scale: float, out: np.ndarray) -> np.ndarray:
+        """scale times the rates of (w, b) at ``fields``, written into out[:rows]."""
+        grad = np.subtract(self.ext[:, 1:], self.ext[:, :-1], out=self.grad)
+        rates = np.subtract(grad[:, 1:], grad[:, :-1], out=out[:self.rows])
+        rates[0] *= self.w_rate
+        rates[0] *= scale
         if self.rows == 2:
-            ext[1, 1:-1] = y[1]
-        lap = out[:self.rows]
-        np.multiply(ext[:, 1:-1], 2.0, out=lap)
-        np.subtract(ext[:, 2:], lap, out=lap)
-        lap += ext[:, :-2]
-        lap *= self.coef
-        lap /= self.dx2
-        if self.weight is not None:
-            lap[0] *= self.weight
-        return lap
+            rates[1] *= self.b_rate * scale
+        return rates
 
 
 def diffusion_tendency(state: State, params: PhysParams,
@@ -285,7 +285,9 @@ def diffusion_tendency(state: State, params: PhysParams,
     d_b = nu * b_xx.  See ``_Diffusion`` for the stencil and the weight.
     """
     operator = _Diffusion(state.rho, params, grid)
-    d = operator((state.mom, state.b), out=np.empty((2, grid.n_cells)))
+    operator.load(state.mom, state.b)
+    d = operator(1.0, out=np.empty((2, grid.n_cells)))
+    d[0] *= operator.rho_safe
     return d[0], (d[1] if operator.rows == 2 else None)
 
 
@@ -353,34 +355,33 @@ def rkl2_coefficients(s: int) -> tuple[float, tuple[tuple[float, float, float, f
 def _diffuse(state: State, tau: float, params: PhysParams, grid: Grid1D, s: int) -> State:
     """Advance (m, b) by tau under the diffusion terms alone: one s-stage RKL2 step.
 
-    The density is frozen.  The stages run on increments d_j = Y_j - Y_0,
-    with the recursion's Y_0 terms cancelled exactly (the weights of Y_0
-    sum to one):
-        d_1 = L(Y_0) (mu~_1 tau),
-        d_j = (nu_j d_{j-2} + mu_j d_{j-1})
-              + (L(Y_0 + d_{j-1}) (mu~_j tau) + L(Y_0) (gamma~_j tau)),
-    and Y_s = Y_0 + d_s.  A state the operator leaves fixed, such as the far
-    field, therefore stays bit for bit.  The returned state shares rho (and b
-    when nu = 0) with ``state``; its other fields are fresh.
+    At frozen density the step runs on Y = (w, b), w = m/r, r = max(rho,
+    floor), with ``_Diffusion``'s rates L, on increments d_j = Y_j - Y_0 (the
+    recursion's Y_0 terms cancel exactly, their weights summing to one):
+        d_1 = l_0 mu~_1 with l_0 = L(Y_0) tau,
+        d_j = ((nu_j d_{j-2} + L(Y_0 + d_{j-1}) (mu~_j tau)) + mu_j d_{j-1}) + l_0 gamma~_j,
+    and m = m_0 + r d_s[0], b = b_0 + d_s[1].  A stage makes at most twelve
+    numpy calls.  A state the operator leaves fixed, such as the far field,
+    stays bit for bit.  The returned state shares rho (and b when nu = 0)
+    with ``state``; its other fields are fresh.
     """
     operator = _Diffusion(state.rho, params, grid)
-    y0 = np.array((state.mom, state.b)[:operator.rows])
-    l0 = operator(y0, out=np.empty_like(y0))
+    y0 = operator.load(state.mom, state.b).copy()
+    l0 = operator(tau, out=np.empty_like(y0))
     mu1, stages = rkl2_coefficients(s)
     prev2 = np.zeros_like(y0)
-    prev = l0 * (mu1 * tau)
-    y = np.empty_like(y0)
-    d = np.empty_like(y0)
+    prev = l0 * mu1
+    scratch = np.empty_like(y0)
     for mu, nu, mu_t, gamma_t in stages:
-        np.add(y0, prev, out=y)
-        operator(y, out=d)
-        d *= mu_t * tau
-        d += np.multiply(l0, gamma_t * tau, out=y)
+        np.add(y0, prev, out=operator.fields)
         prev2 *= nu  # d_{j-2} is not needed after this stage
-        prev2 += np.multiply(prev, mu, out=y)
-        prev2 += d
+        prev2 += operator(mu_t * tau, out=scratch)
+        prev2 += np.multiply(prev, mu, out=scratch)
+        prev2 += np.multiply(l0, gamma_t, out=scratch)
         prev2, prev = prev, prev2
-    prev += y0
+    prev[0] *= operator.rho_safe
+    prev[0] += state.mom
+    prev[1:] += state.b  # no row when nu = 0
     return State._unchecked(state.rho, prev[0], prev[1] if operator.rows == 2 else state.b,
                             state.t)
 

@@ -318,6 +318,8 @@ class TestSweepCommand:
         assert guard["dt_sample_landing"] == n_samples
         assert guard["steps"] > pairs["steps"]  # doubled grid
         assert pairs["clips"] == guard["clips"] == manifest["clip_count"] == 0
+        assert (manifest["status"], manifest["boundary_monitor"]) == ("ok", "ok")
+        assert "failures" not in manifest
         # the hypotheses of the configured data on the sweep grid, as simulate records them
         assert main(["simulate", "--config", cfg, "--output-dir", str(tmp_path / "sim")]) == 0
         simulated = json.loads((tmp_path / "sim" / "manifest.json").read_text())
@@ -388,6 +390,37 @@ class TestSweepCommand:
         assert report["slope"] == expected["slope"]
         for name in names:
             assert (out / name).read_bytes() == (plain / name).read_bytes()
+
+    @pytest.mark.parametrize("who, trips", [
+        ("guard", lambda state, params: len(state.rho) == 512),
+        ("nu=0.001", lambda state, params: params.nu == 1e-3),
+    ])
+    def test_manifest_reports_the_failures(self, who, trips, tmp_path, monkeypatch):
+        # criterion 10's configuration; the monitor trips on the doubled guard
+        # grid alone, or on one member alone
+        config = {"grid": {"half_width": 20.0, "n_cells": 256},
+                  "scheme": {"t_end": 0.2, "n_samples": 10},
+                  "nu_list": [1e-2, 1e-3, 1e-4]}
+        cfg = write_config(tmp_path, config)
+        check_boundary = solver.check_boundary
+
+        def tripping(state, params):
+            if trips(state, params) and state.t > 0.05:
+                raise BoundaryMonitorError(time=state.t, deviation=2e-6)
+            return check_boundary(state, params)
+
+        monkeypatch.setattr(solver, "check_boundary", tripping)
+        out = tmp_path / "swp"
+        # --jobs 1: a spawned guard worker would not see the patch
+        assert main(["sweep", "--config", cfg, "--output-dir", str(out), "--jobs", "1"]) == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["boundary_monitor"] == "tripped"
+        assert list(manifest["failures"]) == [who]
+        assert manifest["failures"][who].startswith("BoundaryMonitorError: ")
+        report = json.loads((out / "report.json").read_text())
+        if who == "guard":
+            assert report["guard"]["ratio"] == 0.0 and report["guard"]["passed"] is False
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, SMALL)

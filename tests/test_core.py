@@ -141,6 +141,22 @@ class TestPotentialEnergy:
         with pytest.raises(ValueError):
             potential_energy(np.array([-1e-9]), 1.4, 1.0)
 
+    @pytest.mark.parametrize("gamma", [1.05, 1.5, 2.0, 3.0])
+    def test_relative_accuracy_without_cancellation(self, gamma):
+        # the expanded form cancels to ~1e-16 absolute near rho_bar: at
+        # gamma = 1.5 it is 2.3e-2 off at d = 1e-7 and returns 0 at d = 1e-9
+        mpmath = pytest.importorskip("mpmath")
+        rho_bar = 1.3
+        d = np.concatenate([-np.logspace(-12, -1e-3, 60), [0.0], np.logspace(-12, 1, 60)])
+        rho = rho_bar * (1.0 + d)
+        phi = potential_energy(rho, gamma, rho_bar)
+        with mpmath.workdps(40):
+            g, rb = mpmath.mpf(gamma), mpmath.mpf(rho_bar)
+            for r, value in zip(rho.tolist(), phi.tolist()):
+                r = mpmath.mpf(r)
+                exact = (r**g - rb**g - g * rb ** (g - 1) * (r - rb)) / (g - 1)
+                assert abs(value - exact) <= 1e-11 * exact
+
     def test_nonnegative_with_unique_zero(self):
         rho = np.linspace(0.0, 10.0, 4001)
         phi = potential_energy(rho, 1.4, 1.0)

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 
 from mhd1d import ConvergenceReport, Grid1D, fit_rate, parse_config, solver, sweep
 from mhd1d.errors import BoundaryMonitorError
-from mhd1d.limit_study import GuardResult, run_group
+from mhd1d.diagnostics import RunTelemetry
+from mhd1d.limit_study import GuardResult, PairErrors, _guard_result, run_group
 
 
 @pytest.fixture(scope="module")
@@ -133,11 +135,15 @@ class TestSweep:
         assert back.to_json() == text
 
     def test_failed_guard_round_trips(self, small_sweep):
-        failed = GuardResult(signal=1e-3, passed=False, failed="BoundaryMonitorError: tripped")
+        pair = PairErrors(nu=1e-4, failed="BoundaryMonitorError: tripped")
+        failed = _guard_result(1e-3, ([pair], [], RunTelemetry()))
         report = replace(small_sweep.report, guard=failed)
         text = report.to_json()
         back = ConvergenceReport.from_json(text)
         assert back.guard == failed and back.to_json() == text
+        # ratio 0, not the null of an exactly-zero proxy, whose ratio is infinite
+        assert json.loads(text)["guard"]["ratio"] == 0.0 and not back.guard.passed
+        assert GuardResult(signal=1e-3).as_dict()["ratio"] is None
         # a guard that did not fail reports no "failed" key
         assert set(GuardResult().as_dict()) == {"proxy", "signal", "ratio", "passed"}
 

@@ -10,8 +10,10 @@ Strang step: RKL2 diffusion half-steps around the SSP Runge-Kutta step of
 expression, and ``reference_dt_bounds`` is the pair of step bounds,
 advective and diffusive, from public pieces.  The production code must
 reproduce them bit for bit (sign of zero included) over the admissible
-parameter space, so any change to its arithmetic shows up here first.  The
-properties of the diffusion operator and of the RKL2 integrator follow.
+parameter space, so any change to its arithmetic shows up here first.
+``previous_rkl2`` is the RKL2 step as it was before it ran on the viscous
+velocity: the production step must match it to rounding.  The properties of
+the limiter, the diffusion operator and the RKL2 integrator follow.
 """
 
 import math
@@ -24,9 +26,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mhd1d import Grid1D, PhysParams, ScenarioSpec, SchemeConfig, State, build_initial_state
+from mhd1d import solver
 from mhd1d.core import (
     RHO_FLOOR,
     RhsOutput,
+    constant_state,
     derivative,
     effective_viscous_flux,
     fast_speed,
@@ -39,9 +43,11 @@ from mhd1d.diagnostics import _spreading_weight
 from mhd1d.diagnostics import Accumulators, lp_norm, sample
 from mhd1d.errors import NumericalError
 from mhd1d.solver import (
+    _Workspace,
     _advective_dt,
     _diffuse,
     _diffusive_dt,
+    _half_minmod_slopes,
     diffusion_tendency,
     rhs,
     rkl2_coefficients,
@@ -55,7 +61,7 @@ from mhd1d.solver import (
 
 
 def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.where(a * b > 0.0, np.sign(a) * np.minimum(np.abs(a), np.abs(b)), 0.0)
+    return np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), 0.0))
 
 
 def _extend(state: State, params: PhysParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -71,9 +77,14 @@ def _extend(state: State, params: PhysParams) -> tuple[np.ndarray, np.ndarray, n
     return rho_e, mom_e, b_e
 
 
-def _physical_flux(rho, mom, b, gamma):
-    u = mom / np.maximum(rho, RHO_FLOOR)
-    return mom, mom * u + rho**gamma + 0.5 * b * b, u * b
+def _flux_and_speed(rho, mom, b, gamma):
+    """The physical flux and the fast speed |u| + sqrt((gamma*P + b^2)/rho_safe)."""
+    rho_safe = np.maximum(rho, RHO_FLOOR)
+    u = mom / rho_safe
+    p = rho**gamma
+    b_sq = b * b
+    flux = (mom, mom * u + p + 0.5 * b_sq, u * b)
+    return flux, np.sqrt((gamma * p + b_sq) / rho_safe) + np.abs(u)
 
 
 def reference_rhs(state: State, params: PhysParams, scheme: SchemeConfig,
@@ -86,9 +97,9 @@ def reference_rhs(state: State, params: PhysParams, scheme: SchemeConfig,
 
     if scheme.reconstruction == "muscl_minmod":
         def faces(q):
-            d = np.diff(q)
-            s = _minmod(d[:-1], d[1:])  # slope for extended cells 1..n+2
-            return q[1:n + 2] + 0.5 * s[:n + 1], q[2:n + 3] - 0.5 * s[1:n + 2]
+            d = 0.5 * np.diff(q)
+            s = _minmod(d[:-1], d[1:])  # half-slope for extended cells 1..n+2
+            return q[1:n + 2] + s[:n + 1], q[2:n + 3] - s[1:n + 2]
     else:
         def faces(q):
             return q[1:n + 2], q[2:n + 3]
@@ -102,10 +113,9 @@ def reference_rhs(state: State, params: PhysParams, scheme: SchemeConfig,
     rho_r = np.maximum(rho_r, 0.0)
 
     gamma = params.gamma
-    fl = _physical_flux(rho_l, mom_l, b_l, gamma)
-    fr = _physical_flux(rho_r, mom_r, b_r, gamma)
-    a = np.maximum(fast_speed(rho_l, mom_l, b_l, gamma),
-                   fast_speed(rho_r, mom_r, b_r, gamma))
+    fl, a_l = _flux_and_speed(rho_l, mom_l, b_l, gamma)
+    fr, a_r = _flux_and_speed(rho_r, mom_r, b_r, gamma)
+    a = np.maximum(a_l, a_r)
 
     d_rho = np.empty(n)
     d_mom = np.empty(n)
@@ -145,15 +155,24 @@ def reference_sample_terms(state, ref: RhsOutput, params, grid) -> dict:
     }
 
 
+def reference_rates(rho, w, b, params: PhysParams, grid: Grid1D, scale: float = 1.0):
+    """scale times the rates of the viscous velocity w and of b under the
+    diffusion terms at frozen density rho: w_rate * w_xx with w_rate =
+    mu/dx^2 / rho_safe * (rho/rho_safe), rho_safe = max(rho, floor), and
+    nu * b_xx, with far-field ghosts and the second differences taken as
+    differences of differences."""
+    rho_safe = np.maximum(rho, viscous_floor(params.rho_bar))
+    w_rate = (params.mu / grid.dx**2) / rho_safe * (rho / rho_safe)
+    w_e = np.concatenate([[0.0], w, [0.0]])
+    b_e = np.concatenate([[params.b_bar], b, [params.b_bar]])
+    return np.diff(w_e, 2) * w_rate * scale, np.diff(b_e, 2) * (params.nu / grid.dx**2 * scale)
+
+
 def reference_diffusion(state: State, params: PhysParams, grid: Grid1D):
     """(rho/max(rho, floor)) * mu * u_visc_xx and nu * b_xx with far-field ghosts."""
-    dx = grid.dx
-    rho_e, mom_e, b_e = _extend(state, params)
-    u_visc = viscous_velocity(mom_e, rho_e, params.rho_bar)
-    weight = state.rho / np.maximum(state.rho, viscous_floor(params.rho_bar))
-    d_visc = weight * (params.mu * (u_visc[3:-1] - 2.0 * u_visc[2:-2] + u_visc[1:-3]) / dx**2)
-    d_res = params.nu * (b_e[3:-1] - 2.0 * b_e[2:-2] + b_e[1:-3]) / dx**2
-    return d_visc, d_res
+    w = viscous_velocity(state.mom, state.rho, params.rho_bar)
+    w_dot, b_dot = reference_rates(state.rho, w, state.b, params, grid)
+    return w_dot * np.maximum(state.rho, viscous_floor(params.rho_bar)), b_dot
 
 
 # ---------------------------------------------------------------------------
@@ -161,10 +180,35 @@ def reference_diffusion(state: State, params: PhysParams, grid: Grid1D):
 
 
 def reference_rkl2(state: State, tau: float, params, grid, s: int) -> State:
-    """s-stage RKL2 step of the diffusion terms at frozen density, on increments."""
+    """s-stage RKL2 step of the diffusion terms at frozen density, on
+    increments of (w, b), w = m/max(rho, floor)."""
+    rho_safe = np.maximum(state.rho, viscous_floor(params.rho_bar))
+    w0 = state.mom / rho_safe
+    mu1, stages = rkl2_coefficients(s)
+    l0 = reference_rates(state.rho, w0, state.b, params, grid, tau)
+    prev2 = (np.zeros_like(w0), np.zeros_like(state.b))
+    prev = tuple(q * mu1 for q in l0)
+    for mu, nu, mu_t, gamma_t in stages:
+        lj = reference_rates(state.rho, w0 + prev[0], state.b + prev[1], params, grid, mu_t * tau)
+        new = tuple(((nu * d2 + lq) + mu * d1) + lq0 * gamma_t
+                    for d2, d1, lq, lq0 in zip(prev2, prev, lj, l0))
+        prev2, prev = prev, new
+    b = state.b + prev[1] if params.nu > 0 else state.b
+    return State(state.rho, state.mom + prev[0] * rho_safe, b, state.t)
+
+
+def previous_rkl2(state: State, tau: float, params, grid, s: int) -> State:
+    """The earlier form of the RKL2 step: increments of (m, b), the weight
+    rho/max(rho, floor) after the second difference w_{i+1} - 2 w_i + w_{i-1}."""
+    dx2 = grid.dx**2
+    rho_safe = np.maximum(state.rho, viscous_floor(params.rho_bar))
+    weight = state.rho / rho_safe
+
     def operator(mom, b):
-        d_visc, d_res = reference_diffusion(State(state.rho, mom, b, state.t), params, grid)
-        return d_visc, (d_res if params.nu > 0 else np.zeros_like(b))
+        w = np.concatenate([[0.0], mom / rho_safe, [0.0]])
+        b_e = np.concatenate([[params.b_bar], b, [params.b_bar]])
+        return (weight * (params.mu * (w[2:] - 2.0 * w[1:-1] + w[:-2]) / dx2),
+                params.nu * (b_e[2:] - 2.0 * b_e[1:-1] + b_e[:-2]) / dx2)
 
     mu1, stages = rkl2_coefficients(s)
     l0 = operator(state.mom, state.b)
@@ -175,8 +219,7 @@ def reference_rkl2(state: State, tau: float, params, grid, s: int) -> State:
         new = tuple((nu * d2 + mu * d1) + (lq * (mu_t * tau) + lq0 * (gamma_t * tau))
                     for d2, d1, lq, lq0 in zip(prev2, prev, lj, l0))
         prev2, prev = prev, new
-    b = state.b + prev[1] if params.nu > 0 else state.b
-    return State(state.rho, state.mom + prev[0], b, state.t)
+    return State(state.rho, state.mom + prev[0], state.b + prev[1], state.t)
 
 
 def _reference_euler_stage(state: State, dt: float, params, scheme, grid):
@@ -496,19 +539,100 @@ def test_rkl2_matches_the_discrete_decay_at_second_order():
     assert 3.7 < coarse / fine < 4.3
 
 
-def test_underflowing_slope_product_gives_zero_slope():
-    # slopes (1e-170, 2e-170): a*b underflows to 0, so minmod must return 0,
-    # not min(a, b) as a min/max-only limiter would
+def _python_half_minmod(a: float, b: float) -> float:
+    if a > 0.0 and b > 0.0:
+        return 0.5 * min(a, b)
+    if a < 0.0 and b < 0.0:
+        return 0.5 * max(a, b)
+    return 0.0
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_limiter_matches_plain_minmod(seed):
+    # random stacks, plus runs of tiny values whose neighbouring slopes have
+    # products that underflow to zero
+    n = 64
+    rng = np.random.default_rng(seed)
+    ws = _Workspace(n)
+    ws.ext[...] = rng.normal(size=ws.ext.shape) * 10.0 ** rng.integers(-3, 3, size=ws.ext.shape)
+    ws.ext[1, 10:20] = np.cumsum(rng.uniform(0.5, 2.0, 10)) * 1e-170
+    ws.ext[2, 30:40] = -np.cumsum(rng.uniform(0.5, 2.0, 10)) * 1e-170
+    flat = ws.ext.reshape(-1).tolist()
+    diffs = [right - left for left, right in zip(flat[:-1], flat[1:])]
+    assert any(a * b == 0.0 and a != 0.0 and b != 0.0 for a, b in zip(diffs[:-1], diffs[1:]))
+    want = [_python_half_minmod(a, b) for a, b in zip(diffs[:-1], diffs[1:])]
+    got = _half_minmod_slopes(ws).reshape(-1)[:len(want)]
+    assert got.tolist() == want
+
+
+def test_underflowing_slope_product_keeps_the_smaller_slope():
+    # slopes (1e-170, 2e-170): a*b underflows to 0, and the half-slope is
+    # still half the smaller one
+    ws = _Workspace(16)
+    ws.ext[...] = 0.0
+    ws.ext[1, 5:8] = (0.0, 1e-170, 3e-170)  # cell 6 of the momentum row
+    a, b = ws.ext[1, 6] - ws.ext[1, 5], ws.ext[1, 7] - ws.ext[1, 6]
+    assert a == 1e-170 and b == pytest.approx(2e-170) and a * b == 0.0
+    assert _half_minmod_slopes(ws)[1, 5] == 5e-171
     params = PhysParams(nu=0.0)
     grid = Grid1D(20.0, 16)
-    rho = np.full(16, params.rho_bar)
     mom = np.zeros(16)
     mom[5:9] = (1e-170, 2e-170, 4e-170, 8e-170)
-    state = State(rho=rho, mom=mom, b=np.full(16, params.b_bar))
-    d = np.diff(mom)
-    assert d[5] * d[6] == 0.0 and d[5] > 0 and d[6] > 0
-    ref = reference_rhs(state, params, SchemeConfig(), grid)
-    assert_same_bits(rhs(state, params, SchemeConfig(), grid), ref)
+    state = State(rho=np.full(16, params.rho_bar), mom=mom, b=np.full(16, params.b_bar))
+    assert_same_bits(rhs(state, params, SchemeConfig(), grid),
+                     reference_rhs(state, params, SchemeConfig(), grid))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cases())
+def test_rhs_fast_speed_matches_the_two_power_formula(case):
+    # rhs forms c^2 = (gamma*P + b^2)/rho from P = rho^gamma; at rho >= RHO_FLOOR
+    # that is gamma*rho^(gamma-1) + b^2/rho.  After a call the workspace still
+    # holds the interface states and both sides' fast speeds.
+    state, params, scheme, grid = case
+    rhs(state, params, scheme, grid)
+    ws, n = solver._workspace, grid.n_cells
+    rho_f, mom_f, b_f = ws.faces[:, :, :n + 1]
+    keep = rho_f >= RHO_FLOOR
+    want = fast_speed(rho_f, mom_f, b_f, params.gamma)
+    np.testing.assert_allclose(ws.speed[:, :n + 1][keep], want[keep], rtol=1e-14, atol=0.0)
+
+
+def _stage_cases():
+    """A Gaussian state, and a vacuum one with nodes below the viscous floor."""
+    params = PhysParams(mu=0.1, nu=1e-3, gamma=2.0)
+    grid = Grid1D(20.0, 256)
+    for preset, a_b in (("gaussian_bump", 0.3), ("interior_vacuum", -1.0)):
+        spec = ScenarioSpec(preset=preset, a_rho=0.3, a_u=0.2, a_b=a_b)
+        yield preset, build_initial_state(spec, params, grid), params, grid
+
+
+@pytest.mark.parametrize("s", [2, 3, 15, 30])
+def test_diffuse_leaves_the_far_field_bit_for_bit(s):
+    params = PhysParams(mu=0.1, nu=1e-3)
+    grid = Grid1D(20.0, 64)
+    state = constant_state(grid, params)
+    new = _diffuse(state, 1.0, params, grid, s)
+    assert new.mom.tobytes() == state.mom.tobytes()
+    assert new.b.tobytes() == state.b.tobytes()
+
+
+@pytest.mark.parametrize("s", [2, 3, 15, 30])
+@pytest.mark.parametrize("preset, state, params, grid", list(_stage_cases()),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_diffuse_matches_the_previous_recursion(s, preset, state, params, grid):
+    # the (w, b) stages and the earlier (m, b) ones differ only by rounding;
+    # tau is the longest step s stages keep stable
+    weighted = float(state.rho.min()) < viscous_floor(params.rho_bar)
+    assert weighted == (preset == "interior_vacuum")
+    dt_diffusive = _diffusive_dt(state, params, SchemeConfig(), grid)
+    tau = dt_diffusive * (s * s + s - 2) / 4.0
+    assert rkl2_stage_count(tau, dt_diffusive) == s
+    new = _diffuse(state, tau, params, grid, s)
+    old = previous_rkl2(state, tau, params, grid, s)
+    for got, want in ((new.mom, old.mom), (new.b, old.b)):
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize("node", [0, 17, 255])
