@@ -25,7 +25,7 @@ from pathlib import Path
 
 from . import __version__, battery
 from .config import RunConfig, load_config
-from .diagnostics import DiagnosticsRecord, weighted_energy
+from .diagnostics import DiagnosticsRecord, RunTelemetry, weighted_energy
 from .errors import BoundaryMonitorError, ConfigError, NumericalError, SimulationError
 from .limit_study import sweep
 from .scenario import build_initial_state, compatibility_residual
@@ -120,8 +120,9 @@ def cmd_simulate(args) -> int:
     outdir = _resolve_outdir(args, config)
     start = time.perf_counter()
     final = error = None
+    telemetry = RunTelemetry()
     try:
-        final, record = run(config.spec, config.run_params, config.scheme, config.grid)
+        final, record = run(config.spec, config.run_params, config.scheme, config.grid, telemetry)
     except (BoundaryMonitorError, NumericalError) as exc:
         # an abort still writes the rows gathered before it, and its locus in the manifest
         print(f"aborted: {exc}", file=sys.stderr)
@@ -136,8 +137,8 @@ def cmd_simulate(args) -> int:
         _atomic_write(outdir / "state_final.txt", save_checkpoint(final, config.grid))
         outputs.append("state_final.txt")
     wall_s = {"integrate": integrated - start, "write": time.perf_counter() - integrated}
-    _write_manifest(outdir, config, started, outputs, record.telemetry.clips,
-                    record.telemetry.as_dict(), wall_s, error=error)
+    _write_manifest(outdir, config, started, outputs, telemetry.clips, telemetry.as_dict(),
+                    wall_s, error=error)
     if error is not None:
         return EXIT_BOUNDARY if isinstance(error, BoundaryMonitorError) else EXIT_NUMERICAL
     print(f"simulate: T={config.scheme.t_end} done, outputs in {outdir}")
@@ -159,15 +160,15 @@ def cmd_sweep(args) -> int:
         outputs.append(name)
     _atomic_write(outdir / "report.json", result.report.to_json())
     wall_s = {"integrate": integrated - start, "write": time.perf_counter() - integrated}
-    guard = result.report.guard.telemetry
+    r = result.report
+    guard = r.guard.telemetry if r.guard is not None else None
     telemetry = {
         "pairs": result.telemetry.as_dict(),
         "guard": guard.as_dict() if guard is not None else None,
     }
     clips = result.telemetry.clips + (guard.clips if guard is not None else 0)
-    r = result.report
     failures = {f"nu={e.nu:g}": e.failed for e in r.entries if e.failed}
-    if r.guard.failed:
+    if r.guard is not None and r.guard.failed:
         failures["guard"] = r.guard.failed
     _write_manifest(outdir, config, started, outputs, clips, telemetry, wall_s,
                     failures=failures)

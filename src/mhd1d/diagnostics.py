@@ -10,7 +10,7 @@ not depend on the resistivity must show small relative spread.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -227,29 +227,16 @@ class RunTelemetry:
     def as_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def combined(cls, parts) -> "RunTelemetry":
-        """Counters summed over runs; the peak deviation is the largest one."""
-        counters = [f.name for f in fields(cls) if f.name != "peak_boundary_deviation"]
-        total = cls()
-        for p in parts:
-            for name in counters:
-                setattr(total, name, getattr(total, name) + getattr(p, name))
-            total.peak_boundary_deviation = max(total.peak_boundary_deviation,
-                                                p.peak_boundary_deviation)
-        return total
-
 
 @dataclass
 class DiagnosticsRecord:
     """Time series with one row per sample; columns as in COLUMNS.
 
-    ``telemetry`` holds the counters of the run that produced the rows; it is
-    not part of the CSV.
+    The counters of the run that produced the rows are the caller's
+    ``RunTelemetry``, not part of the record.
     """
 
     rows: list = field(default_factory=list)
-    telemetry: RunTelemetry = field(default_factory=RunTelemetry, compare=False)
 
     def append(self, row: dict):
         self.rows.append([float(row[c]) for c in COLUMNS])
@@ -349,12 +336,13 @@ def energy_drift(record: DiagnosticsRecord) -> float:
     """Largest relative increase of E(t) + D_u(t) + D_b(t) over its running minimum.
 
     Zero for a perfectly dissipative discrete trajectory; the scheme's
-    quadrature noise allows a small positive drift.
+    quadrature noise allows a small positive drift.  It is undefined at E(0) = 0.
     """
     m = record.column("energy") + record.column("diss_u") + record.column("diss_b")
+    if m[0] == 0.0:
+        raise ValueError("relative energy drift is undefined at E(0) = 0")
     running_min = np.minimum.accumulate(m)
-    scale = max(abs(m[0]), 1e-300)
-    return float(np.max(m - running_min) / scale)
+    return float(np.max(m - running_min) / abs(m[0]))
 
 
 # Quantities whose sup-in-time values must not depend on the resistivity.

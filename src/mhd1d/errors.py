@@ -6,9 +6,9 @@ from .core import BOUNDARY_TOLERANCE
 class SimulationError(Exception):
     """Base class for runtime failures of a simulation.
 
-    When raised from the time loop, ``record`` holds the diagnostics record
-    gathered up to the failure (rows and run telemetry) and ``member`` the
-    index of the lockstep member that failed.
+    When raised from the time loop, ``member`` is the index of the lockstep
+    member that failed and ``record`` its diagnostics rows up to the failure,
+    or None when that member is not recorded.
     """
 
     record = None

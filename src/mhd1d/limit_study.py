@@ -54,17 +54,17 @@ class PairErrors:
         return asdict(self)
 
 
-def run_group(nus, config: RunConfig,
-              recorded: bool = True) -> tuple[list[PairErrors], list[DiagnosticsRecord]]:
+def run_group(nus, config: RunConfig, recorded: bool = True, telemetry: RunTelemetry | None = None
+              ) -> tuple[list[PairErrors], list[DiagnosticsRecord]]:
     """Evolve one resistive member per nu and one shared non-resistive reference in lockstep.
 
     Every member starts from the configured scenario, physics and grid; only
     nu differs.  Returns, in the order of ``nus``, each resistive member's
     error functionals against the reference and its diagnostics record (for
     the resistivity-independence audit), which counts that member's clips
-    alone.  Unrecorded, the records are one row-less record that holds the
-    telemetry.  A failure leaves with ``exc.member``, the index into ``nus``
-    of the member that raised, or ``len(nus)`` for the reference.
+    alone; unrecorded, no records.  The group's counters are added to
+    ``telemetry``.  A failure leaves with ``exc.member``, the index into
+    ``nus`` of the member that raised, or ``len(nus)`` for the reference.
     """
     grid = config.grid
     dx = grid.dx
@@ -98,7 +98,8 @@ def run_group(nus, config: RunConfig,
 
     members = [(state.copy(), replace(config.params, nu=nu)) for nu in nus]
     _, records = run_lockstep(members + [(state, reference)], config.scheme, grid,
-                              observe=observe, recorded=len(nus) if recorded else 0)
+                              observe=observe, recorded=len(nus) if recorded else 0,
+                              telemetry=telemetry)
     for e in errors:
         e.e_total = e.e_sup + e.e_diss
     return errors, records
@@ -188,23 +189,23 @@ class ConvergenceReport:
     fit_skipped_reason: str | None = None
     degenerate: bool = False
     superlinear_flagged: bool = False
-    guard: GuardResult = field(default_factory=GuardResult)
+    guard: GuardResult | None = None  # None: the fit, and so the guard, was skipped
     config_fingerprint: str = ""
 
     def to_json(self) -> str:
         d = {f.name: getattr(self, f.name) for f in fields(self)}
         d["entries"] = [e.as_dict() for e in self.entries]
-        d["guard"] = self.guard.as_dict()
+        d["guard"] = self.guard.as_dict() if self.guard is not None else None
         return json.dumps(d, sort_keys=True, indent=2) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "ConvergenceReport":
         d = json.loads(text)
         d["entries"] = [PairErrors(**e) for e in d["entries"]]
-        g = dict(d["guard"])
-        if g.get("ratio") is None:
+        g = d["guard"]
+        if g is not None and g.get("ratio") is None:
             g["ratio"] = float("inf")
-        d["guard"] = GuardResult(**g)
+        d["guard"] = GuardResult(**g) if g is not None else None
         return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
@@ -221,27 +222,25 @@ def _sweep_group(nus: list, config: RunConfig, recorded=True) -> tuple[list, lis
     A failed member is marked with its own message and the group re-runs
     from t = 0 without it; when the reference fails, every remaining nu
     fails with its message; nothing raises.  Returns the entry of every nu in
-    order, the (nu, record) pairs of the survivors (row-less when unrecorded)
-    and the counters of every attempt.
+    order, the (nu, record) pairs of the survivors (none when unrecorded)
+    and one telemetry that every attempt added its counters to.
     """
     live = list(nus)
     failed = {}
-    spent = []
+    telemetry = RunTelemetry()
     errors, records = [], []
     while live:
         try:
-            errors, records = run_group(live, config, recorded)
-            spent.append(records[0].telemetry)
+            errors, records = run_group(live, config, recorded, telemetry)
             break
         except SimulationError as exc:
-            spent.append(exc.record.telemetry)
             single = exc.member is not None and exc.member < len(live)
             for nu in [live[exc.member]] if single else list(live):
                 failed[nu] = f"{type(exc).__name__}: {exc}"
                 live.remove(nu)
     done = dict(zip(live, errors))
     entries = [done[nu] if nu in done else PairErrors(nu=nu, failed=failed[nu]) for nu in nus]
-    return entries, list(zip(live, records)), RunTelemetry.combined(spent)
+    return entries, list(zip(live, records)), telemetry
 
 
 def _unfit_reason(nus: list) -> str | None:

@@ -469,7 +469,8 @@ def check_boundary(state: State, params: PhysParams) -> float:
 
 def run_lockstep(members: list[tuple[State, PhysParams]], scheme: SchemeConfig,
                  grid: Grid1D, rhs_fn=None, observe=None, max_steps: int = 10_000_000,
-                 recorded: int = 1) -> tuple[list[State], list[diagnostics.DiagnosticsRecord]]:
+                 recorded: int = 1, telemetry: diagnostics.RunTelemetry | None = None
+                 ) -> tuple[list[State], list[diagnostics.DiagnosticsRecord]]:
     """Integrate every (state, params) member from t = 0 to t_end on one dt sequence.
 
     dt is the smallest advective bound over all members, clipped so that the
@@ -482,23 +483,23 @@ def run_lockstep(members: list[tuple[State, PhysParams]], scheme: SchemeConfig,
     (trapezoid in time, advanced every accepted step) and diagnostics
     record, whose clip count holds that member's own density clips.  With
     ``recorded = 0`` nothing is sampled or accumulated; the steps, sample
-    landings and final states are those of a recorded run, and one row-less
-    record is returned.
+    landings and final states are those of a recorded run, and no record is
+    returned.
     ``observe(states, dt)`` is called at t = 0 with dt = 0 and after every
-    accepted step.  The records share one telemetry, counting the group's
-    steps, rhs evaluations, the bound that set each dt, the RKL2 stages and
-    the density clips of every member.
+    accepted step.  The group's steps, rhs evaluations, the bound that set
+    each dt, the RKL2 stages and the density clips of every member are added
+    to the caller's ``telemetry``, a failed run's too; ``max_steps`` counts
+    this call's steps alone.
 
     A ``SimulationError`` leaves with ``exc.member``, the index of the member
     that raised (None when no single member did), and ``exc.record``, that
-    member's record so far (member 0's when it carries none).
+    member's record so far (None when it carries none).
     """
     rhs_per_step = STAGES[scheme.time_integrator]
     states = [s for s, _ in members]
     params = [p for _, p in members]
-    telemetry = diagnostics.RunTelemetry()
-    records = [diagnostics.DiagnosticsRecord(telemetry=telemetry)
-               for _ in range(max(recorded, 1))]
+    telemetry = telemetry if telemetry is not None else diagnostics.RunTelemetry()
+    records = [diagnostics.DiagnosticsRecord() for _ in range(recorded)]
     accums = [diagnostics.Accumulators() for _ in range(recorded)]
 
     def check(i):
@@ -523,7 +524,7 @@ def run_lockstep(members: list[tuple[State, PhysParams]], scheme: SchemeConfig,
         t_end = scheme.t_end
         sample_times = ([t_end * k / scheme.n_samples for k in range(1, scheme.n_samples + 1)]
                         if t_end > 0 else [])
-        next_sample = 0
+        next_sample = steps = 0
         while next_sample < len(sample_times):
             target = sample_times[next_sample]
             dt = min(_advective_dt(s, p, scheme, grid) for s, p in zip(states, params))
@@ -557,20 +558,22 @@ def run_lockstep(members: list[tuple[State, PhysParams]], scheme: SchemeConfig,
                 member = None
                 next_sample += 1
             telemetry.steps += 1
-            if telemetry.steps > max_steps:
+            steps += 1
+            if steps > max_steps:
                 raise SimulationError(f"exceeded {max_steps} steps at t={states[0].t:.6g}")
     except SimulationError as exc:
         exc.member = member
-        exc.record = records[member if member is not None and member < recorded else 0]
+        exc.record = records[member] if member is not None and member < recorded else None
         raise
     return states, records
 
 
-def run(spec: ScenarioSpec, params: PhysParams, scheme: SchemeConfig,
-        grid: Grid1D) -> tuple[State, diagnostics.DiagnosticsRecord]:
+def run(spec: ScenarioSpec, params: PhysParams, scheme: SchemeConfig, grid: Grid1D,
+        telemetry: diagnostics.RunTelemetry | None = None
+        ) -> tuple[State, diagnostics.DiagnosticsRecord]:
     """Integrate one scenario: the single-member case of ``run_lockstep``."""
     state = build_initial_state(spec, params, grid)
-    (final,), (record,) = run_lockstep([(state, params)], scheme, grid)
+    (final,), (record,) = run_lockstep([(state, params)], scheme, grid, telemetry=telemetry)
     return final, record
 
 

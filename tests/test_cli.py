@@ -451,6 +451,9 @@ class TestSweepCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["slope"] is None
         assert "fewer than 3" in report["fit_skipped_reason"]
+        assert report["guard"] is None  # skipped, not a passing guard
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["telemetry"]["guard"] is None
 
 
 class TestVerifyCommand:

@@ -7,6 +7,7 @@ import pytest
 from mhd1d import (
     DiagnosticsRecord,
     Grid1D,
+    PhysParams,
     ScenarioSpec,
     SchemeConfig,
     State,
@@ -255,6 +256,16 @@ class TestEnergyDrift:
             row["t"], row["energy"] = t, e
             rec.append(row)
         assert energy_drift(rec) == pytest.approx(0.05)
+
+    def test_far_field_has_no_relative_drift(self):
+        # E(0) = 0, while the one-sided end stencil of a constant b grows diss_b
+        # by rounding; over a 1e-300 floor that read as a drift of about 1e267
+        params = PhysParams(gamma=2.0, mu=1.0, nu=0.0625, b_bar=1.4683888413352526)
+        _, rec = run(ScenarioSpec(a_rho=0.0, a_u=0.0, a_b=0.0), params,
+                     SchemeConfig(t_end=0.125, n_samples=4), Grid1D(20.0, 64))
+        assert rec.column("energy")[0] == 0.0 < rec.final("diss_b")
+        with pytest.raises(ValueError, match=r"undefined at E\(0\) = 0"):
+            energy_drift(rec)
 
 
 class TestNuIndependence:

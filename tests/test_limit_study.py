@@ -59,7 +59,7 @@ class TestFitRate:
 
 def assert_guard_runs_iff_fit(report):
     """The guard runs exactly when the rate fit does."""
-    assert (report.guard.telemetry is None) == (report.fit_skipped_reason is not None)
+    assert (report.guard is None) == (report.fit_skipped_reason is not None)
 
 
 class TestRunPair:
@@ -118,10 +118,11 @@ class TestSweep:
         # the guard runs its pair unrecorded; it measures what the recorded pair measures
         g = small_sweep.report.guard
         grid = Grid1D(small_config.grid.half_width, 2 * small_config.grid.n_cells)
+        t = RunTelemetry()
         (errors,), (record,) = run_group([min(small_config.nu_list)],
-                                         replace(small_config, grid=grid))
+                                         replace(small_config, grid=grid), telemetry=t)
         assert g.proxy == abs(g.signal - errors.e_total)
-        t, u = record.telemetry, g.telemetry
+        u = g.telemetry
         for name in ("steps", "dt_advective", "dt_sample_landing", "diffusion_stages", "clips"):
             assert getattr(u, name) == getattr(t, name), name
         assert u.rhs_evals == t.rhs_evals - len(record.rows) == 4 * u.steps
@@ -163,6 +164,9 @@ class TestSweep:
         assert result.report.slope is None
         assert "fewer than 3" in result.report.fit_skipped_reason
         assert_guard_runs_iff_fit(result.report)
+        text = result.report.to_json()
+        assert json.loads(text)["guard"] is None
+        assert ConvergenceReport.from_json(text) == result.report
 
     def test_narrow_span_skips_fit(self, small_config):
         result = sweep(replace(small_config, nu_list=(1e-2, 5e-3, 2e-3)))
@@ -225,7 +229,12 @@ class TestGroupFailures:
         assert [entries[0], entries[2]] == alone.report.entries
         assert ([(nu, r.to_csv()) for nu, r in result.records]
                 == [(nu, r.to_csv()) for nu, r in alone.records])
-        assert result.telemetry.steps > alone.telemetry.steps  # the aborted attempt counts
+        # the aborted attempt counts: its steps up to the failure, then the re-run's
+        aborted = RunTelemetry()
+        with pytest.raises(BoundaryMonitorError):
+            run_group(small_config.nu_list, small_config, telemetry=aborted)
+        assert 0 < aborted.steps < alone.telemetry.steps
+        assert result.telemetry.steps == aborted.steps + alone.telemetry.steps
 
     def test_failed_reference_fails_every_nu(self, small_config, monkeypatch):
         _tripping_check_boundary(monkeypatch, 0.0)

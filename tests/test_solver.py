@@ -20,7 +20,7 @@ from mhd1d import (
     total_energy,
 )
 from mhd1d.config import parse_config
-from mhd1d.diagnostics import COLUMNS, DiagnosticsRecord
+from mhd1d.diagnostics import COLUMNS, DiagnosticsRecord, RunTelemetry
 from mhd1d.errors import BoundaryMonitorError, NumericalError, SimulationError
 from mhd1d import solver
 from mhd1d.solver import (
@@ -346,9 +346,10 @@ class TestRunLockstep:
             return plain_step(state, dt, params, scheme_, grid_, rhs_fn, stages)
 
         monkeypatch.setattr(solver, "step", recording_step)
-        _, (record,) = run_lockstep([(state, p0), (state.copy(), p1)], scheme, grid)
+        telemetry = RunTelemetry()
+        run_lockstep([(state, p0), (state.copy(), p1)], scheme, grid, telemetry=telemetry)
         steps = list(zip(calls[::2], calls[1::2]))
-        assert len(steps) == record.telemetry.steps > 3
+        assert len(steps) == telemetry.steps > 3
         for (s0, q0, dt, stages), (s1, q1, dt1, stages1) in steps:
             assert (q0, q1) == (p0, p1)
             assert (dt1, stages1) == (dt, stages)
@@ -358,7 +359,7 @@ class TestRunLockstep:
             assert stages == rkl2_stage_count(0.5 * dt, min(_diffusive_dt(s0, p0, scheme, grid),
                                                             _diffusive_dt(s1, p1, scheme, grid)))
             assert stages > rkl2_stage_count(0.5 * dt, _diffusive_dt(s0, p0, scheme, grid))
-        assert record.telemetry.diffusion_stages == sum(2 * c[3] for c in calls[::2])
+        assert telemetry.diffusion_stages == sum(2 * c[3] for c in calls[::2])
 
     def test_clips_of_every_member_counted(self, params, grid, gaussian_spec):
         mid = grid.n_cells // 2
@@ -372,22 +373,27 @@ class TestRunLockstep:
         scheme = SchemeConfig(t_end=1e-3, n_samples=1)
         state = build_initial_state(gaussian_spec, params, grid)
         members = [(state, params), (state.copy(), replace(params, nu=0.0))]
-        _, (record,) = run_lockstep(members, scheme, grid, rhs_fn=rhs_fn)
+        sinks = {name: RunTelemetry() for name in ("pair", "alone", "both", "group", "bare")}
+        _, (record,) = run_lockstep(members, scheme, grid, rhs_fn=rhs_fn,
+                                    telemetry=sinks["pair"])
         # a record counts its own member's clips; the telemetry counts every member's
         assert record.final("clip_count") == 0
-        assert record.telemetry.clips > 0
-        _, (alone,) = run_lockstep(members[:1], scheme, grid, rhs_fn=rhs_fn)
-        assert alone.final("clip_count") == alone.telemetry.clips == 0
-        _, (kept, clipped) = run_lockstep(members, scheme, grid, rhs_fn=rhs_fn, recorded=2)
+        assert sinks["pair"].clips > 0
+        _, (alone,) = run_lockstep(members[:1], scheme, grid, rhs_fn=rhs_fn,
+                                   telemetry=sinks["alone"])
+        assert alone.final("clip_count") == sinks["alone"].clips == 0
+        _, (kept, clipped) = run_lockstep(members, scheme, grid, rhs_fn=rhs_fn, recorded=2,
+                                          telemetry=sinks["both"])
         assert kept.final("clip_count") == 0
-        assert clipped.final("clip_count") == clipped.telemetry.clips == record.telemetry.clips
+        assert clipped.final("clip_count") == sinks["both"].clips == sinks["pair"].clips
         group = [members[0], (state.copy(), replace(params, nu=1e-2)), members[1]]
-        _, records = run_lockstep(group, scheme, grid, rhs_fn=rhs_fn, recorded=2)
+        _, records = run_lockstep(group, scheme, grid, rhs_fn=rhs_fn, recorded=2,
+                                  telemetry=sinks["group"])
         assert [r.final("clip_count") for r in records] == [0, 0]
-        assert records[0].telemetry.clips == record.telemetry.clips
+        assert sinks["group"].clips == sinks["pair"].clips
         # an unrecorded run reports them through its telemetry
-        _, (bare,) = run_lockstep(members, scheme, grid, rhs_fn=rhs_fn, recorded=0)
-        assert bare.telemetry.clips == record.telemetry.clips
+        run_lockstep(members, scheme, grid, rhs_fn=rhs_fn, recorded=0, telemetry=sinks["bare"])
+        assert sinks["bare"].clips == sinks["pair"].clips
 
     @pytest.mark.parametrize("integrator, nus", [
         ("ssp_rk2", (1e-3,)),
@@ -398,14 +404,14 @@ class TestRunLockstep:
         scheme = SchemeConfig(t_end=0.05, n_samples=3, time_integrator=integrator)
         state = build_initial_state(gaussian_spec, params, grid)
         members = [(state, replace(params, nu=nu)) for nu in nus]
-        finals, (record,) = run_lockstep(members, scheme, grid)
-        bare_finals, (bare,) = run_lockstep(members, scheme, grid, recorded=0)
+        t, u = RunTelemetry(), RunTelemetry()
+        finals, (record,) = run_lockstep(members, scheme, grid, telemetry=t)
+        bare_finals, bare = run_lockstep(members, scheme, grid, recorded=0, telemetry=u)
         for a, b in zip(finals, bare_finals):
             assert a.t == b.t
             for name in ("rho", "mom", "b"):
                 assert np.array_equal(getattr(a, name), getattr(b, name))
-        assert bare.rows == []
-        t, u = record.telemetry, bare.telemetry
+        assert bare == []
         for name in ("steps", "dt_advective", "dt_sample_landing", "diffusion_stages", "clips"):
             assert getattr(u, name) == getattr(t, name), name
         # only the samples are skipped: one evaluation per row of the recorded member
@@ -424,9 +430,9 @@ class TestRunLockstep:
         state = build_initial_state(gaussian_spec, params, grid)
         members = [(state, params), (state.copy(), replace(params, nu=0.0))]
         dts = []
+        t = RunTelemetry()
         _, (record,) = run_lockstep(members, scheme, grid,
-                                   observe=lambda states, dt: dts.append(dt))
-        t = record.telemetry
+                                    observe=lambda states, dt: dts.append(dt), telemetry=t)
         assert t.steps == len(dts) - 1
         assert t.dt_sample_landing == scheme.n_samples
         assert t.dt_advective + t.dt_sample_landing == t.steps
@@ -439,12 +445,13 @@ class TestRunLockstep:
         grid = Grid1D(5.0, 128)
         spec = ScenarioSpec(sigma=1.0)
         scheme = SchemeConfig(t_end=2.0, n_samples=10)
+        telemetry = RunTelemetry()
         with pytest.raises(BoundaryMonitorError) as err:
-            run(spec, params, scheme, grid)
+            run(spec, params, scheme, grid, telemetry)
         record = err.value.record
         assert 1 <= len(record.rows) < scheme.n_samples + 1
         assert record.times[-1] <= err.value.time
-        assert record.telemetry.steps > 0
+        assert telemetry.steps > 0
         record.validate()
 
     @pytest.mark.parametrize("recorded", [0, 1, 2])
@@ -456,20 +463,48 @@ class TestRunLockstep:
 
         state = build_initial_state(gaussian_spec, params, grid)
         members = [(state, replace(params, nu=nu)) for nu in (1e-3, 0.5, 0.0)]
+        telemetry = RunTelemetry()
         with pytest.raises(NumericalError) as err:
             run_lockstep(members, SchemeConfig(t_end=0.01, n_samples=2), grid, rhs_fn=rhs_fn,
-                         recorded=recorded)
+                         recorded=recorded, telemetry=telemetry)
         assert err.value.member == 1
-        # member 1's record, or member 0's when member 1 carries none: the t = 0 row;
-        # an unrecorded run carries its one row-less record
-        assert len(err.value.record.rows) == min(recorded, 1)
-        assert err.value.record.telemetry.rhs_evals > 0
+        # member 1's record so far, the t = 0 row; None when member 1 is not recorded
+        if recorded > 1:
+            assert len(err.value.record.rows) == 1
+        else:
+            assert err.value.record is None
+        assert telemetry.rhs_evals > 0
 
     def test_max_steps_guard(self, params, grid, gaussian_spec):
         state = build_initial_state(gaussian_spec, params, grid)
         with pytest.raises(SimulationError, match="exceeded 2 steps"):
             run_lockstep([(state, params)], SchemeConfig(t_end=1.0, n_samples=1), grid,
                          max_steps=2)
+
+    def test_max_steps_counts_this_call_alone(self, params, grid, gaussian_spec):
+        # a telemetry that already holds an earlier run's steps does not trip the limit
+        state = build_initial_state(gaussian_spec, params, grid)
+        scheme = SchemeConfig(t_end=0.2, n_samples=2)
+        fresh = RunTelemetry()
+        run_lockstep([(state, params)], scheme, grid, telemetry=fresh)
+        loaded = RunTelemetry(steps=fresh.steps)
+        run_lockstep([(state, params)], scheme, grid, max_steps=fresh.steps, telemetry=loaded)
+        assert loaded.steps == 2 * fresh.steps > 2
+
+    def test_shared_telemetry_sums_the_runs(self, params, grid, gaussian_spec):
+        state = build_initial_state(gaussian_spec, params, grid)
+        runs = [([(state, params)], SchemeConfig(t_end=0.05, n_samples=3)),
+                ([(state, params), (state.copy(), replace(params, nu=0.0))],
+                 SchemeConfig(t_end=0.2, n_samples=2, time_integrator="ssp_rk3"))]
+        shared, fresh = RunTelemetry(), [RunTelemetry() for _ in runs]
+        for (members, scheme), sink in zip(runs, fresh):
+            run_lockstep(members, scheme, grid, telemetry=sink)
+            run_lockstep(members, scheme, grid, telemetry=shared)
+        first, second, summed = (t.as_dict() for t in (*fresh, shared))
+        peak = first.pop("peak_boundary_deviation"), second.pop("peak_boundary_deviation")
+        assert peak[0] != peak[1]
+        assert summed.pop("peak_boundary_deviation") == max(peak)
+        assert summed == {name: first[name] + second[name] for name in first}
 
 
 class TestCheckpoint:
@@ -513,11 +548,10 @@ class TestCheckpoint:
 def test_simulation_errors_survive_pickling(error):
     # concurrent simulations run in separate processes; a pool hands their failures back
     error.record = DiagnosticsRecord(rows=[[0.5] * len(COLUMNS)])
-    error.record.telemetry.steps = 3
     error.member = 1
     back = pickle.loads(pickle.dumps(error))
     assert type(back) is type(error) and str(back) == str(error)
     attrs = ("time", "node") if isinstance(error, NumericalError) else ("time", "deviation")
     for name in (*attrs, "member"):
         assert getattr(back, name) == getattr(error, name)
-    assert back.record == error.record and back.record.telemetry == error.record.telemetry
+    assert back.record == error.record
