@@ -210,10 +210,11 @@ class RunTelemetry:
     Each accepted step is counted under the bound that set its dt: the
     advective CFL bound or the landing on a sample time.  ``rhs_evals``
     counts every right-hand-side evaluation, RK stages of every member and
-    the diagnostics samples alike.  ``diffusion_stages`` sums the RKL2 stage
-    count over every diffusion half-step (two per step); every member of a
-    lockstep group takes that many.  ``clips`` counts the density clips to
-    zero of every member; a record's ``clip_count`` counts its own member's.
+    the diagnostics samples alike.  ``diffusion_stages`` sums the viscous
+    block's RKL2 stages over every half-step (two per step), a count every
+    member takes; ``resistive_stages`` sums the b block's over every member
+    and half-step.  ``clips`` counts the density clips to zero of every
+    member; a record's ``clip_count`` counts its own member's.
     """
 
     steps: int = 0
@@ -221,6 +222,7 @@ class RunTelemetry:
     dt_advective: int = 0
     dt_sample_landing: int = 0
     diffusion_stages: int = 0
+    resistive_stages: int = 0
     clips: int = 0
     peak_boundary_deviation: float = 0.0
 

@@ -9,9 +9,9 @@ with piecewise-constant or MUSCL reconstruction of (rho, m, b) under a
 min/max-only minmod limiter, one rho^gamma pass serving the flux and the
 fast speed, advanced by an SSP Runge-Kutta method.  ``diffusion_tendency``
 is the second-order central diffusion terms, advanced by second-order
-Runge-Kutta-Legendre (RKL2) super-time-stepping at frozen density on
-(m/max(rho, floor), b), Strang-split around the hyperbolic step, so the
-advective CFL bound alone sets dt; ``tendencies`` is the sum of the two.
+Runge-Kutta-Legendre (RKL2) super-time-stepping at frozen density, m/max(rho,
+floor) and b each at their own stage count, Strang-split around the
+hyperbolic step, so the advective CFL bound alone sets dt; ``tendencies`` is the sum.
 Far-field Dirichlet values enter through ghost cells.  One driver advances
 any number of runs on a shared dt sequence: a single run is one member, a
 sweep group is one member per resistivity plus a shared non-resistive
@@ -234,47 +234,72 @@ def rhs(state: State, params: PhysParams, scheme: SchemeConfig, grid: Grid1D) ->
 
 
 class _Diffusion:
-    """The diffusion terms at a frozen density, as a linear operator on (w, b).
+    """One diffusion block at frozen density, as a linear operator on one field.
 
-    w = viscous_velocity(m, rho, rho_bar) = m/r with r = max(rho, floor).  The
-    momentum tendency (rho/r) * mu * w_xx moves w at the rate (rho/r) * mu *
-    w_xx / r, and b moves at nu * b_xx, by central differences with far-field
-    ghosts (w = 0, b = b_bar).  The weight rho/r is exactly 1 wherever rho >=
-    floor; below the viscous floor it makes the deposited momentum scale with
-    rho.  The kinetic-energy change at frozen density, sum(u * d_m * dx) with
-    u = m/rho, is then mu * sum(w * w_xx * dx) = -mu * sum(w_x^2 * dx), vacuum
-    included: viscosity can only dissipate, by the amount the audit's
-    ``diss_u`` records.  Row 1 (b) exists only when nu > 0.
+    Viscous: w = viscous_velocity(m, rho, rho_bar) = m/r, r = max(rho, floor),
+    moves at the array rate (rho/r) * mu / r times w_xx, the momentum tendency
+    (rho/r) * mu * w_xx over r.  Resistive: b moves at nu times b_xx.  Central
+    differences, one far-field ghost per side (w = 0, b = b_bar).  The weight
+    rho/r is exactly 1 wherever rho >= floor; below the floor it makes the
+    deposited momentum scale with rho.  The kinetic-energy change at frozen
+    density, sum(u * d_m * dx) with u = m/rho, is then mu * sum(w * w_xx * dx)
+    = -mu * sum(w_x^2 * dx), vacuum included: viscosity can only dissipate,
+    by the amount the audit's ``diss_u`` records.
     """
 
-    def __init__(self, rho: np.ndarray, params: PhysParams, grid: Grid1D):
-        floor = viscous_floor(params.rho_bar)
-        self.rho_safe = np.maximum(rho, floor)  # rho is frozen for the operator's lifetime
-        self.w_rate = (params.mu / grid.dx**2) / self.rho_safe
-        if float(rho.min()) < floor:  # elsewhere the weight is exactly 1
-            self.w_rate *= rho / self.rho_safe
-        self.b_rate = params.nu / grid.dx**2
-        self.rows = 2 if params.nu > 0 else 1
-        self.ext = np.empty((self.rows, grid.n_cells + 2))  # one ghost per side
-        self.ext[:, 0] = self.ext[:, -1] = (0.0, params.b_bar)[:self.rows]
-        self.fields = self.ext[:, 1:-1]
-        self.grad = np.empty((self.rows, grid.n_cells + 1))
+    def __init__(self, y0: np.ndarray, ghost: float, rate: np.ndarray | float):
+        self.y0 = y0  # only read
+        self.ext = np.empty(len(y0) + 2)
+        self.ext[0] = self.ext[-1] = ghost
+        self.field = self.ext[1:-1]
+        self.field[...] = y0
+        self.grad = np.empty(len(y0) + 1)
+        self.rate = rate
 
-    def load(self, mom: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Write (w, b) into ``fields`` and return them."""
-        np.divide(mom, self.rho_safe, out=self.fields[0])
-        self.fields[1:] = b  # no row when nu = 0
-        return self.fields
-
-    def __call__(self, scale: float, out: np.ndarray) -> np.ndarray:
-        """scale times the rates of (w, b) at ``fields``, written into out[:rows]."""
-        grad = np.subtract(self.ext[:, 1:], self.ext[:, :-1], out=self.grad)
-        rates = np.subtract(grad[:, 1:], grad[:, :-1], out=out[:self.rows])
-        rates[0] *= self.w_rate
-        rates[0] *= scale
-        if self.rows == 2:
-            rates[1] *= self.b_rate * scale
+    def __call__(self, scale: float, out: np.ndarray | None = None) -> np.ndarray:
+        """scale times the rates L at ``field``, (d2 * rate) * scale or d2 * (rate * scale)."""
+        grad = np.subtract(self.ext[1:], self.ext[:-1], out=self.grad)
+        rates = np.subtract(grad[1:], grad[:-1], out=out)
+        if isinstance(self.rate, np.ndarray):  # viscous
+            rates *= self.rate
+            rates *= scale
+        else:
+            rates *= self.rate * scale
         return rates
+
+    def rkl2(self, tau: float, s: int) -> np.ndarray:
+        """The increment d_s of the block over an s-stage RKL2 step of length tau.
+
+        On increments d_j = Y_j - Y_0 (the recursion's Y_0 terms cancel
+        exactly, their weights summing to one):
+            d_1 = l_0 mu~_1 with l_0 = L(Y_0) tau,
+            d_j = ((nu_j d_{j-2} + L(Y_0 + d_{j-1}) (mu~_j tau)) + mu_j d_{j-1}) + l_0 gamma~_j.
+        A stage makes at most twelve numpy calls.
+        """
+        y0 = self.y0
+        l0 = self(tau, out=np.empty_like(y0))
+        mu1, stages = rkl2_coefficients(s)
+        prev2, prev = np.zeros_like(y0), l0 * mu1
+        scratch = np.empty_like(y0)
+        for mu, nu, mu_t, gamma_t in stages:
+            np.add(y0, prev, out=self.field)
+            prev2 *= nu  # d_{j-2} is not needed after this stage
+            prev2 += self(mu_t * tau, out=scratch)
+            prev2 += np.multiply(prev, mu, out=scratch)
+            prev2 += np.multiply(l0, gamma_t, out=scratch)
+            prev2, prev = prev, prev2
+        return prev
+
+
+def _blocks(state: State, params: PhysParams, grid: Grid1D):
+    """r = max(rho, viscous floor), the viscous block and the resistive one (None at nu = 0)."""
+    floor = viscous_floor(params.rho_bar)
+    rho_safe = np.maximum(state.rho, floor)
+    w_rate = (params.mu / grid.dx**2) / rho_safe
+    if float(state.rho.min()) < floor:  # elsewhere the weight is exactly 1
+        w_rate *= state.rho / rho_safe
+    resistive = _Diffusion(state.b, params.b_bar, params.nu / grid.dx**2) if params.nu > 0 else None
+    return rho_safe, _Diffusion(state.mom / rho_safe, 0.0, w_rate), resistive
 
 
 def diffusion_tendency(state: State, params: PhysParams,
@@ -284,11 +309,8 @@ def diffusion_tendency(state: State, params: PhysParams,
     d_mom = (rho/max(rho, viscous_floor)) * mu * w_xx, w the viscous velocity;
     d_b = nu * b_xx.  See ``_Diffusion`` for the stencil and the weight.
     """
-    operator = _Diffusion(state.rho, params, grid)
-    operator.load(state.mom, state.b)
-    d = operator(1.0, out=np.empty((2, grid.n_cells)))
-    d[0] *= operator.rho_safe
-    return d[0], (d[1] if operator.rows == 2 else None)
+    rho_safe, viscous, resistive = _blocks(state, params, grid)
+    return viscous(1.0) * rho_safe, (resistive(1.0) if resistive is not None else None)
 
 
 def tendencies(state: State, params: PhysParams, scheme: SchemeConfig, grid: Grid1D,
@@ -309,10 +331,15 @@ def _advective_dt(state: State, params: PhysParams, scheme: SchemeConfig, grid: 
 
 
 def _diffusive_dt(state: State, params: PhysParams, scheme: SchemeConfig, grid: Grid1D) -> float:
-    """The dx^2 restriction of one explicit diffusion stage."""
+    """The dx^2 restriction of one explicit stage of the viscous block (not of b's)."""
     rho_min = max(float(state.rho.min()), viscous_floor(params.rho_bar))
-    diff_coef = max(params.mu / rho_min, params.nu)
-    return scheme.diffusion_number * grid.dx**2 / diff_coef
+    return scheme.diffusion_number * grid.dx**2 / (params.mu / rho_min)
+
+
+def _resistive_stages(tau: float, params: PhysParams, scheme: SchemeConfig, grid: Grid1D) -> int:
+    """RKL2 stages of the resistive block over tau, at its bound diffusion_number * dx^2 / nu."""
+    return (rkl2_stage_count(tau, scheme.diffusion_number * grid.dx**2 / params.nu)
+            if params.nu > 0 else 0)  # no resistive block at nu = 0
 
 
 def rkl2_stage_count(tau: float, dt_diffusive: float) -> int:
@@ -352,38 +379,21 @@ def rkl2_coefficients(s: int) -> tuple[float, tuple[tuple[float, float, float, f
     return b(1) * w1, tuple(stages)
 
 
-def _diffuse(state: State, tau: float, params: PhysParams, grid: Grid1D, s: int) -> State:
-    """Advance (m, b) by tau under the diffusion terms alone: one s-stage RKL2 step.
-
-    At frozen density the step runs on Y = (w, b), w = m/r, r = max(rho,
-    floor), with ``_Diffusion``'s rates L, on increments d_j = Y_j - Y_0 (the
-    recursion's Y_0 terms cancel exactly, their weights summing to one):
-        d_1 = l_0 mu~_1 with l_0 = L(Y_0) tau,
-        d_j = ((nu_j d_{j-2} + L(Y_0 + d_{j-1}) (mu~_j tau)) + mu_j d_{j-1}) + l_0 gamma~_j,
-    and m = m_0 + r d_s[0], b = b_0 + d_s[1].  A stage makes at most twelve
-    numpy calls.  A state the operator leaves fixed, such as the far field,
-    stays bit for bit.  The returned state shares rho (and b when nu = 0)
-    with ``state``; its other fields are fresh.
+def _diffuse(state: State, tau: float, params: PhysParams, grid: Grid1D, s: int, s_b: int) -> State:
+    """Advance (m, b) by tau under the diffusion terms alone: an s-stage RKL2
+    step of the viscous block, m = m_0 + r d_w, and an s_b-stage one of b, b =
+    b_0 + d_b (none at nu = 0).  The far field stays bit for bit.  The result
+    shares rho (and b at nu = 0) with ``state``; its other fields are fresh.
     """
-    operator = _Diffusion(state.rho, params, grid)
-    y0 = operator.load(state.mom, state.b).copy()
-    l0 = operator(tau, out=np.empty_like(y0))
-    mu1, stages = rkl2_coefficients(s)
-    prev2 = np.zeros_like(y0)
-    prev = l0 * mu1
-    scratch = np.empty_like(y0)
-    for mu, nu, mu_t, gamma_t in stages:
-        np.add(y0, prev, out=operator.fields)
-        prev2 *= nu  # d_{j-2} is not needed after this stage
-        prev2 += operator(mu_t * tau, out=scratch)
-        prev2 += np.multiply(prev, mu, out=scratch)
-        prev2 += np.multiply(l0, gamma_t, out=scratch)
-        prev2, prev = prev, prev2
-    prev[0] *= operator.rho_safe
-    prev[0] += state.mom
-    prev[1:] += state.b  # no row when nu = 0
-    return State._unchecked(state.rho, prev[0], prev[1] if operator.rows == 2 else state.b,
-                            state.t)
+    rho_safe, viscous, resistive = _blocks(state, params, grid)
+    mom = viscous.rkl2(tau, s)
+    mom *= rho_safe
+    mom += state.mom
+    b = state.b
+    if resistive is not None:
+        b = resistive.rkl2(tau, s_b)
+        b += state.b
+    return State._unchecked(state.rho, mom, b, state.t)
 
 
 def _fields(state: State) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -435,20 +445,21 @@ def step(state: State, dt: float, params: PhysParams, scheme: SchemeConfig,
     """Advance one Strang-split step D(dt/2) H(dt) D(dt/2); returns the new
     state and the number of nodes where the density had to be clipped to zero.
 
-    D is an RKL2 step of the diffusion terms with ``stages`` stages (by
-    default the fewest that keep this state's diffusion stable over dt/2), H
-    an SSP Runge-Kutta step of ``rhs_fn``, the hyperbolic tendencies.  Only H
-    evaluates ``rhs_fn``, and only H moves the time label, so time-dependent
-    forcing sees the hyperbolic stage times.  The new state shares no memory
-    with ``state``.
+    D is an RKL2 step of the viscous block with ``stages`` stages (by default
+    the fewest this state needs over dt/2) and of the resistive block with
+    the fewest nu needs, H an SSP Runge-Kutta step of ``rhs_fn``, the
+    hyperbolic tendencies.  Only H evaluates ``rhs_fn``, and only H moves the
+    time label, so time-dependent forcing sees the hyperbolic stage times.
+    The new state shares no memory with ``state``.
     """
     rhs_fn = rhs_fn or rhs
     half = 0.5 * dt
     if stages is None:
         stages = rkl2_stage_count(half, _diffusive_dt(state, params, scheme, grid))
-    state = _diffuse(state, half, params, grid, stages)
+    b_stages = _resistive_stages(half, params, scheme, grid)
+    state = _diffuse(state, half, params, grid, stages, b_stages)
     state, clips = _hyperbolic_step(state, dt, params, scheme, grid, rhs_fn)
-    return _diffuse(state, half, params, grid, stages), clips
+    return _diffuse(state, half, params, grid, stages, b_stages), clips
 
 
 def check_boundary(state: State, params: PhysParams) -> float:
@@ -475,21 +486,22 @@ def run_lockstep(members: list[tuple[State, PhysParams]], scheme: SchemeConfig,
 
     dt is the smallest advective bound over all members, clipped so that the
     uniform sample times are hit exactly; this keeps records from different
-    runs directly comparable.  Every member takes the same number of RKL2
-    stages per diffusion half-step, the fewest that keep the member with the
-    largest diffusivity stable; with one dt and one stage count, the
-    splitting error cancels in the difference of two members.  Each of the
-    first ``recorded`` members carries its own dissipation accumulators
-    (trapezoid in time, advanced every accepted step) and diagnostics
-    record, whose clip count holds that member's own density clips.  With
+    runs directly comparable.  Every member's viscous block takes the same
+    number of RKL2 stages per half-step, the fewest the largest mu/rho_min
+    needs, and its resistive block the fewest its own nu needs; with one dt
+    and one viscous stage count, the splitting error cancels in the
+    difference of two members.  Each of the first ``recorded`` members
+    carries its own dissipation accumulators (trapezoid in time, advanced
+    every accepted step) and diagnostics record, whose clip count holds that
+    member's own density clips.  With
     ``recorded = 0`` nothing is sampled or accumulated; the steps, sample
     landings and final states are those of a recorded run, and no record is
     returned.
     ``observe(states, dt)`` is called at t = 0 with dt = 0 and after every
     accepted step.  The group's steps, rhs evaluations, the bound that set
-    each dt, the RKL2 stages and the density clips of every member are added
-    to the caller's ``telemetry``, a failed run's too; ``max_steps`` counts
-    this call's steps alone.
+    each dt, the RKL2 stages of both blocks and the density clips of every
+    member are added to the caller's ``telemetry``, a failed run's too;
+    ``max_steps`` counts this call's steps alone.
 
     A ``SimulationError`` leaves with ``exc.member``, the index of the member
     that raised (None when no single member did), and ``exc.record``, that
@@ -540,6 +552,7 @@ def run_lockstep(members: list[tuple[State, PhysParams]], scheme: SchemeConfig,
             for member, p in enumerate(params):
                 states[member], clips = step(states[member], dt, p, scheme, grid, rhs_fn, stages)
                 telemetry.rhs_evals += rhs_per_step
+                telemetry.resistive_stages += 2 * _resistive_stages(0.5 * dt, p, scheme, grid)
                 telemetry.clips += clips
                 if member < recorded:
                     accums[member].clip_count += clips

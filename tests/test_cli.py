@@ -215,6 +215,7 @@ class TestSimulateCommand:
         assert t["steps"] == t["dt_advective"] + t["dt_sample_landing"]
         assert t["dt_sample_landing"] == n_samples
         assert t["diffusion_stages"] >= 2 * 2 * t["steps"]  # two half-steps of >= 2 stages
+        assert t["resistive_stages"] >= 2 * 2 * t["steps"]  # the b block's, at nu > 0
         assert t["rhs_evals"] == 2 * t["steps"] + n_samples + 1  # ssp_rk2, one member
         assert 0.0 <= t["peak_boundary_deviation"] <= 1e-6
         assert all(v >= 0 for v in manifest["wall_s"].values())

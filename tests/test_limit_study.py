@@ -123,7 +123,8 @@ class TestSweep:
                                          replace(small_config, grid=grid), telemetry=t)
         assert g.proxy == abs(g.signal - errors.e_total)
         u = g.telemetry
-        for name in ("steps", "dt_advective", "dt_sample_landing", "diffusion_stages", "clips"):
+        for name in ("steps", "dt_advective", "dt_sample_landing", "diffusion_stages",
+                     "resistive_stages", "clips"):
             assert getattr(u, name) == getattr(t, name), name
         assert u.rhs_evals == t.rhs_evals - len(record.rows) == 4 * u.steps
 

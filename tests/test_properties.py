@@ -13,6 +13,7 @@ random, examples.
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,16 @@ from hypothesis import strategies as st
 from mhd1d.config import parse_config
 from mhd1d.diagnostics import DiagnosticsRecord, energy_drift
 from mhd1d.scenario import build_initial_state
-from mhd1d.solver import load_checkpoint, run, save_checkpoint
+from mhd1d.solver import (
+    _advective_dt,
+    _diffuse,
+    _diffusive_dt,
+    _resistive_stages,
+    load_checkpoint,
+    rkl2_stage_count,
+    run,
+    save_checkpoint,
+)
 
 settings.register_profile("default", max_examples=60, derandomize=True, deadline=None,
                           database=None, suppress_health_check=[HealthCheck.too_slow])
@@ -106,6 +116,22 @@ def test_non_resistive_mode_is_nu_zero(raw):
     assert record_n.to_csv() == record_0.to_csv()
     assert np.all(record_n.column("diss_b") == 0.0)
     assert save_checkpoint(final_n, config.grid) == save_checkpoint(final_0, config.grid)
+
+
+@given(configs(), st.floats(0.1, 4.0))
+def test_diffusion_blocks_are_decoupled(raw, dt_fraction):
+    # at frozen density the viscous block reads no b and the resistive block
+    # no w: a diffusion half-step gives the same momentum bits at nu and at
+    # nu = 0, and at nu = 0 it leaves b as it is
+    config = parse_config(raw)
+    params, scheme, grid = config.params, config.scheme, config.grid
+    state = build_initial_state(config.spec, params, grid)
+    tau = 0.5 * dt_fraction * _advective_dt(state, params, scheme, grid)
+    s = rkl2_stage_count(tau, _diffusive_dt(state, params, scheme, grid))
+    resistive = _diffuse(state, tau, params, grid, s, _resistive_stages(tau, params, scheme, grid))
+    ideal = _diffuse(state, tau, replace(params, nu=0.0), grid, s, 0)
+    assert resistive.mom.tobytes() == ideal.mom.tobytes()
+    assert ideal.b.tobytes() == state.b.tobytes()
 
 
 def _small(physics: dict, scenario: dict, n_cells: int) -> dict:

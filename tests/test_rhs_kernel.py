@@ -8,12 +8,14 @@ the full tendency of ``solver.tendencies``.  ``reference_step`` and
 Strang step: RKL2 diffusion half-steps around the SSP Runge-Kutta step of
 ``rhs``) and ``Accumulators.integrand``, with a fresh array for every
 expression, and ``reference_dt_bounds`` is the pair of step bounds,
-advective and diffusive, from public pieces.  The production code must
+advective and viscous, from public pieces.  The production code must
 reproduce them bit for bit (sign of zero included) over the admissible
 parameter space, so any change to its arithmetic shows up here first.
 ``previous_rkl2`` is the RKL2 step as it was before it ran on the viscous
-velocity: the production step must match it to rounding.  The properties of
-the limiter, the diffusion operator and the RKL2 integrator follow.
+velocity: the production step must match it to rounding.  Every RKL2 form
+takes one stage count per diffusion block, viscous and resistive.  The
+properties of the limiter, the diffusion operator and the RKL2 integrator
+follow.
 """
 
 import math
@@ -48,6 +50,7 @@ from mhd1d.solver import (
     _diffuse,
     _diffusive_dt,
     _half_minmod_slopes,
+    _resistive_stages,
     diffusion_tendency,
     rhs,
     rkl2_coefficients,
@@ -179,27 +182,39 @@ def reference_diffusion(state: State, params: PhysParams, grid: Grid1D):
 # reference Strang step and accumulator integrand (out-of-place forms)
 
 
-def reference_rkl2(state: State, tau: float, params, grid, s: int) -> State:
-    """s-stage RKL2 step of the diffusion terms at frozen density, on
-    increments of (w, b), w = m/max(rho, floor)."""
+def reference_block_increment(y0, rates, tau: float, s: int):
+    """The increment of one diffusion block over an s-stage RKL2 step, with
+    ``rates(y, scale)`` its scaled rates."""
+    mu1, stages = rkl2_coefficients(s)
+    l0 = rates(y0, tau)
+    prev2, prev = np.zeros_like(y0), l0 * mu1
+    for mu, nu, mu_t, gamma_t in stages:
+        lj = rates(y0 + prev, mu_t * tau)
+        prev2, prev = prev, ((nu * prev2 + lj) + mu * prev) + l0 * gamma_t
+    return prev
+
+
+def reference_rkl2(state: State, tau: float, params, grid, s: int, s_b: int) -> State:
+    """RKL2 step of the diffusion terms at frozen density, one block at a time:
+    s stages on the increments of w = m/max(rho, floor), s_b on those of b
+    (no b block when nu = 0)."""
     rho_safe = np.maximum(state.rho, viscous_floor(params.rho_bar))
     w0 = state.mom / rho_safe
-    mu1, stages = rkl2_coefficients(s)
-    l0 = reference_rates(state.rho, w0, state.b, params, grid, tau)
-    prev2 = (np.zeros_like(w0), np.zeros_like(state.b))
-    prev = tuple(q * mu1 for q in l0)
-    for mu, nu, mu_t, gamma_t in stages:
-        lj = reference_rates(state.rho, w0 + prev[0], state.b + prev[1], params, grid, mu_t * tau)
-        new = tuple(((nu * d2 + lq) + mu * d1) + lq0 * gamma_t
-                    for d2, d1, lq, lq0 in zip(prev2, prev, lj, l0))
-        prev2, prev = prev, new
-    b = state.b + prev[1] if params.nu > 0 else state.b
-    return State(state.rho, state.mom + prev[0] * rho_safe, b, state.t)
+    d_w = reference_block_increment(
+        w0, lambda w, scale: reference_rates(state.rho, w, state.b, params, grid, scale)[0], tau, s)
+    b = state.b
+    if params.nu > 0:
+        b = state.b + reference_block_increment(
+            state.b, lambda b, scale: reference_rates(state.rho, w0, b, params, grid, scale)[1],
+            tau, s_b)
+    return State(state.rho, state.mom + d_w * rho_safe, b, state.t)
 
 
-def previous_rkl2(state: State, tau: float, params, grid, s: int) -> State:
+def previous_rkl2(state: State, tau: float, params, grid, s: int, s_b: int) -> State:
     """The earlier form of the RKL2 step: increments of (m, b), the weight
-    rho/max(rho, floor) after the second difference w_{i+1} - 2 w_i + w_{i-1}."""
+    rho/max(rho, floor) after the second difference w_{i+1} - 2 w_i + w_{i-1}.
+    The m row reads no b and the b row no m, so m is the m row of an s-stage
+    step and b the b row of an s_b-stage one."""
     dx2 = grid.dx**2
     rho_safe = np.maximum(state.rho, viscous_floor(params.rho_bar))
     weight = state.rho / rho_safe
@@ -210,16 +225,19 @@ def previous_rkl2(state: State, tau: float, params, grid, s: int) -> State:
         return (weight * (params.mu * (w[2:] - 2.0 * w[1:-1] + w[:-2]) / dx2),
                 params.nu * (b_e[2:] - 2.0 * b_e[1:-1] + b_e[:-2]) / dx2)
 
-    mu1, stages = rkl2_coefficients(s)
-    l0 = operator(state.mom, state.b)
-    prev2 = (np.zeros_like(state.mom), np.zeros_like(state.b))
-    prev = tuple(q * (mu1 * tau) for q in l0)
-    for mu, nu, mu_t, gamma_t in stages:
-        lj = operator(state.mom + prev[0], state.b + prev[1])
-        new = tuple((nu * d2 + mu * d1) + (lq * (mu_t * tau) + lq0 * (gamma_t * tau))
-                    for d2, d1, lq, lq0 in zip(prev2, prev, lj, l0))
-        prev2, prev = prev, new
-    return State(state.rho, state.mom + prev[0], state.b + prev[1], state.t)
+    def increments(s):
+        mu1, stages = rkl2_coefficients(s)
+        l0 = operator(state.mom, state.b)
+        prev2 = (np.zeros_like(state.mom), np.zeros_like(state.b))
+        prev = tuple(q * (mu1 * tau) for q in l0)
+        for mu, nu, mu_t, gamma_t in stages:
+            lj = operator(state.mom + prev[0], state.b + prev[1])
+            new = tuple((nu * d2 + mu * d1) + (lq * (mu_t * tau) + lq0 * (gamma_t * tau))
+                        for d2, d1, lq, lq0 in zip(prev2, prev, lj, l0))
+            prev2, prev = prev, new
+        return prev
+
+    return State(state.rho, state.mom + increments(s)[0], state.b + increments(s_b)[1], state.t)
 
 
 def _reference_euler_stage(state: State, dt: float, params, scheme, grid):
@@ -233,11 +251,14 @@ def _reference_euler_stage(state: State, dt: float, params, scheme, grid):
 
 
 def reference_step(state: State, dt: float, params, scheme, grid) -> tuple[State, int]:
-    """D(dt/2) H(dt) D(dt/2) with the fewest RKL2 stages stable for this state."""
+    """D(dt/2) H(dt) D(dt/2) with, per diffusion block, the fewest RKL2 stages
+    stable for this state: mu/rho_min sets the viscous count, nu the resistive one."""
     s = rkl2_stage_count(0.5 * dt, reference_dt_bounds(state, params, scheme, grid)[1])
-    state = reference_rkl2(state, 0.5 * dt, params, grid, s)
+    s_b = (rkl2_stage_count(0.5 * dt, scheme.diffusion_number * grid.dx**2 / params.nu)
+           if params.nu > 0 else 0)
+    state = reference_rkl2(state, 0.5 * dt, params, grid, s, s_b)
     new, clips = reference_hyperbolic_step(state, dt, params, scheme, grid)
-    return reference_rkl2(new, 0.5 * dt, params, grid, s), clips
+    return reference_rkl2(new, 0.5 * dt, params, grid, s, s_b), clips
 
 
 def reference_hyperbolic_step(state: State, dt: float, params, scheme,
@@ -293,10 +314,11 @@ def reference_integrand(state: State, params: PhysParams, grid: Grid1D) -> tuple
 
 def reference_dt_bounds(state: State, params: PhysParams, scheme: SchemeConfig,
                         grid: Grid1D) -> tuple[float, float]:
-    """The advective CFL bound and the dx^2 bound of one explicit diffusion stage."""
+    """The advective CFL bound and the dx^2 bound of one explicit stage of the
+    viscous block, diffusivity mu/rho_min; nu bounds the resistive block alone."""
     dt_adv = scheme.cfl_number * grid.dx / float(np.max(fast_speed_state(state, params)))
     rho_min = max(float(np.min(np.maximum(state.rho, RHO_FLOOR))), viscous_floor(params.rho_bar))
-    dt_diff = scheme.diffusion_number * grid.dx**2 / max(params.mu / rho_min, params.nu)
+    dt_diff = scheme.diffusion_number * grid.dx**2 / (params.mu / rho_min)
     return dt_adv, dt_diff
 
 
@@ -434,7 +456,7 @@ def test_step_and_integrand_match_reference_bitwise(case, dt_fraction):
           suppress_health_check=[HealthCheck.too_slow])
 @given(dt_cases())
 def test_stable_dt_matches_reference_bounds(case):
-    # the advective bound sets dt, the diffusive one the RKL2 stage count
+    # the advective bound sets dt, the viscous one the viscous block's RKL2 stage count
     state, params, scheme, grid, diffusive = case
     dt_adv, dt_diff = reference_dt_bounds(state, params, scheme, grid)
     assert (dt_diff < dt_adv) == diffusive
@@ -516,7 +538,8 @@ def test_rkl2_is_second_order_on_a_scalar_mode(s):
 
 
 def _sine_mode_error(steps: int, s: int):
-    """RKL2 alone on nu*b_xx (u = 0) for one discrete sine mode, to T = 0.05."""
+    """RKL2 alone on nu*b_xx (u = 0) for one discrete sine mode, to T = 0.05:
+    the scalar-rate b block takes s stages, the (zero) viscous block two."""
     params = PhysParams(mu=0.1, nu=1.0)
     grid = Grid1D(1.0, 64)
     n, k, amplitude, t_end = grid.n_cells, 3, 0.1, 0.05
@@ -524,16 +547,21 @@ def _sine_mode_error(steps: int, s: int):
     rate = -4.0 * params.nu * np.sin(k * np.pi / (2 * (n + 1))) ** 2 / grid.dx**2
     state = State(np.full(n, params.rho_bar), np.zeros(n), params.b_bar + amplitude * mode)
     for _ in range(steps):
-        state = _diffuse(state, t_end / steps, params, grid, s)
+        state = _diffuse(state, t_end / steps, params, grid, 2, s)
     assert np.all(state.mom == 0.0)
     exact = params.b_bar + amplitude * np.exp(rate * t_end) * mode
     return float(np.abs(state.b - exact).max()) / amplitude
 
 
 def test_rkl2_matches_the_discrete_decay_at_second_order():
-    params, grid = PhysParams(nu=1.0), Grid1D(1.0, 64)
+    # the b block at its own stage count, set by nu alone: mu/rho_bar = 0.1
+    # would allow two stages, nu = 1 needs more
+    params, grid = PhysParams(mu=0.1, nu=1.0), Grid1D(1.0, 64)
     dt_diffusive = SchemeConfig().diffusion_number * grid.dx**2 / params.nu
     s = rkl2_stage_count(0.05 / 8, dt_diffusive)  # stable for the coarser steps
+    assert s == _resistive_stages(0.05 / 8, params, SchemeConfig(), grid) > 2
+    state = State(np.full(64, params.rho_bar), np.zeros(64), np.full(64, params.b_bar))
+    assert rkl2_stage_count(0.05 / 8, _diffusive_dt(state, params, SchemeConfig(), grid)) < s
     coarse, fine = _sine_mode_error(8, s), _sine_mode_error(16, s)
     assert coarse < 1e-3
     assert 3.7 < coarse / fine < 4.3
@@ -613,7 +641,7 @@ def test_diffuse_leaves_the_far_field_bit_for_bit(s):
     params = PhysParams(mu=0.1, nu=1e-3)
     grid = Grid1D(20.0, 64)
     state = constant_state(grid, params)
-    new = _diffuse(state, 1.0, params, grid, s)
+    new = _diffuse(state, 1.0, params, grid, s, s)
     assert new.mom.tobytes() == state.mom.tobytes()
     assert new.b.tobytes() == state.b.tobytes()
 
@@ -623,14 +651,17 @@ def test_diffuse_leaves_the_far_field_bit_for_bit(s):
                          ids=lambda v: v if isinstance(v, str) else "")
 def test_diffuse_matches_the_previous_recursion(s, preset, state, params, grid):
     # the (w, b) stages and the earlier (m, b) ones differ only by rounding;
-    # tau is the longest step s stages keep stable
+    # tau is the longest step s viscous stages keep stable, and the b block
+    # takes its own count, never more
     weighted = float(state.rho.min()) < viscous_floor(params.rho_bar)
     assert weighted == (preset == "interior_vacuum")
     dt_diffusive = _diffusive_dt(state, params, SchemeConfig(), grid)
     tau = dt_diffusive * (s * s + s - 2) / 4.0
     assert rkl2_stage_count(tau, dt_diffusive) == s
-    new = _diffuse(state, tau, params, grid, s)
-    old = previous_rkl2(state, tau, params, grid, s)
+    s_b = _resistive_stages(tau, params, SchemeConfig(), grid)
+    assert 2 <= s_b <= s
+    new = _diffuse(state, tau, params, grid, s, s_b)
+    old = previous_rkl2(state, tau, params, grid, s, s_b)
     for got, want in ((new.mom, old.mom), (new.b, old.b)):
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 

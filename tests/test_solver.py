@@ -26,6 +26,7 @@ from mhd1d import solver
 from mhd1d.solver import (
     _advective_dt,
     _diffusive_dt,
+    _resistive_stages,
     diffusion_tendency,
     load_checkpoint,
     rkl2_stage_count,
@@ -147,8 +148,9 @@ class TestRhs:
 
 
 class TestStableDt:
-    """The two step bounds: ``_advective_dt`` sets dt, ``_diffusive_dt`` (one
-    explicit diffusion stage) the RKL2 stage count."""
+    """The step bounds: ``_advective_dt`` sets dt, ``_diffusive_dt`` (one
+    explicit stage of the viscous block) the viscous RKL2 stage count, and
+    nu alone the resistive block's (``_resistive_stages``)."""
 
     def test_acoustic_limit(self):
         # state (1, 0, 0) with gamma=2 and negligible diffusion: dt = cfl*dx/sqrt(2)
@@ -178,11 +180,20 @@ class TestStableDt:
             scheme.diffusion_number * grid.dx**2 * params.rho_bar / params.mu)
 
     def test_large_resistivity_governs_diffusive_bound(self, grid):
+        # nu = 50 sets the resistive block's bound alone: the viscous bound
+        # is mu/rho's at any nu, and the b block takes the stages nu needs
         params = PhysParams(mu=0.1, nu=50.0)
         state = constant_state(grid, params)
         scheme = SchemeConfig()
         dt = _diffusive_dt(state, params, scheme, grid)
-        assert dt == pytest.approx(scheme.diffusion_number * grid.dx**2 / params.nu)
+        assert dt == _diffusive_dt(state, replace(params, nu=0.0), scheme, grid)
+        assert dt == pytest.approx(
+            scheme.diffusion_number * grid.dx**2 * params.rho_bar / params.mu)
+        dt_res = scheme.diffusion_number * grid.dx**2 / params.nu
+        for tau in (1e-3, 1e-2, 1e-1):
+            s_b = _resistive_stages(tau, params, scheme, grid)
+            assert s_b == rkl2_stage_count(tau, dt_res) > rkl2_stage_count(tau, dt)
+        assert _resistive_stages(1e-2, replace(params, nu=0.0), scheme, grid) == 0
 
     def test_positive_and_finite_on_vacuum(self, params):
         grid = Grid1D(20.0, 256)
@@ -332,34 +343,48 @@ class TestRunLockstep:
         assert any(b[0] != b[1] for _, _, b in seen[1:])  # the members do differ
 
     def test_members_share_the_stage_count(self, grid, gaussian_spec, monkeypatch):
-        # nu = 5 needs more RKL2 stages than nu = 1e-3; both members take the
-        # larger count, and dt is the smaller advective bound
+        # both members' viscous blocks take the count of the larger mu/rho_min,
+        # which no nu changes; nu = 5 needs more resistive stages than nu =
+        # 1e-3, and only that member's b block takes them.  dt is the smaller
+        # advective bound
         p0 = PhysParams(nu=1e-3)
         p1 = replace(p0, nu=5.0)
         scheme = SchemeConfig(t_end=0.2, n_samples=2)
         state = build_initial_state(gaussian_spec, p0, grid)
         calls = []  # (state before the step, params, dt, stages), member by member
-        plain_step = solver.step
+        diffusions = []  # (nu, viscous stages, resistive stages), two per step
+        plain_step, plain_diffuse = solver.step, solver._diffuse
 
         def recording_step(state, dt, params, scheme_, grid_, rhs_fn=None, stages=None):
             calls.append((state, params, dt, stages))
             return plain_step(state, dt, params, scheme_, grid_, rhs_fn, stages)
 
+        def recording_diffuse(state, tau, params, grid_, s, s_b):
+            diffusions.append((params.nu, s, s_b))
+            return plain_diffuse(state, tau, params, grid_, s, s_b)
+
         monkeypatch.setattr(solver, "step", recording_step)
+        monkeypatch.setattr(solver, "_diffuse", recording_diffuse)
         telemetry = RunTelemetry()
         run_lockstep([(state, p0), (state.copy(), p1)], scheme, grid, telemetry=telemetry)
         steps = list(zip(calls[::2], calls[1::2]))
         assert len(steps) == telemetry.steps > 3
-        for (s0, q0, dt, stages), (s1, q1, dt1, stages1) in steps:
+        assert len(diffusions) == 4 * len(steps)
+        for k, ((s0, q0, dt, stages), (s1, q1, dt1, stages1)) in enumerate(steps):
             assert (q0, q1) == (p0, p1)
             assert (dt1, stages1) == (dt, stages)
             adv = min(_advective_dt(s0, p0, scheme, grid), _advective_dt(s1, p1, scheme, grid))
             landing = min(abs(s0.t + dt - t) for t in (0.1, 0.2)) < 1e-12
             assert dt == adv or (dt < adv and landing)
-            assert stages == rkl2_stage_count(0.5 * dt, min(_diffusive_dt(s0, p0, scheme, grid),
-                                                            _diffusive_dt(s1, p1, scheme, grid)))
-            assert stages > rkl2_stage_count(0.5 * dt, _diffusive_dt(s0, p0, scheme, grid))
+            viscous = [_diffusive_dt(s_, p_, scheme, grid) for s_, p_ in ((s0, p0), (s1, p1))]
+            assert stages == rkl2_stage_count(0.5 * dt, min(viscous))
+            assert viscous == [_diffusive_dt(s_, replace(p0, nu=nu), scheme, grid)
+                               for s_, nu in ((s0, 0.0), (s1, 1e-2))]
+            b0, b1 = (_resistive_stages(0.5 * dt, p, scheme, grid) for p in (p0, p1))
+            assert b1 > b0 >= 2
+            assert diffusions[4 * k:4 * k + 4] == [(1e-3, stages, b0)] * 2 + [(5.0, stages, b1)] * 2
         assert telemetry.diffusion_stages == sum(2 * c[3] for c in calls[::2])
+        assert telemetry.resistive_stages == sum(s_b for _, _, s_b in diffusions)
 
     def test_clips_of_every_member_counted(self, params, grid, gaussian_spec):
         mid = grid.n_cells // 2
@@ -412,7 +437,8 @@ class TestRunLockstep:
             for name in ("rho", "mom", "b"):
                 assert np.array_equal(getattr(a, name), getattr(b, name))
         assert bare == []
-        for name in ("steps", "dt_advective", "dt_sample_landing", "diffusion_stages", "clips"):
+        for name in ("steps", "dt_advective", "dt_sample_landing", "diffusion_stages",
+                     "resistive_stages", "clips"):
             assert getattr(u, name) == getattr(t, name), name
         # only the samples are skipped: one evaluation per row of the recorded member
         assert u.rhs_evals == t.rhs_evals - len(record.rows) == t.rhs_evals - 4
@@ -438,6 +464,7 @@ class TestRunLockstep:
         assert t.dt_advective + t.dt_sample_landing == t.steps
         assert t.rhs_evals == 3 * 2 * t.steps + len(record.rows)
         assert t.diffusion_stages >= 2 * 2 * t.steps  # two half-steps of >= 2 stages
+        assert t.resistive_stages >= 2 * 2 * t.steps  # the nu = 0 member has no b block
         assert 0.0 <= t.peak_boundary_deviation <= 1e-6
 
     def test_abort_carries_the_record_so_far(self):
