@@ -7,8 +7,8 @@ Exit codes:
     3  simulate: numerical failure (non-finite state or tendency)
     4  simulate: boundary-monitor abort (perturbation reached the domain edge)
 
-Output directory resolution: --output-dir flag, then the MHD1D_OUTPUT_DIR
-environment variable, then the configuration's output_dir.
+The output directory is the --output-dir flag, else the configuration's
+output_dir.
 All file writes are whole-file atomic (write to a temp name, then rename).
 """
 
@@ -36,8 +36,6 @@ EXIT_FAILURE = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_BOUNDARY = 4
-
-ENV_OUTPUT_DIR = "MHD1D_OUTPUT_DIR"
 
 
 def _atomic_write(path: Path, text: str):
@@ -71,7 +69,7 @@ def _write_manifest(outdir: Path, config: RunConfig, started: str, outputs: list
     failures = failures or {}
     tripped = isinstance(error, BoundaryMonitorError) or any(
         m.startswith(f"{BoundaryMonitorError.__name__}:") for m in failures.values())
-    params, grid = config.run_params, config.grid
+    params, grid = config.params, config.grid
     state0 = build_initial_state(config.spec, params, grid)
     compat = compatibility_residual(state0, params, grid)
     manifest = {
@@ -105,24 +103,15 @@ def _write_manifest(outdir: Path, config: RunConfig, started: str, outputs: list
     _atomic_write(outdir / "manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
-def _resolve_outdir(args, config: RunConfig) -> Path:
-    if args.output_dir:
-        return Path(args.output_dir)
-    env = os.environ.get(ENV_OUTPUT_DIR)
-    if env:
-        return Path(env)
-    return Path(config.output_dir)
-
-
 def cmd_simulate(args) -> int:
     started = _utcnow()
     config = load_config(args.config)
-    outdir = _resolve_outdir(args, config)
+    outdir = Path(args.output_dir or config.output_dir)
     start = time.perf_counter()
     final = error = None
     telemetry = RunTelemetry()
     try:
-        final, record = run(config.spec, config.run_params, config.scheme, config.grid, telemetry)
+        final, record = run(config.spec, config.params, config.scheme, config.grid, telemetry)
     except (BoundaryMonitorError, NumericalError) as exc:
         # an abort still writes the rows gathered before it, and its locus in the manifest
         print(f"aborted: {exc}", file=sys.stderr)
@@ -148,7 +137,7 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     started = _utcnow()
     config = load_config(args.config)
-    outdir = _resolve_outdir(args, config)
+    outdir = Path(args.output_dir or config.output_dir)
     start = time.perf_counter()
     result = sweep(config, jobs=args.jobs or config.jobs)
     integrated = time.perf_counter()

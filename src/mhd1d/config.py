@@ -1,10 +1,11 @@
 """Run configuration: JSON schema, validation, canonical serialization.
 
 A configuration file is a JSON object with optional sections ``physics``,
-``scenario``, ``grid``, ``scheme`` and optional top-level ``mode``,
-``nu_list``, ``output_dir``, ``jobs``.  Every omitted entry takes the
-documented default, so ``{}`` is a valid configuration.  Validation collects
-every violation (with its field path) before failing.
+``scenario``, ``grid``, ``scheme`` and optional top-level ``nu_list``,
+``output_dir``, ``jobs``.  Every omitted entry takes the documented default,
+so ``{}`` is a valid configuration.  The non-resistive system is the
+resistive one at ``physics.nu = 0``; it has no spelling of its own.
+Validation collects every violation (with its field path) before failing.
 """
 
 from __future__ import annotations
@@ -12,15 +13,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from .core import Grid1D, PhysParams
 from .errors import ConfigError
 from .scenario import ScenarioSpec, admissibility_problems
 from .solver import SchemeConfig
-
-# The non-resistive system is the resistive one at nu = 0; see RunConfig.run_params.
-MODES = ("resistive", "non_resistive")
 
 
 def _section(source) -> dict:
@@ -33,7 +31,6 @@ DEFAULTS = {
     "scenario": _section(ScenarioSpec),
     "grid": {"half_width": 20.0, "n_cells": 2048},
     "scheme": _section(SchemeConfig),
-    "mode": "resistive",
     "nu_list": [1e-2, 3e-3, 1e-3, 3e-4, 1e-4],
     "output_dir": "mhd1d_out",
     "jobs": 1,
@@ -48,15 +45,9 @@ class RunConfig:
     spec: ScenarioSpec
     grid: Grid1D
     scheme: SchemeConfig
-    mode: str = "resistive"
     nu_list: tuple = tuple(DEFAULTS["nu_list"])
     output_dir: str = "mhd1d_out"
     jobs: int = 1
-
-    @property
-    def run_params(self) -> PhysParams:
-        """The parameters a single run integrates: mode non_resistive means nu = 0."""
-        return replace(self.params, nu=0.0) if self.mode == "non_resistive" else self.params
 
     def as_dict(self) -> dict:
         return {
@@ -64,7 +55,6 @@ class RunConfig:
             "scenario": _section(self.spec),
             "grid": {"half_width": self.grid.half_width, "n_cells": self.grid.n_cells},
             "scheme": _section(self.scheme),
-            "mode": self.mode,
             "nu_list": list(self.nu_list),
             "output_dir": self.output_dir,
             "jobs": self.jobs,
@@ -151,10 +141,6 @@ def parse_config(raw: dict) -> RunConfig:
                 built[section] = value
     params, spec, grid, scheme = (built.get(section) for section in sections)
 
-    mode = raw.get("mode", DEFAULTS["mode"])
-    if mode not in MODES:
-        problems.append(f"mode: must be one of {MODES}, got {mode!r}")
-
     nu_list = raw.get("nu_list", DEFAULTS["nu_list"])
     if not isinstance(nu_list, (list, tuple)) or not nu_list:
         problems.append("nu_list: expected a non-empty list of resistivities")
@@ -184,14 +170,20 @@ def parse_config(raw: dict) -> RunConfig:
 
     if problems:
         raise ConfigError(problems)
-    return RunConfig(params=params, spec=spec, grid=grid, scheme=scheme, mode=mode,
+    return RunConfig(params=params, spec=spec, grid=grid, scheme=scheme,
                      nu_list=tuple(float(v) for v in nu_list), output_dir=output_dir, jobs=jobs)
 
 
 def load_config(path: str) -> RunConfig:
-    """Parse and validate a JSON configuration file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    """Parse and validate a JSON configuration file; an unreadable file is a ConfigError too."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError([f"cannot read {path}: {exc.strerror or exc}"]) from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError([f"cannot read {path}: not UTF-8 text "
+                           f"({exc.reason} at byte {exc.start})"]) from exc
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -199,4 +191,4 @@ def load_config(path: str) -> RunConfig:
     return parse_config(raw)
 
 
-__all__ = ["MODES", "DEFAULTS", "RunConfig", "parse_config", "load_config"]
+__all__ = ["DEFAULTS", "RunConfig", "parse_config", "load_config"]

@@ -402,28 +402,25 @@ def _relative_spread(values: np.ndarray) -> float:
     return float((np.max(values) - np.min(values)) / top)
 
 
-def nu_independence_report(entries: list[tuple[float, DiagnosticsRecord, str]]) -> NuIndependenceReport:
+def nu_independence_report(entries: list[tuple[float, DiagnosticsRecord]]) -> NuIndependenceReport:
     """Compare sup-in-time quantities across a resistivity sweep.
 
-    ``entries`` holds (nu, record, config_fingerprint) triples from runs that
-    differ only in nu; at least 3 values spanning two decades are required.
+    ``entries`` holds (nu, record) pairs from runs that differ only in nu, as
+    one sweep's records do; at least 3 values spanning two decades are required.
     """
     if len(entries) < 3:
         raise ValueError("need at least 3 resistivity values")
-    nus = np.array([e[0] for e in entries], dtype=float)
+    nus = np.array([nu for nu, _ in entries], dtype=float)
     if np.max(nus) / max(np.min(nus), 1e-300) < 100.0:
         raise ValueError("resistivity values must span at least two decades")
-    fps = {e[2] for e in entries}
-    if len(fps) > 1:
-        raise ValueError("records come from mismatched configurations")
 
     rows = []
     for name, kind, col in MONITORED:
-        vals = np.array([getattr(rec, kind)(col) for _, rec, _ in entries])
+        vals = np.array([getattr(rec, kind)(col) for _, rec in entries])
         spread = _relative_spread(vals)
         rows.append(QuantitySpread(name, tuple(vals), spread, spread > SPREAD_TOLERANCE, False))
     for name, kind, col in EXCLUDED:
-        vals = np.array([getattr(rec, kind)(col) for _, rec, _ in entries])
+        vals = np.array([getattr(rec, kind)(col) for _, rec in entries])
         rows.append(QuantitySpread(name, tuple(vals), _relative_spread(vals), False, True))
     return NuIndependenceReport(nu_values=tuple(nus), rows=rows)
 

@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from .config import RunConfig
-from .core import Grid1D, derivative
+from .core import Grid1D, derivative, viscous_velocity
 from .diagnostics import DiagnosticsRecord, RunTelemetry
 from .errors import SimulationError
 from .scenario import build_initial_state
@@ -68,7 +68,7 @@ def run_group(nus, config: RunConfig, recorded: bool = True, telemetry: RunTelem
     """
     grid = config.grid
     dx = grid.dx
-    mu = config.params.mu
+    mu, rho_bar = config.params.mu, config.params.rho_bar
     reference = replace(config.params, nu=0.0)
     state = build_initial_state(config.spec, reference, grid)
     errors = [PairErrors(nu=nu) for nu in nus]
@@ -79,10 +79,11 @@ def run_group(nus, config: RunConfig, recorded: bool = True, telemetry: RunTelem
         return float((values**2).sum() * dx)
 
     def observe(states, dt):
+        # u is the velocity viscosity acts on, as in the records' diss_u and l2_ux
         state_n = states[-1]
-        ref_u = state_n.velocity()
+        ref_u = viscous_velocity(state_n.mom, state_n.rho, rho_bar)
         for i, (state_r, e, nu) in enumerate(zip(states, errors, nus)):
-            du = state_r.velocity() - ref_u
+            du = viscous_velocity(state_r.mom, state_r.rho, rho_bar) - ref_u
             d_rho = l2sq(state_r.rho - state_n.rho)
             d_u = l2sq(du)
             d_b = l2sq(state_r.b - state_n.b)

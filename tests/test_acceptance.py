@@ -83,8 +83,7 @@ def test_criterion_2_resistive_flux_vanishes(acceptance_sweep):
 
 def test_criterion_3_nu_independent_bounds(acceptance_sweep):
     result, _ = acceptance_sweep
-    entries = [(nu, rec, "acceptance") for nu, rec in result.records]
-    report = nu_independence_report(entries)
+    report = nu_independence_report(result.records)
     monitored = {r.name: r for r in report.rows}
     required = ("sup_rho", "sup_abs_b", "sup_l2_ux", "sup_l2_rhox",
                 "energy", "energy_weighted", "diss_u", "sup_l2_sqrt_rho_udot")

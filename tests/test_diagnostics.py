@@ -280,41 +280,35 @@ class TestNuIndependence:
         return rec
 
     def test_identical_records_zero_spread(self):
-        entries = [(nu, self._record(), "fp") for nu in (1e-2, 1e-3, 1e-4)]
+        entries = [(nu, self._record()) for nu in (1e-2, 1e-3, 1e-4)]
         report = nu_independence_report(entries)
         assert report.flagged == []
         assert all(r.spread == 0.0 for r in report.rows)
 
     def test_diss_b_is_excluded(self):
-        entries = [(nu, self._record(), "fp") for nu in (1e-2, 1e-3, 1e-4)]
+        entries = [(nu, self._record()) for nu in (1e-2, 1e-3, 1e-4)]
         report = nu_independence_report(entries)
         excluded = [r for r in report.rows if r.excluded]
         assert [r.name for r in excluded] == ["diss_b"]
         assert not any(r.flagged for r in excluded)
 
     def test_flags_large_spread(self):
-        entries = [(nu, self._record(value), "fp")
+        entries = [(nu, self._record(value))
                    for nu, value in ((1e-2, 1.0), (1e-3, 1.2), (1e-4, 1.0))]
         report = nu_independence_report(entries)
         assert "sup_rho" in report.flagged
 
     def test_rejects_too_few_values(self):
-        entries = [(nu, self._record(), "fp") for nu in (1e-2, 1e-3)]
+        entries = [(nu, self._record()) for nu in (1e-2, 1e-3)]
         with pytest.raises(ValueError, match="at least 3"):
             nu_independence_report(entries)
 
     def test_rejects_narrow_span(self):
-        entries = [(nu, self._record(), "fp") for nu in (1e-2, 5e-3, 2e-3)]
+        entries = [(nu, self._record()) for nu in (1e-2, 5e-3, 2e-3)]
         with pytest.raises(ValueError, match="decades"):
             nu_independence_report(entries)
 
-    def test_rejects_mismatched_configs(self):
-        entries = [(1e-2, self._record(), "a"), (1e-3, self._record(), "b"),
-                   (1e-4, self._record(), "a")]
-        with pytest.raises(ValueError, match="mismatched"):
-            nu_independence_report(entries)
-
     def test_report_text_lists_all_quantities(self):
-        entries = [(nu, self._record(), "fp") for nu in (1e-2, 1e-3, 1e-4)]
+        entries = [(nu, self._record()) for nu in (1e-2, 1e-3, 1e-4)]
         text = nu_independence_report(entries).to_text()
         assert "sup_rho" in text and "diss_b" in text and "EXCL" in text

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from mhd1d import ConvergenceReport, Grid1D, fit_rate, parse_config, solver, sweep
+from mhd1d.core import derivative, viscous_velocity
 from mhd1d.errors import BoundaryMonitorError
 from mhd1d.diagnostics import RunTelemetry
 from mhd1d.limit_study import GuardResult, PairErrors, _guard_result, run_group
+from mhd1d.scenario import build_initial_state
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +86,45 @@ class TestRunPair:
         assert errors.e_sup > 0
         assert errors.e_total >= errors.e_sup
         record.validate()
+
+    def test_functionals_difference_the_viscous_velocity(self):
+        # near vacuum m/max(rho, 1e-12) and the viscous velocity m/max(rho, f)
+        # differ; the pair functionals take the velocity the scheme's
+        # viscosity acts on, as diss_u and l2_ux do
+        config = parse_config({"scenario": {"preset": "interior_vacuum", "a_b": -1.0},
+                               "grid": {"n_cells": 64}, "scheme": {"t_end": 0.05}})
+        params, dx = config.params, config.grid.dx
+        nus = [1e-2, 1e-3]
+        reference = replace(params, nu=0.0)
+        state = build_initial_state(config.spec, reference, config.grid)
+        members = [(state.copy(), replace(params, nu=nu)) for nu in nus] + [(state, reference)]
+        expected = [PairErrors(nu=nu) for nu in nus]
+        previous = [(0.0, 0.0) for _ in nus]
+
+        def l2sq(values):
+            return float((values**2).sum() * dx)
+
+        def observe(states, dt):
+            ref = states[-1]
+            ref_u = viscous_velocity(ref.mom, ref.rho, params.rho_bar)
+            for i, (s, e) in enumerate(zip(states, expected)):
+                du = viscous_velocity(s.mom, s.rho, params.rho_bar) - ref_u
+                d_rho, d_u, d_b = l2sq(s.rho - ref.rho), l2sq(du), l2sq(s.b - ref.b)
+                e.e_sup_rho = max(e.e_sup_rho, d_rho)
+                e.e_sup_u = max(e.e_sup_u, d_u)
+                e.e_sup_b = max(e.e_sup_b, d_b)
+                e.e_sup = max(e.e_sup, d_rho + d_u + d_b)
+                g = params.mu * l2sq(derivative(du, dx))
+                h = e.nu**2 * l2sq(derivative(s.b, dx))
+                e.e_diss += 0.5 * dt * (previous[i][0] + g)
+                e.aux += 0.5 * dt * (previous[i][1] + h)
+                previous[i] = (g, h)
+
+        solver.run_lockstep(members, config.scheme, config.grid, observe=observe, recorded=0)
+        for e in expected:
+            e.e_total = e.e_sup + e.e_diss
+        entries, _ = run_group(nus, config, recorded=False)
+        assert [repr(e.as_dict()) for e in entries] == [repr(e.as_dict()) for e in expected]
 
 
 class TestSweep:

@@ -4,7 +4,8 @@ Each example is a JSON configuration drawn from admissible physics (gamma > 1,
 mu > 0, nu >= 0 including exactly 0, rho_bar >= 1, b_bar != 0), both presets
 (the vacuum one with a_b = -b_bar, so the field vanishes with the density),
 both reconstructions and both integrators, on grids of at most 128 cells and
-short horizons.
+short horizons.  The lockstep-group properties evolve two or three members of
+such a configuration, which differ only in nu, beside their shared reference.
 
 The default profile is derandomized with a small example budget, so the suite
 is reproducible and cheap; ``HYPOTHESIS_PROFILE=explore`` draws many more,
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 
 from mhd1d.config import parse_config
 from mhd1d.diagnostics import DiagnosticsRecord, energy_drift
+from mhd1d.limit_study import ConvergenceReport, run_group
 from mhd1d.scenario import build_initial_state
 from mhd1d.solver import (
     _advective_dt,
@@ -72,7 +74,7 @@ def configs(draw):
 
 def _simulate(raw: dict):
     config = parse_config(raw)
-    final, record = run(config.spec, config.run_params, config.scheme, config.grid)
+    final, record = run(config.spec, config.params, config.scheme, config.grid)
     return config, final, record
 
 
@@ -84,6 +86,8 @@ def test_admissible_run_is_sound(raw):
     assert record.final("clip_count") == 0
     assert np.all(final.rho >= 0.0)
     record.validate()
+    if params.nu == 0.0:  # the non-resistive system: no resistive dissipation at all
+        assert np.all(record.column("diss_b") == 0.0)
 
     # conservative fluxes: total mass moves only through the far-field edges,
     # where the perturbation is exponentially small
@@ -109,15 +113,6 @@ def test_admissible_run_is_sound(raw):
     assert parse_config(json.loads(config.to_json())) == config
 
 
-@given(configs())
-def test_non_resistive_mode_is_nu_zero(raw):
-    config, final_n, record_n = _simulate({**raw, "mode": "non_resistive"})
-    _, final_0, record_0 = _simulate({**raw, "physics": {**raw["physics"], "nu": 0.0}})
-    assert record_n.to_csv() == record_0.to_csv()
-    assert np.all(record_n.column("diss_b") == 0.0)
-    assert save_checkpoint(final_n, config.grid) == save_checkpoint(final_0, config.grid)
-
-
 @given(configs(), st.floats(0.1, 4.0))
 def test_diffusion_blocks_are_decoupled(raw, dt_fraction):
     # at frozen density the viscous block reads no b and the resistive block
@@ -132,6 +127,47 @@ def test_diffusion_blocks_are_decoupled(raw, dt_fraction):
     ideal = _diffuse(state, tau, replace(params, nu=0.0), grid, s, 0)
     assert resistive.mom.tobytes() == ideal.mom.tobytes()
     assert ideal.b.tobytes() == state.b.tobytes()
+
+
+resistivities = st.one_of(st.just(0.0), st.floats(1e-5, 0.1))
+
+
+def _bits(entries) -> list[str]:
+    """Every field of every entry, each float in its exact repr."""
+    return [repr(e.as_dict()) for e in entries]
+
+
+@settings(max_examples=15)
+@given(configs(), st.lists(resistivities, min_size=2, max_size=3, unique=True))
+def test_lockstep_group_is_independent_of_order_and_recording(raw, nus):
+    config = parse_config(raw)
+    entries, records = run_group(nus, config)
+    backward, backward_records = run_group(nus[::-1], config)
+    unrecorded, none = run_group(nus, config, recorded=False)
+
+    # member order does not matter, to the bit and to the byte
+    assert _bits(backward[::-1]) == _bits(entries)
+    assert [r.to_csv() for r in backward_records[::-1]] == [r.to_csv() for r in records]
+    # a group whose rows nobody reads measures the same functionals
+    assert none == [] and _bits(unrecorded) == _bits(entries)
+
+    for e in entries:
+        values = [v for k, v in e.as_dict().items() if k not in ("nu", "failed")]
+        assert e.failed is None
+        assert all(np.isfinite(v) and v >= 0.0 for v in values)
+        assert e.e_sup >= max(e.e_sup_rho, e.e_sup_u, e.e_sup_b)
+        assert e.e_total == e.e_sup + e.e_diss
+
+    report = ConvergenceReport(nu_values=list(nus), entries=entries,
+                               config_fingerprint=config.fingerprint())
+    assert ConvergenceReport.from_json(report.to_json()) == report
+
+
+@settings(max_examples=15)
+@given(configs(), resistivities)
+def test_members_of_equal_resistivity_are_bit_identical(raw, nu):
+    first, second = run_group([nu, nu], parse_config(raw), recorded=False)[0]
+    assert _bits([first]) == _bits([second])
 
 
 def _small(physics: dict, scenario: dict, n_cells: int) -> dict:

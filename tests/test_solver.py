@@ -19,7 +19,6 @@ from mhd1d import (
     tendencies,
     total_energy,
 )
-from mhd1d.config import parse_config
 from mhd1d.diagnostics import COLUMNS, DiagnosticsRecord, RunTelemetry
 from mhd1d.errors import BoundaryMonitorError, NumericalError, SimulationError
 from mhd1d import solver
@@ -287,19 +286,6 @@ class TestRun:
             _, record = run(spec, params, SchemeConfig(t_end=0.2, n_samples=5),
                             grid)
             assert record.final("clip_count") == 0
-
-    def test_mode_consistency_bitwise(self, grid):
-        # mode non_resistive reaches the solver only as nu = 0
-        small = {"grid": {"n_cells": grid.n_cells}, "scheme": {"t_end": 0.1, "n_samples": 5}}
-        runs = []
-        for extra in ({"mode": "non_resistive"}, {"physics": {"nu": 0.0}}):
-            config = parse_config({**small, **extra})
-            runs.append(run(config.spec, config.run_params, config.scheme, config.grid))
-        (f1, r1), (f2, r2) = runs
-        assert np.array_equal(f1.rho, f2.rho)
-        assert np.array_equal(f1.mom, f2.mom)
-        assert np.array_equal(f1.b, f2.b)
-        assert r1.to_csv() == r2.to_csv()
 
     def test_boundary_monitor_aborts(self):
         params = PhysParams()
