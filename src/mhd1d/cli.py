@@ -172,6 +172,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    battery_start = time.perf_counter()
     suite = battery.Battery(battery.VERIFY)
     checks = battery.CHECKS
     failures = 0
@@ -185,10 +186,11 @@ def cmd_verify(args) -> int:
         elapsed = time.perf_counter() - start
         print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail} ({elapsed:.2f} s)")
         failures += 0 if ok else 1
+    total = f"({time.perf_counter() - battery_start:.2f} s)"
     if failures:
-        print(f"verify: {failures} of {len(checks)} checks failed")
+        print(f"verify: {failures} of {len(checks)} checks failed {total}")
         return EXIT_FAILURE
-    print(f"verify: all {len(checks)} checks passed")
+    print(f"verify: all {len(checks)} checks passed {total}")
     return EXIT_OK
 
 

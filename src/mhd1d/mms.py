@@ -9,7 +9,7 @@ errors across grids then measures the observed order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -110,13 +110,18 @@ def mms_rhs(state: State, params: PhysParams, scheme: SchemeConfig, grid: Grid1D
 def run_manufactured(params: PhysParams, scheme: SchemeConfig, grid: Grid1D,
                      manufactured: ManufacturedSolution) -> dict[str, float]:
     """Integrate the forced system from the exact initial data; return the L2
-    errors of the final state.  The run is unrecorded: only its final state is read."""
+    errors of the final state.
+
+    The run is unrecorded and only its final state is read, so it lands on
+    ``t_end`` alone: ``scheme.n_samples`` is ignored, and every step but the
+    last takes the advective CFL bound.  dt then refines with dx at a fixed
+    CFL number, as a grid-convergence study needs."""
 
     def forced(state, params_, scheme_, grid_):
         return mms_rhs(state, params_, scheme_, grid_, manufactured)
 
-    (final,), _ = run_lockstep([(manufactured.initial_state(grid), params)], scheme, grid,
-                               rhs_fn=forced, recorded=0)
+    (final,), _ = run_lockstep([(manufactured.initial_state(grid), params)],
+                               replace(scheme, n_samples=1), grid, rhs_fn=forced, recorded=0)
     return manufactured.errors(final, grid)
 
 

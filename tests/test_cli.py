@@ -496,12 +496,14 @@ class TestVerifyCommand:
             ("crashed", lambda suite: 1 / 0),
         ])
         assert main(["verify"]) == 1
-        lines = [re.sub(r" \(\d+\.\d\d s\)$", "", ln)
-                 for ln in capsys.readouterr().out.splitlines()]
+        printed = capsys.readouterr().out.splitlines()
+        lines = [re.sub(r" \(\d+\.\d\d s\)$", "", ln) for ln in printed]
         assert lines == ["[PASS] holds: the claim holds",
                          "[FAIL] refuted: the claim does not hold",
                          "[FAIL] crashed: raised ZeroDivisionError: division by zero",
                          "verify: 2 of 3 checks failed"]
+        # the summary, like every check line, ends with a wall time: the battery's total
+        assert re.fullmatch(r"verify: 2 of 3 checks failed \(\d+\.\d\d s\)", printed[-1])
 
     def test_verify_never_imports_sympy(self):
         code = ("import sys; from mhd1d.cli import main; rc = main(['verify']); "

@@ -16,7 +16,9 @@ from mhd1d import (
     run_manufactured,
     tendencies,
 )
+from mhd1d import solver
 from mhd1d.mms import observed_orders
+from mhd1d.solver import _advective_dt
 
 
 @pytest.fixture(scope="module")
@@ -173,6 +175,32 @@ class TestForcedRuns:
         orders = observed_orders(ms_params, scheme,
                                  n_cells=(128, 256), manufactured=ms)
         assert all(0.8 <= v < 1.6 for v in orders.values())
+
+    def test_forced_run_lands_only_on_t_end(self, ms, ms_params, monkeypatch):
+        # only the final state is read, so every step before the last takes the
+        # advective bound: dt refines with dx, and the caller's n_samples is moot
+        calls = []  # (t before the step, dt, advective bound), step by step
+        plain_step = solver.step
+
+        def recording_step(state, dt, params, scheme_, grid_, rhs_fn=None, stages=None):
+            calls.append((state.t, dt, _advective_dt(state, params, scheme_, grid_)))
+            return plain_step(state, dt, params, scheme_, grid_, rhs_fn, stages)
+
+        monkeypatch.setattr(solver, "step", recording_step)
+        steps = {}
+        for n in (128, 256):
+            errs = []
+            for n_samples in (3, 50):
+                calls.clear()
+                scheme = SchemeConfig(t_end=0.4, n_samples=n_samples)
+                errs.append(run_manufactured(ms_params, scheme, Grid1D(20.0, n), ms))
+                *bounded, (t_last, dt_last, adv_last) = calls
+                assert all(dt == adv for _, dt, adv in bounded)
+                assert dt_last <= adv_last and t_last + dt_last == pytest.approx(0.4, abs=1e-12)
+                steps[n, n_samples] = len(calls)
+            assert errs[0] == errs[1]  # bit-identical
+            assert steps[n, 3] == steps[n, 50]
+        assert 1.8 <= steps[256, 50] / steps[128, 50] <= 2.2
 
     def test_rk3_beats_rk2_when_time_error_dominates(self):
         params = PhysParams(mu=0.01, nu=1e-3)

@@ -15,15 +15,18 @@ random, examples.
 import json
 import os
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from mhd1d import solver
 from mhd1d.config import parse_config
 from mhd1d.diagnostics import DiagnosticsRecord, energy_drift
-from mhd1d.limit_study import ConvergenceReport, run_group
+from mhd1d.errors import BoundaryMonitorError
+from mhd1d.limit_study import ConvergenceReport, run_group, sweep
 from mhd1d.scenario import build_initial_state
 from mhd1d.solver import (
     _advective_dt,
@@ -168,6 +171,38 @@ def test_lockstep_group_is_independent_of_order_and_recording(raw, nus):
 def test_members_of_equal_resistivity_are_bit_identical(raw, nu):
     first, second = run_group([nu, nu], parse_config(raw), recorded=False)[0]
     assert _bits([first]) == _bits([second])
+
+
+@settings(max_examples=6)
+@given(configs(), st.floats(1e-5, 1e-4), st.sampled_from((0, 1, 2, 3, "guard")))
+def test_a_failed_member_or_guard_is_marked_and_never_raises(raw, nu_min, trip):
+    # four resistivities over three decades, so that the fit, and with it the
+    # guard, still runs once a member has dropped out
+    nus = [nu_min * 10.0**k for k in (3, 2, 1, 0)]
+    config = parse_config({**raw, "nu_list": nus})
+    doubled = 2 * config.grid.n_cells
+    check_boundary = solver.check_boundary
+
+    def tripping(state, params):
+        tripped = len(state.rho) == doubled if trip == "guard" else params.nu == nus[trip]
+        if tripped and state.t > 0.0:
+            raise BoundaryMonitorError(time=state.t, deviation=1.0)
+        return check_boundary(state, params)
+
+    with mock.patch.object(solver, "check_boundary", tripping):
+        result = sweep(config)
+    report, guard = result.report, result.report.guard
+    failed = [e.nu for e in report.entries if e.failed is not None]
+    assert failed == ([] if trip == "guard" else [nus[trip]])
+    assert all(e.failed.startswith("BoundaryMonitorError: ") for e in report.entries if e.failed)
+    assert [nu for nu, _ in result.records] == [nu for nu in nus if nu not in failed]
+    assert (guard is None) == (report.fit_skipped_reason is not None)
+    if guard is not None and trip == "guard":
+        assert guard.failed.startswith("BoundaryMonitorError: ")
+        assert (guard.passed, guard.ratio) == (False, 0.0)
+    elif guard is not None:
+        assert guard.failed is None
+    assert ConvergenceReport.from_json(report.to_json()) == report
 
 
 def _small(physics: dict, scenario: dict, n_cells: int) -> dict:
