@@ -148,8 +148,8 @@ def parse_config(raw: dict) -> RunConfig:
         given = len(problems)
         for i, v in enumerate(nu_list):
             problem = _number_problem(v)
-            if problem is None and v < 0:
-                problem = f"must be non-negative, got {v!r}"
+            if problem is None and not v > 0:  # nu = 0 is the reference every sweep runs
+                problem = f"must be positive, got {v!r}"
             if problem:
                 problems.append(f"nu_list[{i}]: {problem}")
         # set() needs hashable entries, which only valid numbers are sure to be

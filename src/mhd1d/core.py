@@ -27,7 +27,7 @@ RHO_FLOOR = 1e-12
 
 # Fraction of the far-field density used as a lower bound in the viscous
 # velocity recovery and the diffusive bound.  The largest diffusivity of the
-# momentum diffusion is mu/max(rho_min, floor), so capping the recovery at
+# momentum diffusion is mu/viscous_density(rho_min), so capping the recovery at
 # 0.01*rho_bar bounds the number of super-time-stepping stages a step needs
 # near vacuum while leaving every vacuum-free run untouched.
 VISC_FLOOR_FRACTION = 0.01
@@ -152,19 +152,23 @@ class RhsOutput:
     d_b: FieldScalar
 
 
-def viscous_floor(rho_bar: float) -> float:
-    """Density at which the viscous velocity recovery is capped."""
-    return max(RHO_FLOOR, VISC_FLOOR_FRACTION * rho_bar)
+def viscous_density(rho: FieldScalar | float, rho_bar: float) -> FieldScalar | float:
+    """r = max(rho, VISC_FLOOR_FRACTION * rho_bar), the density viscosity divides by.
+
+    The diffusive bound mu/r(rho_min) holds for any r >= rho that does not
+    decrease as rho grows: mu*rho/r(rho)^2 <= mu/r(rho) <= mu/r(rho_min).
+    """
+    return np.maximum(rho, VISC_FLOOR_FRACTION * rho_bar)
 
 
 def viscous_velocity(mom: FieldScalar, rho: FieldScalar, rho_bar: float) -> FieldScalar:
-    """u = m / max(rho, viscous_floor(rho_bar)), the velocity viscosity acts on.
+    """u = m / viscous_density(rho, rho_bar), the velocity viscosity acts on.
 
     The scheme's mu*u_xx term, the recorded viscous dissipation and the
     sampled velocity gradient all use it, so the audit measures what the
     scheme dissipates.
     """
-    return mom / np.maximum(rho, viscous_floor(rho_bar))
+    return mom / viscous_density(rho, rho_bar)
 
 
 def derivative(values: FieldScalar, dx: float) -> FieldScalar:
@@ -273,7 +277,7 @@ __all__ = [
     "PhysParams",
     "State",
     "RhsOutput",
-    "viscous_floor",
+    "viscous_density",
     "viscous_velocity",
     "derivative",
     "second_derivative",

@@ -297,9 +297,9 @@ def sample(state: State, rhs_output, params: PhysParams, grid: Grid1D,
     """Evaluate every record column at one instant.
 
     ``l2_ux`` and the viscous flux inside ``flux_residual`` differentiate the
-    viscous velocity m/max(rho, viscous floor), the velocity the scheme's
+    viscous velocity m/viscous_density(rho), the velocity the scheme's
     viscosity acts on and ``diss_u`` integrates; it equals m/rho wherever
-    the density is at least the floor.  ``sup_abs_u`` reads m/max(rho,
+    the viscous density is rho.  ``sup_abs_u`` reads m/max(rho,
     RHO_FLOOR).
     """
     u = state.velocity()
@@ -418,7 +418,8 @@ def nu_independence_report(entries: list[tuple[float, DiagnosticsRecord]]) -> Nu
     for name, kind, col in MONITORED:
         vals = np.array([getattr(rec, kind)(col) for _, rec in entries])
         spread = _relative_spread(vals)
-        rows.append(QuantitySpread(name, tuple(vals), spread, spread > SPREAD_TOLERANCE, False))
+        flagged = not spread <= SPREAD_TOLERANCE  # a NaN spread too
+        rows.append(QuantitySpread(name, tuple(vals), spread, flagged, False))
     for name, kind, col in EXCLUDED:
         vals = np.array([getattr(rec, kind)(col) for _, rec in entries])
         rows.append(QuantitySpread(name, tuple(vals), _relative_spread(vals), False, True))

@@ -109,13 +109,13 @@ def run_group(nus, config: RunConfig, recorded: bool = True, telemetry: RunTelem
 def fit_rate(nu_values, errors) -> tuple[float, float, float]:
     """Ordinary least squares of log(error) against log(nu).
 
-    Returns (slope, intercept, rms residual); rejects non-positive errors.
+    Returns (slope, intercept, rms residual); rejects errors that are not positive.
     """
     nus = np.asarray(nu_values, dtype=float)
     errs = np.asarray(errors, dtype=float)
     if len(nus) < 3:
         raise ValueError("need at least 3 points for a rate fit")
-    if np.any(errs <= 0):
+    if not np.all(errs > 0):  # NaN included
         raise ValueError("rate fit requires strictly positive errors (degenerate sweep)")
     lx, ly = np.log(nus), np.log(errs)
     lx_mean, ly_mean = lx.mean(), ly.mean()
@@ -133,8 +133,8 @@ class GuardResult:
     how much that same matched-pair functional moves when the grid is doubled.
     A trustworthy sweep has signal >> proxy: the measured error then reflects
     the resistivity difference, not discretization residue.  A failed
-    doubled-grid pair does not pass: its ratio is 0, and ``failed`` (reported
-    only if set) says why.
+    doubled-grid pair, or a non-finite proxy, does not pass: its ratio is 0,
+    and ``failed`` (reported only if set) says why.
     """
 
     proxy: float = 0.0
@@ -159,10 +159,13 @@ def _doubled(config: RunConfig) -> RunConfig:
 
 def _guard_result(signal: float, fine_group: tuple[list, list, RunTelemetry]) -> GuardResult:
     (fine,), _, telemetry = fine_group
-    if fine.failed:
-        return GuardResult(signal=signal, ratio=0.0, passed=False, failed=fine.failed,
-                           telemetry=telemetry)
     proxy = abs(signal - fine.e_total)
+    failed = fine.failed
+    if failed is None and not np.isfinite(proxy):
+        failed = f"non-finite proxy: signal {signal!r}, doubled-grid e_total {fine.e_total!r}"
+    if failed:
+        return GuardResult(signal=signal, ratio=0.0, passed=False, failed=failed,
+                           telemetry=telemetry)
     ratio = signal / proxy if proxy > 0 else float("inf")
     return GuardResult(proxy=proxy, signal=signal, ratio=ratio,
                        passed=ratio >= GUARD_FACTOR, telemetry=telemetry)
@@ -270,8 +273,8 @@ def sweep(config: RunConfig, jobs: int = 1) -> SweepResult:
     nus = sorted(set(requested), reverse=True)
     if len(nus) != len(requested):
         raise ValueError("nu values must be distinct")
-    if any(v < 0 for v in nus):
-        raise ValueError("nu values must be non-negative")
+    if not all(v > 0 for v in nus):  # nu = 0 is the shared reference, not a member
+        raise ValueError("nu values must be positive")
 
     early = jobs > 1 and _unfit_reason(nus) is None
     # spawn, not fork: the worker starts from a fresh import of this package
@@ -285,7 +288,7 @@ def sweep(config: RunConfig, jobs: int = 1) -> SweepResult:
                                    config_fingerprint=config.fingerprint())
         good = [e for e in entries if e.failed is None]
         report.fit_skipped_reason = _unfit_reason([e.nu for e in good])
-        if report.fit_skipped_reason is None and any(e.e_total <= 0 for e in good):
+        if report.fit_skipped_reason is None and any(not e.e_total > 0 for e in good):
             report.degenerate = True
             report.fit_skipped_reason = "degenerate sweep: non-positive error functionals"
         if report.fit_skipped_reason is None:

@@ -9,8 +9,8 @@ with piecewise-constant or MUSCL reconstruction of (rho, m, b) under a
 min/max-only minmod limiter, one rho^gamma pass serving the flux and the
 fast speed, advanced by an SSP Runge-Kutta method.  ``diffusion_tendency``
 is the second-order central diffusion terms, advanced by second-order
-Runge-Kutta-Legendre (RKL2) super-time-stepping at frozen density, m/max(rho,
-floor) and b each at their own stage count, Strang-split around the
+Runge-Kutta-Legendre (RKL2) super-time-stepping at frozen density, m/r(rho)
+and b each at their own stage count, Strang-split around the
 hyperbolic step, so the advective CFL bound alone sets dt; ``tendencies`` is the sum.
 Far-field Dirichlet values enter through ghost cells.  One driver advances
 any number of runs on a shared dt sequence: a single run is one member, a
@@ -20,7 +20,6 @@ reference.  Plain sequential numpy, so repeated runs are bit-reproducible.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -37,7 +36,7 @@ from .core import (
     State,
     fast_speed_state,
     non_finite_problems,
-    viscous_floor,
+    viscous_density,
 )
 from .errors import BoundaryMonitorError, NumericalError, SimulationError
 from .scenario import ScenarioSpec, build_initial_state
@@ -236,11 +235,11 @@ def rhs(state: State, params: PhysParams, scheme: SchemeConfig, grid: Grid1D) ->
 class _Diffusion:
     """One diffusion block at frozen density, as a linear operator on one field.
 
-    Viscous: w = viscous_velocity(m, rho, rho_bar) = m/r, r = max(rho, floor),
-    moves at the array rate (rho/r) * mu / r times w_xx, the momentum tendency
-    (rho/r) * mu * w_xx over r.  Resistive: b moves at nu times b_xx.  Central
-    differences, one far-field ghost per side (w = 0, b = b_bar).  The weight
-    rho/r is exactly 1 wherever rho >= floor; below the floor it makes the
+    Viscous: w = viscous_velocity(m, rho, rho_bar) = m/r, r = viscous_density(rho,
+    rho_bar), moves at the array rate (rho/r) * mu / r times w_xx, the momentum
+    tendency (rho/r) * mu * w_xx over r.  Resistive: b moves at nu times b_xx.
+    Central differences, one far-field ghost per side (w = 0, b = b_bar).  The
+    weight rho/r is exactly 1 wherever r = rho; elsewhere it makes the
     deposited momentum scale with rho.  The kinetic-energy change at frozen
     density, sum(u * d_m * dx) with u = m/rho, is then mu * sum(w * w_xx * dx)
     = -mu * sum(w_x^2 * dx), vacuum included: viscosity can only dissipate,
@@ -292,11 +291,11 @@ class _Diffusion:
 
 
 def _blocks(state: State, params: PhysParams, grid: Grid1D):
-    """r = max(rho, viscous floor), the viscous block and the resistive one (None at nu = 0)."""
-    floor = viscous_floor(params.rho_bar)
-    rho_safe = np.maximum(state.rho, floor)
+    """r = viscous_density(rho), the viscous block and the resistive one (None at nu = 0)."""
+    rho_safe = viscous_density(state.rho, params.rho_bar)
     w_rate = (params.mu / grid.dx**2) / rho_safe
-    if float(state.rho.min()) < floor:  # elsewhere the weight is exactly 1
+    rho_min = float(state.rho.min())
+    if viscous_density(rho_min, params.rho_bar) > rho_min:  # else the weight is exactly 1
         w_rate *= state.rho / rho_safe
     resistive = _Diffusion(state.b, params.b_bar, params.nu / grid.dx**2) if params.nu > 0 else None
     return rho_safe, _Diffusion(state.mom / rho_safe, 0.0, w_rate), resistive
@@ -306,7 +305,7 @@ def diffusion_tendency(state: State, params: PhysParams,
                        grid: Grid1D) -> tuple[np.ndarray, np.ndarray | None]:
     """(d_mom, d_b) of the diffusion terms alone; d_b is None when nu = 0.
 
-    d_mom = (rho/max(rho, viscous_floor)) * mu * w_xx, w the viscous velocity;
+    d_mom = (rho/r) * mu * w_xx, r the viscous density and w = m/r;
     d_b = nu * b_xx.  See ``_Diffusion`` for the stencil and the weight.
     """
     rho_safe, viscous, resistive = _blocks(state, params, grid)
@@ -332,8 +331,8 @@ def _advective_dt(state: State, params: PhysParams, scheme: SchemeConfig, grid: 
 
 def _diffusive_dt(state: State, params: PhysParams, scheme: SchemeConfig, grid: Grid1D) -> float:
     """The dx^2 restriction of one explicit stage of the viscous block (not of b's)."""
-    rho_min = max(float(state.rho.min()), viscous_floor(params.rho_bar))
-    return scheme.diffusion_number * grid.dx**2 / (params.mu / rho_min)
+    r_min = viscous_density(float(state.rho.min()), params.rho_bar)
+    return scheme.diffusion_number * grid.dx**2 / (params.mu / r_min)
 
 
 def _resistive_stages(tau: float, params: PhysParams, scheme: SchemeConfig, grid: Grid1D) -> int:
@@ -348,10 +347,7 @@ def rkl2_stage_count(tau: float, dt_diffusive: float) -> int:
     That is the stability bound of an s-stage RKL2 step of length tau when
     ``dt_diffusive`` is the step one explicit stage may take.
     """
-    # the root of s^2 + s - 2 = 4 tau / dt_diffusive, then exact integer checks
-    s = max(2, math.ceil((math.sqrt(9.0 + 16.0 * tau / dt_diffusive) - 1.0) / 2.0))
-    while s > 2 and tau <= dt_diffusive * (s * (s - 1) - 2) / 4.0:
-        s -= 1
+    s = 2
     while tau > dt_diffusive * (s * s + s - 2) / 4.0:
         s += 1
     return s
@@ -465,14 +461,17 @@ def step(state: State, dt: float, params: PhysParams, scheme: SchemeConfig,
 def check_boundary(state: State, params: PhysParams) -> float:
     """Abort when the perturbation reaches the outermost interior nodes.
 
-    Returns the largest deviation from the far field over those nodes.
+    Returns the largest deviation from the far field over those nodes; a NaN
+    there, which max() would drop, raises ``NumericalError``.
     """
     k = BOUNDARY_NODES
     dev = 0.0
     for q, far in ((state.rho, params.rho_bar), (state.mom, 0.0), (state.b, params.b_bar)):
-        for edge in (q[:k], q[-k:]):
-            for value in edge.tolist():
-                dev = max(dev, abs(value - far))
+        for j, value in enumerate(q[:k].tolist() + q[-k:].tolist()):
+            if value != value:
+                node = j if j < k else len(q) - 2 * k + j
+                raise NumericalError("non-finite state at the boundary", node=node, time=state.t)
+            dev = max(dev, abs(value - far))
     if dev > BOUNDARY_TOLERANCE:
         raise BoundaryMonitorError(time=state.t, deviation=dev)
     return dev

@@ -283,9 +283,12 @@ class TestSimulateCommand:
         ({"nu_list": [float("nan"), 0.01, 0.001]}, "nu_list[0]: must be a finite number, got nan"),
         ({"nu_list": [True, 0.01, 0.001]}, "nu_list[0]: must be a number, got True"),
         ({"nu_list": [[1], 0.01, 0.001]}, "nu_list[0]: must be a number, got [1]"),
+        ({"nu_list": [1e-2, 1e-3, 1e-4, 0]}, "nu_list[3]: must be positive, got 0"),
+        ({"nu_list": [1e-2, -1e-3, 1e-4]}, "nu_list[1]: must be positive, got -0.001"),
         ({"jobs": True}, "jobs: expected a positive integer, got True"),
     ], ids=["t_end-nan", "t_end-inf", "half_width-inf", "mu-inf", "b_bar-nan", "a_u-nan",
-            "nu_list-nan", "nu_list-bool", "nu_list-list", "jobs-bool"])
+            "nu_list-nan", "nu_list-bool", "nu_list-list", "nu_list-zero", "nu_list-negative",
+            "jobs-bool"])
     def test_non_finite_or_boolean_number_is_a_config_error(self, payload, line, tmp_path, capsys):
         payload = {**payload, "grid": {**payload.get("grid", {}), "n_cells": 7}}
         cfg = write_config(tmp_path, payload)

@@ -298,6 +298,13 @@ class TestNuIndependence:
         report = nu_independence_report(entries)
         assert "sup_rho" in report.flagged
 
+    def test_flags_nan_spread(self):
+        entries = [(nu, self._record(value))
+                   for nu, value in ((1e-2, 1.0), (1e-3, float("nan")), (1e-4, 1.0))]
+        report = nu_independence_report(entries)
+        assert {"sup_rho", "energy"} <= set(report.flagged)
+        assert not [r for r in report.rows if r.excluded and r.flagged]
+
     def test_rejects_too_few_values(self):
         entries = [(nu, self._record()) for nu in (1e-2, 1e-3)]
         with pytest.raises(ValueError, match="at least 3"):

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mhd1d import ConvergenceReport, Grid1D, fit_rate, parse_config, solver, sweep
+from mhd1d import ConvergenceReport, Grid1D, fit_rate, limit_study, parse_config, solver, sweep
 from mhd1d.core import derivative, viscous_velocity
 from mhd1d.errors import BoundaryMonitorError
 from mhd1d.diagnostics import RunTelemetry
@@ -53,6 +53,10 @@ class TestFitRate:
     def test_rejects_nonpositive_errors(self):
         with pytest.raises(ValueError, match="positive"):
             fit_rate([1e-2, 1e-3, 1e-4], [1.0, 0.0, 1.0])
+
+    def test_rejects_nan_errors(self):
+        with pytest.raises(ValueError, match="positive"):
+            fit_rate([1e-2, 1e-3, 1e-4], [1.0, float("nan"), 1e-2])
 
     def test_rejects_short_input(self):
         with pytest.raises(ValueError, match="3 points"):
@@ -190,6 +194,30 @@ class TestSweep:
         # a guard that did not fail reports no "failed" key
         assert set(GuardResult().as_dict()) == {"proxy", "signal", "ratio", "passed"}
 
+    def test_non_finite_proxy_fails_the_guard(self, small_sweep):
+        # |signal - nan| is nan, which neither passes nor may reach the JSON
+        pair = PairErrors(nu=1e-4, e_total=float("nan"))
+        guard = _guard_result(1e-3, ([pair], [], RunTelemetry()))
+        assert not guard.passed and guard.ratio == 0.0 and guard.proxy == 0.0
+        assert guard.failed.startswith("non-finite proxy")
+        text = replace(small_sweep.report, guard=guard).to_json()
+        assert json.loads(text, parse_constant=pytest.fail)["guard"]["failed"] == guard.failed
+        # a finite proxy keeps its value
+        assert _guard_result(1e-3, ([PairErrors(nu=1e-4, e_total=9e-4)], [], RunTelemetry())
+                             ).proxy == abs(1e-3 - 9e-4)
+
+    def test_nan_entry_skips_the_fit(self, small_config, monkeypatch):
+        group = run_group
+
+        def poisoned(nus, config, *args):
+            errors, records = group(nus, config, *args)
+            errors[1].e_total = float("nan")
+            return errors, records
+
+        monkeypatch.setattr(limit_study, "run_group", poisoned)
+        report = sweep(small_config).report
+        assert report.degenerate and report.slope is None and report.guard is None
+
     def test_degenerate_sweep_flagged(self):
         config = parse_config({"scenario": {"a_rho": 0.0, "a_u": 0.0, "a_b": 0.0},
                                "scheme": {"t_end": 0.05, "n_samples": 2},
@@ -214,6 +242,12 @@ class TestSweep:
         result = sweep(replace(small_config, nu_list=(1e-2, 5e-3, 2e-3)))
         assert "two decades" in result.report.fit_skipped_reason
         assert_guard_runs_iff_fit(result.report)
+
+    @pytest.mark.parametrize("nus", [(1e-2, 1e-3, 1e-4, 0.0), (1e-2, -1e-3, 1e-4)])
+    def test_rejects_resistivities_that_are_not_positive(self, small_config, nus):
+        # nu = 0 is the reference every group runs; as a member its error is 0
+        with pytest.raises(ValueError, match="positive"):
+            sweep(replace(small_config, nu_list=nus))
 
     def test_rejects_duplicate_nus(self, small_config):
         with pytest.raises(ValueError, match="distinct"):

@@ -24,12 +24,14 @@ from hypothesis import strategies as st
 
 from mhd1d import solver
 from mhd1d.config import parse_config
+from mhd1d.core import VISC_FLOOR_FRACTION, viscous_density, viscous_velocity
 from mhd1d.diagnostics import DiagnosticsRecord, energy_drift
 from mhd1d.errors import BoundaryMonitorError
 from mhd1d.limit_study import ConvergenceReport, run_group, sweep
 from mhd1d.scenario import build_initial_state
 from mhd1d.solver import (
     _advective_dt,
+    _blocks,
     _diffuse,
     _diffusive_dt,
     _resistive_stages,
@@ -37,6 +39,7 @@ from mhd1d.solver import (
     rkl2_stage_count,
     run,
     save_checkpoint,
+    step,
 )
 
 settings.register_profile("default", max_examples=60, derandomize=True, deadline=None,
@@ -130,6 +133,36 @@ def test_diffusion_blocks_are_decoupled(raw, dt_fraction):
     ideal = _diffuse(state, tau, replace(params, nu=0.0), grid, s, 0)
     assert resistive.mom.tobytes() == ideal.mom.tobytes()
     assert ideal.b.tobytes() == state.b.tobytes()
+
+
+@given(configs())
+def test_viscous_density_rule_and_its_stage_bound(raw):
+    # the rule r(rho) that viscosity divides by, on the drawn state after one
+    # step and on a ramp through the floor: r >= rho, r >= the floor, and r
+    # does not decrease as rho grows
+    config = parse_config(raw)
+    params, scheme, grid = config.params, config.scheme, config.grid
+    state = build_initial_state(config.spec, params, grid)
+    state, _ = step(state, _advective_dt(state, params, scheme, grid), params, scheme, grid)
+    rho_bar = params.rho_bar
+    rho = np.sort(np.concatenate([state.rho, np.linspace(0.0, 3.0 * rho_bar, 301)]))
+    r = viscous_density(rho, rho_bar)
+    assert np.all(r >= rho)
+    assert np.all(r >= VISC_FLOOR_FRACTION * rho_bar)
+    assert np.all(np.diff(r) >= 0.0)
+
+    # viscous_velocity divides by it, bit for bit
+    velocity = viscous_velocity(state.mom, state.rho, rho_bar)
+    assert velocity.tobytes() == (state.mom / viscous_density(state.rho, rho_bar)).tobytes()
+
+    # the largest rate mu*rho/r^2 that the viscous block applies is at most
+    # mu/r(rho_min), so one explicit stage of _diffusive_dt stays within the
+    # diffusion number
+    r_min = viscous_density(float(state.rho.min()), rho_bar)
+    w_rate = _blocks(state, params, grid)[1].rate * grid.dx**2  # mu*rho/r^2
+    assert w_rate.max() <= params.mu / r_min * (1.0 + 1e-12)
+    dt_diffusive = _diffusive_dt(state, params, scheme, grid)
+    assert w_rate.max() * dt_diffusive <= scheme.diffusion_number * grid.dx**2 * (1.0 + 1e-12)
 
 
 resistivities = st.one_of(st.just(0.0), st.floats(1e-5, 0.1))

@@ -31,6 +31,7 @@ from mhd1d import Grid1D, PhysParams, ScenarioSpec, SchemeConfig, State, build_i
 from mhd1d import solver
 from mhd1d.core import (
     RHO_FLOOR,
+    VISC_FLOOR_FRACTION,
     RhsOutput,
     constant_state,
     derivative,
@@ -38,7 +39,6 @@ from mhd1d.core import (
     fast_speed,
     fast_speed_state,
     material_derivative,
-    viscous_floor,
     viscous_velocity,
 )
 from mhd1d.diagnostics import _spreading_weight
@@ -158,13 +158,19 @@ def reference_sample_terms(state, ref: RhsOutput, params, grid) -> dict:
     }
 
 
+def reference_floor(rho_bar: float) -> float:
+    """The viscous floor, restated here so the references do not read the
+    product's ``viscous_density``."""
+    return VISC_FLOOR_FRACTION * rho_bar
+
+
 def reference_rates(rho, w, b, params: PhysParams, grid: Grid1D, scale: float = 1.0):
     """scale times the rates of the viscous velocity w and of b under the
     diffusion terms at frozen density rho: w_rate * w_xx with w_rate =
     mu/dx^2 / rho_safe * (rho/rho_safe), rho_safe = max(rho, floor), and
     nu * b_xx, with far-field ghosts and the second differences taken as
     differences of differences."""
-    rho_safe = np.maximum(rho, viscous_floor(params.rho_bar))
+    rho_safe = np.maximum(rho, reference_floor(params.rho_bar))
     w_rate = (params.mu / grid.dx**2) / rho_safe * (rho / rho_safe)
     w_e = np.concatenate([[0.0], w, [0.0]])
     b_e = np.concatenate([[params.b_bar], b, [params.b_bar]])
@@ -175,7 +181,7 @@ def reference_diffusion(state: State, params: PhysParams, grid: Grid1D):
     """(rho/max(rho, floor)) * mu * u_visc_xx and nu * b_xx with far-field ghosts."""
     w = viscous_velocity(state.mom, state.rho, params.rho_bar)
     w_dot, b_dot = reference_rates(state.rho, w, state.b, params, grid)
-    return w_dot * np.maximum(state.rho, viscous_floor(params.rho_bar)), b_dot
+    return w_dot * np.maximum(state.rho, reference_floor(params.rho_bar)), b_dot
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +204,7 @@ def reference_rkl2(state: State, tau: float, params, grid, s: int, s_b: int) -> 
     """RKL2 step of the diffusion terms at frozen density, one block at a time:
     s stages on the increments of w = m/max(rho, floor), s_b on those of b
     (no b block when nu = 0)."""
-    rho_safe = np.maximum(state.rho, viscous_floor(params.rho_bar))
+    rho_safe = np.maximum(state.rho, reference_floor(params.rho_bar))
     w0 = state.mom / rho_safe
     d_w = reference_block_increment(
         w0, lambda w, scale: reference_rates(state.rho, w, state.b, params, grid, scale)[0], tau, s)
@@ -216,7 +222,7 @@ def previous_rkl2(state: State, tau: float, params, grid, s: int, s_b: int) -> S
     The m row reads no b and the b row no m, so m is the m row of an s-stage
     step and b the b row of an s_b-stage one."""
     dx2 = grid.dx**2
-    rho_safe = np.maximum(state.rho, viscous_floor(params.rho_bar))
+    rho_safe = np.maximum(state.rho, reference_floor(params.rho_bar))
     weight = state.rho / rho_safe
 
     def operator(mom, b):
@@ -317,7 +323,8 @@ def reference_dt_bounds(state: State, params: PhysParams, scheme: SchemeConfig,
     """The advective CFL bound and the dx^2 bound of one explicit stage of the
     viscous block, diffusivity mu/rho_min; nu bounds the resistive block alone."""
     dt_adv = scheme.cfl_number * grid.dx / float(np.max(fast_speed_state(state, params)))
-    rho_min = max(float(np.min(np.maximum(state.rho, RHO_FLOOR))), viscous_floor(params.rho_bar))
+    rho_min = max(float(np.min(np.maximum(state.rho, RHO_FLOOR))),
+                  reference_floor(params.rho_bar))
     dt_diff = scheme.diffusion_number * grid.dx**2 / (params.mu / rho_min)
     return dt_adv, dt_diff
 
@@ -399,7 +406,7 @@ def dt_cases(draw):
     dt_adv, _ = reference_dt_bounds(state, params, scheme, grid)
     # diffusivity at which the two bounds are equal
     even = scheme.diffusion_number * grid.dx**2 / dt_adv
-    rho_min = max(float(state.rho.min()), viscous_floor(params.rho_bar))
+    rho_min = max(float(state.rho.min()), reference_floor(params.rho_bar))
     diffusive = draw(st.booleans())
     if diffusive:
         mu = rho_min * even * draw(st.floats(2.0, 100.0))
@@ -653,7 +660,7 @@ def test_diffuse_matches_the_previous_recursion(s, preset, state, params, grid):
     # the (w, b) stages and the earlier (m, b) ones differ only by rounding;
     # tau is the longest step s viscous stages keep stable, and the b block
     # takes its own count, never more
-    weighted = float(state.rho.min()) < viscous_floor(params.rho_bar)
+    weighted = float(state.rho.min()) < reference_floor(params.rho_bar)
     assert weighted == (preset == "interior_vacuum")
     dt_diffusive = _diffusive_dt(state, params, SchemeConfig(), grid)
     tau = dt_diffusive * (s * s + s - 2) / 4.0

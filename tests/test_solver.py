@@ -295,6 +295,17 @@ class TestRun:
         with pytest.raises(BoundaryMonitorError):
             run(spec, params, scheme, grid)
 
+    @pytest.mark.parametrize("field", ["rho", "mom", "b"])
+    @pytest.mark.parametrize("node", [0, 2, -3, -1])
+    def test_boundary_monitor_fails_closed_on_nan(self, params, grid, field, node):
+        # max(0.0, nan) is 0.0, so a NaN edge node would read as the far field
+        state = constant_state(grid, params)
+        getattr(state, field)[node] = np.nan
+        with pytest.raises(NumericalError) as err:
+            solver.check_boundary(state, params)
+        assert err.value.node == node % grid.n_cells
+        assert solver.check_boundary(constant_state(grid, params), params) == 0.0
+
     def test_accumulators_monotone(self, params, grid, gaussian_spec):
         _, record = run(gaussian_spec, params, SchemeConfig(t_end=0.3, n_samples=10),
                         grid)
