@@ -25,9 +25,7 @@ from .diagnostics import (
     momentum_potential,
     nu_independence_report,
     sample,
-    total_energy,
     weighted_energy,
-    weighted_l2,
 )
 from .errors import BoundaryMonitorError, ConfigError, NumericalError, SimulationError
 from .limit_study import (

@@ -3,12 +3,12 @@
 Exit codes:
     0  success (verify: every check passed)
     1  a verify check, a sweep member or its guard pair failed, or an unexpected error
-    2  configuration error (parse or validation)
+    2  configuration error (parse or validation), or an output directory that cannot be made
     3  simulate: numerical failure (non-finite state or tendency)
     4  simulate: boundary-monitor abort (perturbation reached the domain edge)
 
-The output directory is the --output-dir flag, else the configuration's
-output_dir.
+The output directory is --output-dir (default mhd1d_out); it is made right
+after the configuration loads, before any integration.
 All file writes are whole-file atomic (write to a temp name, then rename).
 """
 
@@ -39,7 +39,6 @@ EXIT_BOUNDARY = 4
 
 
 def _atomic_write(path: Path, text: str):
-    path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
@@ -85,6 +84,7 @@ def _write_manifest(outdir: Path, config: RunConfig, started: str, outputs: list
         "boundary_monitor": "tripped" if tripped else "ok",
         "outputs": sorted(outputs),
         "telemetry": telemetry,
+        "jobs": config.jobs,
         "wall_s": wall_s,
         "notes": {
             "sampling": "dissipation accumulators advance every step; sampled "
@@ -103,10 +103,21 @@ def _write_manifest(outdir: Path, config: RunConfig, started: str, outputs: list
     _atomic_write(outdir / "manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
+def _load_run(args) -> tuple[RunConfig, Path]:
+    """The configuration and the output directory, made before any integration."""
+    config = load_config(args.config)
+    outdir = Path(args.output_dir)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        problem = f"cannot create output directory {outdir}: {exc.strerror or exc}"
+        raise ConfigError([problem]) from exc
+    return config, outdir
+
+
 def cmd_simulate(args) -> int:
     started = _utcnow()
-    config = load_config(args.config)
-    outdir = Path(args.output_dir or config.output_dir)
+    config, outdir = _load_run(args)
     start = time.perf_counter()
     final = error = None
     telemetry = RunTelemetry()
@@ -136,10 +147,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     started = _utcnow()
-    config = load_config(args.config)
-    outdir = Path(args.output_dir or config.output_dir)
+    config, outdir = _load_run(args)
     start = time.perf_counter()
-    result = sweep(config, jobs=args.jobs or config.jobs)
+    result = sweep(config)
     integrated = time.perf_counter()
 
     outputs = ["report.json"]
@@ -194,12 +204,6 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _positive_int(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return int(text)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mhd1d",
@@ -208,22 +212,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"mhd1d {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    run_options = argparse.ArgumentParser(add_help=False)
+    run_options.add_argument("--config", required=True, help="path to a JSON run configuration")
+    run_options.add_argument("--output-dir", default="mhd1d_out",
+                             help="output directory (default: %(default)s)")
 
-    p_sim = sub.add_parser("simulate", help="integrate one configuration and write diagnostics")
-    p_sim.add_argument("--config", required=True, help="path to a JSON run configuration")
-    p_sim.add_argument("--output-dir", default=None, help="override the output directory")
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_swp = sub.add_parser("sweep", help="matched resistive/non-resistive runs over nu_list")
-    p_swp.add_argument("--config", required=True, help="path to a JSON run configuration")
-    p_swp.add_argument("--output-dir", default=None, help="override the output directory")
-    p_swp.add_argument("--jobs", type=_positive_int, default=None,
-                       help="with 2 or more, run the guard pair in a worker process beside "
-                            "the sweep group (default: the configuration's jobs)")
-    p_swp.set_defaults(func=cmd_sweep)
-
-    p_ver = sub.add_parser("verify", help="run the built-in verification battery")
-    p_ver.set_defaults(func=cmd_verify)
+    sub.add_parser("simulate", parents=[run_options],
+                   help="integrate one configuration and write diagnostics"
+                   ).set_defaults(func=cmd_simulate)
+    sub.add_parser("sweep", parents=[run_options],
+                   help="matched resistive/non-resistive runs over nu_list"
+                   ).set_defaults(func=cmd_sweep)
+    sub.add_parser("verify", help="run the built-in verification battery"
+                   ).set_defaults(func=cmd_verify)
     return parser
 
 
@@ -231,7 +232,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:  # simulate and sweep load their configuration first
+    except ConfigError as exc:  # raised by _load_run, before any integration
         print(exc, file=sys.stderr)
         return EXIT_CONFIG
 

@@ -1,8 +1,8 @@
 """Run configuration: JSON schema, validation, canonical serialization.
 
 A configuration file is a JSON object with optional sections ``physics``,
-``scenario``, ``grid``, ``scheme`` and optional top-level ``nu_list``,
-``output_dir``, ``jobs``.  Every omitted entry takes the documented default,
+``scenario``, ``grid``, ``scheme`` and optional top-level ``nu_list`` and
+``jobs``.  Every omitted entry takes the documented default,
 so ``{}`` is a valid configuration.  The non-resistive system is the
 resistive one at ``physics.nu = 0``; it has no spelling of its own.
 Validation collects every violation (with its field path) before failing.
@@ -32,21 +32,19 @@ DEFAULTS = {
     "grid": {"half_width": 20.0, "n_cells": 2048},
     "scheme": _section(SchemeConfig),
     "nu_list": [1e-2, 3e-3, 1e-3, 3e-4, 1e-4],
-    "output_dir": "mhd1d_out",
     "jobs": 1,
 }
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Every input of ``simulate`` and ``sweep``; ``fingerprint`` identifies them all."""
+    """Every input of ``simulate`` and ``sweep``; ``canonical`` holds those that set a number."""
 
     params: PhysParams
     spec: ScenarioSpec
     grid: Grid1D
     scheme: SchemeConfig
     nu_list: tuple = tuple(DEFAULTS["nu_list"])
-    output_dir: str = "mhd1d_out"
     jobs: int = 1
 
     def as_dict(self) -> dict:
@@ -56,13 +54,18 @@ class RunConfig:
             "grid": {"half_width": self.grid.half_width, "n_cells": self.grid.n_cells},
             "scheme": _section(self.scheme),
             "nu_list": list(self.nu_list),
-            "output_dir": self.output_dir,
             "jobs": self.jobs,
         }
 
     def canonical(self) -> str:
-        """Order-stable serialization; its hash identifies the configuration."""
-        return json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
+        """Order-stable serialization of the inputs that set a number; its hash identifies them.
+
+        ``jobs`` sets only the wall time; ``nu_list`` is in ``sweep``'s descending run order.
+        """
+        d = self.as_dict()
+        del d["jobs"]
+        d["nu_list"].sort(reverse=True)
+        return json.dumps(d, sort_keys=True, separators=(",", ":"))
 
     def fingerprint(self) -> str:
         return hashlib.sha256(self.canonical().encode()).hexdigest()
@@ -156,10 +159,6 @@ def parse_config(raw: dict) -> RunConfig:
         if len(problems) == given and len(set(nu_list)) != len(nu_list):
             problems.append("nu_list: values must be distinct")
 
-    output_dir = raw.get("output_dir", DEFAULTS["output_dir"])
-    if not isinstance(output_dir, str) or not output_dir:
-        problems.append("output_dir: expected a non-empty string")
-
     jobs = raw.get("jobs", DEFAULTS["jobs"])
     if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
         problems.append(f"jobs: expected a positive integer, got {jobs!r}")
@@ -171,7 +170,7 @@ def parse_config(raw: dict) -> RunConfig:
     if problems:
         raise ConfigError(problems)
     return RunConfig(params=params, spec=spec, grid=grid, scheme=scheme,
-                     nu_list=tuple(float(v) for v in nu_list), output_dir=output_dir, jobs=jobs)
+                     nu_list=tuple(float(v) for v in nu_list), jobs=jobs)
 
 
 def load_config(path: str) -> RunConfig:

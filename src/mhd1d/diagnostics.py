@@ -83,12 +83,6 @@ def _weighted_l2_of_square(square: FieldScalar, weight: FieldScalar, dx: float) 
     return float(np.sqrt((square * weight).sum() * dx))
 
 
-def weighted_l2(values: FieldScalar, alpha: float, grid: Grid1D) -> float:
-    """(sum f^2 |x|^alpha dx)^(1/2)."""
-    f = np.asarray(values, dtype=float)
-    return _weighted_l2_of_square(f**2, _spreading_weight(grid, alpha), grid.dx)
-
-
 def energy_density(state: State, params: PhysParams) -> FieldScalar:
     """Pointwise rho*u^2/2 + Phi(rho) + (b - b_bar)^2/2."""
     u = state.velocity()
@@ -97,11 +91,6 @@ def energy_density(state: State, params: PhysParams) -> FieldScalar:
         + potential_energy(state.rho, params.gamma, params.rho_bar)
         + 0.5 * (state.b - params.b_bar) ** 2
     )
-
-
-def total_energy(state: State, params: PhysParams, grid: Grid1D) -> float:
-    """Trapezoid integral of the energy density; zero only at the far-field state."""
-    return float(np.trapezoid(energy_density(state, params), dx=grid.dx))
 
 
 def weighted_energy(state: State, params: PhysParams, grid: Grid1D) -> float:
@@ -304,7 +293,7 @@ def sample(state: State, rhs_output, params: PhysParams, grid: Grid1D,
     """
     u = state.velocity()
     b_pert = state.b - params.b_bar
-    energy = energy_density(state, params)  # total_energy's and weighted_energy's integrand
+    energy = energy_density(state, params)  # weighted_energy's integrand, unweighted
     udot = material_derivative(state, velocity_tendency(state, rhs_output), grid)
     return {
         "t": state.t,
@@ -385,15 +374,6 @@ class NuIndependenceReport:
     def flagged(self) -> list:
         return [r.name for r in self.rows if r.flagged]
 
-    def to_text(self) -> str:
-        nus = ", ".join(f"{v:g}" for v in self.nu_values)
-        lines = [f"{'quantity':<24} {'spread':>10}  flag  values (nu = [{nus}])"]
-        for r in self.rows:
-            tag = "EXCL" if r.excluded else ("FLAG" if r.flagged else "ok")
-            vals = " ".join(f"{v:.6e}" for v in r.values)
-            lines.append(f"{r.name:<24} {r.spread:>10.3e}  {tag:<4}  {vals}")
-        return "\n".join(lines)
-
 
 def _relative_spread(values: np.ndarray) -> float:
     top = float(np.max(np.abs(values)))
@@ -430,9 +410,7 @@ __all__ = [
     "COLUMNS",
     "SPREAD_TOLERANCE",
     "lp_norm",
-    "weighted_l2",
     "energy_density",
-    "total_energy",
     "weighted_energy",
     "momentum_potential",
     "velocity_tendency",

@@ -256,18 +256,18 @@ def _unfit_reason(nus: list) -> str | None:
     return None
 
 
-def sweep(config: RunConfig, jobs: int = 1) -> SweepResult:
+def sweep(config: RunConfig) -> SweepResult:
     """Run one lockstep group over ``config.nu_list``, fit the rates, apply the guard.
 
     The group holds one resistive member per nu and a shared non-resistive
     reference.  Failed members are marked and excluded from the fit; a failed
     guard pair is marked in ``report.guard`` the same way, and nothing raises.
-    The guard runs exactly when the fit does.  With jobs > 1 its doubled-grid
-    pair runs in a worker process beside the group, started whenever the nu
-    list allows a fit; its result, a failure included, is used only if the
-    guard is due, so the report does not depend on ``jobs``.
-    ``jobs`` is separate from ``config.jobs`` so that ``sweep --jobs`` can
-    override it without changing the fingerprint the report carries.
+    The guard runs exactly when the fit does.  With ``config.jobs`` > 1 its
+    doubled-grid pair runs in a worker process beside the group, started
+    whenever the nu list allows a fit; its result, a failure included, is
+    used only if the guard is due, so the report does not depend on ``jobs``.
+    The spawned worker re-imports the caller's main module, which therefore
+    needs an ``if __name__ == "__main__":`` guard.
     """
     requested = [float(v) for v in config.nu_list]
     nus = sorted(set(requested), reverse=True)
@@ -276,7 +276,7 @@ def sweep(config: RunConfig, jobs: int = 1) -> SweepResult:
     if not all(v > 0 for v in nus):  # nu = 0 is the shared reference, not a member
         raise ValueError("nu values must be positive")
 
-    early = jobs > 1 and _unfit_reason(nus) is None
+    early = config.jobs > 1 and _unfit_reason(nus) is None
     # spawn, not fork: the worker starts from a fresh import of this package
     with (multiprocessing.get_context("spawn").Pool(1) if early
           else contextlib.nullcontext()) as pool:

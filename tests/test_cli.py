@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -108,8 +109,11 @@ class TestConfig:
         assert c1.fingerprint() == c2.fingerprint()
         # pinned: the canonical form of the defaults and of the benchmark's
         # seed-0 sweep configuration must not drift
-        defaults = "f13b4d5b9bcdc3137f2cfc599447688d09bb03b08805464026a9a47ec7074c55"
+        defaults = "556168f424470036089dea506ae42327421d2cb668fe419accc94440a4ae960a"
         assert parse_config({}).fingerprint() == defaults
+        # jobs sets no number, and the sweep runs nu_list in descending order
+        shuffled = {"jobs": 2, "nu_list": [1e-4, 1e-2, 3e-4, 3e-3, 1e-3]}
+        assert parse_config(shuffled).fingerprint() == defaults
         sweep_seed0 = {
             "physics": {"mu": 0.1, "nu": 1e-3},
             "scenario": {"preset": "gaussian_bump", "a_rho": 0.2, "a_u": 0.2, "a_b": 0.2,
@@ -128,7 +132,7 @@ def _unreadable(tmp_path, kind):
     if kind == "directory":
         return tmp_path, "Is a directory"
     path = tmp_path / "latin1.json"
-    path.write_bytes(b'{"output_dir": "\xe9t\xe9"}')
+    path.write_bytes(b'{"scenario": {"preset": "\xe9t\xe9"}}')
     return path, "not UTF-8 text"
 
 
@@ -152,6 +156,31 @@ def test_mode_is_an_unknown_field(command, tmp_path, capsys):
     assert main([command, "--config", cfg, "--output-dir", str(out)]) == 2
     assert "  - mode: unknown field" in capsys.readouterr().err.splitlines()
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_output_dir_is_an_unknown_field(command, tmp_path, capsys):
+    # the output directory is spelled --output-dir, and only so
+    cfg = write_config(tmp_path, {"output_dir": str(tmp_path / "o")})
+    assert main([command, "--config", cfg, "--output-dir", str(tmp_path / "p")]) == 2
+    assert "  - output_dir: unknown field" in capsys.readouterr().err.splitlines()
+    assert not (tmp_path / "o").exists() and not (tmp_path / "p").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("below, reason", [("", "File exists"), ("sub", "Not a directory")],
+                         ids=["file", "below-file"])
+def test_output_dir_that_cannot_be_made_fails_before_integration(
+        command, below, reason, tmp_path, monkeypatch, capsys):
+    for name in ("run", "sweep"):
+        monkeypatch.setattr(cli, name, lambda *args, **kwargs: pytest.fail("integration ran"))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / below if below else blocker
+    cfg = write_config(tmp_path, SMALL)
+    assert main([command, "--config", cfg, "--output-dir", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "invalid configuration:", f"  - cannot create output directory {out}: {reason}"]
 
 
 class TestSimulateCommand:
@@ -286,9 +315,10 @@ class TestSimulateCommand:
         ({"nu_list": [1e-2, 1e-3, 1e-4, 0]}, "nu_list[3]: must be positive, got 0"),
         ({"nu_list": [1e-2, -1e-3, 1e-4]}, "nu_list[1]: must be positive, got -0.001"),
         ({"jobs": True}, "jobs: expected a positive integer, got True"),
+        ({"jobs": 0}, "jobs: expected a positive integer, got 0"),
     ], ids=["t_end-nan", "t_end-inf", "half_width-inf", "mu-inf", "b_bar-nan", "a_u-nan",
             "nu_list-nan", "nu_list-bool", "nu_list-list", "nu_list-zero", "nu_list-negative",
-            "jobs-bool"])
+            "jobs-bool", "jobs-zero"])
     def test_non_finite_or_boolean_number_is_a_config_error(self, payload, line, tmp_path, capsys):
         payload = {**payload, "grid": {**payload.get("grid", {}), "n_cells": 7}}
         cfg = write_config(tmp_path, payload)
@@ -305,6 +335,8 @@ class TestSimulateCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         reloaded = parse_config(json.loads(manifest["config_canonical"]))
         assert reloaded.fingerprint() == manifest["config_fingerprint"]
+        # with jobs, which the canonical form leaves out, the manifest holds the whole config
+        assert replace(reloaded, jobs=manifest["jobs"]) == load_config(cfg)
 
 
 class TestSweepCommand:
@@ -372,7 +404,7 @@ class TestSweepCommand:
                   "nu_list": [1e-2, 1e-3, 1e-4]}
         cfg = write_config(tmp_path, config)
         plain = tmp_path / "plain"
-        assert main(["sweep", "--config", cfg, "--output-dir", str(plain), "--jobs", "1"]) == 0
+        assert main(["sweep", "--config", cfg, "--output-dir", str(plain)]) == 0
         check_boundary = solver.check_boundary
 
         def tripping(state, params):
@@ -383,8 +415,8 @@ class TestSweepCommand:
         monkeypatch.setattr(solver, "check_boundary", tripping)
         capsys.readouterr()
         out = tmp_path / "swp"
-        # --jobs 1: a spawned guard worker would not see the patch
-        assert main(["sweep", "--config", cfg, "--output-dir", str(out), "--jobs", "1"]) == 1
+        # jobs 1, the default: a spawned guard worker would not see the patch
+        assert main(["sweep", "--config", cfg, "--output-dir", str(out)]) == 1
         captured = capsys.readouterr()
         assert "guard failed: BoundaryMonitorError" in captured.err
         assert "guard_ratio" not in captured.out
@@ -423,8 +455,8 @@ class TestSweepCommand:
 
         monkeypatch.setattr(solver, "check_boundary", tripping)
         out = tmp_path / "swp"
-        # --jobs 1: a spawned guard worker would not see the patch
-        assert main(["sweep", "--config", cfg, "--output-dir", str(out), "--jobs", "1"]) == 1
+        # jobs 1, the default: a spawned guard worker would not see the patch
+        assert main(["sweep", "--config", cfg, "--output-dir", str(out)]) == 1
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "failed"
         assert manifest["boundary_monitor"] == "tripped"
@@ -444,15 +476,20 @@ class TestSweepCommand:
             name = f"diag_nu_{nu:g}.csv"
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
-    @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
-    def test_jobs_below_one_rejected_before_integration(self, jobs, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "sweep", lambda *args, **kwargs: pytest.fail("sweep ran"))
-        cfg = write_config(tmp_path, SMALL)
-        with pytest.raises(SystemExit) as info:
-            main(["sweep", "--config", cfg, "--output-dir", str(tmp_path / "o"), "--jobs", jobs])
-        assert info.value.code == 2
-        assert "--jobs: expected a positive integer" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
+    def test_jobs_and_nu_order_change_no_output(self, tmp_path):
+        # jobs sets only the wall time, and the sweep runs nu_list in descending order
+        variants = {"plain": SMALL, "jobs2": {**SMALL, "jobs": 2},
+                    "reversed": {**SMALL, "nu_list": SMALL["nu_list"][::-1]}}
+        outputs = {}
+        for name, payload in variants.items():
+            cfg = write_config(tmp_path, payload, f"{name}.json")
+            assert main(["sweep", "--config", cfg, "--output-dir", str(tmp_path / name)]) == 0
+            outputs[name] = {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()
+                             if p.name != "manifest.json"}
+        assert outputs["jobs2"] == outputs["plain"] == outputs["reversed"]
+        manifest = json.loads((tmp_path / "jobs2" / "manifest.json").read_text())
+        assert manifest["jobs"] == 2
+        assert "jobs" not in json.loads(manifest["config_canonical"])
 
     def test_single_nu_fit_skipped(self, tmp_path):
         payload = dict(SMALL)

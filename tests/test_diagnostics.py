@@ -22,11 +22,9 @@ from mhd1d import (
     run,
     sample,
     tendencies,
-    total_energy,
     weighted_energy,
-    weighted_l2,
 )
-from mhd1d.diagnostics import COLUMNS, Accumulators, central_tendencies
+from mhd1d.diagnostics import COLUMNS, Accumulators, central_tendencies, energy_density
 
 
 class TestLpNorm:
@@ -57,19 +55,17 @@ class TestLpNorm:
 
 
 class TestWeightedL2:
-    def test_zero(self, grid):
-        assert weighted_l2(np.zeros(grid.n_cells), 2.0, grid) == 0.0
-
-    def test_support_at_origin_node(self):
+    def test_support_at_origin_node(self, params):
         grid = Grid1D(10.0, 65)
-        f = np.zeros(65)
-        f[32] = 5.0  # node exactly at x = 0, weight vanishes there
-        assert weighted_l2(f, 1.5, grid) == 0.0
+        b = np.full(65, params.b_bar)
+        b[32] += 5.0  # node exactly at x = 0, weight vanishes there
+        s = State(rho=np.full(65, params.rho_bar), mom=np.zeros(65), b=b)
+        assert weighted_energy(s, params, grid) == 0.0
 
-    def test_constant_field_alpha2(self):
-        grid = Grid1D(10.0, 4096)
-        value = weighted_l2(np.ones(grid.n_cells), 2.0, grid)
-        assert value == pytest.approx(math.sqrt(2.0 * 10.0**3 / 3.0), rel=1e-5)
+
+def total_energy(state, params, grid):
+    """Trapezoid integral of the energy density."""
+    return float(np.trapezoid(energy_density(state, params), dx=grid.dx))
 
 
 class TestEnergies:
@@ -314,8 +310,3 @@ class TestNuIndependence:
         entries = [(nu, self._record()) for nu in (1e-2, 5e-3, 2e-3)]
         with pytest.raises(ValueError, match="decades"):
             nu_independence_report(entries)
-
-    def test_report_text_lists_all_quantities(self):
-        entries = [(nu, self._record()) for nu in (1e-2, 1e-3, 1e-4)]
-        text = nu_independence_report(entries).to_text()
-        assert "sup_rho" in text and "diss_b" in text and "EXCL" in text

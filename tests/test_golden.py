@@ -52,13 +52,13 @@ CASES = {
 }
 
 
-def _produce(case: str, workdir: Path, extra: tuple = ()) -> dict[str, bytes]:
-    """Run one case; return every output except the (timed) manifest."""
+def _produce(case: str, workdir: Path, overrides: dict | None = None) -> dict[str, bytes]:
+    """Run one case, ``overrides`` set in its config; return every output but the timed manifest."""
     command, config = CASES[case]
     cfg = workdir / f"{case}.json"
-    cfg.write_text(json.dumps(config))
+    cfg.write_text(json.dumps({**config, **(overrides or {})}))
     outdir = workdir / case
-    assert main([command, "--config", str(cfg), "--output-dir", str(outdir), *extra]) == 0
+    assert main([command, "--config", str(cfg), "--output-dir", str(outdir)]) == 0
     return {p.name: p.read_bytes() for p in sorted(outdir.iterdir()) if p.name != "manifest.json"}
 
 
@@ -102,15 +102,15 @@ def _assert_table_close(actual: str, expected: str, where: str):
                            f"column {bad[0][1]}: {a[tuple(bad[0])]!r} != {e[tuple(bad[0])]!r}")
 
 
-@pytest.mark.parametrize("case, extra", [
-    pytest.param("criterion10_sweep", (), id="criterion10_sweep"),
+@pytest.mark.parametrize("case, overrides", [
+    pytest.param("criterion10_sweep", None, id="criterion10_sweep"),
     # the guard's doubled-grid pair runs in a worker process; the outputs must not change
-    pytest.param("criterion10_sweep", ("--jobs", "2"), id="criterion10_sweep-jobs2"),
-    pytest.param("interior_vacuum_simulate", (), id="interior_vacuum_simulate"),
+    pytest.param("criterion10_sweep", {"jobs": 2}, id="criterion10_sweep-jobs2"),
+    pytest.param("interior_vacuum_simulate", None, id="interior_vacuum_simulate"),
 ])
-def test_outputs_match_golden(case, extra, tmp_path):
+def test_outputs_match_golden(case, overrides, tmp_path):
     recorded = json.loads((GOLDEN / "golden.json").read_text())
-    outputs = _produce(case, tmp_path, extra)
+    outputs = _produce(case, tmp_path, overrides)
     expected_dir = GOLDEN / case
     assert sorted(outputs) == sorted(p.name for p in expected_dir.iterdir())
     for name, data in outputs.items():

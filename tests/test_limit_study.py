@@ -260,7 +260,7 @@ class TestSweep:
             assert nu1 == nu2 and r1.to_csv() == r2.to_csv()
 
     def test_parallel_matches_serial(self, small_config, small_sweep):
-        parallel = sweep(small_config, jobs=2)
+        parallel = sweep(replace(small_config, jobs=2))
         assert parallel.report.to_json() == small_sweep.report.to_json()
         assert ([(nu, r.to_csv()) for nu, r in parallel.records]
                 == [(nu, r.to_csv()) for nu, r in small_sweep.records])

@@ -47,6 +47,8 @@ settings.register_profile("default", max_examples=60, derandomize=True, deadline
 settings.register_profile("explore", max_examples=300, deadline=None, database=None,
                           suppress_health_check=[HealthCheck.too_slow])
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+# the lockstep-group properties run several members per example, so they draw
+# a share of the loaded profile's budget: 15, 15 and 6 by default
 
 
 @st.composite
@@ -173,7 +175,7 @@ def _bits(entries) -> list[str]:
     return [repr(e.as_dict()) for e in entries]
 
 
-@settings(max_examples=15)
+@settings(max_examples=settings().max_examples // 4)
 @given(configs(), st.lists(resistivities, min_size=2, max_size=3, unique=True))
 def test_lockstep_group_is_independent_of_order_and_recording(raw, nus):
     config = parse_config(raw)
@@ -199,14 +201,14 @@ def test_lockstep_group_is_independent_of_order_and_recording(raw, nus):
     assert ConvergenceReport.from_json(report.to_json()) == report
 
 
-@settings(max_examples=15)
+@settings(max_examples=settings().max_examples // 4)
 @given(configs(), resistivities)
 def test_members_of_equal_resistivity_are_bit_identical(raw, nu):
     first, second = run_group([nu, nu], parse_config(raw), recorded=False)[0]
     assert _bits([first]) == _bits([second])
 
 
-@settings(max_examples=6)
+@settings(max_examples=settings().max_examples // 10)
 @given(configs(), st.floats(1e-5, 1e-4), st.sampled_from((0, 1, 2, 3, "guard")))
 def test_a_failed_member_or_guard_is_marked_and_never_raises(raw, nu_min, trip):
     # four resistivities over three decades, so that the fit, and with it the

@@ -17,9 +17,8 @@ from mhd1d import (
     run,
     step,
     tendencies,
-    total_energy,
 )
-from mhd1d.diagnostics import COLUMNS, DiagnosticsRecord, RunTelemetry
+from mhd1d.diagnostics import COLUMNS, DiagnosticsRecord, RunTelemetry, energy_density
 from mhd1d.errors import BoundaryMonitorError, NumericalError, SimulationError
 from mhd1d import solver
 from mhd1d.solver import (
@@ -278,7 +277,7 @@ class TestRun:
         final, record = run(gaussian_spec, params, scheme, grid)
         e = record.column("energy")
         assert e[-1] <= e[0] * (1.0 + 1e-6)
-        assert total_energy(final, params, grid) == pytest.approx(e[-1])
+        assert np.trapezoid(energy_density(final, params), dx=grid.dx) == pytest.approx(e[-1])
 
     def test_no_clipping_on_standard_presets(self, params, grid):
         for preset, a_b in (("gaussian_bump", 0.2), ("interior_vacuum", -params.b_bar)):
