@@ -158,7 +158,8 @@ def cmd_sweep(args) -> int:
         _atomic_write(outdir / name, record.to_csv())
         outputs.append(name)
     _atomic_write(outdir / "report.json", result.report.to_json())
-    wall_s = {"integrate": integrated - start, "write": time.perf_counter() - integrated}
+    wall_s = {"integrate": integrated - start, **result.wall_s,
+              "write": time.perf_counter() - integrated}
     r = result.report
     guard = r.guard.telemetry if r.guard is not None else None
     telemetry = {

@@ -22,6 +22,7 @@ from __future__ import annotations
 import contextlib
 import json
 import multiprocessing
+import time
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -218,6 +219,7 @@ class SweepResult:
     report: ConvergenceReport
     records: list  # (nu, DiagnosticsRecord) for the resistive members
     telemetry: RunTelemetry  # counters of the lockstep group, summed over its re-runs
+    wall_s: dict = field(default_factory=dict)  # "group", and "guard" when the fit ran
 
 
 def _sweep_group(nus: list, config: RunConfig, recorded=True) -> tuple[list, list, RunTelemetry]:
@@ -282,7 +284,9 @@ def sweep(config: RunConfig) -> SweepResult:
           else contextlib.nullcontext()) as pool:
         early_guard = (pool.apply_async(_sweep_group, ([min(nus)], _doubled(config), False))
                        if pool is not None else None)
+        start = time.perf_counter()
         entries, records, telemetry = _sweep_group(nus, config)
+        wall_s = {"group": time.perf_counter() - start}
 
         report = ConvergenceReport(nu_values=nus, entries=entries,
                                    config_fingerprint=config.fingerprint())
@@ -301,11 +305,13 @@ def sweep(config: RunConfig) -> SweepResult:
             report.superlinear_flagged = report.slope > SUPERLINEAR_SLOPE
 
             smallest = min(good, key=lambda e: e.nu)
+            start = time.perf_counter()  # with a worker, the wait for its result
             if early_guard is not None and smallest.nu == min(nus):
                 report.guard = _guard_result(smallest.e_total, early_guard.get())
             else:
                 report.guard = grid_pollution_guard(smallest.nu, smallest.e_total, config)
-    return SweepResult(report=report, records=records, telemetry=telemetry)
+            wall_s["guard"] = time.perf_counter() - start
+    return SweepResult(report=report, records=records, telemetry=telemetry, wall_s=wall_s)
 
 
 __all__ = [

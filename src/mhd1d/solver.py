@@ -99,28 +99,44 @@ class _Workspace:
     the next call, which costs more than the arithmetic.  Temporaries of
     different phases share one scratch block: the limiter's, then the
     flux and wave-speed ones, then the interface flux and jump, each set
-    dead before the next is written.
+    dead before the next is written.  Every view of these arrays that ``rhs``
+    and the limiter read or write is sliced here once, not once per call.
     """
 
     def __init__(self, n: int):
         w = n + 4
         self.n = n
-        self.ext = np.empty((3, w))                 # fields plus two ghosts per side
+        self.ext = ext = np.empty((3, w))           # fields plus two ghosts per side
+        self.rows = tuple(ext[:, 2:-2])             # the interior of each field
+        self.ghosts = ext[:, :2], ext[:, -2:]
+        self.far = np.zeros((3, 1))                 # far-field column (rho_bar, 0, b_bar)
         self.half_slope = np.zeros((3, w))          # [field, extended cell - 1]
-        self.faces = np.ones((3, 2, w))             # [field, left/right, interface]
-        self.flux = np.empty((3, 2, w))
+        self.faces = faces = np.ones((3, 2, w))     # [field, left/right, interface]
+        flux = np.empty((3, 2, w))                  # [field, left/right, interface]
         self.half_a = np.empty(w)
         self.finite = np.empty((3, n), dtype=bool)
         scratch = np.empty(10 * w)
         # slope limiter, on the flattened stack
+        flat = ext.reshape(-1)
+        self.flat_shifts = flat[1:], flat[:-1]
         self.half_diff = scratch[:3 * w - 1]        # halved neighbour differences
+        self.diff_shifts = self.half_diff[:-1], self.half_diff[1:]
         self.lo = scratch[3 * w:6 * w - 2]
         self.hi = scratch[6 * w:9 * w - 2]
+        self.limited = self.half_slope.reshape(-1)[:3 * w - 2]
+        # interface states: cell values and half-slopes either side of each interface
+        self.cells = ext[:, 1:n + 2], ext[:, 2:n + 3]
+        self.slopes = self.half_slope[:, :n + 1], self.half_slope[:, 1:n + 2]
+        self.sides = faces[:, 0, :n + 1], faces[:, 1, :n + 1]
+        self.face_rows, self.face_jump = tuple(faces), (faces[:, 1], faces[:, 0])  # q_r, q_l
+        self.flux_rows, self.flux_sides = tuple(flux), (flux[:, 0], flux[:, 1])
         # flux and wave speed, both sides at once
         self.rho_safe, self.u, self.pressure, self.work, self.speed = \
             scratch.reshape(5, 2, w)
+        self.speed_sides = tuple(self.speed)
         # interface flux
         self.f_hat, self.jump = scratch[:6 * w].reshape(2, 3, w)
+        self.f_hat_shifts = self.f_hat[:, 1:n + 1], self.f_hat[:, :n]
 
 
 _workspace: _Workspace | None = None
@@ -147,14 +163,13 @@ def _half_minmod_slopes(ws: _Workspace) -> np.ndarray:
     smaller magnitude when their signs agree and 0 otherwise; no product is
     formed, so two tiny slopes of one sign never give 0 by underflow.
     """
-    flat = ws.ext.reshape(-1)
-    d = np.subtract(flat[1:], flat[:-1], out=ws.half_diff)
+    d = np.subtract(*ws.flat_shifts, out=ws.half_diff)
     d *= 0.5
-    a, b = d[:-1], d[1:]
+    a, b = ws.diff_shifts
     lo = np.minimum(a, b, out=ws.lo)
     hi = np.maximum(a, b, out=ws.hi)
     np.minimum(hi, 0.0, out=hi)
-    np.maximum(lo, hi, out=ws.half_slope.reshape(-1)[:len(a)])
+    np.maximum(lo, hi, out=ws.limited)
     return ws.half_slope
 
 
@@ -167,23 +182,21 @@ def rhs(state: State, params: PhysParams, scheme: SchemeConfig, grid: Grid1D) ->
     returned tendencies are fresh arrays.
     """
     n = grid.n_cells
-    dx = grid.dx
     ws = _workspace_for(n)
-    ext = ws.ext
-    ext[0, 2:-2], ext[1, 2:-2], ext[2, 2:-2] = state.rho, state.mom, state.b
-    ext[0, :2] = ext[0, -2:] = params.rho_bar
-    ext[1, :2] = ext[1, -2:] = 0.0
-    ext[2, :2] = ext[2, -2:] = params.b_bar
+    rho_row, mom_row, b_row = ws.rows
+    rho_row[...], mom_row[...], b_row[...] = state.rho, state.mom, state.b
+    ws.far[0], ws.far[2] = params.rho_bar, params.b_bar
+    low, high = ws.ghosts
+    low[...] = high[...] = ws.far
 
-    faces = ws.faces
-    left, right = faces[:, 0, :n + 1], faces[:, 1, :n + 1]
+    left, right = ws.sides
     if scheme.reconstruction == "muscl_minmod":
-        half_slope = _half_minmod_slopes(ws)
-        np.add(ext[:, 1:n + 2], half_slope[:, :n + 1], out=left)
-        np.subtract(ext[:, 2:n + 3], half_slope[:, 1:n + 2], out=right)
+        _half_minmod_slopes(ws)
+        np.add(ws.cells[0], ws.slopes[0], out=left)
+        np.subtract(ws.cells[1], ws.slopes[1], out=right)
     else:
-        left[...], right[...] = ext[:, 1:n + 2], ext[:, 2:n + 3]
-    rho_f, mom_f, b_f = faces
+        left[...], right[...] = ws.cells
+    rho_f, mom_f, b_f = ws.face_rows
     # minmod keeps interface values inside the neighbor range, so negative
     # reconstructed densities can only be rounding residue.
     np.maximum(rho_f, 0.0, out=rho_f)
@@ -198,11 +211,11 @@ def rhs(state: State, params: PhysParams, scheme: SchemeConfig, grid: Grid1D) ->
     pressure = ws.pressure
     pressure[...] = rho_f
     pressure **= gamma
-    flux = ws.flux
-    flux[0] = mom_f
-    f_mom = np.multiply(mom_f, u, out=flux[1])
+    f_rho, f_mom, f_b = ws.flux_rows
+    f_rho[...] = mom_f
+    np.multiply(mom_f, u, out=f_mom)
     f_mom += pressure
-    np.multiply(u, b_f, out=flux[2])
+    np.multiply(u, b_f, out=f_b)
 
     b_sq = np.square(b_f, out=ws.work)
     speed = np.multiply(pressure, gamma, out=ws.speed)
@@ -212,18 +225,18 @@ def rhs(state: State, params: PhysParams, scheme: SchemeConfig, grid: Grid1D) ->
     b_sq *= 0.5
     f_mom += b_sq
     speed += np.abs(u, out=ws.work)
-    half_a = np.maximum(speed[0], speed[1], out=ws.half_a)
+    half_a = np.maximum(*ws.speed_sides, out=ws.half_a)
     half_a *= 0.5
 
     # f_hat = (f_l + f_r)/2 - a/2 * (q_r - q_l), then -(f_hat[1:] - f_hat[:-1])/dx
-    f_hat = np.add(flux[:, 0], flux[:, 1], out=ws.f_hat)
+    f_hat = np.add(*ws.flux_sides, out=ws.f_hat)
     f_hat *= 0.5
-    jump = np.subtract(faces[:, 1], faces[:, 0], out=ws.jump)
+    jump = np.subtract(*ws.face_jump, out=ws.jump)
     jump *= half_a
     f_hat -= jump
     tend = np.empty((3, n))
-    np.subtract(f_hat[:, 1:n + 1], f_hat[:, :n], out=tend)
-    tend /= -dx
+    np.subtract(*ws.f_hat_shifts, out=tend)
+    tend /= -grid.dx
 
     finite = np.isfinite(tend, out=ws.finite)
     if not finite.all():
@@ -253,12 +266,14 @@ class _Diffusion:
         self.field = self.ext[1:-1]
         self.field[...] = y0
         self.grad = np.empty(len(y0) + 1)
+        self.shifts = self.ext[1:], self.ext[:-1], self.grad[1:], self.grad[:-1]
         self.rate = rate
 
     def __call__(self, scale: float, out: np.ndarray | None = None) -> np.ndarray:
         """scale times the rates L at ``field``, (d2 * rate) * scale or d2 * (rate * scale)."""
-        grad = np.subtract(self.ext[1:], self.ext[:-1], out=self.grad)
-        rates = np.subtract(grad[1:], grad[:-1], out=out)
+        ext_hi, ext_lo, grad_hi, grad_lo = self.shifts
+        np.subtract(ext_hi, ext_lo, out=self.grad)
+        rates = np.subtract(grad_hi, grad_lo, out=out)
         if isinstance(self.rate, np.ndarray):  # viscous
             rates *= self.rate
             rates *= scale
@@ -273,20 +288,38 @@ class _Diffusion:
         exactly, their weights summing to one):
             d_1 = l_0 mu~_1 with l_0 = L(Y_0) tau,
             d_j = ((nu_j d_{j-2} + L(Y_0 + d_{j-1}) (mu~_j tau)) + mu_j d_{j-1}) + l_0 gamma~_j.
-        A stage makes at most twelve numpy calls.
+        The stages apply the operator inline, with the arithmetic of
+        ``__call__``: eleven numpy calls per viscous stage, ten per resistive one.
         """
-        y0 = self.y0
+        y0, field, grad, rate = self.y0, self.field, self.grad, self.rate
+        ext_hi, ext_lo, grad_hi, grad_lo = self.shifts
         l0 = self(tau, out=np.empty_like(y0))
         mu1, stages = rkl2_coefficients(s)
-        prev2, prev = np.zeros_like(y0), l0 * mu1
+        prev2, prev = np.zeros(len(y0)), l0 * mu1
         scratch = np.empty_like(y0)
-        for mu, nu, mu_t, gamma_t in stages:
-            np.add(y0, prev, out=self.field)
-            prev2 *= nu  # d_{j-2} is not needed after this stage
-            prev2 += self(mu_t * tau, out=scratch)
-            prev2 += np.multiply(prev, mu, out=scratch)
-            prev2 += np.multiply(l0, gamma_t, out=scratch)
-            prev2, prev = prev, prev2
+        if isinstance(rate, np.ndarray):  # viscous
+            for mu, nu, mu_t, gamma_t in stages:
+                np.add(y0, prev, out=field)
+                prev2 *= nu  # d_{j-2} is not needed after this stage
+                np.subtract(ext_hi, ext_lo, out=grad)
+                rates = np.subtract(grad_hi, grad_lo, out=scratch)
+                rates *= rate
+                rates *= mu_t * tau
+                prev2 += rates
+                prev2 += np.multiply(prev, mu, out=scratch)
+                prev2 += np.multiply(l0, gamma_t, out=scratch)
+                prev2, prev = prev, prev2
+        else:
+            for mu, nu, mu_t, gamma_t in stages:
+                np.add(y0, prev, out=field)
+                prev2 *= nu
+                np.subtract(ext_hi, ext_lo, out=grad)
+                rates = np.subtract(grad_hi, grad_lo, out=scratch)
+                rates *= rate * (mu_t * tau)
+                prev2 += rates
+                prev2 += np.multiply(prev, mu, out=scratch)
+                prev2 += np.multiply(l0, gamma_t, out=scratch)
+                prev2, prev = prev, prev2
         return prev
 
 
@@ -592,11 +625,9 @@ def run(spec: ScenarioSpec, params: PhysParams, scheme: SchemeConfig, grid: Grid
 def save_checkpoint(state: State, grid: Grid1D) -> str:
     """Text checkpoint: header "n_cells L t", then one "x rho mom b" row per
     node in full double precision scientific notation."""
-    lines = [f"{grid.n_cells} {grid.half_width:.17e} {state.t:.17e}"]
-    x = grid.x
-    for i in range(grid.n_cells):
-        lines.append(f"{x[i]:.17e} {state.rho[i]:.17e} {state.mom[i]:.17e} {state.b[i]:.17e}")
-    return "\n".join(lines) + "\n"
+    values = np.column_stack((grid.x, state.rho, state.mom, state.b)).ravel().tolist()
+    return (f"{grid.n_cells} {grid.half_width:.17e} {state.t:.17e}\n"
+            + "%.17e %.17e %.17e %.17e\n" * grid.n_cells % tuple(values))
 
 
 def load_checkpoint(text: str) -> tuple[State, Grid1D]:

@@ -364,6 +364,9 @@ class TestSweepCommand:
         assert pairs["clips"] == guard["clips"] == manifest["clip_count"] == 0
         assert (manifest["status"], manifest["boundary_monitor"]) == ("ok", "ok")
         assert "failures" not in manifest
+        wall = manifest["wall_s"]
+        assert set(wall) == {"integrate", "group", "guard", "write"}
+        assert 0 < wall["group"] + wall["guard"] <= wall["integrate"]
         # the hypotheses of the configured data on the sweep grid, as simulate records them
         assert main(["simulate", "--config", cfg, "--output-dir", str(tmp_path / "sim")]) == 0
         simulated = json.loads((tmp_path / "sim" / "manifest.json").read_text())
@@ -490,6 +493,9 @@ class TestSweepCommand:
         manifest = json.loads((tmp_path / "jobs2" / "manifest.json").read_text())
         assert manifest["jobs"] == 2
         assert "jobs" not in json.loads(manifest["config_canonical"])
+        # the guard's time is the wait for the worker that ran beside the group
+        wall = manifest["wall_s"]
+        assert 0 <= wall["guard"] and wall["group"] + wall["guard"] <= wall["integrate"]
 
     def test_single_nu_fit_skipped(self, tmp_path):
         payload = dict(SMALL)
@@ -503,6 +509,7 @@ class TestSweepCommand:
         assert report["guard"] is None  # skipped, not a passing guard
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["telemetry"]["guard"] is None
+        assert set(manifest["wall_s"]) == {"integrate", "group", "write"}
 
 
 class TestVerifyCommand:

@@ -673,6 +673,37 @@ def test_diffuse_matches_the_previous_recursion(s, preset, state, params, grid):
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
+@pytest.mark.parametrize("nu", [1e-3, 0.0])
+@pytest.mark.parametrize("s", [2, 3, 15, 30])
+@pytest.mark.parametrize("preset, state, params, grid", list(_stage_cases()),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_diffuse_matches_reference_rkl2_bitwise(nu, s, preset, state, params, grid):
+    # both blocks at s stages over the longest step s viscous stages keep
+    # stable, the b block absent at nu = 0
+    params = replace(params, nu=nu)
+    dt_diffusive = _diffusive_dt(state, params, SchemeConfig(), grid)
+    tau = dt_diffusive * (s * s + s - 2) / 4.0
+    assert _resistive_stages(tau, params, SchemeConfig(), grid) <= s
+    assert_same_bits(_diffuse(state, tau, params, grid, s, s),
+                     reference_rkl2(state, tau, params, grid, s, s), names=("rho", "mom", "b"))
+
+
+def test_shared_workspace_follows_far_field_size_and_reconstruction():
+    # rhs slices its views once per grid size; alternating far fields, grid
+    # sizes and reconstructions on the one shared workspace must leave none stale
+    far_fields = ((1.0, 1.0), (1.7, -0.6))
+    for n in (64, 96, 64, 96):
+        grid = Grid1D(20.0, n)
+        for rho_bar, b_bar in far_fields + far_fields:
+            params = PhysParams(rho_bar=rho_bar, b_bar=b_bar)
+            state = build_initial_state(ScenarioSpec(a_u=0.2, a_b=0.3), params, grid)
+            for reconstruction in solver.RECONSTRUCTIONS:
+                scheme = SchemeConfig(reconstruction=reconstruction)
+                assert_same_bits(rhs(state, params, scheme, grid),
+                                 reference_rhs(state, params, scheme, grid))
+                assert solver._workspace.n == n
+
+
 @pytest.mark.parametrize("node", [0, 17, 255])
 def test_non_finite_state_reports_the_reference_node(node, params, grid):
     state = build_initial_state(ScenarioSpec(), params, grid)
