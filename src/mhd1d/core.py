@@ -25,11 +25,11 @@ FieldScalar = np.ndarray
 # wave speeds).  The density itself is never modified.
 RHO_FLOOR = 1e-12
 
-# Fraction of the far-field density used as a lower bound in the viscous
-# velocity recovery and the diffusive bound.  The largest diffusivity of the
-# momentum diffusion is mu/viscous_density(rho_min), so capping the recovery at
-# 0.01*rho_bar bounds the number of super-time-stepping stages a step needs
-# near vacuum while leaving every vacuum-free run untouched.
+# f = VISC_FLOOR_FRACTION * rho_bar sets the viscous density r(rho) near
+# vacuum: r = rho from 2f up, and the C1 blend f + rho^2/(4f) below, so r >= f.
+# The largest diffusivity of the momentum diffusion, mu*rho/r^2, is then at most
+# 9/(8*sqrt(3)) * mu/f, which bounds the number of super-time-stepping stages a
+# step needs near vacuum while leaving every vacuum-free run untouched.
 VISC_FLOOR_FRACTION = 0.01
 
 # Edge deviation from the far field beyond which the truncation is unfaithful and runs abort.
@@ -153,12 +153,38 @@ class RhsOutput:
 
 
 def viscous_density(rho: FieldScalar | float, rho_bar: float) -> FieldScalar | float:
-    """r = max(rho, VISC_FLOOR_FRACTION * rho_bar), the density viscosity divides by.
+    """r(rho), the density viscosity divides by: rho for rho >= 2f, and f + rho^2/(4f)
+    below, f = VISC_FLOOR_FRACTION * rho_bar.
 
-    The diffusive bound mu/r(rho_min) holds for any r >= rho that does not
-    decrease as rho grows: mu*rho/r(rho)^2 <= mu/r(rho) <= mu/r(rho_min).
+    Both pieces meet at rho = 2f with value 2f and slope 1, so r is C1, r >= rho
+    and r >= f, and r does not decrease as rho grows; r is therefore also
+    max(rho, f + min(rho, 2f)^2/(4f)), the form evaluated here.  An array with
+    no node below 2f costs one reduction and one copy: r is rho, bit for bit.
     """
-    return np.maximum(rho, VISC_FLOOR_FRACTION * rho_bar)
+    f = VISC_FLOOR_FRACTION * rho_bar
+    if not isinstance(rho, np.ndarray):  # one density, in Python floats
+        q = min(rho, 2.0 * f)
+        return max(rho, f + q * q / (4.0 * f))
+    if rho.min() >= 2.0 * f:
+        return rho.copy()
+    q = np.minimum(rho, 2.0 * f)
+    return np.maximum(rho, f + q * q / (4.0 * f))
+
+
+def viscous_rate_density(rho_min: float, rho_bar: float) -> float:
+    """The density d with mu/d the largest viscous rate mu*rho/r(rho)^2 over rho >= rho_min.
+
+    From 2f up r = rho and the rate mu/rho peaks at d = rho_min.  Below, with
+    rho = 2f*t, the rate is (2 mu/f) * t/(1 + t^2)^2, which rises to its peak
+    9/(8*sqrt(3)) * mu/f (about 0.65 mu/f) at rho = 2f/sqrt(3) and falls after
+    it, so the peak over rho >= rho_min sits at max(rho_min, 2f/sqrt(3)).
+    """
+    f = VISC_FLOOR_FRACTION * rho_bar
+    if rho_min >= 2.0 * f:
+        return rho_min
+    rho = max(rho_min, 2.0 * f / math.sqrt(3.0))
+    r = viscous_density(rho, rho_bar)
+    return r * r / rho
 
 
 def viscous_velocity(mom: FieldScalar, rho: FieldScalar, rho_bar: float) -> FieldScalar:
@@ -175,9 +201,13 @@ def derivative(values: FieldScalar, dx: float) -> FieldScalar:
     """First derivative: central interior, one-sided second order at the ends."""
     f = np.asarray(values, dtype=float)
     out = np.empty_like(f)
-    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * dx)
-    out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * dx)
-    out[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * dx)
+    two_dx = 2.0 * dx
+    inner = np.subtract(f[2:], f[:-2], out=out[1:-1])
+    inner /= two_dx
+    f0, f1, f2 = f[:3].tolist()  # the edge stencils in Python floats, same rounding
+    g2, g1, g0 = f[-3:].tolist()
+    out[0] = (-3.0 * f0 + 4.0 * f1 - f2) / two_dx
+    out[-1] = (3.0 * g0 - 4.0 * g1 + g2) / two_dx
     return out
 
 
@@ -278,6 +308,7 @@ __all__ = [
     "State",
     "RhsOutput",
     "viscous_density",
+    "viscous_rate_density",
     "viscous_velocity",
     "derivative",
     "second_derivative",

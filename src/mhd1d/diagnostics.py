@@ -64,6 +64,8 @@ SPREAD_TOLERANCE = 0.10
 def lp_norm(values: FieldScalar, p, grid: Grid1D) -> float:
     """Discrete Lp norm: (sum |f|^p dx)^(1/p), or max|f| for p = inf."""
     f = np.asarray(values, dtype=float)
+    if p == 2:  # the sampled norms: |f|^2 is f^2
+        return float((np.add.reduce(np.square(f)) * grid.dx) ** 0.5)
     if p in ("inf", np.inf):
         return float(np.max(np.abs(f))) if f.size else 0.0
     if p not in (2, 4, 6):

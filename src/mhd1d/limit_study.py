@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import contextlib
 import json
-import multiprocessing
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -279,6 +278,8 @@ def sweep(config: RunConfig) -> SweepResult:
         raise ValueError("nu values must be positive")
 
     early = config.jobs > 1 and _unfit_reason(nus) is None
+    if early:  # imported here: a serial sweep, and every other command, never needs it
+        import multiprocessing
     # spawn, not fork: the worker starts from a fresh import of this package
     with (multiprocessing.get_context("spawn").Pool(1) if early
           else contextlib.nullcontext()) as pool:

@@ -37,6 +37,7 @@ from .core import (
     fast_speed_state,
     non_finite_problems,
     viscous_density,
+    viscous_rate_density,
 )
 from .errors import BoundaryMonitorError, NumericalError, SimulationError
 from .scenario import ScenarioSpec, build_initial_state
@@ -293,32 +294,33 @@ class _Diffusion:
         """
         y0, field, grad, rate = self.y0, self.field, self.grad, self.rate
         ext_hi, ext_lo, grad_hi, grad_lo = self.shifts
+        add, subtract, multiply = np.add, np.subtract, np.multiply  # looked up once, not per stage
         l0 = self(tau, out=np.empty_like(y0))
         mu1, stages = rkl2_coefficients(s)
         prev2, prev = np.zeros(len(y0)), l0 * mu1
         scratch = np.empty_like(y0)
         if isinstance(rate, np.ndarray):  # viscous
             for mu, nu, mu_t, gamma_t in stages:
-                np.add(y0, prev, out=field)
+                add(y0, prev, out=field)
                 prev2 *= nu  # d_{j-2} is not needed after this stage
-                np.subtract(ext_hi, ext_lo, out=grad)
-                rates = np.subtract(grad_hi, grad_lo, out=scratch)
+                subtract(ext_hi, ext_lo, out=grad)
+                rates = subtract(grad_hi, grad_lo, out=scratch)
                 rates *= rate
                 rates *= mu_t * tau
                 prev2 += rates
-                prev2 += np.multiply(prev, mu, out=scratch)
-                prev2 += np.multiply(l0, gamma_t, out=scratch)
+                prev2 += multiply(prev, mu, out=scratch)
+                prev2 += multiply(l0, gamma_t, out=scratch)
                 prev2, prev = prev, prev2
         else:
             for mu, nu, mu_t, gamma_t in stages:
-                np.add(y0, prev, out=field)
+                add(y0, prev, out=field)
                 prev2 *= nu
-                np.subtract(ext_hi, ext_lo, out=grad)
-                rates = np.subtract(grad_hi, grad_lo, out=scratch)
+                subtract(ext_hi, ext_lo, out=grad)
+                rates = subtract(grad_hi, grad_lo, out=scratch)
                 rates *= rate * (mu_t * tau)
                 prev2 += rates
-                prev2 += np.multiply(prev, mu, out=scratch)
-                prev2 += np.multiply(l0, gamma_t, out=scratch)
+                prev2 += multiply(prev, mu, out=scratch)
+                prev2 += multiply(l0, gamma_t, out=scratch)
                 prev2, prev = prev, prev2
         return prev
 
@@ -363,9 +365,15 @@ def _advective_dt(state: State, params: PhysParams, scheme: SchemeConfig, grid: 
 
 
 def _diffusive_dt(state: State, params: PhysParams, scheme: SchemeConfig, grid: Grid1D) -> float:
-    """The dx^2 restriction of one explicit stage of the viscous block (not of b's)."""
-    r_min = viscous_density(float(state.rho.min()), params.rho_bar)
-    return scheme.diffusion_number * grid.dx**2 / (params.mu / r_min)
+    """The dx^2 restriction of one explicit stage of the viscous block (not of b's).
+
+    The block's largest rate is at most (mu/d)/dx^2 with d =
+    viscous_rate_density(rho_min), which is rho_min when no node is below 2f.
+    By Gershgorin an explicit stage is stable up to dx^2/(2 mu/d), and
+    diffusion_number is at most 1/2.
+    """
+    d = viscous_rate_density(float(state.rho.min()), params.rho_bar)
+    return scheme.diffusion_number * grid.dx**2 / (params.mu / d)
 
 
 def _resistive_stages(tau: float, params: PhysParams, scheme: SchemeConfig, grid: Grid1D) -> int:
@@ -519,7 +527,7 @@ def run_lockstep(members: list[tuple[State, PhysParams]], scheme: SchemeConfig,
     dt is the smallest advective bound over all members, clipped so that the
     uniform sample times are hit exactly; this keeps records from different
     runs directly comparable.  Every member's viscous block takes the same
-    number of RKL2 stages per half-step, the fewest the largest mu/rho_min
+    number of RKL2 stages per half-step, the fewest the largest viscous rate
     needs, and its resistive block the fewest its own nu needs; with one dt
     and one viscous stage count, the splitting error cancels in the
     difference of two members.  Each of the first ``recorded`` members

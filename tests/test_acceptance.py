@@ -23,6 +23,8 @@ from mhd1d import (
 )
 from mhd1d.battery import ACCEPTANCE, Battery
 from mhd1d.cli import main
+from mhd1d.diagnostics import energy_drift
+from mhd1d.solver import run
 
 NU_LIST = [1e-2, 3e-3, 1e-3, 3e-4, 1e-4]
 
@@ -101,6 +103,18 @@ def test_criterion_3_nu_independent_bounds(acceptance_sweep):
 def test_criterion_4_energy_inequality(battery):
     values = passed(battery.energy_inequality())
     announce(4, "discrete energy inequality", f"relative drift {values['drift']:.2e}")
+
+
+@pytest.mark.parametrize("n_cells", [512, 1024])
+@pytest.mark.parametrize("mu", [0.1, 1.0])
+def test_criterion_4_energy_inequality_near_vacuum(mu, n_cells):
+    # criterion 4's tolerance on the interior-vacuum family, where the
+    # viscous density departs from rho
+    params = PhysParams(mu=mu, nu=1e-3)
+    spec = ScenarioSpec(preset="interior_vacuum", a_u=0.2, a_b=-params.b_bar, sigma=2.0)
+    _, record = run(spec, params, SchemeConfig(t_end=1.0), Grid1D(20.0, n_cells))
+    drift = energy_drift(record)
+    assert drift <= 1e-3, f"relative drift {drift:.3e}"
 
 
 def test_criterion_5_mms_orders(battery):

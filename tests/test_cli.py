@@ -555,12 +555,24 @@ class TestVerifyCommand:
     def test_verify_never_imports_sympy(self):
         code = ("import sys; from mhd1d.cli import main; rc = main(['verify']); "
                 "print('sympy imported:', 'sympy' in sys.modules); sys.exit(rc)")
-        src = str(Path(mhd1d.__file__).resolve().parents[1])
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
-                              capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert proc.stdout.splitlines()[-1] == "sympy imported: False"
+        assert _fresh_python(code) == "sympy imported: False"
+
+
+def _fresh_python(code: str) -> str:
+    """Run ``code`` in a fresh interpreter that imports this checkout's mhd1d;
+    return the last line it prints."""
+    src = str(Path(mhd1d.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+def test_importing_the_cli_leaves_multiprocessing_out():
+    # only a sweep with jobs >= 2 starts a worker; nothing else pays for the import
+    code = "import sys, mhd1d.cli; print('multiprocessing' in sys.modules)"
+    assert _fresh_python(code) == "False"
 
 
 def test_runtime_dependencies_are_numpy_only():

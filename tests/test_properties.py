@@ -24,7 +24,14 @@ from hypothesis import strategies as st
 
 from mhd1d import solver
 from mhd1d.config import parse_config
-from mhd1d.core import VISC_FLOOR_FRACTION, viscous_density, viscous_velocity
+from mhd1d.core import (
+    VISC_FLOOR_FRACTION,
+    Grid1D,
+    State,
+    viscous_density,
+    viscous_rate_density,
+    viscous_velocity,
+)
 from mhd1d.diagnostics import DiagnosticsRecord, energy_drift
 from mhd1d.errors import BoundaryMonitorError
 from mhd1d.limit_study import ConvergenceReport, run_group, sweep
@@ -157,14 +164,31 @@ def test_viscous_density_rule_and_its_stage_bound(raw):
     velocity = viscous_velocity(state.mom, state.rho, rho_bar)
     assert velocity.tobytes() == (state.mom / viscous_density(state.rho, rho_bar)).tobytes()
 
+    # r is C1: on a fine ramp through the blend, consecutive difference
+    # quotients differ by about h * r'' = h/(2f), with no jump where the
+    # pieces meet at 2f
+    f = VISC_FLOOR_FRACTION * rho_bar
+    ramp, h = np.linspace(0.0, 3.0 * f, 1001, retstep=True)
+    quotients = np.diff(viscous_density(ramp, rho_bar)) / h
+    assert np.abs(np.diff(quotients)).max() <= 2.0 * h / f
+
     # the largest rate mu*rho/r^2 that the viscous block applies is at most
-    # mu/r(rho_min), so one explicit stage of _diffusive_dt stays within the
-    # diffusion number
-    r_min = viscous_density(float(state.rho.min()), rho_bar)
+    # mu/d, d = viscous_rate_density(rho_min), so one explicit stage of
+    # _diffusive_dt stays within the diffusion number
+    d = viscous_rate_density(float(state.rho.min()), rho_bar)
     w_rate = _blocks(state, params, grid)[1].rate * grid.dx**2  # mu*rho/r^2
-    assert w_rate.max() <= params.mu / r_min * (1.0 + 1e-12)
+    assert w_rate.max() <= params.mu / d * (1.0 + 1e-12)
     dt_diffusive = _diffusive_dt(state, params, scheme, grid)
     assert w_rate.max() * dt_diffusive <= scheme.diffusion_number * grid.dx**2 * (1.0 + 1e-12)
+
+    # and the bound is tight: a density ramp that resolves the peak of
+    # mu*rho/r^2 at 2f/sqrt(3) reaches at least 0.99 of it
+    ramp_grid = Grid1D(grid.half_width, len(ramp))
+    ramp_state = State(ramp, np.zeros(len(ramp)), np.full(len(ramp), params.b_bar))
+    peak = _blocks(ramp_state, params, ramp_grid)[1].rate.max() * ramp_grid.dx**2
+    limit = scheme.diffusion_number * ramp_grid.dx**2
+    assert 0.99 * limit <= peak * _diffusive_dt(ramp_state, params, scheme, ramp_grid) \
+        <= limit * (1.0 + 1e-12)
 
 
 resistivities = st.one_of(st.just(0.0), st.floats(1e-5, 0.1))

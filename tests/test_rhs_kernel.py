@@ -158,19 +158,33 @@ def reference_sample_terms(state, ref: RhsOutput, params, grid) -> dict:
     }
 
 
-def reference_floor(rho_bar: float) -> float:
-    """The viscous floor, restated here so the references do not read the
-    product's ``viscous_density``."""
-    return VISC_FLOOR_FRACTION * rho_bar
+def reference_viscous_density(rho, rho_bar: float):
+    """The viscous density r(rho), restated here so the references do not read
+    the product's ``viscous_density``: rho from 2f up and the C1 blend
+    f + rho^2/(4f) below, f = VISC_FLOOR_FRACTION * rho_bar."""
+    f = VISC_FLOOR_FRACTION * rho_bar
+    return np.where(rho >= 2.0 * f, rho, f + rho * rho / (4.0 * f))
+
+
+def reference_rate_density(rho_min: float, rho_bar: float) -> float:
+    """d with mu/d the largest viscous rate mu*rho/r^2 over rho >= rho_min:
+    rho_min from 2f up; below, r^2/rho at max(rho_min, 2f/sqrt(3)), where
+    (2 mu/f) * t/(1 + t^2)^2, t = rho/(2f), peaks."""
+    f = VISC_FLOOR_FRACTION * rho_bar
+    if rho_min >= 2.0 * f:
+        return rho_min
+    rho = max(rho_min, 2.0 * f / math.sqrt(3.0))
+    r = f + rho * rho / (4.0 * f)
+    return r * r / rho
 
 
 def reference_rates(rho, w, b, params: PhysParams, grid: Grid1D, scale: float = 1.0):
     """scale times the rates of the viscous velocity w and of b under the
     diffusion terms at frozen density rho: w_rate * w_xx with w_rate =
-    mu/dx^2 / rho_safe * (rho/rho_safe), rho_safe = max(rho, floor), and
+    mu/dx^2 / rho_safe * (rho/rho_safe), rho_safe = r(rho), and
     nu * b_xx, with far-field ghosts and the second differences taken as
     differences of differences."""
-    rho_safe = np.maximum(rho, reference_floor(params.rho_bar))
+    rho_safe = reference_viscous_density(rho, params.rho_bar)
     w_rate = (params.mu / grid.dx**2) / rho_safe * (rho / rho_safe)
     w_e = np.concatenate([[0.0], w, [0.0]])
     b_e = np.concatenate([[params.b_bar], b, [params.b_bar]])
@@ -178,10 +192,10 @@ def reference_rates(rho, w, b, params: PhysParams, grid: Grid1D, scale: float = 
 
 
 def reference_diffusion(state: State, params: PhysParams, grid: Grid1D):
-    """(rho/max(rho, floor)) * mu * u_visc_xx and nu * b_xx with far-field ghosts."""
-    w = viscous_velocity(state.mom, state.rho, params.rho_bar)
-    w_dot, b_dot = reference_rates(state.rho, w, state.b, params, grid)
-    return w_dot * np.maximum(state.rho, reference_floor(params.rho_bar)), b_dot
+    """(rho/r(rho)) * mu * w_xx, w = m/r(rho), and nu * b_xx with far-field ghosts."""
+    rho_safe = reference_viscous_density(state.rho, params.rho_bar)
+    w_dot, b_dot = reference_rates(state.rho, state.mom / rho_safe, state.b, params, grid)
+    return w_dot * rho_safe, b_dot
 
 
 # ---------------------------------------------------------------------------
@@ -202,9 +216,9 @@ def reference_block_increment(y0, rates, tau: float, s: int):
 
 def reference_rkl2(state: State, tau: float, params, grid, s: int, s_b: int) -> State:
     """RKL2 step of the diffusion terms at frozen density, one block at a time:
-    s stages on the increments of w = m/max(rho, floor), s_b on those of b
+    s stages on the increments of w = m/r(rho), s_b on those of b
     (no b block when nu = 0)."""
-    rho_safe = np.maximum(state.rho, reference_floor(params.rho_bar))
+    rho_safe = reference_viscous_density(state.rho, params.rho_bar)
     w0 = state.mom / rho_safe
     d_w = reference_block_increment(
         w0, lambda w, scale: reference_rates(state.rho, w, state.b, params, grid, scale)[0], tau, s)
@@ -218,11 +232,11 @@ def reference_rkl2(state: State, tau: float, params, grid, s: int, s_b: int) -> 
 
 def previous_rkl2(state: State, tau: float, params, grid, s: int, s_b: int) -> State:
     """The earlier form of the RKL2 step: increments of (m, b), the weight
-    rho/max(rho, floor) after the second difference w_{i+1} - 2 w_i + w_{i-1}.
+    rho/r(rho) after the second difference w_{i+1} - 2 w_i + w_{i-1}.
     The m row reads no b and the b row no m, so m is the m row of an s-stage
     step and b the b row of an s_b-stage one."""
     dx2 = grid.dx**2
-    rho_safe = np.maximum(state.rho, reference_floor(params.rho_bar))
+    rho_safe = reference_viscous_density(state.rho, params.rho_bar)
     weight = state.rho / rho_safe
 
     def operator(mom, b):
@@ -258,7 +272,8 @@ def _reference_euler_stage(state: State, dt: float, params, scheme, grid):
 
 def reference_step(state: State, dt: float, params, scheme, grid) -> tuple[State, int]:
     """D(dt/2) H(dt) D(dt/2) with, per diffusion block, the fewest RKL2 stages
-    stable for this state: mu/rho_min sets the viscous count, nu the resistive one."""
+    stable for this state: the peak viscous rate sets the viscous count, nu the
+    resistive one."""
     s = rkl2_stage_count(0.5 * dt, reference_dt_bounds(state, params, scheme, grid)[1])
     s_b = (rkl2_stage_count(0.5 * dt, scheme.diffusion_number * grid.dx**2 / params.nu)
            if params.nu > 0 else 0)
@@ -306,7 +321,8 @@ def _reference_weighted_l2_of_square(square, weight, dx):
 def reference_integrand(state: State, params: PhysParams, grid: Grid1D) -> tuple:
     dx = grid.dx
     weight = _spreading_weight(grid, params.alpha)
-    u_x2 = _reference_derivative(viscous_velocity(state.mom, state.rho, params.rho_bar), dx) ** 2
+    w = state.mom / reference_viscous_density(state.rho, params.rho_bar)
+    u_x2 = _reference_derivative(w, dx) ** 2
     b_x2 = _reference_derivative(state.b, dx) ** 2
     b_pert = state.b - params.b_bar
     return (
@@ -321,11 +337,10 @@ def reference_integrand(state: State, params: PhysParams, grid: Grid1D) -> tuple
 def reference_dt_bounds(state: State, params: PhysParams, scheme: SchemeConfig,
                         grid: Grid1D) -> tuple[float, float]:
     """The advective CFL bound and the dx^2 bound of one explicit stage of the
-    viscous block, diffusivity mu/rho_min; nu bounds the resistive block alone."""
+    viscous block, at its peak diffusivity mu/d; nu bounds the resistive block alone."""
     dt_adv = scheme.cfl_number * grid.dx / float(np.max(fast_speed_state(state, params)))
-    rho_min = max(float(np.min(np.maximum(state.rho, RHO_FLOOR))),
-                  reference_floor(params.rho_bar))
-    dt_diff = scheme.diffusion_number * grid.dx**2 / (params.mu / rho_min)
+    d = reference_rate_density(float(np.min(state.rho)), params.rho_bar)
+    dt_diff = scheme.diffusion_number * grid.dx**2 / (params.mu / d)
     return dt_adv, dt_diff
 
 
@@ -406,7 +421,7 @@ def dt_cases(draw):
     dt_adv, _ = reference_dt_bounds(state, params, scheme, grid)
     # diffusivity at which the two bounds are equal
     even = scheme.diffusion_number * grid.dx**2 / dt_adv
-    rho_min = max(float(state.rho.min()), reference_floor(params.rho_bar))
+    rho_min = reference_rate_density(float(state.rho.min()), params.rho_bar)
     diffusive = draw(st.booleans())
     if diffusive:
         mu = rho_min * even * draw(st.floats(2.0, 100.0))
@@ -660,7 +675,7 @@ def test_diffuse_matches_the_previous_recursion(s, preset, state, params, grid):
     # the (w, b) stages and the earlier (m, b) ones differ only by rounding;
     # tau is the longest step s viscous stages keep stable, and the b block
     # takes its own count, never more
-    weighted = float(state.rho.min()) < reference_floor(params.rho_bar)
+    weighted = float(state.rho.min()) < 2.0 * VISC_FLOOR_FRACTION * params.rho_bar
     assert weighted == (preset == "interior_vacuum")
     dt_diffusive = _diffusive_dt(state, params, SchemeConfig(), grid)
     tau = dt_diffusive * (s * s + s - 2) / 4.0
