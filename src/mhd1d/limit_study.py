@@ -267,8 +267,9 @@ def sweep(config: RunConfig) -> SweepResult:
     doubled-grid pair runs in a worker process beside the group, started
     whenever the nu list allows a fit; its result, a failure included, is
     used only if the guard is due, so the report does not depend on ``jobs``.
-    The spawned worker re-imports the caller's main module, which therefore
-    needs an ``if __name__ == "__main__":`` guard.
+    The spawned worker re-imports the caller's main module; if that kills it
+    (a script without an ``if __name__ == "__main__":`` guard), the guard
+    runs serially instead.
     """
     requested = [float(v) for v in config.nu_list]
     nus = sorted(set(requested), reverse=True)
@@ -278,12 +279,15 @@ def sweep(config: RunConfig) -> SweepResult:
         raise ValueError("nu values must be positive")
 
     early = config.jobs > 1 and _unfit_reason(nus) is None
-    if early:  # imported here: a serial sweep, and every other command, never needs it
+    if early:  # imported here: a serial sweep, and every other command, never needs them
         import multiprocessing
-    # spawn, not fork: the worker starts from a fresh import of this package
-    with (multiprocessing.get_context("spawn").Pool(1) if early
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+    # spawn, not fork: the worker starts from a fresh import of this package.  A
+    # worker that dies breaks the executor, where a Pool would restart it forever.
+    with (ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) if early
           else contextlib.nullcontext()) as pool:
-        early_guard = (pool.apply_async(_sweep_group, ([min(nus)], _doubled(config), False))
+        early_guard = (pool.submit(_sweep_group, [min(nus)], _doubled(config), False)
                        if pool is not None else None)
         start = time.perf_counter()
         entries, records, telemetry = _sweep_group(nus, config)
@@ -308,8 +312,9 @@ def sweep(config: RunConfig) -> SweepResult:
             smallest = min(good, key=lambda e: e.nu)
             start = time.perf_counter()  # with a worker, the wait for its result
             if early_guard is not None and smallest.nu == min(nus):
-                report.guard = _guard_result(smallest.e_total, early_guard.get())
-            else:
+                with contextlib.suppress(BrokenProcessPool):  # a dead worker: run it here
+                    report.guard = _guard_result(smallest.e_total, early_guard.result())
+            if report.guard is None:
                 report.guard = grid_pollution_guard(smallest.nu, smallest.e_total, config)
             wall_s["guard"] = time.perf_counter() - start
     return SweepResult(report=report, records=records, telemetry=telemetry, wall_s=wall_s)

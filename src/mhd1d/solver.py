@@ -7,11 +7,12 @@ the non-resistive system being nu = 0, where nu b_xx is omitted exactly.
 ``rhs`` is the hyperbolic operator: local Lax-Friedrichs interface fluxes
 with piecewise-constant or MUSCL reconstruction of (rho, m, b) under a
 min/max-only minmod limiter, one rho^gamma pass serving the flux and the
-fast speed, advanced by an SSP Runge-Kutta method.  ``diffusion_tendency``
-is the second-order central diffusion terms, advanced by second-order
-Runge-Kutta-Legendre (RKL2) super-time-stepping at frozen density, m/r(rho)
-and b each at their own stage count, Strang-split around the
-hyperbolic step, so the advective CFL bound alone sets dt; ``tendencies`` is the sum.
+fast speed, advanced by the two-stage SSP Runge-Kutta method SSPRK2.
+``diffusion_tendency`` is the second-order central diffusion terms, advanced
+by second-order Runge-Kutta-Legendre (RKL2) super-time-stepping at frozen
+density, m/r(rho) and b each at their own stage count, Strang-split around
+the hyperbolic step, so the advective CFL bound alone sets dt; ``tendencies``
+is the sum.
 Far-field Dirichlet values enter through ghost cells.  One driver advances
 any number of runs on a shared dt sequence: a single run is one member, a
 sweep group is one member per resistivity plus a shared non-resistive
@@ -43,27 +44,30 @@ from .errors import BoundaryMonitorError, NumericalError, SimulationError
 from .scenario import ScenarioSpec, build_initial_state
 
 RECONSTRUCTIONS = ("first_order_upwind", "muscl_minmod")
-STAGES = {"ssp_rk2": 2, "ssp_rk3": 3}  # rhs evaluations per hyperbolic step
-INTEGRATORS = tuple(STAGES)
+RHS_PER_STEP = 2  # rhs evaluations per hyperbolic (SSPRK2) step
 
 BOUNDARY_NODES = 3  # outermost interior nodes the monitor reads, per edge
 
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Discretization knobs: CFL numbers, reconstruction, integrator, horizon.
+    """Discretization knobs: CFL numbers, reconstruction, horizon.
 
-    ``diffusion_number`` is the safety factor of each super-time-stepping
-    stage: the RKL2 stage count is chosen so that every stage stays within
-    diffusion_number * dx^2 / (largest diffusivity).
+    The hyperbolic step is always SSPRK2; ``cfl_number`` is the fraction of
+    the forward-Euler bound each of its stages takes.  ``diffusion_number``
+    is the safety factor of each super-time-stepping stage: the RKL2 stage
+    count is chosen so that every stage stays within diffusion_number * dx^2
+    / (largest diffusivity).
     """
 
     cfl_number: float = 0.45
     diffusion_number: float = 0.4
     reconstruction: str = "muscl_minmod"
-    time_integrator: str = "ssp_rk2"
     t_end: float = 1.0
     n_samples: int = 50
+    # Not a field (no annotation), so neither configurable nor fingerprinted;
+    # kept only because the benchmark's tracer (bench/spans.py) reads it.
+    time_integrator = "ssp_rk2"
 
     def __post_init__(self):
         problems = non_finite_problems(self)
@@ -73,8 +77,6 @@ class SchemeConfig:
             problems.append(f"diffusion_number in (0, 0.5] required, got {self.diffusion_number}")
         if self.reconstruction not in RECONSTRUCTIONS:
             problems.append(f"reconstruction must be one of {RECONSTRUCTIONS}")
-        if self.time_integrator not in INTEGRATORS:
-            problems.append(f"time_integrator must be one of {INTEGRATORS}")
         if self.t_end < 0:
             problems.append(f"t_end >= 0 required, got {self.t_end}")
         if self.n_samples < 1:
@@ -265,14 +267,18 @@ class _Diffusion:
         self.ext = np.empty(len(y0) + 2)
         self.ext[0] = self.ext[-1] = ghost
         self.field = self.ext[1:-1]
-        self.field[...] = y0
         self.grad = np.empty(len(y0) + 1)
         self.shifts = self.ext[1:], self.ext[:-1], self.grad[1:], self.grad[:-1]
         self.rate = rate
 
     def __call__(self, scale: float, out: np.ndarray | None = None) -> np.ndarray:
-        """scale times the rates L at ``field``, (d2 * rate) * scale or d2 * (rate * scale)."""
+        """scale times the rates L(y0), (d2 * rate) * scale or d2 * (rate * scale).
+
+        ``field`` is loaded from y0 here, so every call, and every ``rkl2``,
+        starts from y0 whatever ran on the block before.
+        """
         ext_hi, ext_lo, grad_hi, grad_lo = self.shifts
+        self.field[...] = self.y0
         np.subtract(ext_hi, ext_lo, out=self.grad)
         rates = np.subtract(grad_hi, grad_lo, out=out)
         if isinstance(self.rate, np.ndarray):  # viscous
@@ -289,39 +295,31 @@ class _Diffusion:
         exactly, their weights summing to one):
             d_1 = l_0 mu~_1 with l_0 = L(Y_0) tau,
             d_j = ((nu_j d_{j-2} + L(Y_0 + d_{j-1}) (mu~_j tau)) + mu_j d_{j-1}) + l_0 gamma~_j.
-        The stages apply the operator inline, with the arithmetic of
-        ``__call__``: eleven numpy calls per viscous stage, ten per resistive one.
+        One stage loop serves both blocks; it applies the operator inline,
+        with the arithmetic of ``__call__``.
         """
         y0, field, grad, rate = self.y0, self.field, self.grad, self.rate
         ext_hi, ext_lo, grad_hi, grad_lo = self.shifts
         add, subtract, multiply = np.add, np.subtract, np.multiply  # looked up once, not per stage
+        viscous = isinstance(rate, np.ndarray)
         l0 = self(tau, out=np.empty_like(y0))
         mu1, stages = rkl2_coefficients(s)
         prev2, prev = np.zeros(len(y0)), l0 * mu1
         scratch = np.empty_like(y0)
-        if isinstance(rate, np.ndarray):  # viscous
-            for mu, nu, mu_t, gamma_t in stages:
-                add(y0, prev, out=field)
-                prev2 *= nu  # d_{j-2} is not needed after this stage
-                subtract(ext_hi, ext_lo, out=grad)
-                rates = subtract(grad_hi, grad_lo, out=scratch)
+        for mu, nu, mu_t, gamma_t in stages:
+            add(y0, prev, out=field)
+            prev2 *= nu  # d_{j-2} is not needed after this stage
+            subtract(ext_hi, ext_lo, out=grad)
+            rates = subtract(grad_hi, grad_lo, out=scratch)
+            if viscous:
                 rates *= rate
                 rates *= mu_t * tau
-                prev2 += rates
-                prev2 += multiply(prev, mu, out=scratch)
-                prev2 += multiply(l0, gamma_t, out=scratch)
-                prev2, prev = prev, prev2
-        else:
-            for mu, nu, mu_t, gamma_t in stages:
-                add(y0, prev, out=field)
-                prev2 *= nu
-                subtract(ext_hi, ext_lo, out=grad)
-                rates = subtract(grad_hi, grad_lo, out=scratch)
+            else:
                 rates *= rate * (mu_t * tau)
-                prev2 += rates
-                prev2 += multiply(prev, mu, out=scratch)
-                prev2 += multiply(l0, gamma_t, out=scratch)
-                prev2, prev = prev, prev2
+            prev2 += rates
+            prev2 += multiply(prev, mu, out=scratch)
+            prev2 += multiply(l0, gamma_t, out=scratch)
+            prev2, prev = prev, prev2
         return prev
 
 
@@ -451,30 +449,19 @@ def _euler_stage(state: State, dt: float, params, scheme, grid, rhs_fn):
 
 
 def _hyperbolic_step(state: State, dt: float, params, scheme, grid, rhs_fn) -> tuple[State, int]:
-    """One SSP Runge-Kutta step of the hyperbolic tendencies ``rhs_fn``.
+    """One SSPRK2 step of the hyperbolic tendencies ``rhs_fn``: 0.5 * (q + E(E(q))),
+    E the forward-Euler stage, so ``RHS_PER_STEP`` evaluations.
 
-    Each RK combination is written into the arrays of the stage just
-    computed, which nothing else holds.
+    The combination is written into the arrays of the second stage, which
+    nothing else holds.
     """
     s1, c1 = _euler_stage(state, dt, params, scheme, grid, rhs_fn)
     s2, c2 = _euler_stage(s1, dt, params, scheme, grid, rhs_fn)
-    if scheme.time_integrator == "ssp_rk2":
-        for q, new in zip(_fields(state), _fields(s2)):  # 0.5 * (q + s2)
-            new += q
-            new *= 0.5
-        s2.t = state.t + dt
-        return s2, c1 + c2
-    scaled = np.empty_like(state.rho)
-    for q, mid in zip(_fields(state), _fields(s2)):      # 0.75 * q + 0.25 * s2
-        mid *= 0.25
-        mid += np.multiply(q, 0.75, out=scaled)
-    s2.t = state.t + 0.5 * dt
-    s3, c3 = _euler_stage(s2, dt, params, scheme, grid, rhs_fn)
-    for q, new in zip(_fields(state), _fields(s3)):      # q / 3 + 2/3 * s3
-        new *= 2.0 / 3.0
-        new += np.divide(q, 3.0, out=scaled)
-    s3.t = state.t + dt
-    return s3, c1 + c2 + c3
+    for q, new in zip(_fields(state), _fields(s2)):
+        new += q
+        new *= 0.5
+    s2.t = state.t + dt
+    return s2, c1 + c2
 
 
 def step(state: State, dt: float, params: PhysParams, scheme: SchemeConfig,
@@ -484,7 +471,7 @@ def step(state: State, dt: float, params: PhysParams, scheme: SchemeConfig,
 
     D is an RKL2 step of the viscous block with ``stages`` stages (by default
     the fewest this state needs over dt/2) and of the resistive block with
-    the fewest nu needs, H an SSP Runge-Kutta step of ``rhs_fn``, the
+    the fewest nu needs, H an SSPRK2 step of ``rhs_fn``, the
     hyperbolic tendencies.  Only H evaluates ``rhs_fn``, and only H moves the
     time label, so time-dependent forcing sees the hyperbolic stage times.
     The new state shares no memory with ``state``.
@@ -547,7 +534,6 @@ def run_lockstep(members: list[tuple[State, PhysParams]], scheme: SchemeConfig,
     that raised (None when no single member did), and ``exc.record``, that
     member's record so far (None when it carries none).
     """
-    rhs_per_step = STAGES[scheme.time_integrator]
     states = [s for s, _ in members]
     params = [p for _, p in members]
     telemetry = telemetry if telemetry is not None else diagnostics.RunTelemetry()
@@ -591,7 +577,7 @@ def run_lockstep(members: list[tuple[State, PhysParams]], scheme: SchemeConfig,
             telemetry.diffusion_stages += 2 * stages
             for member, p in enumerate(params):
                 states[member], clips = step(states[member], dt, p, scheme, grid, rhs_fn, stages)
-                telemetry.rhs_evals += rhs_per_step
+                telemetry.rhs_evals += RHS_PER_STEP
                 telemetry.resistive_stages += 2 * _resistive_stages(0.5 * dt, p, scheme, grid)
                 telemetry.clips += clips
                 if member < recorded:
@@ -655,7 +641,7 @@ def load_checkpoint(text: str) -> tuple[State, Grid1D]:
 
 __all__ = [
     "RECONSTRUCTIONS",
-    "INTEGRATORS",
+    "RHS_PER_STEP",
     "VISC_FLOOR_FRACTION",
     "BOUNDARY_TOLERANCE",
     "BOUNDARY_NODES",

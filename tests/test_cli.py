@@ -1,6 +1,8 @@
+import contextlib
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 from dataclasses import replace
@@ -109,7 +111,7 @@ class TestConfig:
         assert c1.fingerprint() == c2.fingerprint()
         # pinned: the canonical form of the defaults and of the benchmark's
         # seed-0 sweep configuration must not drift
-        defaults = "556168f424470036089dea506ae42327421d2cb668fe419accc94440a4ae960a"
+        defaults = "d15bb489875affdba5d4cdfa3fddc4b1e27a4174c98da0b678943b1bbadf3017"
         assert parse_config({}).fingerprint() == defaults
         # jobs sets no number, and the sweep runs nu_list in descending order
         shuffled = {"jobs": 2, "nu_list": [1e-4, 1e-2, 3e-4, 3e-3, 1e-3]}
@@ -155,6 +157,16 @@ def test_mode_is_an_unknown_field(command, tmp_path, capsys):
     out = tmp_path / "o"
     assert main([command, "--config", cfg, "--output-dir", str(out)]) == 2
     assert "  - mode: unknown field" in capsys.readouterr().err.splitlines()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_time_integrator_is_an_unknown_field(command, tmp_path, capsys):
+    # the hyperbolic step is SSPRK2 alone, so no setting chooses it
+    cfg = write_config(tmp_path, {"scheme": {"time_integrator": "ssp_rk2"}})
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--output-dir", str(out)]) == 2
+    assert "  - scheme.time_integrator: unknown field" in capsys.readouterr().err.splitlines()
     assert not out.exists()
 
 
@@ -260,7 +272,7 @@ class TestSimulateCommand:
         assert t["dt_sample_landing"] == n_samples
         assert t["diffusion_stages"] >= 2 * 2 * t["steps"]  # two half-steps of >= 2 stages
         assert t["resistive_stages"] >= 2 * 2 * t["steps"]  # the b block's, at nu > 0
-        assert t["rhs_evals"] == 2 * t["steps"] + n_samples + 1  # ssp_rk2, one member
+        assert t["rhs_evals"] == solver.RHS_PER_STEP * t["steps"] + n_samples + 1  # one member
         assert 0.0 <= t["peak_boundary_deviation"] <= 1e-6
         assert all(v >= 0 for v in manifest["wall_s"].values())
 
@@ -558,12 +570,17 @@ class TestVerifyCommand:
         assert _fresh_python(code) == "sympy imported: False"
 
 
+def _checkout_env() -> dict:
+    """The environment of a fresh interpreter that imports this checkout's mhd1d."""
+    src = str(Path(mhd1d.__file__).resolve().parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
 def _fresh_python(code: str) -> str:
     """Run ``code`` in a fresh interpreter that imports this checkout's mhd1d;
     return the last line it prints."""
-    src = str(Path(mhd1d.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+    proc = subprocess.run([sys.executable, "-c", code], env=_checkout_env(),
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     return proc.stdout.splitlines()[-1]
@@ -573,6 +590,41 @@ def test_importing_the_cli_leaves_multiprocessing_out():
     # only a sweep with jobs >= 2 starts a worker; nothing else pays for the import
     code = "import sys, mhd1d.cli; print('multiprocessing' in sys.modules)"
     assert _fresh_python(code) == "False"
+
+
+UNGUARDED_SWEEP = """\
+import sys
+from mhd1d.config import parse_config
+from mhd1d.limit_study import sweep
+
+raw = {"grid": {"half_width": 20.0, "n_cells": 64}, "scheme": {"t_end": 0.05, "n_samples": 2},
+       "nu_list": [1e-2, 1e-3, 1e-4], "jobs": int(sys.argv[2])}
+report = sweep(parse_config(raw)).report.to_json()
+with open(sys.argv[1], "w") as fh:
+    fh.write(report)
+"""
+
+
+def test_a_parallel_sweep_returns_from_a_script_without_a_main_guard(tmp_path):
+    # the spawned worker re-runs the script, whose sweep cannot start a process
+    # while it bootstraps; the worker dies and the guard runs serially instead
+    script = tmp_path / "unguarded.py"
+    script.write_text(UNGUARDED_SWEEP)
+    reports = {}
+    for jobs in (1, 2):
+        path = tmp_path / f"report_{jobs}.json"
+        proc = subprocess.Popen([sys.executable, str(script), str(path), str(jobs)],
+                                env=_checkout_env(), cwd=tmp_path, stdout=subprocess.DEVNULL,
+                                stderr=subprocess.DEVNULL, start_new_session=True)
+        try:
+            assert proc.wait(timeout=120) == 0, f"jobs {jobs}"
+        finally:  # the worker and the resource tracker share the script's process group
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+        reports[jobs] = json.loads(path.read_text())
+    assert reports[2]["guard"] is not None
+    assert reports[2] == reports[1]
 
 
 def test_runtime_dependencies_are_numpy_only():

@@ -82,8 +82,7 @@ def configs(draw):
         "grid": {"half_width": 20.0, "n_cells": draw(st.sampled_from((64, 128)))},
         "scheme": {"t_end": draw(st.floats(0.02, 0.2)), "n_samples": 4,
                    "reconstruction": draw(st.sampled_from(("muscl_minmod",
-                                                           "first_order_upwind"))),
-                   "time_integrator": draw(st.sampled_from(("ssp_rk2", "ssp_rk3")))},
+                                                           "first_order_upwind")))},
     }
 
 

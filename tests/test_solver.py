@@ -1,6 +1,6 @@
 import math
 import pickle
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -37,11 +37,12 @@ class TestSchemeConfig:
     def test_defaults(self):
         s = SchemeConfig()
         assert s.reconstruction == "muscl_minmod"
-        assert s.time_integrator == "ssp_rk2"
+        # the hyperbolic step is SSPRK2 alone: no setting chooses it
+        assert "time_integrator" not in {f.name for f in fields(s)}
 
     @pytest.mark.parametrize("kwargs", [
         {"cfl_number": 0.0}, {"cfl_number": 1.2}, {"diffusion_number": 0.6},
-        {"reconstruction": "weno5"}, {"time_integrator": "rk4"}, {"t_end": -1.0},
+        {"reconstruction": "weno5"}, {"n_samples": 0}, {"t_end": -1.0},
     ])
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(ValueError):
@@ -201,9 +202,8 @@ class TestStableDt:
 
 
 class TestStep:
-    @pytest.mark.parametrize("integrator", ["ssp_rk2", "ssp_rk3"])
-    def test_constant_state_unchanged(self, params, grid, integrator):
-        scheme = SchemeConfig(time_integrator=integrator)
+    def test_constant_state_unchanged(self, params, grid):
+        scheme = SchemeConfig()
         state = constant_state(grid, params)
         for _ in range(5):
             state, clips = step(state, 1e-3, params, scheme, grid)
@@ -234,24 +234,6 @@ class TestStep:
         exact = eps * np.exp(-(x[core] - c * t_end) ** 2)
         rel = np.sqrt(np.sum((pert - exact) ** 2) / np.sum(exact**2))
         assert rel < 0.25  # limiter dissipation at this resolution
-
-    def test_rk3_tighter_than_rk2_on_translation(self):
-        params = PhysParams(mu=1e-30, nu=0.0, gamma=1.4)
-        grid = Grid1D(20.0, 512)
-        c, eps, t_end = 1.0, 1e-8, 0.5
-        errors = {}
-        for integ in ("ssp_rk2", "ssp_rk3"):
-            x = grid.x
-            rho = np.full(grid.n_cells, params.rho_bar)
-            state = State(rho=rho, mom=rho * c, b=params.b_bar + eps * np.exp(-x**2), t=0.0)
-            scheme = SchemeConfig(time_integrator=integ)
-            while state.t < t_end - 1e-12:
-                dt = min(_advective_dt(state, params, scheme, grid), t_end - state.t)
-                state, _ = step(state, dt, params, scheme, grid)
-            core = np.abs(x) < 10.0
-            exact = eps * np.exp(-(x[core] - c * t_end) ** 2)
-            errors[integ] = np.sqrt(np.sum(((state.b - params.b_bar)[core] - exact) ** 2))
-        assert errors["ssp_rk3"] <= errors["ssp_rk2"] * 1.05
 
 
 class TestRun:
@@ -416,13 +398,10 @@ class TestRunLockstep:
         run_lockstep(members, scheme, grid, rhs_fn=rhs_fn, recorded=0, telemetry=sinks["bare"])
         assert sinks["bare"].clips == sinks["pair"].clips
 
-    @pytest.mark.parametrize("integrator, nus", [
-        ("ssp_rk2", (1e-3,)),
-        ("ssp_rk3", (1e-3,)),
-        ("ssp_rk2", (1e-2, 1e-3, 0.0)),
-    ], ids=["ssp_rk2", "ssp_rk3", "group-with-nu0"])
-    def test_unrecorded_run_matches_recorded(self, integrator, nus, params, grid, gaussian_spec):
-        scheme = SchemeConfig(t_end=0.05, n_samples=3, time_integrator=integrator)
+    @pytest.mark.parametrize("nus", [(1e-3,), (1e-2, 1e-3, 0.0)],
+                             ids=["ssp_rk2", "group-with-nu0"])
+    def test_unrecorded_run_matches_recorded(self, nus, params, grid, gaussian_spec):
+        scheme = SchemeConfig(t_end=0.05, n_samples=3)
         state = build_initial_state(gaussian_spec, params, grid)
         members = [(state, replace(params, nu=nu)) for nu in nus]
         t, u = RunTelemetry(), RunTelemetry()
@@ -448,7 +427,7 @@ class TestRunLockstep:
         assert record2.to_csv() == record.to_csv()
 
     def test_telemetry_counts_steps_evaluations_and_bounds(self, params, grid, gaussian_spec):
-        scheme = SchemeConfig(t_end=0.05, n_samples=3, time_integrator="ssp_rk3")
+        scheme = SchemeConfig(t_end=0.05, n_samples=3)
         state = build_initial_state(gaussian_spec, params, grid)
         members = [(state, params), (state.copy(), replace(params, nu=0.0))]
         dts = []
@@ -458,7 +437,7 @@ class TestRunLockstep:
         assert t.steps == len(dts) - 1
         assert t.dt_sample_landing == scheme.n_samples
         assert t.dt_advective + t.dt_sample_landing == t.steps
-        assert t.rhs_evals == 3 * 2 * t.steps + len(record.rows)
+        assert t.rhs_evals == solver.RHS_PER_STEP * 2 * t.steps + len(record.rows)
         assert t.diffusion_stages >= 2 * 2 * t.steps  # two half-steps of >= 2 stages
         assert t.resistive_stages >= 2 * 2 * t.steps  # the nu = 0 member has no b block
         assert 0.0 <= t.peak_boundary_deviation <= 1e-6
@@ -518,7 +497,7 @@ class TestRunLockstep:
         state = build_initial_state(gaussian_spec, params, grid)
         runs = [([(state, params)], SchemeConfig(t_end=0.05, n_samples=3)),
                 ([(state, params), (state.copy(), replace(params, nu=0.0))],
-                 SchemeConfig(t_end=0.2, n_samples=2, time_integrator="ssp_rk3"))]
+                 SchemeConfig(t_end=0.2, n_samples=2))]
         shared, fresh = RunTelemetry(), [RunTelemetry() for _ in runs]
         for (members, scheme), sink in zip(runs, fresh):
             run_lockstep(members, scheme, grid, telemetry=sink)
