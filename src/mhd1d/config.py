@@ -70,9 +70,6 @@ class RunConfig:
     def fingerprint(self) -> str:
         return hashlib.sha256(self.canonical().encode()).hexdigest()
 
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, indent=2) + "\n"
-
 
 # Accepted JSON types of a field, by the type of its default; bools are never numbers.
 _NUMBERS = {float: ((int, float), "a number"), int: ((int,), "an integer")}

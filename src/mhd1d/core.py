@@ -159,14 +159,16 @@ def viscous_density(rho: FieldScalar | float, rho_bar: float) -> FieldScalar | f
     Both pieces meet at rho = 2f with value 2f and slope 1, so r is C1, r >= rho
     and r >= f, and r does not decrease as rho grows; r is therefore also
     max(rho, f + min(rho, 2f)^2/(4f)), the form evaluated here.  An array with
-    no node below 2f costs one reduction and one copy: r is rho, bit for bit.
+    no node below 2f costs one reduction and is returned itself, so r may be
+    rho: callers must not write into it.  Callers that weight by rho/r test
+    ``r is rho``, exactly when the weight is 1.
     """
     f = VISC_FLOOR_FRACTION * rho_bar
     if not isinstance(rho, np.ndarray):  # one density, in Python floats
         q = min(rho, 2.0 * f)
         return max(rho, f + q * q / (4.0 * f))
     if rho.min() >= 2.0 * f:
-        return rho.copy()
+        return rho
     q = np.minimum(rho, 2.0 * f)
     return np.maximum(rho, f + q * q / (4.0 * f))
 

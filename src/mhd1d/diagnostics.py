@@ -238,10 +238,6 @@ class DiagnosticsRecord:
         idx = COLUMNS.index(name)
         return np.array([r[idx] for r in self.rows])
 
-    @property
-    def times(self) -> np.ndarray:
-        return self.column("t")
-
     def sup(self, name: str) -> float:
         return float(np.max(self.column(name)))
 

@@ -10,9 +10,10 @@ min/max-only minmod limiter, one rho^gamma pass serving the flux and the
 fast speed, advanced by the two-stage SSP Runge-Kutta method SSPRK2.
 ``diffusion_tendency`` is the second-order central diffusion terms, advanced
 by second-order Runge-Kutta-Legendre (RKL2) super-time-stepping at frozen
-density, m/r(rho) and b each at their own stage count, Strang-split around
-the hyperbolic step, so the advective CFL bound alone sets dt; ``tendencies``
-is the sum.
+density, m/r(rho) and b each at their own stage count, every stage within
+``DIFFUSION_NUMBER`` * dx^2 / (the block's largest diffusivity), Strang-split
+around the hyperbolic step, so the advective CFL bound alone sets dt;
+``tendencies`` is the sum.
 Far-field Dirichlet values enter through ghost cells.  One driver advances
 any number of runs on a shared dt sequence: a single run is one member, a
 sweep group is one member per resistivity plus a shared non-resistive
@@ -45,23 +46,21 @@ from .scenario import ScenarioSpec, build_initial_state
 
 RECONSTRUCTIONS = ("first_order_upwind", "muscl_minmod")
 RHS_PER_STEP = 2  # rhs evaluations per hyperbolic (SSPRK2) step
+DIFFUSION_NUMBER = 0.4  # safety factor of each RKL2 stage, a fraction of dx^2 / diffusivity
 
 BOUNDARY_NODES = 3  # outermost interior nodes the monitor reads, per edge
 
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Discretization knobs: CFL numbers, reconstruction, horizon.
+    """Discretization knobs: CFL number, reconstruction, horizon.
 
     The hyperbolic step is always SSPRK2; ``cfl_number`` is the fraction of
-    the forward-Euler bound each of its stages takes.  ``diffusion_number``
-    is the safety factor of each super-time-stepping stage: the RKL2 stage
-    count is chosen so that every stage stays within diffusion_number * dx^2
-    / (largest diffusivity).
+    the forward-Euler bound each of its stages takes.  The safety factor of
+    each super-time-stepping stage is no knob: it is ``DIFFUSION_NUMBER``.
     """
 
     cfl_number: float = 0.45
-    diffusion_number: float = 0.4
     reconstruction: str = "muscl_minmod"
     t_end: float = 1.0
     n_samples: int = 50
@@ -73,8 +72,6 @@ class SchemeConfig:
         problems = non_finite_problems(self)
         if not 0 < self.cfl_number <= 1:
             problems.append(f"cfl_number in (0, 1] required, got {self.cfl_number}")
-        if not 0 < self.diffusion_number <= 0.5:
-            problems.append(f"diffusion_number in (0, 0.5] required, got {self.diffusion_number}")
         if self.reconstruction not in RECONSTRUCTIONS:
             problems.append(f"reconstruction must be one of {RECONSTRUCTIONS}")
         if self.t_end < 0:
@@ -327,8 +324,7 @@ def _blocks(state: State, params: PhysParams, grid: Grid1D):
     """r = viscous_density(rho), the viscous block and the resistive one (None at nu = 0)."""
     rho_safe = viscous_density(state.rho, params.rho_bar)
     w_rate = (params.mu / grid.dx**2) / rho_safe
-    rho_min = float(state.rho.min())
-    if viscous_density(rho_min, params.rho_bar) > rho_min:  # else the weight is exactly 1
+    if rho_safe is not state.rho:  # else r = rho and the weight is exactly 1
         w_rate *= state.rho / rho_safe
     resistive = _Diffusion(state.b, params.b_bar, params.nu / grid.dx**2) if params.nu > 0 else None
     return rho_safe, _Diffusion(state.mom / rho_safe, 0.0, w_rate), resistive
@@ -362,21 +358,21 @@ def _advective_dt(state: State, params: PhysParams, scheme: SchemeConfig, grid: 
     return scheme.cfl_number * grid.dx / float(fast_speed_state(state, params).max())
 
 
-def _diffusive_dt(state: State, params: PhysParams, scheme: SchemeConfig, grid: Grid1D) -> float:
+def _diffusive_dt(state: State, params: PhysParams, grid: Grid1D) -> float:
     """The dx^2 restriction of one explicit stage of the viscous block (not of b's).
 
     The block's largest rate is at most (mu/d)/dx^2 with d =
     viscous_rate_density(rho_min), which is rho_min when no node is below 2f.
     By Gershgorin an explicit stage is stable up to dx^2/(2 mu/d), and
-    diffusion_number is at most 1/2.
+    DIFFUSION_NUMBER is below 1/2.
     """
     d = viscous_rate_density(float(state.rho.min()), params.rho_bar)
-    return scheme.diffusion_number * grid.dx**2 / (params.mu / d)
+    return DIFFUSION_NUMBER * grid.dx**2 / (params.mu / d)
 
 
-def _resistive_stages(tau: float, params: PhysParams, scheme: SchemeConfig, grid: Grid1D) -> int:
-    """RKL2 stages of the resistive block over tau, at its bound diffusion_number * dx^2 / nu."""
-    return (rkl2_stage_count(tau, scheme.diffusion_number * grid.dx**2 / params.nu)
+def _resistive_stages(tau: float, params: PhysParams, grid: Grid1D) -> int:
+    """RKL2 stages of the resistive block over tau, at its bound DIFFUSION_NUMBER * dx^2 / nu."""
+    return (rkl2_stage_count(tau, DIFFUSION_NUMBER * grid.dx**2 / params.nu)
             if params.nu > 0 else 0)  # no resistive block at nu = 0
 
 
@@ -479,8 +475,8 @@ def step(state: State, dt: float, params: PhysParams, scheme: SchemeConfig,
     rhs_fn = rhs_fn or rhs
     half = 0.5 * dt
     if stages is None:
-        stages = rkl2_stage_count(half, _diffusive_dt(state, params, scheme, grid))
-    b_stages = _resistive_stages(half, params, scheme, grid)
+        stages = rkl2_stage_count(half, _diffusive_dt(state, params, grid))
+    b_stages = _resistive_stages(half, params, grid)
     state = _diffuse(state, half, params, grid, stages, b_stages)
     state, clips = _hyperbolic_step(state, dt, params, scheme, grid, rhs_fn)
     return _diffuse(state, half, params, grid, stages, b_stages), clips
@@ -573,12 +569,12 @@ def run_lockstep(members: list[tuple[State, PhysParams]], scheme: SchemeConfig,
             else:
                 telemetry.dt_advective += 1
             stages = rkl2_stage_count(
-                0.5 * dt, min(_diffusive_dt(s, p, scheme, grid) for s, p in zip(states, params)))
+                0.5 * dt, min(_diffusive_dt(s, p, grid) for s, p in zip(states, params)))
             telemetry.diffusion_stages += 2 * stages
             for member, p in enumerate(params):
                 states[member], clips = step(states[member], dt, p, scheme, grid, rhs_fn, stages)
                 telemetry.rhs_evals += RHS_PER_STEP
-                telemetry.resistive_stages += 2 * _resistive_stages(0.5 * dt, p, scheme, grid)
+                telemetry.resistive_stages += 2 * _resistive_stages(0.5 * dt, p, grid)
                 telemetry.clips += clips
                 if member < recorded:
                     accums[member].clip_count += clips
@@ -642,6 +638,7 @@ def load_checkpoint(text: str) -> tuple[State, Grid1D]:
 __all__ = [
     "RECONSTRUCTIONS",
     "RHS_PER_STEP",
+    "DIFFUSION_NUMBER",
     "VISC_FLOOR_FRACTION",
     "BOUNDARY_TOLERANCE",
     "BOUNDARY_NODES",

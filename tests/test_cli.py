@@ -57,7 +57,7 @@ class TestConfig:
 
     def test_round_trip(self):
         c = parse_config({"physics": {"gamma": 2.0}, "grid": {"n_cells": 512}})
-        again = parse_config(json.loads(c.to_json()))
+        again = parse_config(json.loads(json.dumps(c.as_dict())))
         assert again == c
         assert again.fingerprint() == c.fingerprint()
 
@@ -111,7 +111,7 @@ class TestConfig:
         assert c1.fingerprint() == c2.fingerprint()
         # pinned: the canonical form of the defaults and of the benchmark's
         # seed-0 sweep configuration must not drift
-        defaults = "d15bb489875affdba5d4cdfa3fddc4b1e27a4174c98da0b678943b1bbadf3017"
+        defaults = "6476d44dc67044a47e1308eae1134dfb8d4a29c2ce075f48ee99482c07d55ef2"
         assert parse_config({}).fingerprint() == defaults
         # jobs sets no number, and the sweep runs nu_list in descending order
         shuffled = {"jobs": 2, "nu_list": [1e-4, 1e-2, 3e-4, 3e-3, 1e-3]}
@@ -126,6 +126,18 @@ class TestConfig:
             "jobs": 1,
         }
         assert parse_config(sweep_seed0).fingerprint() == defaults
+
+    def test_readme_example_lists_every_field(self):
+        # the JSON example under README's "Configuration" heading holds the
+        # sections and keys of DEFAULTS, no more and no fewer, at their defaults
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n### Configuration\n", 1)[1]
+        example = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+        assert example.keys() == DEFAULTS.keys()
+        for name, default in DEFAULTS.items():
+            if isinstance(default, dict):
+                assert example[name].keys() == default.keys(), name
+        assert parse_config(example) == parse_config({})
 
 
 def _unreadable(tmp_path, kind):
@@ -161,12 +173,16 @@ def test_mode_is_an_unknown_field(command, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
-def test_time_integrator_is_an_unknown_field(command, tmp_path, capsys):
-    # the hyperbolic step is SSPRK2 alone, so no setting chooses it
-    cfg = write_config(tmp_path, {"scheme": {"time_integrator": "ssp_rk2"}})
+@pytest.mark.parametrize("field, value", [("time_integrator", "ssp_rk2"),
+                                          ("diffusion_number", 0.4)],
+                         ids=["time_integrator", "diffusion_number"])
+def test_removed_scheme_field_is_unknown(field, value, command, tmp_path, capsys):
+    # the hyperbolic step is SSPRK2 alone and the RKL2 safety factor is
+    # solver.DIFFUSION_NUMBER, so no setting chooses either
+    cfg = write_config(tmp_path, {"scheme": {field: value}})
     out = tmp_path / "o"
     assert main([command, "--config", cfg, "--output-dir", str(out)]) == 2
-    assert "  - scheme.time_integrator: unknown field" in capsys.readouterr().err.splitlines()
+    assert f"  - scheme.{field}: unknown field" in capsys.readouterr().err.splitlines()
     assert not out.exists()
 
 
@@ -238,7 +254,7 @@ class TestSimulateCommand:
         record = DiagnosticsRecord.from_csv((out / "diagnostics.csv").read_text())
         record.validate()
         assert 1 <= len(record.rows) <= BOUNDARY_TRIP["scheme"]["n_samples"]
-        assert record.times[-1] <= error["t"]
+        assert record.column("t")[-1] <= error["t"]
         telemetry = manifest["telemetry"]
         assert telemetry["steps"] > 0
         assert telemetry["peak_boundary_deviation"] <= 1e-6 < error["deviation"]

@@ -124,7 +124,7 @@ def test_admissible_run_is_sound(raw):
     for name in ("rho", "mom", "b"):
         assert np.array_equal(getattr(loaded, name), getattr(final, name))
 
-    assert parse_config(json.loads(config.to_json())) == config
+    assert parse_config(json.loads(json.dumps(config.as_dict()))) == config
 
 
 @given(configs(), st.floats(0.1, 4.0))
@@ -136,8 +136,8 @@ def test_diffusion_blocks_are_decoupled(raw, dt_fraction):
     params, scheme, grid = config.params, config.scheme, config.grid
     state = build_initial_state(config.spec, params, grid)
     tau = 0.5 * dt_fraction * _advective_dt(state, params, scheme, grid)
-    s = rkl2_stage_count(tau, _diffusive_dt(state, params, scheme, grid))
-    resistive = _diffuse(state, tau, params, grid, s, _resistive_stages(tau, params, scheme, grid))
+    s = rkl2_stage_count(tau, _diffusive_dt(state, params, grid))
+    resistive = _diffuse(state, tau, params, grid, s, _resistive_stages(tau, params, grid))
     ideal = _diffuse(state, tau, replace(params, nu=0.0), grid, s, 0)
     assert resistive.mom.tobytes() == ideal.mom.tobytes()
     assert ideal.b.tobytes() == state.b.tobytes()
@@ -173,20 +173,20 @@ def test_viscous_density_rule_and_its_stage_bound(raw):
 
     # the largest rate mu*rho/r^2 that the viscous block applies is at most
     # mu/d, d = viscous_rate_density(rho_min), so one explicit stage of
-    # _diffusive_dt stays within the diffusion number
+    # _diffusive_dt stays within DIFFUSION_NUMBER
     d = viscous_rate_density(float(state.rho.min()), rho_bar)
     w_rate = _blocks(state, params, grid)[1].rate * grid.dx**2  # mu*rho/r^2
     assert w_rate.max() <= params.mu / d * (1.0 + 1e-12)
-    dt_diffusive = _diffusive_dt(state, params, scheme, grid)
-    assert w_rate.max() * dt_diffusive <= scheme.diffusion_number * grid.dx**2 * (1.0 + 1e-12)
+    dt_diffusive = _diffusive_dt(state, params, grid)
+    assert w_rate.max() * dt_diffusive <= solver.DIFFUSION_NUMBER * grid.dx**2 * (1.0 + 1e-12)
 
     # and the bound is tight: a density ramp that resolves the peak of
     # mu*rho/r^2 at 2f/sqrt(3) reaches at least 0.99 of it
     ramp_grid = Grid1D(grid.half_width, len(ramp))
     ramp_state = State(ramp, np.zeros(len(ramp)), np.full(len(ramp), params.b_bar))
     peak = _blocks(ramp_state, params, ramp_grid)[1].rate.max() * ramp_grid.dx**2
-    limit = scheme.diffusion_number * ramp_grid.dx**2
-    assert 0.99 * limit <= peak * _diffusive_dt(ramp_state, params, scheme, ramp_grid) \
+    limit = solver.DIFFUSION_NUMBER * ramp_grid.dx**2
+    assert 0.99 * limit <= peak * _diffusive_dt(ramp_state, params, ramp_grid) \
         <= limit * (1.0 + 1e-12)
 
 

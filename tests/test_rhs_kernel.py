@@ -45,6 +45,7 @@ from mhd1d.diagnostics import _spreading_weight
 from mhd1d.diagnostics import Accumulators, lp_norm, sample
 from mhd1d.errors import NumericalError
 from mhd1d.solver import (
+    DIFFUSION_NUMBER,
     _Workspace,
     _advective_dt,
     _blocks,
@@ -276,7 +277,7 @@ def reference_step(state: State, dt: float, params, scheme, grid) -> tuple[State
     stable for this state: the peak viscous rate sets the viscous count, nu the
     resistive one."""
     s = rkl2_stage_count(0.5 * dt, reference_dt_bounds(state, params, scheme, grid)[1])
-    s_b = (rkl2_stage_count(0.5 * dt, scheme.diffusion_number * grid.dx**2 / params.nu)
+    s_b = (rkl2_stage_count(0.5 * dt, DIFFUSION_NUMBER * grid.dx**2 / params.nu)
            if params.nu > 0 else 0)
     state = reference_rkl2(state, 0.5 * dt, params, grid, s, s_b)
     new, clips = reference_hyperbolic_step(state, dt, params, scheme, grid)
@@ -329,7 +330,7 @@ def reference_dt_bounds(state: State, params: PhysParams, scheme: SchemeConfig,
     viscous block, at its peak diffusivity mu/d; nu bounds the resistive block alone."""
     dt_adv = scheme.cfl_number * grid.dx / float(np.max(fast_speed_state(state, params)))
     d = reference_rate_density(float(np.min(state.rho)), params.rho_bar)
-    dt_diff = scheme.diffusion_number * grid.dx**2 / (params.mu / d)
+    dt_diff = DIFFUSION_NUMBER * grid.dx**2 / (params.mu / d)
     return dt_adv, dt_diff
 
 
@@ -399,8 +400,7 @@ def dt_cases(draw):
         rho_bar=draw(st.floats(1.0, 2.0)), b_bar=draw(st.floats(0.5, 2.0)), preset=preset,
         a_rho=draw(amplitude), a_u=draw(amplitude), a_b=draw(amplitude),
         sigma=draw(st.floats(1.0, 4.0)), n=draw(st.integers(8, 4096)))
-    scheme = SchemeConfig(cfl_number=draw(st.floats(0.1, 1.0)),
-                          diffusion_number=draw(st.floats(0.05, 0.5)))
+    scheme = SchemeConfig(cfl_number=draw(st.floats(0.1, 1.0)))
     for _ in range(draw(st.integers(0, 2))):
         state, _ = step(state, _advective_dt(state, params, scheme, grid), params, scheme, grid)
     if preset == "interior_vacuum":
@@ -408,7 +408,7 @@ def dt_cases(draw):
         state.rho[max(k - 1, 0):k + 2] = 0.0
     dt_adv, _ = reference_dt_bounds(state, params, scheme, grid)
     # diffusivity at which the two bounds are equal
-    even = scheme.diffusion_number * grid.dx**2 / dt_adv
+    even = DIFFUSION_NUMBER * grid.dx**2 / dt_adv
     rho_min = reference_rate_density(float(state.rho.min()), params.rho_bar)
     diffusive = draw(st.booleans())
     if diffusive:
@@ -471,7 +471,7 @@ def test_stable_dt_matches_reference_bounds(case):
     dt_adv, dt_diff = reference_dt_bounds(state, params, scheme, grid)
     assert (dt_diff < dt_adv) == diffusive
     assert _advective_dt(state, params, scheme, grid) == dt_adv
-    assert _diffusive_dt(state, params, scheme, grid) == dt_diff
+    assert _diffusive_dt(state, params, grid) == dt_diff
 
 
 @pytest.mark.parametrize("reconstruction", ["muscl_minmod", "first_order_upwind"],
@@ -567,11 +567,11 @@ def test_rkl2_matches_the_discrete_decay_at_second_order():
     # the b block at its own stage count, set by nu alone: mu/rho_bar = 0.1
     # would allow two stages, nu = 1 needs more
     params, grid = PhysParams(mu=0.1, nu=1.0), Grid1D(1.0, 64)
-    dt_diffusive = SchemeConfig().diffusion_number * grid.dx**2 / params.nu
+    dt_diffusive = DIFFUSION_NUMBER * grid.dx**2 / params.nu
     s = rkl2_stage_count(0.05 / 8, dt_diffusive)  # stable for the coarser steps
-    assert s == _resistive_stages(0.05 / 8, params, SchemeConfig(), grid) > 2
+    assert s == _resistive_stages(0.05 / 8, params, grid) > 2
     state = State(np.full(64, params.rho_bar), np.zeros(64), np.full(64, params.b_bar))
-    assert rkl2_stage_count(0.05 / 8, _diffusive_dt(state, params, SchemeConfig(), grid)) < s
+    assert rkl2_stage_count(0.05 / 8, _diffusive_dt(state, params, grid)) < s
     coarse, fine = _sine_mode_error(8, s), _sine_mode_error(16, s)
     assert coarse < 1e-3
     assert 3.7 < coarse / fine < 4.3
@@ -665,10 +665,10 @@ def test_diffuse_matches_the_previous_recursion(s, preset, state, params, grid):
     # takes its own count, never more
     weighted = float(state.rho.min()) < 2.0 * VISC_FLOOR_FRACTION * params.rho_bar
     assert weighted == (preset == "interior_vacuum")
-    dt_diffusive = _diffusive_dt(state, params, SchemeConfig(), grid)
+    dt_diffusive = _diffusive_dt(state, params, grid)
     tau = dt_diffusive * (s * s + s - 2) / 4.0
     assert rkl2_stage_count(tau, dt_diffusive) == s
-    s_b = _resistive_stages(tau, params, SchemeConfig(), grid)
+    s_b = _resistive_stages(tau, params, grid)
     assert 2 <= s_b <= s
     new = _diffuse(state, tau, params, grid, s, s_b)
     old = previous_rkl2(state, tau, params, grid, s, s_b)
@@ -684,9 +684,9 @@ def test_diffuse_matches_reference_rkl2_bitwise(nu, s, preset, state, params, gr
     # both blocks at s stages over the longest step s viscous stages keep
     # stable, the b block absent at nu = 0
     params = replace(params, nu=nu)
-    dt_diffusive = _diffusive_dt(state, params, SchemeConfig(), grid)
+    dt_diffusive = _diffusive_dt(state, params, grid)
     tau = dt_diffusive * (s * s + s - 2) / 4.0
-    assert _resistive_stages(tau, params, SchemeConfig(), grid) <= s
+    assert _resistive_stages(tau, params, grid) <= s
     assert_same_bits(_diffuse(state, tau, params, grid, s, s),
                      reference_rkl2(state, tau, params, grid, s, s), names=("rho", "mom", "b"))
 

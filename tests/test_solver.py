@@ -21,8 +21,10 @@ from mhd1d import (
 from mhd1d.diagnostics import COLUMNS, DiagnosticsRecord, RunTelemetry, energy_density
 from mhd1d.errors import BoundaryMonitorError, NumericalError, SimulationError
 from mhd1d import solver
+from mhd1d.core import viscous_density
 from mhd1d.solver import (
     _advective_dt,
+    _blocks,
     _diffusive_dt,
     _resistive_stages,
     diffusion_tendency,
@@ -37,11 +39,14 @@ class TestSchemeConfig:
     def test_defaults(self):
         s = SchemeConfig()
         assert s.reconstruction == "muscl_minmod"
-        # the hyperbolic step is SSPRK2 alone: no setting chooses it
-        assert "time_integrator" not in {f.name for f in fields(s)}
+        # the hyperbolic step is SSPRK2 alone and the RKL2 safety factor a
+        # constant: no setting chooses either
+        names = {f.name for f in fields(s)}
+        assert "time_integrator" not in names and "diffusion_number" not in names
+        assert solver.DIFFUSION_NUMBER == 0.4
 
     @pytest.mark.parametrize("kwargs", [
-        {"cfl_number": 0.0}, {"cfl_number": 1.2}, {"diffusion_number": 0.6},
+        {"cfl_number": 0.0}, {"cfl_number": 1.2}, {"t_end": math.inf},
         {"reconstruction": "weno5"}, {"n_samples": 0}, {"t_end": -1.0},
     ])
     def test_rejects_bad_config(self, kwargs):
@@ -173,32 +178,48 @@ class TestStableDt:
         # mu large enough that the dx^2 restriction governs; nu = 0 leaves mu/rho
         params = PhysParams(mu=10.0, nu=0.0)
         state = constant_state(grid, params)
-        scheme = SchemeConfig()
-        dt = _diffusive_dt(state, params, scheme, grid)
+        dt = _diffusive_dt(state, params, grid)
         assert dt == pytest.approx(
-            scheme.diffusion_number * grid.dx**2 * params.rho_bar / params.mu)
+            solver.DIFFUSION_NUMBER * grid.dx**2 * params.rho_bar / params.mu)
 
     def test_large_resistivity_governs_diffusive_bound(self, grid):
         # nu = 50 sets the resistive block's bound alone: the viscous bound
         # is mu/rho's at any nu, and the b block takes the stages nu needs
         params = PhysParams(mu=0.1, nu=50.0)
         state = constant_state(grid, params)
-        scheme = SchemeConfig()
-        dt = _diffusive_dt(state, params, scheme, grid)
-        assert dt == _diffusive_dt(state, replace(params, nu=0.0), scheme, grid)
+        dt = _diffusive_dt(state, params, grid)
+        assert dt == _diffusive_dt(state, replace(params, nu=0.0), grid)
         assert dt == pytest.approx(
-            scheme.diffusion_number * grid.dx**2 * params.rho_bar / params.mu)
-        dt_res = scheme.diffusion_number * grid.dx**2 / params.nu
+            solver.DIFFUSION_NUMBER * grid.dx**2 * params.rho_bar / params.mu)
+        dt_res = solver.DIFFUSION_NUMBER * grid.dx**2 / params.nu
         for tau in (1e-3, 1e-2, 1e-1):
-            s_b = _resistive_stages(tau, params, scheme, grid)
+            s_b = _resistive_stages(tau, params, grid)
             assert s_b == rkl2_stage_count(tau, dt_res) > rkl2_stage_count(tau, dt)
-        assert _resistive_stages(1e-2, replace(params, nu=0.0), scheme, grid) == 0
+        assert _resistive_stages(1e-2, replace(params, nu=0.0), grid) == 0
 
     def test_positive_and_finite_on_vacuum(self, params):
         grid = Grid1D(20.0, 256)
         spec = ScenarioSpec(preset="interior_vacuum", a_b=-params.b_bar)
-        dt = _diffusive_dt(build_initial_state(spec, params, grid), params, SchemeConfig(), grid)
+        dt = _diffusive_dt(build_initial_state(spec, params, grid), params, grid)
         assert np.isfinite(dt) and dt > 0
+
+    @pytest.mark.parametrize("preset", ["gaussian_bump", "interior_vacuum"])
+    def test_viscous_density_is_rho_itself_without_vacuum(self, preset):
+        # no node below 2f: r is rho itself, not a copy, and the viscous rate
+        # carries no weight; a node below 2f gives a new r, and the rate the
+        # weight rho/r
+        params, grid = PhysParams(mu=0.1, nu=1e-3), Grid1D(20.0, 64)
+        state = build_initial_state(ScenarioSpec(preset=preset, a_b=-1.0), params, grid)
+        r = viscous_density(state.rho, params.rho_bar)
+        rho_safe, viscous, _ = _blocks(state, params, grid)
+        unweighted = (params.mu / grid.dx**2) / r
+        if preset == "gaussian_bump":
+            assert r is state.rho and rho_safe is state.rho
+            assert viscous.rate.tobytes() == unweighted.tobytes()
+        else:
+            assert r is not state.rho and np.array_equal(rho_safe, r)
+            assert viscous.rate.tobytes() == (unweighted * (state.rho / r)).tobytes()
+            assert not np.array_equal(viscous.rate, unweighted)
 
 
 class TestStep:
@@ -246,7 +267,7 @@ class TestRun:
     def test_sample_times_exact(self, params, grid, gaussian_spec):
         scheme = SchemeConfig(t_end=0.2, n_samples=8)
         _, record = run(gaussian_spec, params, scheme, grid)
-        assert np.array_equal(record.times, np.linspace(0.0, 0.2, 9))
+        assert np.array_equal(record.column("t"), np.linspace(0.0, 0.2, 9))
 
     def test_deterministic(self, params, grid, gaussian_spec):
         scheme = SchemeConfig(t_end=0.1, n_samples=5)
@@ -354,11 +375,11 @@ class TestRunLockstep:
             adv = min(_advective_dt(s0, p0, scheme, grid), _advective_dt(s1, p1, scheme, grid))
             landing = min(abs(s0.t + dt - t) for t in (0.1, 0.2)) < 1e-12
             assert dt == adv or (dt < adv and landing)
-            viscous = [_diffusive_dt(s_, p_, scheme, grid) for s_, p_ in ((s0, p0), (s1, p1))]
+            viscous = [_diffusive_dt(s_, p_, grid) for s_, p_ in ((s0, p0), (s1, p1))]
             assert stages == rkl2_stage_count(0.5 * dt, min(viscous))
-            assert viscous == [_diffusive_dt(s_, replace(p0, nu=nu), scheme, grid)
+            assert viscous == [_diffusive_dt(s_, replace(p0, nu=nu), grid)
                                for s_, nu in ((s0, 0.0), (s1, 1e-2))]
-            b0, b1 = (_resistive_stages(0.5 * dt, p, scheme, grid) for p in (p0, p1))
+            b0, b1 = (_resistive_stages(0.5 * dt, p, grid) for p in (p0, p1))
             assert b1 > b0 >= 2
             assert diffusions[4 * k:4 * k + 4] == [(1e-3, stages, b0)] * 2 + [(5.0, stages, b1)] * 2
         assert telemetry.diffusion_stages == sum(2 * c[3] for c in calls[::2])
@@ -452,7 +473,7 @@ class TestRunLockstep:
             run(spec, params, scheme, grid, telemetry)
         record = err.value.record
         assert 1 <= len(record.rows) < scheme.n_samples + 1
-        assert record.times[-1] <= err.value.time
+        assert record.column("t")[-1] <= err.value.time
         assert telemetry.steps > 0
         record.validate()
 
