@@ -124,8 +124,9 @@ def cmd_simulate(args) -> int:
     try:
         final, record = run(config.spec, config.params, config.scheme, config.grid, telemetry)
     except (BoundaryMonitorError, NumericalError) as exc:
-        # an abort still writes the rows gathered before it, and its locus in the manifest
-        print(f"aborted: {exc}", file=sys.stderr)
+        # an abort still writes its rows and locus; clips before it hint at its real cause
+        clips = f", after {telemetry.clips} density clips" if telemetry.clips else ""
+        print(f"aborted: {exc}{clips}", file=sys.stderr)
         error, record = exc, exc.record if exc.record is not None else DiagnosticsRecord()
     integrated = time.perf_counter()
 

@@ -10,10 +10,10 @@ min/max-only minmod limiter, one rho^gamma pass serving the flux and the
 fast speed, advanced by the two-stage SSP Runge-Kutta method SSPRK2.
 ``diffusion_tendency`` is the second-order central diffusion terms, advanced
 by second-order Runge-Kutta-Legendre (RKL2) super-time-stepping at frozen
-density, m/r(rho) and b each at their own stage count, every stage within
-``DIFFUSION_NUMBER`` * dx^2 / (the block's largest diffusivity), Strang-split
-around the hyperbolic step, so the advective CFL bound alone sets dt;
-``tendencies`` is the sum.
+density, m/r(rho) and b each at their own ``_stage_counts``, every stage
+within ``DIFFUSION_NUMBER`` * dx^2 / (the block's largest diffusivity),
+Strang-split around the hyperbolic step, so the advective CFL bound at
+``CFL_NUMBER`` alone sets dt; ``tendencies`` is the sum.
 Far-field Dirichlet values enter through ghost cells.  One driver advances
 any number of runs on a shared dt sequence: a single run is one member, a
 sweep group is one member per resistivity plus a shared non-resistive
@@ -46,6 +46,7 @@ from .scenario import ScenarioSpec, build_initial_state
 
 RECONSTRUCTIONS = ("first_order_upwind", "muscl_minmod")
 RHS_PER_STEP = 2  # rhs evaluations per hyperbolic (SSPRK2) step
+CFL_NUMBER = 0.45  # fraction of the forward-Euler bound each SSPRK2 stage takes
 DIFFUSION_NUMBER = 0.4  # safety factor of each RKL2 stage, a fraction of dx^2 / diffusivity
 
 BOUNDARY_NODES = 3  # outermost interior nodes the monitor reads, per edge
@@ -53,14 +54,13 @@ BOUNDARY_NODES = 3  # outermost interior nodes the monitor reads, per edge
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Discretization knobs: CFL number, reconstruction, horizon.
+    """Discretization knobs: reconstruction and horizon.
 
-    The hyperbolic step is always SSPRK2; ``cfl_number`` is the fraction of
-    the forward-Euler bound each of its stages takes.  The safety factor of
-    each super-time-stepping stage is no knob: it is ``DIFFUSION_NUMBER``.
+    The hyperbolic step is always SSPRK2, and neither step bound is a knob:
+    each SSPRK2 stage takes ``CFL_NUMBER`` of its forward-Euler bound and
+    each super-time-stepping stage ``DIFFUSION_NUMBER`` of its dx^2 bound.
     """
 
-    cfl_number: float = 0.45
     reconstruction: str = "muscl_minmod"
     t_end: float = 1.0
     n_samples: int = 50
@@ -70,8 +70,6 @@ class SchemeConfig:
 
     def __post_init__(self):
         problems = non_finite_problems(self)
-        if not 0 < self.cfl_number <= 1:
-            problems.append(f"cfl_number in (0, 1] required, got {self.cfl_number}")
         if self.reconstruction not in RECONSTRUCTIONS:
             problems.append(f"reconstruction must be one of {RECONSTRUCTIONS}")
         if self.t_end < 0:
@@ -353,9 +351,9 @@ def tendencies(state: State, params: PhysParams, scheme: SchemeConfig, grid: Gri
     return out
 
 
-def _advective_dt(state: State, params: PhysParams, scheme: SchemeConfig, grid: Grid1D) -> float:
-    """The CFL bound of the hyperbolic step: cfl * dx / max fast speed."""
-    return scheme.cfl_number * grid.dx / float(fast_speed_state(state, params).max())
+def _advective_dt(state: State, params: PhysParams, grid: Grid1D) -> float:
+    """The CFL bound of the hyperbolic step: CFL_NUMBER * dx / max fast speed."""
+    return CFL_NUMBER * grid.dx / float(fast_speed_state(state, params).max())
 
 
 def _diffusive_dt(state: State, params: PhysParams, grid: Grid1D) -> float:
@@ -370,10 +368,14 @@ def _diffusive_dt(state: State, params: PhysParams, grid: Grid1D) -> float:
     return DIFFUSION_NUMBER * grid.dx**2 / (params.mu / d)
 
 
-def _resistive_stages(tau: float, params: PhysParams, grid: Grid1D) -> int:
-    """RKL2 stages of the resistive block over tau, at its bound DIFFUSION_NUMBER * dx^2 / nu."""
-    return (rkl2_stage_count(tau, DIFFUSION_NUMBER * grid.dx**2 / params.nu)
-            if params.nu > 0 else 0)  # no resistive block at nu = 0
+def _stage_counts(dt: float, members: list, grid: Grid1D) -> list[tuple[int, int]]:
+    """Each (state, params) member's (viscous, resistive) RKL2 stage counts over
+    dt/2: every viscous block the count the group's largest viscous rate needs,
+    each b block the count its own nu needs at DIFFUSION_NUMBER * dx^2 / nu."""
+    half = 0.5 * dt
+    s = rkl2_stage_count(half, min(_diffusive_dt(state, params, grid) for state, params in members))
+    return [(s, rkl2_stage_count(half, DIFFUSION_NUMBER * grid.dx**2 / params.nu)
+             if params.nu > 0 else 0) for _, params in members]
 
 
 def rkl2_stage_count(tau: float, dt_diffusive: float) -> int:
@@ -461,25 +463,23 @@ def _hyperbolic_step(state: State, dt: float, params, scheme, grid, rhs_fn) -> t
 
 
 def step(state: State, dt: float, params: PhysParams, scheme: SchemeConfig,
-         grid: Grid1D, rhs_fn=None, stages: int | None = None) -> tuple[State, int]:
+         grid: Grid1D, rhs_fn=None, stages: tuple[int, int] | None = None) -> tuple[State, int]:
     """Advance one Strang-split step D(dt/2) H(dt) D(dt/2); returns the new
     state and the number of nodes where the density had to be clipped to zero.
 
-    D is an RKL2 step of the viscous block with ``stages`` stages (by default
-    the fewest this state needs over dt/2) and of the resistive block with
-    the fewest nu needs, H an SSPRK2 step of ``rhs_fn``, the
-    hyperbolic tendencies.  Only H evaluates ``rhs_fn``, and only H moves the
+    D is an RKL2 step of the viscous and of the resistive block with the
+    ``stages`` = (viscous, resistive) counts, by default this state's own
+    ``_stage_counts``; H is an SSPRK2 step of ``rhs_fn``, the hyperbolic
+    tendencies.  Only H evaluates ``rhs_fn``, and only H moves the
     time label, so time-dependent forcing sees the hyperbolic stage times.
     The new state shares no memory with ``state``.
     """
     rhs_fn = rhs_fn or rhs
     half = 0.5 * dt
-    if stages is None:
-        stages = rkl2_stage_count(half, _diffusive_dt(state, params, grid))
-    b_stages = _resistive_stages(half, params, grid)
-    state = _diffuse(state, half, params, grid, stages, b_stages)
+    s, s_b = stages if stages is not None else _stage_counts(dt, [(state, params)], grid)[0]
+    state = _diffuse(state, half, params, grid, s, s_b)
     state, clips = _hyperbolic_step(state, dt, params, scheme, grid, rhs_fn)
-    return _diffuse(state, half, params, grid, stages, b_stages), clips
+    return _diffuse(state, half, params, grid, s, s_b), clips
 
 
 def check_boundary(state: State, params: PhysParams) -> float:
@@ -509,21 +509,20 @@ def run_lockstep(members: list[tuple[State, PhysParams]], scheme: SchemeConfig,
 
     dt is the smallest advective bound over all members, clipped so that the
     uniform sample times are hit exactly; this keeps records from different
-    runs directly comparable.  Every member's viscous block takes the same
-    number of RKL2 stages per half-step, the fewest the largest viscous rate
-    needs, and its resistive block the fewest its own nu needs; with one dt
-    and one viscous stage count, the splitting error cancels in the
-    difference of two members.  Each of the first ``recorded`` members
-    carries its own dissipation accumulators (trapezoid in time, advanced
-    every accepted step) and diagnostics record, whose clip count holds that
-    member's own density clips.  With
-    ``recorded = 0`` nothing is sampled or accumulated; the steps, sample
-    landings and final states are those of a recorded run, and no record is
-    returned.
+    runs directly comparable.  Each step, ``_stage_counts`` gives every
+    member the RKL2 stage counts ``step`` takes, one viscous count for the
+    group and a resistive one per nu; with one dt and one viscous stage
+    count, the splitting error cancels in the difference of two members.
+    Each of the first ``recorded`` members carries its own dissipation
+    accumulators (trapezoid in time, advanced every accepted step) and
+    diagnostics record, whose clip count holds that member's own density
+    clips.  With ``recorded = 0`` nothing is sampled or accumulated; the
+    steps, sample landings and final states are those of a recorded run,
+    and no record is returned.
     ``observe(states, dt)`` is called at t = 0 with dt = 0 and after every
     accepted step.  The group's steps, rhs evaluations, the bound that set
-    each dt, the RKL2 stages of both blocks and the density clips of every
-    member are added to the caller's ``telemetry``, a failed run's too;
+    each dt, the RKL2 stages ``step`` was given and the density clips of
+    every member are added to the caller's ``telemetry``, a failed run's too;
     ``max_steps`` counts this call's steps alone.
 
     A ``SimulationError`` leaves with ``exc.member``, the index of the member
@@ -561,20 +560,19 @@ def run_lockstep(members: list[tuple[State, PhysParams]], scheme: SchemeConfig,
         next_sample = steps = 0
         while next_sample < len(sample_times):
             target = sample_times[next_sample]
-            dt = min(_advective_dt(s, p, scheme, grid) for s, p in zip(states, params))
+            dt = min(_advective_dt(s, p, grid) for s, p in zip(states, params))
             landed = states[0].t + dt >= target - 1e-12 * t_end
             if landed:
                 dt = target - states[0].t
                 telemetry.dt_sample_landing += 1
             else:
                 telemetry.dt_advective += 1
-            stages = rkl2_stage_count(
-                0.5 * dt, min(_diffusive_dt(s, p, grid) for s, p in zip(states, params)))
-            telemetry.diffusion_stages += 2 * stages
-            for member, p in enumerate(params):
+            counts = _stage_counts(dt, list(zip(states, params)), grid)
+            telemetry.diffusion_stages += 2 * counts[0][0]  # one viscous count for the group
+            for member, (p, stages) in enumerate(zip(params, counts)):
                 states[member], clips = step(states[member], dt, p, scheme, grid, rhs_fn, stages)
                 telemetry.rhs_evals += RHS_PER_STEP
-                telemetry.resistive_stages += 2 * _resistive_stages(0.5 * dt, p, grid)
+                telemetry.resistive_stages += 2 * stages[1]
                 telemetry.clips += clips
                 if member < recorded:
                     accums[member].clip_count += clips
@@ -638,6 +636,7 @@ def load_checkpoint(text: str) -> tuple[State, Grid1D]:
 __all__ = [
     "RECONSTRUCTIONS",
     "RHS_PER_STEP",
+    "CFL_NUMBER",
     "DIFFUSION_NUMBER",
     "VISC_FLOOR_FRACTION",
     "BOUNDARY_TOLERANCE",

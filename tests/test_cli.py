@@ -111,7 +111,7 @@ class TestConfig:
         assert c1.fingerprint() == c2.fingerprint()
         # pinned: the canonical form of the defaults and of the benchmark's
         # seed-0 sweep configuration must not drift
-        defaults = "6476d44dc67044a47e1308eae1134dfb8d4a29c2ce075f48ee99482c07d55ef2"
+        defaults = "fcd2d26f751ccb6451218c2dda38738487416f46a2d454b27fd3bce02bf3181e"
         assert parse_config({}).fingerprint() == defaults
         # jobs sets no number, and the sweep runs nu_list in descending order
         shuffled = {"jobs": 2, "nu_list": [1e-4, 1e-2, 3e-4, 3e-3, 1e-3]}
@@ -174,11 +174,12 @@ def test_mode_is_an_unknown_field(command, tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
 @pytest.mark.parametrize("field, value", [("time_integrator", "ssp_rk2"),
-                                          ("diffusion_number", 0.4)],
-                         ids=["time_integrator", "diffusion_number"])
+                                          ("diffusion_number", 0.4), ("cfl_number", 0.45)],
+                         ids=["time_integrator", "diffusion_number", "cfl_number"])
 def test_removed_scheme_field_is_unknown(field, value, command, tmp_path, capsys):
-    # the hyperbolic step is SSPRK2 alone and the RKL2 safety factor is
-    # solver.DIFFUSION_NUMBER, so no setting chooses either
+    # the hyperbolic step is SSPRK2 alone and its CFL number and the RKL2
+    # safety factor are solver.CFL_NUMBER and solver.DIFFUSION_NUMBER, so no
+    # setting chooses any of them
     cfg = write_config(tmp_path, {"scheme": {field: value}})
     out = tmp_path / "o"
     assert main([command, "--config", cfg, "--output-dir", str(out)]) == 2
@@ -275,6 +276,23 @@ class TestSimulateCommand:
         assert manifest["boundary_monitor"] == "ok"
         assert manifest["error"] == {"kind": "NumericalError", "t": 0.25, "node": 7}
         assert manifest["outputs"] == []
+
+    def test_abort_message_names_the_density_clips(self, tmp_path, monkeypatch, capsys):
+        # clips before an abort are the only sign of its cause when the
+        # hyperbolic step outran its bound near vacuum
+        def clipping_run(spec, params, scheme, grid, telemetry):
+            telemetry.clips += 6
+            raise BoundaryMonitorError(time=0.426121, deviation=2e-6)
+
+        monkeypatch.setattr(mhd1d.cli, "run", clipping_run)
+        cfg = write_config(tmp_path, CONSTANT)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg, "--output-dir", str(out)]) == 4
+        assert capsys.readouterr().err == (
+            "aborted: boundary validity monitor tripped at t=0.426121 (edge deviation "
+            "2.000e-06 > 1e-06), after 6 density clips\n")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["status"], manifest["clip_count"]) == ("aborted", 6)
 
     def test_manifest_carries_run_telemetry(self, tmp_path):
         cfg = write_config(tmp_path, SMALL)

@@ -183,7 +183,7 @@ class TestForcedRuns:
         plain_step = solver.step
 
         def recording_step(state, dt, params, scheme_, grid_, rhs_fn=None, stages=None):
-            calls.append((state.t, dt, _advective_dt(state, params, scheme_, grid_)))
+            calls.append((state.t, dt, _advective_dt(state, params, grid_)))
             return plain_step(state, dt, params, scheme_, grid_, rhs_fn, stages)
 
         monkeypatch.setattr(solver, "step", recording_step)

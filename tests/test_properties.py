@@ -41,9 +41,8 @@ from mhd1d.solver import (
     _blocks,
     _diffuse,
     _diffusive_dt,
-    _resistive_stages,
+    _stage_counts,
     load_checkpoint,
-    rkl2_stage_count,
     run,
     save_checkpoint,
     step,
@@ -133,11 +132,12 @@ def test_diffusion_blocks_are_decoupled(raw, dt_fraction):
     # no w: a diffusion half-step gives the same momentum bits at nu and at
     # nu = 0, and at nu = 0 it leaves b as it is
     config = parse_config(raw)
-    params, scheme, grid = config.params, config.scheme, config.grid
+    params, grid = config.params, config.grid
     state = build_initial_state(config.spec, params, grid)
-    tau = 0.5 * dt_fraction * _advective_dt(state, params, scheme, grid)
-    s = rkl2_stage_count(tau, _diffusive_dt(state, params, grid))
-    resistive = _diffuse(state, tau, params, grid, s, _resistive_stages(tau, params, grid))
+    dt = dt_fraction * _advective_dt(state, params, grid)
+    [(s, s_b)] = _stage_counts(dt, [(state, params)], grid)
+    tau = 0.5 * dt
+    resistive = _diffuse(state, tau, params, grid, s, s_b)
     ideal = _diffuse(state, tau, replace(params, nu=0.0), grid, s, 0)
     assert resistive.mom.tobytes() == ideal.mom.tobytes()
     assert ideal.b.tobytes() == state.b.tobytes()
@@ -151,7 +151,7 @@ def test_viscous_density_rule_and_its_stage_bound(raw):
     config = parse_config(raw)
     params, scheme, grid = config.params, config.scheme, config.grid
     state = build_initial_state(config.spec, params, grid)
-    state, _ = step(state, _advective_dt(state, params, scheme, grid), params, scheme, grid)
+    state, _ = step(state, _advective_dt(state, params, grid), params, scheme, grid)
     rho_bar = params.rho_bar
     rho = np.sort(np.concatenate([state.rho, np.linspace(0.0, 3.0 * rho_bar, 301)]))
     r = viscous_density(rho, rho_bar)
@@ -188,6 +188,24 @@ def test_viscous_density_rule_and_its_stage_bound(raw):
     limit = solver.DIFFUSION_NUMBER * ramp_grid.dx**2
     assert 0.99 * limit <= peak * _diffusive_dt(ramp_state, params, ramp_grid) \
         <= limit * (1.0 + 1e-12)
+
+
+@given(st.lists(configs(), min_size=1, max_size=4), st.floats(1e-4, 1.0))
+def test_one_stage_policy_serves_every_member(raws, dt):
+    # every viscous block takes the count of the tightest member, the one of
+    # smallest _diffusive_dt; every b block the count of its own nu, as if it
+    # stepped alone, and none exactly at nu = 0.  Nothing is stepped
+    grid = parse_config(raws[0]).grid
+    members = []
+    for raw in raws:
+        config = parse_config({**raw, "grid": raws[0]["grid"]})
+        members.append((build_initial_state(config.spec, config.params, grid), config.params))
+    tightest = min(members, key=lambda member: _diffusive_dt(*member, grid))
+    [(viscous, _)] = _stage_counts(dt, [tightest], grid)
+    for member, (s, s_b) in zip(members, _stage_counts(dt, members, grid), strict=True):
+        assert s == viscous >= 2
+        assert s_b == _stage_counts(dt, [member], grid)[0][1]
+        assert (s_b == 0) == (member[1].nu == 0)
 
 
 resistivities = st.one_of(st.just(0.0), st.floats(1e-5, 0.1))

@@ -45,6 +45,7 @@ from mhd1d.diagnostics import _spreading_weight
 from mhd1d.diagnostics import Accumulators, lp_norm, sample
 from mhd1d.errors import NumericalError
 from mhd1d.solver import (
+    CFL_NUMBER,
     DIFFUSION_NUMBER,
     _Workspace,
     _advective_dt,
@@ -52,7 +53,7 @@ from mhd1d.solver import (
     _diffuse,
     _diffusive_dt,
     _half_minmod_slopes,
-    _resistive_stages,
+    _stage_counts,
     diffusion_tendency,
     rhs,
     rkl2_coefficients,
@@ -276,7 +277,7 @@ def reference_step(state: State, dt: float, params, scheme, grid) -> tuple[State
     """D(dt/2) H(dt) D(dt/2) with, per diffusion block, the fewest RKL2 stages
     stable for this state: the peak viscous rate sets the viscous count, nu the
     resistive one."""
-    s = rkl2_stage_count(0.5 * dt, reference_dt_bounds(state, params, scheme, grid)[1])
+    s = rkl2_stage_count(0.5 * dt, reference_dt_bounds(state, params, grid)[1])
     s_b = (rkl2_stage_count(0.5 * dt, DIFFUSION_NUMBER * grid.dx**2 / params.nu)
            if params.nu > 0 else 0)
     state = reference_rkl2(state, 0.5 * dt, params, grid, s, s_b)
@@ -324,11 +325,10 @@ def reference_integrand(state: State, params: PhysParams, grid: Grid1D) -> tuple
     )
 
 
-def reference_dt_bounds(state: State, params: PhysParams, scheme: SchemeConfig,
-                        grid: Grid1D) -> tuple[float, float]:
+def reference_dt_bounds(state: State, params: PhysParams, grid: Grid1D) -> tuple[float, float]:
     """The advective CFL bound and the dx^2 bound of one explicit stage of the
     viscous block, at its peak diffusivity mu/d; nu bounds the resistive block alone."""
-    dt_adv = scheme.cfl_number * grid.dx / float(np.max(fast_speed_state(state, params)))
+    dt_adv = CFL_NUMBER * grid.dx / float(np.max(fast_speed_state(state, params)))
     d = reference_rate_density(float(np.min(state.rho)), params.rho_bar)
     dt_diff = DIFFUSION_NUMBER * grid.dx**2 / (params.mu / d)
     return dt_adv, dt_diff
@@ -385,7 +385,7 @@ def cases(draw):
     scheme = SchemeConfig(
         reconstruction=draw(st.sampled_from(("muscl_minmod", "first_order_upwind"))))
     for _ in range(draw(st.integers(0, 3))):
-        state, _ = step(state, _advective_dt(state, params, scheme, grid), params, scheme, grid)
+        state, _ = step(state, _advective_dt(state, params, grid), params, scheme, grid)
     return state, params, scheme, grid
 
 
@@ -400,13 +400,12 @@ def dt_cases(draw):
         rho_bar=draw(st.floats(1.0, 2.0)), b_bar=draw(st.floats(0.5, 2.0)), preset=preset,
         a_rho=draw(amplitude), a_u=draw(amplitude), a_b=draw(amplitude),
         sigma=draw(st.floats(1.0, 4.0)), n=draw(st.integers(8, 4096)))
-    scheme = SchemeConfig(cfl_number=draw(st.floats(0.1, 1.0)))
     for _ in range(draw(st.integers(0, 2))):
-        state, _ = step(state, _advective_dt(state, params, scheme, grid), params, scheme, grid)
+        state, _ = step(state, _advective_dt(state, params, grid), params, SchemeConfig(), grid)
     if preset == "interior_vacuum":
         k = int(np.argmin(state.rho))
         state.rho[max(k - 1, 0):k + 2] = 0.0
-    dt_adv, _ = reference_dt_bounds(state, params, scheme, grid)
+    dt_adv, _ = reference_dt_bounds(state, params, grid)
     # diffusivity at which the two bounds are equal
     even = DIFFUSION_NUMBER * grid.dx**2 / dt_adv
     rho_min = reference_rate_density(float(state.rho.min()), params.rho_bar)
@@ -417,7 +416,7 @@ def dt_cases(draw):
     else:
         mu = rho_min * even * draw(st.floats(1e-3, 0.5))
         nu = even * draw(st.one_of(st.just(0.0), st.floats(1e-3, 0.5)))
-    return state, replace(params, mu=mu, nu=nu), scheme, grid, diffusive
+    return state, replace(params, mu=mu, nu=nu), grid, diffusive
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +454,7 @@ def test_tendencies_match_reference_bitwise(case):
 @given(cases(), st.floats(0.05, 1.0))
 def test_step_and_integrand_match_reference_bitwise(case, dt_fraction):
     state, params, scheme, grid = case
-    dt = dt_fraction * _advective_dt(state, params, scheme, grid)
+    dt = dt_fraction * _advective_dt(state, params, grid)
     assert_same_step(state, dt, params, scheme, grid)
     got = Accumulators().integrand(state, params, grid)
     want = reference_integrand(state, params, grid)
@@ -467,10 +466,10 @@ def test_step_and_integrand_match_reference_bitwise(case, dt_fraction):
 @given(dt_cases())
 def test_stable_dt_matches_reference_bounds(case):
     # the advective bound sets dt, the viscous one the viscous block's RKL2 stage count
-    state, params, scheme, grid, diffusive = case
-    dt_adv, dt_diff = reference_dt_bounds(state, params, scheme, grid)
+    state, params, grid, diffusive = case
+    dt_adv, dt_diff = reference_dt_bounds(state, params, grid)
     assert (dt_diff < dt_adv) == diffusive
-    assert _advective_dt(state, params, scheme, grid) == dt_adv
+    assert _advective_dt(state, params, grid) == dt_adv
     assert _diffusive_dt(state, params, grid) == dt_diff
 
 
@@ -482,7 +481,7 @@ def test_clipping_step_matches_reference_bitwise(reconstruction):
     state, params, grid = make_state(2.0, 0.1, 1e-3, 1.0, 1.0, "interior_vacuum",
                                      0.0, 2.0, 0.0, 2.0, 256)
     scheme = SchemeConfig(reconstruction=reconstruction)
-    dt = 10.0 * _advective_dt(state, params, scheme, grid)
+    dt = 10.0 * _advective_dt(state, params, grid)
     assert assert_same_step(state, dt, params, scheme, grid) > 0
 
 
@@ -569,9 +568,10 @@ def test_rkl2_matches_the_discrete_decay_at_second_order():
     params, grid = PhysParams(mu=0.1, nu=1.0), Grid1D(1.0, 64)
     dt_diffusive = DIFFUSION_NUMBER * grid.dx**2 / params.nu
     s = rkl2_stage_count(0.05 / 8, dt_diffusive)  # stable for the coarser steps
-    assert s == _resistive_stages(0.05 / 8, params, grid) > 2
     state = State(np.full(64, params.rho_bar), np.zeros(64), np.full(64, params.b_bar))
-    assert rkl2_stage_count(0.05 / 8, _diffusive_dt(state, params, grid)) < s
+    [(s_viscous, s_b)] = _stage_counts(0.05 / 4, [(state, params)], grid)
+    assert s == s_b > 2
+    assert rkl2_stage_count(0.05 / 8, _diffusive_dt(state, params, grid)) == s_viscous < s
     coarse, fine = _sine_mode_error(8, s), _sine_mode_error(16, s)
     assert coarse < 1e-3
     assert 3.7 < coarse / fine < 4.3
@@ -668,8 +668,8 @@ def test_diffuse_matches_the_previous_recursion(s, preset, state, params, grid):
     dt_diffusive = _diffusive_dt(state, params, grid)
     tau = dt_diffusive * (s * s + s - 2) / 4.0
     assert rkl2_stage_count(tau, dt_diffusive) == s
-    s_b = _resistive_stages(tau, params, grid)
-    assert 2 <= s_b <= s
+    [(s_viscous, s_b)] = _stage_counts(2 * tau, [(state, params)], grid)
+    assert 2 <= s_b <= s == s_viscous
     new = _diffuse(state, tau, params, grid, s, s_b)
     old = previous_rkl2(state, tau, params, grid, s, s_b)
     for got, want in ((new.mom, old.mom), (new.b, old.b)):
@@ -686,7 +686,8 @@ def test_diffuse_matches_reference_rkl2_bitwise(nu, s, preset, state, params, gr
     params = replace(params, nu=nu)
     dt_diffusive = _diffusive_dt(state, params, grid)
     tau = dt_diffusive * (s * s + s - 2) / 4.0
-    assert _resistive_stages(tau, params, grid) <= s
+    [(s_viscous, s_b)] = _stage_counts(2 * tau, [(state, params)], grid)
+    assert s_viscous == s >= s_b and (s_b == 0) == (nu == 0)
     assert_same_bits(_diffuse(state, tau, params, grid, s, s),
                      reference_rkl2(state, tau, params, grid, s, s), names=("rho", "mom", "b"))
 

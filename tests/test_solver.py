@@ -26,7 +26,7 @@ from mhd1d.solver import (
     _advective_dt,
     _blocks,
     _diffusive_dt,
-    _resistive_stages,
+    _stage_counts,
     diffusion_tendency,
     load_checkpoint,
     rkl2_stage_count,
@@ -39,14 +39,14 @@ class TestSchemeConfig:
     def test_defaults(self):
         s = SchemeConfig()
         assert s.reconstruction == "muscl_minmod"
-        # the hyperbolic step is SSPRK2 alone and the RKL2 safety factor a
-        # constant: no setting chooses either
+        # the hyperbolic step is SSPRK2 alone and both step bounds' safety
+        # factors are constants: no setting chooses any of them
         names = {f.name for f in fields(s)}
-        assert "time_integrator" not in names and "diffusion_number" not in names
-        assert solver.DIFFUSION_NUMBER == 0.4
+        assert not names & {"time_integrator", "diffusion_number", "cfl_number"}
+        assert (solver.CFL_NUMBER, solver.DIFFUSION_NUMBER) == (0.45, 0.4)
 
     @pytest.mark.parametrize("kwargs", [
-        {"cfl_number": 0.0}, {"cfl_number": 1.2}, {"t_end": math.inf},
+        {"t_end": math.inf},
         {"reconstruction": "weno5"}, {"n_samples": 0}, {"t_end": -1.0},
     ])
     def test_rejects_bad_config(self, kwargs):
@@ -154,24 +154,22 @@ class TestRhs:
 class TestStableDt:
     """The step bounds: ``_advective_dt`` sets dt, ``_diffusive_dt`` (one
     explicit stage of the viscous block) the viscous RKL2 stage count, and
-    nu alone the resistive block's (``_resistive_stages``)."""
+    nu alone the resistive block's (both from ``_stage_counts``)."""
 
     def test_acoustic_limit(self):
-        # state (1, 0, 0) with gamma=2 and negligible diffusion: dt = cfl*dx/sqrt(2)
+        # state (1, 0, 0) with gamma=2 and negligible diffusion: dt = CFL*dx/sqrt(2)
         params = PhysParams(mu=1e-30, nu=0.0, gamma=2.0, b_bar=1.0)
         grid = Grid1D(10.0, 64)
         state = State(rho=np.ones(64), mom=np.zeros(64), b=np.zeros(64))
-        scheme = SchemeConfig(cfl_number=0.5)
-        assert _advective_dt(state, params, scheme, grid) == pytest.approx(
-            0.5 * grid.dx / math.sqrt(2.0))
+        assert _advective_dt(state, params, grid) == pytest.approx(
+            solver.CFL_NUMBER * grid.dx / math.sqrt(2.0))
 
     def test_doubling_cells_at_most_halves_advective_bound(self, params, gaussian_spec):
         p = replace(params, mu=1e-30, nu=0.0)
-        scheme = SchemeConfig()
         dts = []
         for n in (256, 512):
             g = Grid1D(20.0, n)
-            dts.append(_advective_dt(build_initial_state(gaussian_spec, params, g), p, scheme, g))
+            dts.append(_advective_dt(build_initial_state(gaussian_spec, params, g), p, g))
         assert dts[1] <= 0.5 * dts[0] * (1 + 1e-12)
 
     def test_zero_resistivity_uses_viscous_bound(self, grid):
@@ -193,9 +191,9 @@ class TestStableDt:
             solver.DIFFUSION_NUMBER * grid.dx**2 * params.rho_bar / params.mu)
         dt_res = solver.DIFFUSION_NUMBER * grid.dx**2 / params.nu
         for tau in (1e-3, 1e-2, 1e-1):
-            s_b = _resistive_stages(tau, params, grid)
-            assert s_b == rkl2_stage_count(tau, dt_res) > rkl2_stage_count(tau, dt)
-        assert _resistive_stages(1e-2, replace(params, nu=0.0), grid) == 0
+            [(s, s_b)] = _stage_counts(2 * tau, [(state, params)], grid)
+            assert s_b == rkl2_stage_count(tau, dt_res) > rkl2_stage_count(tau, dt) == s
+        assert _stage_counts(2e-2, [(state, replace(params, nu=0.0))], grid)[0][1] == 0
 
     def test_positive_and_finite_on_vacuum(self, params):
         grid = Grid1D(20.0, 256)
@@ -244,7 +242,7 @@ class TestStep:
         state = State(rho=rho, mom=rho * c, b=params.b_bar + eps * np.exp(-x**2), t=0.0)
         scheme = SchemeConfig()
         while state.t < t_end - 1e-12:
-            dt = min(_advective_dt(state, params, scheme, grid), t_end - state.t)
+            dt = min(_advective_dt(state, params, grid), t_end - state.t)
             state, _ = step(state, dt, params, scheme, grid)
         core = np.abs(x) < 10.0  # edges are polluted by the far-field ghosts
         assert np.abs(state.rho - params.rho_bar)[core].max() < 1e-7
@@ -297,6 +295,16 @@ class TestRun:
         with pytest.raises(BoundaryMonitorError):
             run(spec, params, scheme, grid)
 
+    @pytest.mark.xfail(strict=True, raises=BoundaryMonitorError, reason="ROADMAP item 10")
+    def test_near_vacuum_run_completes_without_clips(self):
+        # the hyperbolic step runs after D(dt/2), whose velocity near vacuum
+        # can outrun the CFL bound dt was taken from: 6 density clips, then a
+        # boundary abort at t = 0.426121 after 1,019 steps
+        spec = ScenarioSpec(preset="interior_vacuum", a_u=1.0, a_b=-1.0)
+        params = PhysParams(mu=1.0, nu=1e-3)
+        final, record = run(spec, params, SchemeConfig(t_end=1.0), Grid1D(20.0, 512))
+        assert final.t == 1.0 and record.final("clip_count") == 0
+
     @pytest.mark.parametrize("field", ["rho", "mom", "b"])
     @pytest.mark.parametrize("node", [0, 2, -3, -1])
     def test_boundary_monitor_fails_closed_on_nan(self, params, grid, field, node):
@@ -328,7 +336,7 @@ class TestRunLockstep:
         seen = []
 
         def observe(states, dt):
-            bounds = [_advective_dt(s, p, scheme, grid) for s, p in zip(states, (p0, p1))]
+            bounds = [_advective_dt(s, p, grid) for s, p in zip(states, (p0, p1))]
             seen.append((dt, states[0].t, bounds))
 
         run_lockstep([(state, p0), (state.copy(), p1)], scheme, grid, observe=observe)
@@ -350,7 +358,7 @@ class TestRunLockstep:
         p1 = replace(p0, nu=5.0)
         scheme = SchemeConfig(t_end=0.2, n_samples=2)
         state = build_initial_state(gaussian_spec, p0, grid)
-        calls = []  # (state before the step, params, dt, stages), member by member
+        calls = []  # (state before the step, params, dt, (s, s_b)), member by member
         diffusions = []  # (nu, viscous stages, resistive stages), two per step
         plain_step, plain_diffuse = solver.step, solver._diffuse
 
@@ -369,21 +377,24 @@ class TestRunLockstep:
         steps = list(zip(calls[::2], calls[1::2]))
         assert len(steps) == telemetry.steps > 3
         assert len(diffusions) == 4 * len(steps)
-        for k, ((s0, q0, dt, stages), (s1, q1, dt1, stages1)) in enumerate(steps):
+        for k, ((s0, q0, dt, (v0, b0)), (s1, q1, dt1, (v1, b1))) in enumerate(steps):
             assert (q0, q1) == (p0, p1)
-            assert (dt1, stages1) == (dt, stages)
-            adv = min(_advective_dt(s0, p0, scheme, grid), _advective_dt(s1, p1, scheme, grid))
+            assert (dt1, v1) == (dt, v0)
+            adv = min(_advective_dt(s0, p0, grid), _advective_dt(s1, p1, grid))
             landing = min(abs(s0.t + dt - t) for t in (0.1, 0.2)) < 1e-12
             assert dt == adv or (dt < adv and landing)
             viscous = [_diffusive_dt(s_, p_, grid) for s_, p_ in ((s0, p0), (s1, p1))]
-            assert stages == rkl2_stage_count(0.5 * dt, min(viscous))
+            assert v0 == rkl2_stage_count(0.5 * dt, min(viscous))
             assert viscous == [_diffusive_dt(s_, replace(p0, nu=nu), grid)
                                for s_, nu in ((s0, 0.0), (s1, 1e-2))]
-            b0, b1 = (_resistive_stages(0.5 * dt, p, grid) for p in (p0, p1))
+            dt_res = [solver.DIFFUSION_NUMBER * grid.dx**2 / p.nu for p in (p0, p1)]
+            assert [b0, b1] == [rkl2_stage_count(0.5 * dt, bound) for bound in dt_res]
             assert b1 > b0 >= 2
-            assert diffusions[4 * k:4 * k + 4] == [(1e-3, stages, b0)] * 2 + [(5.0, stages, b1)] * 2
-        assert telemetry.diffusion_stages == sum(2 * c[3] for c in calls[::2])
-        assert telemetry.resistive_stages == sum(s_b for _, _, s_b in diffusions)
+            assert diffusions[4 * k:4 * k + 4] == [(1e-3, v0, b0)] * 2 + [(5.0, v0, b1)] * 2
+        # the telemetry holds exactly the counts the steps were given
+        assert telemetry.diffusion_stages == sum(2 * c[3][0] for c in calls[::2])
+        assert telemetry.resistive_stages == sum(2 * c[3][1] for c in calls) == sum(
+            s_b for _, _, s_b in diffusions)
 
     def test_clips_of_every_member_counted(self, params, grid, gaussian_spec):
         mid = grid.n_cells // 2
