@@ -24,7 +24,6 @@ from .mms import manufactured_solution, observed_orders
 from .scenario import ScenarioSpec, build_initial_state
 from .solver import SchemeConfig, run, tendencies
 
-HALF_WIDTH = 20.0
 FIELDS = ("rho", "u", "b")
 
 
@@ -69,7 +68,7 @@ class Battery:
     def __init__(self, sizes: Sizes):
         self.sizes = sizes
         self.params = PhysParams()
-        self.standard_grid = Grid1D(HALF_WIDTH, sizes.standard_cells)
+        self.standard_grid = Grid1D(n_cells=sizes.standard_cells)
 
     @cached_property
     def standard_run(self):
@@ -143,7 +142,7 @@ class Battery:
     def flux_identity_contraction(self) -> Outcome:
         residuals = []
         for n in (512, 1024):
-            grid = Grid1D(HALF_WIDTH, n)
+            grid = Grid1D(n_cells=n)
             state = self.manufactured.initial_state(grid)
             residuals.append(flux_identity_residual(
                 state, central_tendencies(state, self.params, grid), self.params, grid))
@@ -154,7 +153,7 @@ class Battery:
 
     def non_resistive_reference(self) -> Outcome:
         """A nu = 0 member of a lockstep group matches the reference exactly; nu > 0 does not."""
-        config = RunConfig(params=self.params, spec=ScenarioSpec(), grid=Grid1D(HALF_WIDTH, 256),
+        config = RunConfig(params=self.params, spec=ScenarioSpec(), grid=Grid1D(n_cells=256),
                            scheme=SchemeConfig(t_end=0.1, n_samples=5))
         ideal, resistive = run_group([0.0, 1e-3], config, recorded=False)[0]
         functionals = {k: v for k, v in ideal.as_dict().items() if k not in ("nu", "failed")}
@@ -165,7 +164,7 @@ class Battery:
                        {"e_total": resistive.e_total})
 
     def determinism(self) -> Outcome:
-        grid = Grid1D(HALF_WIDTH, 256)
+        grid = Grid1D(n_cells=256)
         spec = ScenarioSpec()
         scheme = SchemeConfig(t_end=0.1, n_samples=5)
         _, r1 = run(spec, self.params, scheme, grid)
@@ -178,7 +177,7 @@ class Battery:
         sizes, params = self.sizes, self.params
         spec = ScenarioSpec(preset="interior_vacuum", a_u=0.2, a_b=-params.b_bar, sigma=2.0)
         scheme = SchemeConfig(t_end=sizes.vacuum_t_end, n_samples=sizes.vacuum_samples)
-        final, record = run(spec, params, scheme, Grid1D(HALF_WIDTH, sizes.vacuum_cells))
+        final, record = run(spec, params, scheme, Grid1D(n_cells=sizes.vacuum_cells))
         record.validate()  # finiteness and monotone accumulators
         clips = int(record.final("clip_count"))
         landed = final.t == sizes.vacuum_t_end

@@ -61,9 +61,9 @@ def _write_manifest(outdir: Path, config: RunConfig, started: str, outputs: list
     after a sweep, ``failures``: "nu=..." or "guard" -> "<exception type>: <message>".
 
     ``initial_data`` holds the source paper's hypotheses on the configured
-    initial state: its |x|^alpha-weighted energy moment, and the L2 norm of
-    the compatibility residual g with the near-vacuum nodes g skips.  Timings
-    live only here, so the other outputs stay byte-reproducible.
+    initial state: its |x|^SPREADING_ALPHA-weighted energy moment, and the L2
+    norm of the compatibility residual g with the near-vacuum nodes g skips.
+    Timings live only here, so the other outputs stay byte-reproducible.
     """
     failures = failures or {}
     tripped = isinstance(error, BoundaryMonitorError) or any(

@@ -29,7 +29,7 @@ def _section(source) -> dict:
 DEFAULTS = {
     "physics": _section(PhysParams),
     "scenario": _section(ScenarioSpec),
-    "grid": {"half_width": 20.0, "n_cells": 2048},
+    "grid": _section(Grid1D),
     "scheme": _section(SchemeConfig),
     "nu_list": [1e-2, 3e-3, 1e-3, 3e-4, 1e-4],
     "jobs": 1,
@@ -51,7 +51,7 @@ class RunConfig:
         return {
             "physics": _section(self.params),
             "scenario": _section(self.spec),
-            "grid": {"half_width": self.grid.half_width, "n_cells": self.grid.n_cells},
+            "grid": _section(self.grid),
             "scheme": _section(self.scheme),
             "nu_list": list(self.nu_list),
             "jobs": self.jobs,
@@ -135,7 +135,7 @@ def parse_config(raw: dict) -> RunConfig:
         try:
             value = cls(**merged)
         except (ValueError, TypeError) as exc:
-            problems.extend(f"{section}: {p}" for p in str(exc).split("; "))
+            problems.extend(f"{section}: {p}" for p in exc.args)
         else:
             if typed:
                 built[section] = value

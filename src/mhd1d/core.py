@@ -55,8 +55,8 @@ class Grid1D:
     symmetric about the origin and x = 0 is a node only for odd n_cells.
     """
 
-    half_width: float
-    n_cells: int
+    half_width: float = 20.0
+    n_cells: int = 2048
 
     def __post_init__(self):
         problems = non_finite_problems(self)
@@ -65,7 +65,7 @@ class Grid1D:
         if self.n_cells < 8:
             problems.append(f"n_cells must be at least 8, got {self.n_cells}")
         if problems:
-            raise ValueError("; ".join(problems))
+            raise ValueError(*problems)
 
     @property
     def dx(self) -> float:
@@ -89,7 +89,6 @@ class PhysParams:
     gamma: float = 1.4
     rho_bar: float = 1.0
     b_bar: float = 1.0
-    alpha: float = 2.0
 
     def __post_init__(self):
         problems = non_finite_problems(self)
@@ -103,10 +102,8 @@ class PhysParams:
             problems.append(f"rho_bar >= 1 required (normalized far-field density), got {self.rho_bar}")
         if self.b_bar == 0:
             problems.append("b_bar must be non-zero")
-        if not 1 < self.alpha <= 2:
-            problems.append(f"alpha in (1, 2] required, got {self.alpha}")
         if problems:
-            raise ValueError("; ".join(problems))
+            raise ValueError(*problems)
 
 
 @dataclass

@@ -1,11 +1,12 @@
 """Functional evaluation and time-series records for solution audits.
 
 Every quantity with an a-priori bound gets a column: energies (plain and
-|x|^alpha-weighted), accumulated viscous/resistive dissipation, sup norms of
+|x|^2-weighted), accumulated viscous/resistive dissipation, sup norms of
 the fields, perturbation norms, derivative norms, the flux-identity residual
 and the momentum potential.  A resistivity sweep is audited by comparing the
-sup-in-time values of these columns across runs: quantities whose bounds do
-not depend on the resistivity must show small relative spread.
+sup-in-time values of these columns across runs, over a list ``unfit_reason``
+accepts: quantities whose bounds do not depend on the resistivity must show
+small relative spread.
 """
 
 from __future__ import annotations
@@ -60,6 +61,21 @@ COLUMNS = [
 # resistivity-independent quantity (the sweep does not run that audit).
 SPREAD_TOLERANCE = 0.10
 
+# Admissible data have a finite |x|^alpha energy moment for some alpha in (1, 2]; the
+# energy and the alpha = 2 moment together bound every one of them.
+SPREADING_ALPHA = 2.0
+
+MIN_DECADES_SPAN = 100.0
+
+
+def unfit_reason(nus) -> str | None:
+    """Why a rate fit or spread audit over these resistivities would be skipped, if it would."""
+    if len(nus) < 3:
+        return "fewer than 3 usable resistivity values"
+    if max(nus) < MIN_DECADES_SPAN * min(nus):
+        return "resistivity values span fewer than two decades"
+    return None
+
 
 def lp_norm(values: FieldScalar, p, grid: Grid1D) -> float:
     """Discrete Lp norm: (sum |f|^p dx)^(1/p), or max|f| for p = inf."""
@@ -74,9 +90,9 @@ def lp_norm(values: FieldScalar, p, grid: Grid1D) -> float:
 
 
 @lru_cache(maxsize=4)
-def _spreading_weight(grid: Grid1D, alpha: float) -> FieldScalar:
-    """|x|^alpha at the grid nodes, computed once per (grid, alpha) and read-only."""
-    weight = np.abs(grid.x) ** alpha
+def _spreading_weight(grid: Grid1D) -> FieldScalar:
+    """|x|^SPREADING_ALPHA at the grid nodes, computed once per grid and read-only."""
+    weight = np.abs(grid.x) ** SPREADING_ALPHA
     weight.flags.writeable = False
     return weight
 
@@ -96,8 +112,8 @@ def energy_density(state: State, params: PhysParams) -> FieldScalar:
 
 
 def weighted_energy(state: State, params: PhysParams, grid: Grid1D) -> float:
-    """Energy integral with the spreading weight |x|^alpha."""
-    integrand = energy_density(state, params) * _spreading_weight(grid, params.alpha)
+    """Energy integral with the spreading weight |x|^SPREADING_ALPHA."""
+    integrand = energy_density(state, params) * _spreading_weight(grid)
     return float(np.trapezoid(integrand, dx=grid.dx))
 
 
@@ -168,7 +184,7 @@ class Accumulators:
     def integrand(self, state: State, params: PhysParams, grid: Grid1D) -> tuple:
         """Integrands of the five accumulators at one instant."""
         dx = grid.dx
-        weight = _spreading_weight(grid, params.alpha)
+        weight = _spreading_weight(grid)
         u_x2 = derivative(viscous_velocity(state.mom, state.rho, params.rho_bar), dx) ** 2
         b_x2 = derivative(state.b, dx) ** 2
         return (
@@ -296,8 +312,7 @@ def sample(state: State, rhs_output, params: PhysParams, grid: Grid1D,
     return {
         "t": state.t,
         "energy": float(np.trapezoid(energy, dx=grid.dx)),
-        "energy_weighted": float(np.trapezoid(energy * _spreading_weight(grid, params.alpha),
-                                              dx=grid.dx)),
+        "energy_weighted": float(np.trapezoid(energy * _spreading_weight(grid), dx=grid.dx)),
         "diss_u": accum.diss_u,
         "diss_b": accum.diss_b,
         "diss_u_weighted": accum.diss_u_weighted,
@@ -384,13 +399,11 @@ def nu_independence_report(entries: list[tuple[float, DiagnosticsRecord]]) -> Nu
     """Compare sup-in-time quantities across a resistivity sweep.
 
     ``entries`` holds (nu, record) pairs from runs that differ only in nu, as
-    one sweep's records do; at least 3 values spanning two decades are required.
+    one sweep's records do; a list ``unfit_reason`` rejects raises its reason.
     """
-    if len(entries) < 3:
-        raise ValueError("need at least 3 resistivity values")
     nus = np.array([nu for nu, _ in entries], dtype=float)
-    if np.max(nus) / max(np.min(nus), 1e-300) < 100.0:
-        raise ValueError("resistivity values must span at least two decades")
+    if reason := unfit_reason(nus):
+        raise ValueError(reason)
 
     rows = []
     for name, kind, col in MONITORED:
@@ -407,6 +420,8 @@ def nu_independence_report(entries: list[tuple[float, DiagnosticsRecord]]) -> Nu
 __all__ = [
     "COLUMNS",
     "SPREAD_TOLERANCE",
+    "SPREADING_ALPHA",
+    "unfit_reason",
     "lp_norm",
     "energy_density",
     "weighted_energy",

@@ -28,14 +28,13 @@ import numpy as np
 
 from .config import RunConfig
 from .core import Grid1D, derivative, viscous_velocity
-from .diagnostics import DiagnosticsRecord, RunTelemetry
+from .diagnostics import DiagnosticsRecord, RunTelemetry, unfit_reason
 from .errors import SimulationError
 from .scenario import build_initial_state
 from .solver import run_lockstep
 
 GUARD_FACTOR = 10.0
 SUPERLINEAR_SLOPE = 1.25
-MIN_DECADES_SPAN = 100.0
 
 
 @dataclass
@@ -248,15 +247,6 @@ def _sweep_group(nus: list, config: RunConfig, recorded=True) -> tuple[list, lis
     return entries, list(zip(live, records)), telemetry
 
 
-def _unfit_reason(nus: list) -> str | None:
-    """Why a rate fit over these resistivities would be skipped, if it would."""
-    if len(nus) < 3:
-        return "fewer than 3 usable resistivity values"
-    if max(nus) < MIN_DECADES_SPAN * min(nus):
-        return "resistivity values span fewer than two decades"
-    return None
-
-
 def sweep(config: RunConfig) -> SweepResult:
     """Run one lockstep group over ``config.nu_list``, fit the rates, apply the guard.
 
@@ -278,7 +268,7 @@ def sweep(config: RunConfig) -> SweepResult:
     if not all(v > 0 for v in nus):  # nu = 0 is the shared reference, not a member
         raise ValueError("nu values must be positive")
 
-    early = config.jobs > 1 and _unfit_reason(nus) is None
+    early = config.jobs > 1 and unfit_reason(nus) is None
     if early:  # imported here: a serial sweep, and every other command, never needs them
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
@@ -296,7 +286,7 @@ def sweep(config: RunConfig) -> SweepResult:
         report = ConvergenceReport(nu_values=nus, entries=entries,
                                    config_fingerprint=config.fingerprint())
         good = [e for e in entries if e.failed is None]
-        report.fit_skipped_reason = _unfit_reason([e.nu for e in good])
+        report.fit_skipped_reason = unfit_reason([e.nu for e in good])
         if report.fit_skipped_reason is None and any(not e.e_total > 0 for e in good):
             report.degenerate = True
             report.fit_skipped_reason = "degenerate sweep: non-positive error functionals"

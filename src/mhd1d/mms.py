@@ -125,16 +125,14 @@ def run_manufactured(params: PhysParams, scheme: SchemeConfig, grid: Grid1D,
     return manufactured.errors(final, grid)
 
 
-def observed_orders(params: PhysParams, scheme: SchemeConfig,
-                    n_cells: tuple[int, ...] = (512, 1024, 2048),
-                    half_width: float = 20.0,
+def observed_orders(params: PhysParams, scheme: SchemeConfig, n_cells: tuple[int, ...],
                     manufactured: ManufacturedSolution | None = None) -> dict[str, float]:
-    """Least-squares slope of log error against log dx over a grid sequence."""
+    """Least-squares slope of log error against log dx over default-domain grids."""
     ms = manufactured or manufactured_solution(params)
     errs = {"rho": [], "u": [], "b": []}
     dxs = []
     for n in n_cells:
-        grid = Grid1D(half_width, n)
+        grid = Grid1D(n_cells=n)
         e = run_manufactured(params, scheme, grid, ms)
         for k in errs:
             errs[k].append(e[k])

@@ -54,7 +54,7 @@ class ScenarioSpec:
         if not self.sigma > 0:
             problems.append(f"sigma > 0 required, got {self.sigma}")
         if problems:
-            raise ValueError("; ".join(problems))
+            raise ValueError(*problems)
 
 
 def admissibility_problems(spec: ScenarioSpec, params: PhysParams | None,

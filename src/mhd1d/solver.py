@@ -77,7 +77,7 @@ class SchemeConfig:
         if self.n_samples < 1:
             problems.append(f"n_samples >= 1 required, got {self.n_samples}")
         if problems:
-            raise ValueError("; ".join(problems))
+            raise ValueError(*problems)
 
 
 class _Workspace:

@@ -55,31 +55,28 @@ def _float_fields(cls):
 @pytest.mark.parametrize("cls, name", _float_fields(PhysParams) + _float_fields(SchemeConfig)
                          + _float_fields(ScenarioSpec) + _float_fields(Grid1D))
 def test_constructors_reject_non_finite_numbers(cls, name, value):
-    kwargs = {"half_width": 20.0, "n_cells": 64} if cls is Grid1D else {}
     with pytest.raises(ValueError, match=f"{name} must be a finite number, got {value!r}"):
-        cls(**{**kwargs, name: value})
+        cls(**{name: value})
 
 
 def test_non_finite_number_is_listed_with_the_other_problems():
     with pytest.raises(ValueError) as err:
         PhysParams(mu=math.inf, gamma=0.5)
-    assert str(err.value).split("; ") == ["mu must be a finite number, got inf",
-                                          "gamma > 1 required, got 0.5"]
+    assert err.value.args == ("mu must be a finite number, got inf",
+                              "gamma > 1 required, got 0.5")
     with pytest.raises(ValueError) as err:
         Grid1D(math.inf, 4)
-    assert str(err.value).split("; ") == ["half_width must be a finite number, got inf",
-                                          "n_cells must be at least 8, got 4"]
+    assert err.value.args == ("half_width must be a finite number, got inf",
+                              "n_cells must be at least 8, got 4")
 
 
 class TestPhysParams:
     def test_defaults_valid(self):
         p = PhysParams()
-        assert p.gamma > 1 and p.rho_bar >= 1 and 1 < p.alpha <= 2
+        assert p.gamma > 1 and p.rho_bar >= 1
 
     @pytest.mark.parametrize("kwargs,fragment", [
         ({"gamma": 1.0}, "gamma"),
-        ({"alpha": 2.5}, "alpha"),
-        ({"alpha": 1.0}, "alpha"),
         ({"rho_bar": 0.5}, "rho_bar"),
         ({"b_bar": 0.0}, "b_bar"),
         ({"mu": 0.0}, "mu"),

@@ -24,7 +24,13 @@ from mhd1d import (
     tendencies,
     weighted_energy,
 )
-from mhd1d.diagnostics import COLUMNS, Accumulators, central_tendencies, energy_density
+from mhd1d.diagnostics import (
+    COLUMNS,
+    SPREADING_ALPHA,
+    Accumulators,
+    central_tendencies,
+    energy_density,
+)
 
 
 class TestLpNorm:
@@ -103,7 +109,7 @@ class TestEnergies:
         s = State(rho=np.full(n, params.rho_bar), mom=np.zeros(n),
                   b=params.b_bar + np.exp(-grid.x**2))
         full = weighted_energy(s, params, grid)
-        density = 0.5 * (s.b - params.b_bar) ** 2 * np.abs(grid.x) ** params.alpha
+        density = 0.5 * (s.b - params.b_bar) ** 2 * np.abs(grid.x) ** SPREADING_ALPHA
         half = np.trapezoid(density[n // 2:], dx=grid.dx)
         assert full == pytest.approx(2.0 * half, rel=1e-3)
 
@@ -303,7 +309,7 @@ class TestNuIndependence:
 
     def test_rejects_too_few_values(self):
         entries = [(nu, self._record()) for nu in (1e-2, 1e-3)]
-        with pytest.raises(ValueError, match="at least 3"):
+        with pytest.raises(ValueError, match="fewer than 3 usable resistivity values"):
             nu_independence_report(entries)
 
     def test_rejects_narrow_span(self):

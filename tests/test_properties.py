@@ -2,9 +2,8 @@
 
 Each example is a JSON configuration drawn from admissible physics (gamma > 1,
 mu > 0, nu >= 0 including exactly 0, rho_bar >= 1, b_bar != 0), both presets
-(the vacuum one with a_b = -b_bar, so the field vanishes with the density),
-both reconstructions and both integrators, on grids of at most 128 cells and
-short horizons.  The lockstep-group properties evolve two or three members of
+(the vacuum one with a_b = -b_bar, so the field vanishes with the density)
+and both reconstructions, on grids of at most 128 cells and short horizons.  The lockstep-group properties evolve two or three members of
 such a configuration, which differ only in nu, beside their shared reference.
 
 The default profile is derandomized with a small example budget, so the suite

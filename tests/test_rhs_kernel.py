@@ -311,7 +311,7 @@ def _reference_weighted_l2_of_square(square, weight, dx):
 
 def reference_integrand(state: State, params: PhysParams, grid: Grid1D) -> tuple:
     dx = grid.dx
-    weight = _spreading_weight(grid, params.alpha)
+    weight = _spreading_weight(grid)
     w = state.mom / reference_viscous_density(state.rho, params.rho_bar)
     u_x2 = _reference_derivative(w, dx) ** 2
     b_x2 = _reference_derivative(state.b, dx) ** 2
