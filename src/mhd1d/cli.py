@@ -18,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 import time
 from datetime import datetime, timezone
 from pathlib import Path
@@ -39,14 +38,16 @@ EXIT_BOUNDARY = 4
 
 
 def _atomic_write(path: Path, text: str):
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    """Write ``path`` whole or not at all; its mode is 0o666 less the umask, as ``open``'s
+    (``tempfile.mkstemp`` would make it 0o600 whatever the umask)."""
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
 
 

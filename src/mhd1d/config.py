@@ -5,17 +5,17 @@ A configuration file is a JSON object with optional sections ``physics``,
 ``jobs``.  Every omitted entry takes the documented default,
 so ``{}`` is a valid configuration.  The non-resistive system is the
 resistive one at ``physics.nu = 0``; it has no spelling of its own.
-Validation collects every violation (with its field path) before failing.
+The dataclasses validate, for a file and a Python caller alike; ``parse_config``
+only merges a file over the defaults and collects every violation.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass, fields
 
-from .core import Grid1D, PhysParams
+from .core import Grid1D, PhysParams, type_problem
 from .errors import ConfigError
 from .scenario import ScenarioSpec, admissibility_problems
 from .solver import SchemeConfig
@@ -38,7 +38,11 @@ DEFAULTS = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Every input of ``simulate`` and ``sweep``; ``canonical`` holds those that set a number."""
+    """Every input of ``simulate`` and ``sweep``; ``canonical`` holds those that set a number.
+
+    Checks ``nu_list`` (distinct positive floats, kept as a tuple) and ``jobs``
+    (a positive integer); its sections check themselves.
+    """
 
     params: PhysParams
     spec: ScenarioSpec
@@ -46,6 +50,26 @@ class RunConfig:
     scheme: SchemeConfig
     nu_list: tuple = tuple(DEFAULTS["nu_list"])
     jobs: int = 1
+
+    def __post_init__(self):
+        problems, nus = [], self.nu_list
+        if not isinstance(nus, (list, tuple)) or not nus:
+            problems.append("nu_list: expected a non-empty list of resistivities")
+        else:
+            for i, v in enumerate(nus):
+                problem = type_problem(v)
+                if problem is None and not v > 0:  # nu = 0 is the reference every sweep runs
+                    problem = f"must be positive, got {v!r}"
+                if problem:
+                    problems.append(f"nu_list[{i}]: {problem}")
+            # set() needs hashable entries, which only valid numbers are sure to be
+            if not problems and len(set(nus)) != len(nus):
+                problems.append("nu_list: values must be distinct")
+        if type_problem(self.jobs, "int") or self.jobs < 1:
+            problems.append(f"jobs: expected a positive integer, got {self.jobs!r}")
+        if problems:
+            raise ValueError(*problems)
+        object.__setattr__(self, "nu_list", tuple(float(v) for v in nus))
 
     def as_dict(self) -> dict:
         return {
@@ -71,94 +95,42 @@ class RunConfig:
         return hashlib.sha256(self.canonical().encode()).hexdigest()
 
 
-# Accepted JSON types of a field, by the type of its default; bools are never numbers.
-_NUMBERS = {float: ((int, float), "a number"), int: ((int,), "an integer")}
-
-
-def _number_problem(value, accepted=(int, float), kind="a number") -> str | None:
-    """Why ``value`` is not a usable number, or None.
-
-    ``json.loads`` accepts NaN and Infinity, and a bool is an int to Python;
-    neither is a valid configuration number.
-    """
-    if isinstance(value, bool) or not isinstance(value, accepted):
-        return f"must be {kind}, got {value!r}"
-    if not math.isfinite(value):
-        return f"must be a finite number, got {value!r}"
-    return None
-
-
-def _merge_section(raw: dict, section: str, problems: list[str]) -> tuple[dict, bool]:
-    """The section's given values over its defaults, and whether every value had its type.
-
-    A value of the wrong type is reported and its default kept in its place.
-    """
+def _merged(raw: dict, section: str, problems: list[str]) -> dict:
+    """The section's given values over its defaults; unknown fields are reported, not kept."""
     merged = dict(DEFAULTS[section])
     given = raw.get(section, {})
     if not isinstance(given, dict):
         problems.append(f"{section}: expected an object, got {type(given).__name__}")
-        return merged, True
-    typed = True
-    for key, value in given.items():
-        if key not in merged:
-            problems.append(f"{section}.{key}: unknown field")
-            continue
-        accepted, kind = _NUMBERS.get(type(merged[key]), (None, None))
-        problem = _number_problem(value, accepted, kind) if accepted else None
-        if problem:
-            problems.append(f"{section}.{key}: {problem}")
-            typed = False
-        else:
-            merged[key] = value
-    return merged, typed
+        return merged
+    problems.extend(f"{section}.{key}: unknown field" for key in given if key not in merged)
+    merged.update((key, value) for key, value in given.items() if key in merged)
+    return merged
 
 
 def parse_config(raw: dict) -> RunConfig:
-    """Validate a raw configuration dict and build a RunConfig.
+    """Merge a raw configuration dict over the defaults and build a RunConfig.
 
-    Raises ConfigError listing every violated invariant with its field path.
+    Every part is built even when another failed, so none hides another's
+    problems; raises ConfigError listing them all, a section's with its name.
     """
     if not isinstance(raw, dict):
         raise ConfigError(["top level: expected a JSON object"])
-    problems: list[str] = []
-    for key in raw:
-        if key not in DEFAULTS:
-            problems.append(f"{key}: unknown field")
-
-    # Each section is validated on its own, so one bad section hides no other's
-    # problems; a section with a mistyped value is checked but not kept.
+    problems = [f"{key}: unknown field" for key in raw if key not in DEFAULTS]
     sections = {"physics": PhysParams, "scenario": ScenarioSpec, "grid": Grid1D,
                 "scheme": SchemeConfig}
     built = {}
     for section, cls in sections.items():
-        merged, typed = _merge_section(raw, section, problems)
         try:
-            value = cls(**merged)
-        except (ValueError, TypeError) as exc:
+            built[section] = cls(**_merged(raw, section, problems))
+        except ValueError as exc:
             problems.extend(f"{section}: {p}" for p in exc.args)
-        else:
-            if typed:
-                built[section] = value
     params, spec, grid, scheme = (built.get(section) for section in sections)
-
-    nu_list = raw.get("nu_list", DEFAULTS["nu_list"])
-    if not isinstance(nu_list, (list, tuple)) or not nu_list:
-        problems.append("nu_list: expected a non-empty list of resistivities")
-    else:
-        given = len(problems)
-        for i, v in enumerate(nu_list):
-            problem = _number_problem(v)
-            if problem is None and not v > 0:  # nu = 0 is the reference every sweep runs
-                problem = f"must be positive, got {v!r}"
-            if problem:
-                problems.append(f"nu_list[{i}]: {problem}")
-        # set() needs hashable entries, which only valid numbers are sure to be
-        if len(problems) == given and len(set(nu_list)) != len(nu_list):
-            problems.append("nu_list: values must be distinct")
-
-    jobs = raw.get("jobs", DEFAULTS["jobs"])
-    if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
-        problems.append(f"jobs: expected a positive integer, got {jobs!r}")
+    try:
+        config = RunConfig(params=params, spec=spec, grid=grid, scheme=scheme,
+                           nu_list=raw.get("nu_list", DEFAULTS["nu_list"]),
+                           jobs=raw.get("jobs", DEFAULTS["jobs"]))
+    except ValueError as exc:
+        problems.extend(exc.args)
 
     # Cross-section checks, reported here so they fail at load time.
     if spec is not None and grid is not None:
@@ -166,8 +138,7 @@ def parse_config(raw: dict) -> RunConfig:
 
     if problems:
         raise ConfigError(problems)
-    return RunConfig(params=params, spec=spec, grid=grid, scheme=scheme,
-                     nu_list=tuple(float(v) for v in nu_list), jobs=jobs)
+    return config
 
 
 def load_config(path: str) -> RunConfig:

@@ -36,15 +36,39 @@ VISC_FLOOR_FRACTION = 0.01
 BOUNDARY_TOLERANCE = 1e-6
 
 
-def non_finite_problems(instance) -> list[str]:
-    """One problem per float field of a dataclass instance that is not finite.
+# What each annotation accepts: a bool is an int to Python but never a number,
+# and a float field takes an int, not the reverse.
+_ACCEPTED = {"float": ((int, float), "a number"), "int": ((int,), "an integer"),
+             "str": ((str,), "a string")}
 
-    NaN and infinities pass most range checks (or fail them with a misleading
-    message), so every parameter class reports them on their own.
+
+def type_problem(value, annotation: str = "float") -> str | None:
+    """Why ``value`` cannot stand for a field annotated ``annotation``, or None.
+
+    A float must be finite too: ``json.loads`` reads NaN and Infinity, which
+    pass most range checks or fail them with a misleading message.
     """
-    return [f"{f.name} must be a finite number, got {getattr(instance, f.name)!r}"
-            for f in fields(instance)
-            if f.type in (float, "float") and not math.isfinite(getattr(instance, f.name))]
+    accepted, kind = _ACCEPTED[annotation]
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        return f"must be {kind}, got {value!r}"
+    if annotation == "float" and not math.isfinite(value):
+        return f"must be a finite number, got {value!r}"
+    return None
+
+
+def field_problems(instance) -> list[str]:
+    """The type rule of every parameter dataclass: one problem per field that breaks it.
+
+    Such a field takes its default, so the range checks that follow see typed
+    values and still list every other violation.
+    """
+    problems = []
+    for f in fields(instance):
+        problem = type_problem(getattr(instance, f.name), f.type)
+        if problem:
+            problems.append(f"{f.name} {problem}")
+            object.__setattr__(instance, f.name, f.default)
+    return problems
 
 
 @dataclass(frozen=True)
@@ -59,7 +83,7 @@ class Grid1D:
     n_cells: int = 2048
 
     def __post_init__(self):
-        problems = non_finite_problems(self)
+        problems = field_problems(self)
         if self.half_width <= 0:
             problems.append(f"half_width must be positive, got {self.half_width}")
         if self.n_cells < 8:
@@ -91,7 +115,7 @@ class PhysParams:
     b_bar: float = 1.0
 
     def __post_init__(self):
-        problems = non_finite_problems(self)
+        problems = field_problems(self)
         if not self.mu > 0:
             problems.append(f"mu > 0 required, got {self.mu}")
         if not self.nu >= 0:

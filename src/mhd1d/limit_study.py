@@ -250,24 +250,19 @@ def _sweep_group(nus: list, config: RunConfig, recorded=True) -> tuple[list, lis
 def sweep(config: RunConfig) -> SweepResult:
     """Run one lockstep group over ``config.nu_list``, fit the rates, apply the guard.
 
-    The group holds one resistive member per nu and a shared non-resistive
-    reference.  Failed members are marked and excluded from the fit; a failed
-    guard pair is marked in ``report.guard`` the same way, and nothing raises.
-    The guard runs exactly when the fit does.  With ``config.jobs`` > 1 its
-    doubled-grid pair runs in a worker process beside the group, started
-    whenever the nu list allows a fit; its result, a failure included, is
-    used only if the guard is due, so the report does not depend on ``jobs``.
-    The spawned worker re-imports the caller's main module; if that kills it
-    (a script without an ``if __name__ == "__main__":`` guard), the guard
-    runs serially instead.
+    The group holds one resistive member per nu, each distinct and positive
+    by ``RunConfig``'s rule, and a shared non-resistive reference.  Failed
+    members are marked and excluded from the fit; a failed guard pair is
+    marked in ``report.guard`` the same way, and nothing raises.  The guard
+    runs exactly when the fit does.  With ``config.jobs`` > 1 its doubled-grid
+    pair runs in a worker process beside the group, started whenever the nu
+    list allows a fit; its result, a failure included, is used only if the
+    guard is due, so the report does not depend on ``jobs``.  The spawned
+    worker re-imports the caller's main module; if that kills it (a script
+    without an ``if __name__ == "__main__":`` guard), the guard runs serially
+    instead.
     """
-    requested = [float(v) for v in config.nu_list]
-    nus = sorted(set(requested), reverse=True)
-    if len(nus) != len(requested):
-        raise ValueError("nu values must be distinct")
-    if not all(v > 0 for v in nus):  # nu = 0 is the shared reference, not a member
-        raise ValueError("nu values must be positive")
-
+    nus = sorted(config.nu_list, reverse=True)
     early = config.jobs > 1 and unfit_reason(nus) is None
     if early:  # imported here: a serial sweep, and every other command, never needs them
         import multiprocessing

@@ -22,7 +22,7 @@ from .core import (
     PhysParams,
     State,
     derivative,
-    non_finite_problems,
+    field_problems,
     pressure,
 )
 
@@ -48,7 +48,7 @@ class ScenarioSpec:
     sigma: float = 2.0
 
     def __post_init__(self):
-        problems = non_finite_problems(self)
+        problems = field_problems(self)
         if self.preset not in PRESETS:
             problems.append(f"unknown preset {self.preset!r}, expected one of {PRESETS}")
         if not self.sigma > 0:

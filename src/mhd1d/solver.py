@@ -37,7 +37,7 @@ from .core import (
     RhsOutput,
     State,
     fast_speed_state,
-    non_finite_problems,
+    field_problems,
     viscous_density,
     viscous_rate_density,
 )
@@ -69,7 +69,7 @@ class SchemeConfig:
     time_integrator = "ssp_rk2"
 
     def __post_init__(self):
-        problems = non_finite_problems(self)
+        problems = field_problems(self)
         if self.reconstruction not in RECONSTRUCTIONS:
             problems.append(f"reconstruction must be one of {RECONSTRUCTIONS}")
         if self.t_end < 0:
@@ -619,15 +619,21 @@ def save_checkpoint(state: State, grid: Grid1D) -> str:
 
 
 def load_checkpoint(text: str) -> tuple[State, Grid1D]:
+    """The state and grid of a ``save_checkpoint`` text; a malformed line is a ValueError naming it."""
     lines = text.strip().splitlines()
     if not lines:
         raise ValueError("checkpoint is empty")
-    n_str, l_str, t_str = lines[0].split()
+    rows = [ln.split() for ln in lines]
+    for number, row in enumerate(rows, start=1):
+        width = 3 if number == 1 else 4  # "n_cells L t", then "x rho mom b"
+        if len(row) != width:
+            raise ValueError(f"checkpoint line {number} has {len(row)} values, not {width}")
+    (n_str, l_str, t_str), *rows = rows
     n = int(n_str)
     grid = Grid1D(float(l_str), n)
-    if len(lines) != n + 1:
-        raise ValueError(f"checkpoint expects {n} rows, found {len(lines) - 1}")
-    data = np.array([[float(v) for v in ln.split()] for ln in lines[1:]])
+    if len(rows) != n:
+        raise ValueError(f"checkpoint expects {n} rows, found {len(rows)}")
+    data = np.array([[float(v) for v in row] for row in rows])
     if not np.allclose(data[:, 0], grid.x, rtol=0, atol=1e-12):
         raise ValueError("checkpoint node coordinates do not match the grid descriptor")
     return State(rho=data[:, 1], mom=data[:, 2], b=data[:, 3], t=float(t_str)), grid

@@ -16,10 +16,11 @@ from mhd1d import battery, cli, solver
 from mhd1d.battery import CHECKS, Outcome
 from mhd1d.cli import main
 from mhd1d.config import DEFAULTS, load_config, parse_config
-from mhd1d.core import Grid1D
+from mhd1d.core import Grid1D, PhysParams
 from mhd1d.diagnostics import DiagnosticsRecord
 from mhd1d.errors import BoundaryMonitorError, ConfigError, NumericalError
-from mhd1d.solver import load_checkpoint, run
+from mhd1d.scenario import ScenarioSpec
+from mhd1d.solver import SchemeConfig, load_checkpoint, run
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -105,6 +106,35 @@ class TestConfig:
             parse_config({"grid": {"half_width": 5.0}, "scenario": {"sigma": 2.0}})
         with pytest.raises(ConfigError, match="a_rho"):
             parse_config({"scenario": {"a_rho": -1.0}})
+
+    # a Python caller meets the rules and messages a configuration file does; a
+    # fractional n_cells once built 101 nodes spanning 40.2, and a bool mu ran as 1
+    @pytest.mark.parametrize("section, kwargs, line", [
+        ("grid", {"n_cells": 100.5}, "grid: n_cells must be an integer, got 100.5"),
+        ("grid", {"half_width": True}, "grid: half_width must be a number, got True"),
+        ("physics", {"mu": True}, "physics: mu must be a number, got True"),
+        ("physics", {"mu": "0.1"}, "physics: mu must be a number, got '0.1'"),
+        ("scheme", {"n_samples": 2.5}, "scheme: n_samples must be an integer, got 2.5"),
+        ("scenario", {"preset": 5}, "scenario: preset must be a string, got 5"),
+        (None, {"jobs": "2"}, "jobs: expected a positive integer, got '2'"),
+        (None, {"jobs": 0}, "jobs: expected a positive integer, got 0"),
+        (None, {"nu_list": (1e-2, 1e-2)}, "nu_list: values must be distinct"),
+        (None, {"nu_list": (float("nan"),)}, "nu_list[0]: must be a finite number, got nan"),
+    ], ids=["n_cells-float", "half_width-bool", "mu-bool", "mu-str", "n_samples-float",
+            "preset-int", "jobs-str", "jobs-zero", "nu_list-duplicate", "nu_list-nan"])
+    def test_code_and_file_share_one_validation_path(self, section, kwargs, line):
+        with pytest.raises(ConfigError) as file_error:
+            parse_config({section: kwargs} if section else kwargs)
+        assert file_error.value.violations == [line]
+        sections = {"grid": Grid1D, "physics": PhysParams, "scheme": SchemeConfig,
+                    "scenario": ScenarioSpec}
+        with pytest.raises(ValueError) as code_error:
+            if section:
+                sections[section](**kwargs)
+            else:
+                replace(parse_config({}), **kwargs)
+        prefix = f"{section}: " if section else ""
+        assert [prefix + p for p in code_error.value.args] == [line]
 
     def test_parse_error_reports_position(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -350,20 +380,20 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         # reported beside the other violations
-        assert f"  - {section}.{key}: must be a number, got {value!r}" in err.splitlines()
+        assert f"  - {section}: {key} must be a number, got {value!r}" in err.splitlines()
         assert "  - grid: n_cells must be at least 8, got 7" in err.splitlines()
         assert not (tmp_path / "o").exists()
 
     # json.loads reads NaN and Infinity; a NaN t_end is never reached, so the
     # run would spin to the step limit, and a bool nu would run as nu = 1
     @pytest.mark.parametrize("payload, line", [
-        ({"scheme": {"t_end": float("nan")}}, "scheme.t_end: must be a finite number, got nan"),
-        ({"scheme": {"t_end": float("inf")}}, "scheme.t_end: must be a finite number, got inf"),
+        ({"scheme": {"t_end": float("nan")}}, "scheme: t_end must be a finite number, got nan"),
+        ({"scheme": {"t_end": float("inf")}}, "scheme: t_end must be a finite number, got inf"),
         ({"grid": {"half_width": float("inf")}},
-         "grid.half_width: must be a finite number, got inf"),
-        ({"physics": {"mu": float("inf")}}, "physics.mu: must be a finite number, got inf"),
-        ({"physics": {"b_bar": float("nan")}}, "physics.b_bar: must be a finite number, got nan"),
-        ({"scenario": {"a_u": float("nan")}}, "scenario.a_u: must be a finite number, got nan"),
+         "grid: half_width must be a finite number, got inf"),
+        ({"physics": {"mu": float("inf")}}, "physics: mu must be a finite number, got inf"),
+        ({"physics": {"b_bar": float("nan")}}, "physics: b_bar must be a finite number, got nan"),
+        ({"scenario": {"a_u": float("nan")}}, "scenario: a_u must be a finite number, got nan"),
         ({"nu_list": [float("nan"), 0.01, 0.001]}, "nu_list[0]: must be a finite number, got nan"),
         ({"nu_list": [True, 0.01, 0.001]}, "nu_list[0]: must be a number, got True"),
         ({"nu_list": [[1], 0.01, 0.001]}, "nu_list[0]: must be a number, got [1]"),
@@ -533,6 +563,22 @@ class TestSweepCommand:
         for nu in SMALL["nu_list"]:
             name = f"diag_nu_{nu:g}.csv"
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    # outputs are made like any file open() makes: mode 0o666 less the umask
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask-022", "umask-077"])
+    def test_output_files_follow_the_umask(self, umask, mode, tmp_path):
+        cfg = write_config(tmp_path, SMALL)
+        previous = os.umask(umask)
+        try:
+            for command in ("simulate", "sweep"):
+                out = str(tmp_path / command)
+                assert main([command, "--config", cfg, "--output-dir", out]) == 0
+        finally:
+            os.umask(previous)
+        for command, count in (("simulate", 3), ("sweep", 2 + len(SMALL["nu_list"]))):
+            modes = {f.name: f.stat().st_mode & 0o777 for f in (tmp_path / command).iterdir()}
+            assert len(modes) == count and set(modes.values()) == {mode}, modes
 
     def test_jobs_and_nu_order_change_no_output(self, tmp_path):
         # jobs sets only the wall time, and the sweep runs nu_list in descending order

@@ -65,6 +65,10 @@ def test_non_finite_number_is_listed_with_the_other_problems():
     assert err.value.args == ("mu must be a finite number, got inf",
                               "gamma > 1 required, got 0.5")
     with pytest.raises(ValueError) as err:
+        PhysParams(mu="0.1", gamma=0.5)
+    assert err.value.args == ("mu must be a number, got '0.1'",
+                              "gamma > 1 required, got 0.5")
+    with pytest.raises(ValueError) as err:
         Grid1D(math.inf, 4)
     assert err.value.args == ("half_width must be a finite number, got inf",
                               "n_cells must be at least 8, got 4")

@@ -246,12 +246,13 @@ class TestSweep:
     @pytest.mark.parametrize("nus", [(1e-2, 1e-3, 1e-4, 0.0), (1e-2, -1e-3, 1e-4)])
     def test_rejects_resistivities_that_are_not_positive(self, small_config, nus):
         # nu = 0 is the reference every group runs; as a member its error is 0
+        # RunConfig holds the rule, so no sweep is ever handed such a list
         with pytest.raises(ValueError, match="positive"):
-            sweep(replace(small_config, nu_list=nus))
+            replace(small_config, nu_list=nus)
 
     def test_rejects_duplicate_nus(self, small_config):
         with pytest.raises(ValueError, match="distinct"):
-            sweep(replace(small_config, nu_list=(1e-2, 1e-2, 1e-3)))
+            replace(small_config, nu_list=(1e-2, 1e-2, 1e-3))
 
     def test_deterministic(self, small_config, small_sweep):
         again = sweep(small_config)

@@ -567,6 +567,19 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="empty"):
             load_checkpoint(text)
 
+    # a short row once raised IndexError and a long one loaded silently
+    @pytest.mark.parametrize("line, edit, match", [
+        (0, lambda parts: parts[:2], "line 1 has 2 values, not 3"),
+        (0, lambda parts: parts + ["0"], "line 1 has 4 values, not 3"),
+        (1, lambda parts: parts[:3], "line 2 has 3 values, not 4"),
+        (5, lambda parts: parts + ["0"], "line 6 has 5 values, not 4"),
+    ], ids=["header-short", "header-long", "row-short", "row-long"])
+    def test_rejects_malformed_lines(self, line, edit, match, params, grid):
+        lines = save_checkpoint(constant_state(grid, params), grid).splitlines()
+        lines[line] = " ".join(edit(lines[line].split()))
+        with pytest.raises(ValueError, match=match):
+            load_checkpoint("\n".join(lines))
+
     def test_rejects_mismatched_coordinates(self, params, grid):
         text = save_checkpoint(constant_state(grid, params), grid)
         lines = text.splitlines()
