@@ -134,7 +134,7 @@ def parse_config(raw: dict) -> RunConfig:
 
     # Cross-section checks, reported here so they fail at load time.
     if spec is not None and grid is not None:
-        problems.extend(admissibility_problems(spec, params, grid))
+        problems.extend(admissibility_problems(spec, grid))
 
     if problems:
         raise ConfigError(problems)

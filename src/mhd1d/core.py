@@ -2,7 +2,7 @@
 
 The model couples a barotropic gas (pressure law P = rho**gamma) to a
 transverse magnetic field b on the real line, truncated to [-L, L] for
-computation.  The far-field state is (rho_bar, 0, b_bar).  Prognostic
+computation.  The far-field state is (RHO_BAR, 0, b_bar).  Prognostic
 variables are density rho, momentum density m = rho*u and b; velocity is
 always a derived quantity so that interior vacuum (rho = 0) stays
 representable.
@@ -21,11 +21,13 @@ import numpy as np
 
 FieldScalar = np.ndarray
 
+RHO_BAR = 1.0  # the far-field density, the unit of density (README, "Units")
+
 # Floor used exclusively when dividing by rho (velocity recovery, b^2/rho in
 # wave speeds).  The density itself is never modified.
 RHO_FLOOR = 1e-12
 
-# f = VISC_FLOOR_FRACTION * rho_bar sets the viscous density r(rho) near
+# f = VISC_FLOOR_FRACTION * RHO_BAR sets the viscous density r(rho) near
 # vacuum: r = rho from 2f up, and the C1 blend f + rho^2/(4f) below, so r >= f.
 # The largest diffusivity of the momentum diffusion, mu*rho/r^2, is then at most
 # 9/(8*sqrt(3)) * mu/f, which bounds the number of super-time-stepping stages a
@@ -111,7 +113,6 @@ class PhysParams:
     mu: float = 0.1
     nu: float = 1e-3
     gamma: float = 1.4
-    rho_bar: float = 1.0
     b_bar: float = 1.0
 
     def __post_init__(self):
@@ -122,8 +123,6 @@ class PhysParams:
             problems.append(f"nu >= 0 required, got {self.nu}")
         if not self.gamma > 1:
             problems.append(f"gamma > 1 required, got {self.gamma}")
-        if not self.rho_bar >= 1:
-            problems.append(f"rho_bar >= 1 required (normalized far-field density), got {self.rho_bar}")
         if self.b_bar == 0:
             problems.append("b_bar must be non-zero")
         if problems:
@@ -173,9 +172,9 @@ class RhsOutput:
     d_b: FieldScalar
 
 
-def viscous_density(rho: FieldScalar | float, rho_bar: float) -> FieldScalar | float:
+def viscous_density(rho: FieldScalar | float) -> FieldScalar | float:
     """r(rho), the density viscosity divides by: rho for rho >= 2f, and f + rho^2/(4f)
-    below, f = VISC_FLOOR_FRACTION * rho_bar.
+    below, f = VISC_FLOOR_FRACTION * RHO_BAR.
 
     Both pieces meet at rho = 2f with value 2f and slope 1, so r is C1, r >= rho
     and r >= f, and r does not decrease as rho grows; r is therefore also
@@ -184,7 +183,7 @@ def viscous_density(rho: FieldScalar | float, rho_bar: float) -> FieldScalar | f
     rho: callers must not write into it.  Callers that weight by rho/r test
     ``r is rho``, exactly when the weight is 1.
     """
-    f = VISC_FLOOR_FRACTION * rho_bar
+    f = VISC_FLOOR_FRACTION * RHO_BAR
     if not isinstance(rho, np.ndarray):  # one density, in Python floats
         q = min(rho, 2.0 * f)
         return max(rho, f + q * q / (4.0 * f))
@@ -194,7 +193,7 @@ def viscous_density(rho: FieldScalar | float, rho_bar: float) -> FieldScalar | f
     return np.maximum(rho, f + q * q / (4.0 * f))
 
 
-def viscous_rate_density(rho_min: float, rho_bar: float) -> float:
+def viscous_rate_density(rho_min: float) -> float:
     """The density d with mu/d the largest viscous rate mu*rho/r(rho)^2 over rho >= rho_min.
 
     From 2f up r = rho and the rate mu/rho peaks at d = rho_min.  Below, with
@@ -202,22 +201,22 @@ def viscous_rate_density(rho_min: float, rho_bar: float) -> float:
     9/(8*sqrt(3)) * mu/f (about 0.65 mu/f) at rho = 2f/sqrt(3) and falls after
     it, so the peak over rho >= rho_min sits at max(rho_min, 2f/sqrt(3)).
     """
-    f = VISC_FLOOR_FRACTION * rho_bar
+    f = VISC_FLOOR_FRACTION * RHO_BAR
     if rho_min >= 2.0 * f:
         return rho_min
     rho = max(rho_min, 2.0 * f / math.sqrt(3.0))
-    r = viscous_density(rho, rho_bar)
+    r = viscous_density(rho)
     return r * r / rho
 
 
-def viscous_velocity(mom: FieldScalar, rho: FieldScalar, rho_bar: float) -> FieldScalar:
-    """u = m / viscous_density(rho, rho_bar), the velocity viscosity acts on.
+def viscous_velocity(mom: FieldScalar, rho: FieldScalar) -> FieldScalar:
+    """u = m / viscous_density(rho), the velocity viscosity acts on.
 
     The scheme's mu*u_xx term, the recorded viscous dissipation and the
     sampled velocity gradient all use it, so the audit measures what the
     scheme dissipates.
     """
-    return mom / viscous_density(rho, rho_bar)
+    return mom / viscous_density(rho)
 
 
 def derivative(values: FieldScalar, dx: float) -> FieldScalar:
@@ -253,7 +252,7 @@ def pressure(rho: FieldScalar, gamma: float) -> FieldScalar:
 
 
 def potential_energy(rho: FieldScalar, gamma: float, rho_bar: float) -> FieldScalar:
-    """Potential energy of compression relative to the far-field density.
+    """Potential energy of compression relative to a far-field density rho_bar.
 
     Phi(rho) = (rho^gamma - rho_bar^gamma - gamma*rho_bar^(gamma-1)*(rho - rho_bar))
                / (gamma - 1)
@@ -276,15 +275,15 @@ def potential_energy(rho: FieldScalar, gamma: float, rho_bar: float) -> FieldSca
 
 
 def effective_viscous_flux(state: State, params: PhysParams, grid: Grid1D) -> FieldScalar:
-    """F = mu*u_x - (P(rho) - P(rho_bar) + (b^2 - b_bar^2)/2).
+    """F = mu*u_x - (P(rho) - P(RHO_BAR) + (b^2 - b_bar^2)/2).
 
     The momentum equation reads rho*du/dt = F_x, which makes F the natural
     quantity for flux-identity audits.  u_x is taken of the viscous velocity,
     the one the scheme's viscosity acts on; it is m/rho wherever the density
     is at least the viscous floor.
     """
-    u = viscous_velocity(state.mom, state.rho, params.rho_bar)
-    p_pert = pressure(state.rho, params.gamma) - params.rho_bar**params.gamma
+    u = viscous_velocity(state.mom, state.rho)
+    p_pert = pressure(state.rho, params.gamma) - RHO_BAR**params.gamma
     mag_pert = 0.5 * (state.b**2 - params.b_bar**2)
     return params.mu * derivative(u, grid.dx) - (p_pert + mag_pert)
 
@@ -311,10 +310,10 @@ def fast_speed_state(state: State, params: PhysParams) -> FieldScalar:
 
 
 def constant_state(grid: Grid1D, params: PhysParams) -> State:
-    """The far-field state (rho_bar, 0, b_bar) sampled on the grid."""
+    """The far-field state (RHO_BAR, 0, b_bar) sampled on the grid."""
     n = grid.n_cells
     return State(
-        rho=np.full(n, params.rho_bar),
+        rho=np.full(n, RHO_BAR),
         mom=np.zeros(n),
         b=np.full(n, params.b_bar),
         t=0.0,
@@ -323,6 +322,7 @@ def constant_state(grid: Grid1D, params: PhysParams) -> State:
 
 __all__ = [
     "FieldScalar",
+    "RHO_BAR",
     "RHO_FLOOR",
     "VISC_FLOOR_FRACTION",
     "BOUNDARY_TOLERANCE",

@@ -17,6 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import (
+    RHO_BAR,
     RHO_FLOOR,
     FieldScalar,
     Grid1D,
@@ -106,7 +107,7 @@ def energy_density(state: State, params: PhysParams) -> FieldScalar:
     u = state.velocity()
     return (
         0.5 * state.rho * u**2
-        + potential_energy(state.rho, params.gamma, params.rho_bar)
+        + potential_energy(state.rho, params.gamma, RHO_BAR)
         + 0.5 * (state.b - params.b_bar) ** 2
     )
 
@@ -185,7 +186,7 @@ class Accumulators:
         """Integrands of the five accumulators at one instant."""
         dx = grid.dx
         weight = _spreading_weight(grid)
-        u_x2 = derivative(viscous_velocity(state.mom, state.rho, params.rho_bar), dx) ** 2
+        u_x2 = derivative(viscous_velocity(state.mom, state.rho), dx) ** 2
         b_x2 = derivative(state.b, dx) ** 2
         return (
             params.mu * u_x2.sum() * dx,
@@ -320,11 +321,10 @@ def sample(state: State, rhs_output, params: PhysParams, grid: Grid1D,
         "sup_rho": float(np.max(state.rho)),
         "sup_abs_b": lp_norm(state.b, "inf", grid),
         "sup_abs_u": lp_norm(u, "inf", grid),
-        "l2_rho_pert": lp_norm(state.rho - params.rho_bar, 2, grid),
+        "l2_rho_pert": lp_norm(state.rho - RHO_BAR, 2, grid),
         "l4_b_pert": lp_norm(b_pert, 4, grid),
         "l6_b_pert_accum": accum.l6_b_pert,
-        "l2_ux": lp_norm(derivative(viscous_velocity(state.mom, state.rho, params.rho_bar),
-                                    grid.dx), 2, grid),
+        "l2_ux": lp_norm(derivative(viscous_velocity(state.mom, state.rho), grid.dx), 2, grid),
         "l2_bx": lp_norm(derivative(state.b, grid.dx), 2, grid),
         "l2_rhox": lp_norm(derivative(state.rho, grid.dx), 2, grid),
         "l2_rho_t": lp_norm(rhs_output.d_rho, 2, grid),

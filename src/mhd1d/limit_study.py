@@ -67,7 +67,7 @@ def run_group(nus, config: RunConfig, recorded: bool = True, telemetry: RunTelem
     """
     grid = config.grid
     dx = grid.dx
-    mu, rho_bar = config.params.mu, config.params.rho_bar
+    mu = config.params.mu
     reference = replace(config.params, nu=0.0)
     state = build_initial_state(config.spec, reference, grid)
     errors = [PairErrors(nu=nu) for nu in nus]
@@ -80,9 +80,9 @@ def run_group(nus, config: RunConfig, recorded: bool = True, telemetry: RunTelem
     def observe(states, dt):
         # u is the velocity viscosity acts on, as in the records' diss_u and l2_ux
         state_n = states[-1]
-        ref_u = viscous_velocity(state_n.mom, state_n.rho, rho_bar)
+        ref_u = viscous_velocity(state_n.mom, state_n.rho)
         for i, (state_r, e, nu) in enumerate(zip(states, errors, nus)):
-            du = viscous_velocity(state_r.mom, state_r.rho, rho_bar) - ref_u
+            du = viscous_velocity(state_r.mom, state_r.rho) - ref_u
             d_rho = l2sq(state_r.rho - state_n.rho)
             d_u = l2sq(du)
             d_b = l2sq(state_r.b - state_n.b)

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Grid1D, PhysParams, State
+from .core import RHO_BAR, Grid1D, PhysParams, State
 from .diagnostics import lp_norm
 from .solver import RhsOutput, SchemeConfig, rhs, run_lockstep
 
@@ -35,11 +35,7 @@ class ManufacturedSolution:
 
     def initial_state(self, grid: Grid1D) -> State:
         x = grid.x
-        zeros = np.zeros_like(x)  # broadcasts constant fields to grid shape
-        return State(rho=np.asarray(self.rho(x, 0.0), dtype=float) + zeros,
-                     mom=np.asarray(self.mom(x, 0.0), dtype=float) + zeros,
-                     b=np.asarray(self.b(x, 0.0), dtype=float) + zeros,
-                     t=0.0)
+        return State(rho=self.rho(x, 0.0), mom=self.mom(x, 0.0), b=self.b(x, 0.0), t=0.0)
 
     def errors(self, state: State, grid: Grid1D) -> dict[str, float]:
         """Discrete L2 errors of (rho, u, b) against the exact fields."""
@@ -56,7 +52,7 @@ def manufactured_solution(params: PhysParams, amplitude: float = 0.1,
     """Gaussian-bump fields oscillating in time, far-field compatible.
 
     With g = exp(-x^2/sigma^2) and c = cos(omega t) the trio is
-    rho* = rho_bar + A g c, u* = A x g c, b* = b_bar + A g c.  The sources are
+    rho* = RHO_BAR + A g c, u* = A x g c, b* = b_bar + A g c.  The sources are
     the residuals of the governing equations, assembled from the closed-form
     derivatives of the trio.  The magnetic source carries params.nu (nothing at
     nu = 0), so (rho*, u*, b*) solves the forced system of the run with the
@@ -67,14 +63,14 @@ def manufactured_solution(params: PhysParams, amplitude: float = 0.1,
     def terms(x, t):
         """(rho, u, b, rho_x, rho_t, u_x, u_xx, u_t, b_xx) of the trio at (x, t).
 
-        b - b_bar = rho - rho_bar, so b_x = rho_x and b_t = rho_t.
+        b - b_bar = rho - RHO_BAR, so b_x = rho_x and b_t = rho_t.
         """
         x = np.asarray(x, dtype=float)
         g = np.exp(-(x**2) / s2)
         g_x = -2.0 * x / s2 * g
         g_xx = (4.0 * x**2 / s2 - 2.0) / s2 * g
         ac, aws = amplitude * np.cos(omega * t), amplitude * omega * np.sin(omega * t)
-        return (params.rho_bar + ac * g, ac * x * g, params.b_bar + ac * g,
+        return (RHO_BAR + ac * g, ac * x * g, params.b_bar + ac * g,
                 ac * g_x, -aws * g, ac * (g + x * g_x), ac * (2.0 * g_x + x * g_xx),
                 -aws * x * g, ac * g_xx)
 
@@ -129,20 +125,11 @@ def observed_orders(params: PhysParams, scheme: SchemeConfig, n_cells: tuple[int
                     manufactured: ManufacturedSolution | None = None) -> dict[str, float]:
     """Least-squares slope of log error against log dx over default-domain grids."""
     ms = manufactured or manufactured_solution(params)
-    errs = {"rho": [], "u": [], "b": []}
-    dxs = []
-    for n in n_cells:
-        grid = Grid1D(n_cells=n)
-        e = run_manufactured(params, scheme, grid, ms)
-        for k in errs:
-            errs[k].append(e[k])
-        dxs.append(grid.dx)
-    log_dx = np.log(np.array(dxs))
-    orders = {}
-    for k, vals in errs.items():
-        slope = np.polyfit(log_dx, np.log(np.array(vals)), 1)[0]
-        orders[k] = float(slope)
-    return orders
+    grids = [Grid1D(n_cells=n) for n in n_cells]
+    errs = [run_manufactured(params, scheme, grid, ms) for grid in grids]
+    log_dx = np.log([grid.dx for grid in grids])
+    return {k: float(np.polyfit(log_dx, np.log([e[k] for e in errs]), 1)[0])
+            for k in ("rho", "u", "b")}
 
 
 __all__ = [

@@ -6,7 +6,7 @@ Two closed-form presets cover the interesting regimes:
 * ``interior_vacuum`` -- density touching zero at x = 0 while staying in the
   admissible class (H1 perturbations with finite weighted energy moment).
 
-Both approach the far-field state (rho_bar, 0, b_bar) exponentially, so the
+Both approach the far-field state (RHO_BAR, 0, b_bar) exponentially, so the
 truncated domain is valid whenever L >= 5*sigma.
 """
 
@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    RHO_BAR,
     FieldScalar,
     Grid1D,
     PhysParams,
@@ -57,34 +58,33 @@ class ScenarioSpec:
             raise ValueError(*problems)
 
 
-def admissibility_problems(spec: ScenarioSpec, params: PhysParams | None,
-                           grid: Grid1D) -> list[str]:
+def admissibility_problems(spec: ScenarioSpec, grid: Grid1D) -> list[str]:
     """Why the preset cannot be sampled on ``grid``, one problem per rule with its field path.
 
-    L >= 5*sigma; a Gaussian bump needs a_rho > -rho_bar, unchecked when ``params`` is None.
+    L >= 5*sigma; a Gaussian bump needs a_rho > -RHO_BAR.
     """
     problems = []
     if grid.half_width < 5.0 * spec.sigma:
         problems.append(f"grid.half_width: domain too small: L = {grid.half_width} < 5*sigma = "
                         f"{5.0 * spec.sigma} (far-field deviation at the boundary would exceed 1e-10)")
-    if spec.preset == "gaussian_bump" and params is not None and spec.a_rho <= -params.rho_bar:
-        problems.append(f"scenario.a_rho: {spec.a_rho} <= -rho_bar = {-params.rho_bar} "
+    if spec.preset == "gaussian_bump" and spec.a_rho <= -RHO_BAR:
+        problems.append(f"scenario.a_rho: {spec.a_rho} <= -RHO_BAR = {-RHO_BAR} "
                         "would make the initial density negative")
     return problems
 
 
 def build_initial_state(spec: ScenarioSpec, params: PhysParams, grid: Grid1D) -> State:
     """Sample the preset's closed-form fields at the grid nodes (t = 0)."""
-    problems = admissibility_problems(spec, params, grid)
+    problems = admissibility_problems(spec, grid)
     if problems:
         raise ValueError("; ".join(problems))
     x = grid.x
     bump = np.exp(-(x**2) / spec.sigma**2)
 
     if spec.preset == "gaussian_bump":
-        rho0 = params.rho_bar + spec.a_rho * bump
+        rho0 = RHO_BAR + spec.a_rho * bump
     else:
-        rho0 = params.rho_bar * (1.0 - bump) ** 2
+        rho0 = RHO_BAR * (1.0 - bump) ** 2
 
     u0 = spec.a_u * x * bump
     b0 = params.b_bar + spec.a_b * bump

@@ -22,6 +22,7 @@ reference.  Plain sequential numpy, so repeated runs are bit-reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -30,6 +31,7 @@ import numpy as np
 from . import diagnostics
 from .core import (
     BOUNDARY_TOLERANCE,  # re-exported with the solver's public names
+    RHO_BAR,
     RHO_FLOOR,
     VISC_FLOOR_FRACTION,  # re-exported too
     Grid1D,
@@ -107,7 +109,7 @@ class _Workspace:
         self.ext = ext = np.empty((3, w))           # fields plus two ghosts per side
         self.rows = tuple(ext[:, 2:-2])             # the interior of each field
         self.ghosts = ext[:, :2], ext[:, -2:]
-        self.far = np.zeros((3, 1))                 # far-field column (rho_bar, 0, b_bar)
+        self.far = np.array([[RHO_BAR], [0.0], [0.0]])  # far-field column (RHO_BAR, 0, b_bar)
         self.half_slope = np.zeros((3, w))          # [field, extended cell - 1]
         self.faces = faces = np.ones((3, 2, w))     # [field, left/right, interface]
         flux = np.empty((3, 2, w))                  # [field, left/right, interface]
@@ -183,7 +185,7 @@ def rhs(state: State, params: PhysParams, scheme: SchemeConfig, grid: Grid1D) ->
     ws = _workspace_for(n)
     rho_row, mom_row, b_row = ws.rows
     rho_row[...], mom_row[...], b_row[...] = state.rho, state.mom, state.b
-    ws.far[0], ws.far[2] = params.rho_bar, params.b_bar
+    ws.far[2] = params.b_bar
     low, high = ws.ghosts
     low[...] = high[...] = ws.far
 
@@ -246,9 +248,9 @@ def rhs(state: State, params: PhysParams, scheme: SchemeConfig, grid: Grid1D) ->
 class _Diffusion:
     """One diffusion block at frozen density, as a linear operator on one field.
 
-    Viscous: w = viscous_velocity(m, rho, rho_bar) = m/r, r = viscous_density(rho,
-    rho_bar), moves at the array rate (rho/r) * mu / r times w_xx, the momentum
-    tendency (rho/r) * mu * w_xx over r.  Resistive: b moves at nu times b_xx.
+    Viscous: w = viscous_velocity(m, rho) = m/r, r = viscous_density(rho), moves
+    at the array rate (rho/r) * mu / r times w_xx, the momentum tendency
+    (rho/r) * mu * w_xx over r.  Resistive: b moves at nu times b_xx.
     Central differences, one far-field ghost per side (w = 0, b = b_bar).  The
     weight rho/r is exactly 1 wherever r = rho; elsewhere it makes the
     deposited momentum scale with rho.  The kinetic-energy change at frozen
@@ -320,7 +322,7 @@ class _Diffusion:
 
 def _blocks(state: State, params: PhysParams, grid: Grid1D):
     """r = viscous_density(rho), the viscous block and the resistive one (None at nu = 0)."""
-    rho_safe = viscous_density(state.rho, params.rho_bar)
+    rho_safe = viscous_density(state.rho)
     w_rate = (params.mu / grid.dx**2) / rho_safe
     if rho_safe is not state.rho:  # else r = rho and the weight is exactly 1
         w_rate *= state.rho / rho_safe
@@ -364,7 +366,7 @@ def _diffusive_dt(state: State, params: PhysParams, grid: Grid1D) -> float:
     By Gershgorin an explicit stage is stable up to dx^2/(2 mu/d), and
     DIFFUSION_NUMBER is below 1/2.
     """
-    d = viscous_rate_density(float(state.rho.min()), params.rho_bar)
+    d = viscous_rate_density(float(state.rho.min()))
     return DIFFUSION_NUMBER * grid.dx**2 / (params.mu / d)
 
 
@@ -429,10 +431,6 @@ def _diffuse(state: State, tau: float, params: PhysParams, grid: Grid1D, s: int,
     return State._unchecked(state.rho, mom, b, state.t)
 
 
-def _fields(state: State) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return state.rho, state.mom, state.b
-
-
 def _euler_stage(state: State, dt: float, params, scheme, grid, rhs_fn):
     """q + dt*d of the hyperbolic tendencies into fresh arrays, density clipped to >= 0."""
     out = rhs_fn(state, params, scheme, grid)
@@ -455,7 +453,7 @@ def _hyperbolic_step(state: State, dt: float, params, scheme, grid, rhs_fn) -> t
     """
     s1, c1 = _euler_stage(state, dt, params, scheme, grid, rhs_fn)
     s2, c2 = _euler_stage(s1, dt, params, scheme, grid, rhs_fn)
-    for q, new in zip(_fields(state), _fields(s2)):
+    for q, new in ((state.rho, s2.rho), (state.mom, s2.mom), (state.b, s2.b)):
         new += q
         new *= 0.5
     s2.t = state.t + dt
@@ -490,7 +488,7 @@ def check_boundary(state: State, params: PhysParams) -> float:
     """
     k = BOUNDARY_NODES
     dev = 0.0
-    for q, far in ((state.rho, params.rho_bar), (state.mom, 0.0), (state.b, params.b_bar)):
+    for q, far in ((state.rho, RHO_BAR), (state.mom, 0.0), (state.b, params.b_bar)):
         for j, value in enumerate(q[:k].tolist() + q[-k:].tolist()):
             if value != value:
                 node = j if j < k else len(q) - 2 * k + j
@@ -619,24 +617,38 @@ def save_checkpoint(state: State, grid: Grid1D) -> str:
 
 
 def load_checkpoint(text: str) -> tuple[State, Grid1D]:
-    """The state and grid of a ``save_checkpoint`` text; a malformed line is a ValueError naming it."""
+    """The state and grid of a ``save_checkpoint`` text; a malformed line is a ValueError
+    naming it.  Every value must be a finite number, the cell count an integer, the time
+    and every density non-negative, and every node on the grid."""
     lines = text.strip().splitlines()
     if not lines:
         raise ValueError("checkpoint is empty")
-    rows = [ln.split() for ln in lines]
-    for number, row in enumerate(rows, start=1):
+    rows = []
+    for number, line in enumerate(lines, start=1):
         width = 3 if number == 1 else 4  # "n_cells L t", then "x rho mom b"
+        try:
+            row = [float(v) for v in line.split()]
+        except ValueError:
+            row = [math.nan] * width
         if len(row) != width:
             raise ValueError(f"checkpoint line {number} has {len(row)} values, not {width}")
-    (n_str, l_str, t_str), *rows = rows
-    n = int(n_str)
-    grid = Grid1D(float(l_str), n)
-    if len(rows) != n:
-        raise ValueError(f"checkpoint expects {n} rows, found {len(rows)}")
-    data = np.array([[float(v) for v in row] for row in rows])
-    if not np.allclose(data[:, 0], grid.x, rtol=0, atol=1e-12):
-        raise ValueError("checkpoint node coordinates do not match the grid descriptor")
-    return State(rho=data[:, 1], mom=data[:, 2], b=data[:, 3], t=float(t_str)), grid
+        if not all(map(math.isfinite, row)) or row[2 if number == 1 else 1] < 0:
+            raise ValueError(f"checkpoint line {number} needs finite numbers and a non-negative "
+                             f"{'time' if number == 1 else 'density'}, got {line.strip()!r}")
+        rows.append(row)
+    (_, half_width, t), *rows = rows
+    n = lines[0].split()[0]
+    try:  # a count like "16.0" stays a string, which Grid1D rejects as not an integer
+        grid = Grid1D(half_width, int(n) if n.isdigit() else n)
+    except ValueError as exc:
+        raise ValueError(f"checkpoint line 1: {'; '.join(exc.args)}") from None
+    if len(rows) != grid.n_cells:
+        raise ValueError(f"checkpoint line 1 declares {grid.n_cells} rows, found {len(rows)}")
+    data = np.array(rows)
+    off = np.flatnonzero(np.abs(data[:, 0] - grid.x) > 1e-12)
+    if off.size:
+        raise ValueError(f"checkpoint line {off[0] + 2}: node coordinates off the grid")
+    return State(rho=data[:, 1], mom=data[:, 2], b=data[:, 3], t=t), grid
 
 
 __all__ = [

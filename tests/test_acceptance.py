@@ -35,7 +35,7 @@ def announce(number, name, detail):
 
 @pytest.fixture(scope="session")
 def acceptance_sweep():
-    # documented defaults: mu=0.1, gamma=1.4, rho_bar=1, b_bar=1
+    # documented defaults: mu=0.1, gamma=1.4, b_bar=1
     params = PhysParams(nu=1e-3)
     spec = ScenarioSpec(a_rho=0.2, a_u=0.2, a_b=0.2, sigma=2.0)
     config = RunConfig(params=params, spec=spec, grid=Grid1D(20.0, 2048),

@@ -20,7 +20,7 @@ from mhd1d import (
     potential_energy,
     pressure,
 )
-from mhd1d.core import RHO_FLOOR, second_derivative
+from mhd1d.core import RHO_BAR, RHO_FLOOR, second_derivative
 
 
 class TestGrid:
@@ -77,11 +77,11 @@ def test_non_finite_number_is_listed_with_the_other_problems():
 class TestPhysParams:
     def test_defaults_valid(self):
         p = PhysParams()
-        assert p.gamma > 1 and p.rho_bar >= 1
+        assert p.gamma > 1 and p.b_bar != 0
 
     @pytest.mark.parametrize("kwargs,fragment", [
         ({"gamma": 1.0}, "gamma"),
-        ({"rho_bar": 0.5}, "rho_bar"),
+        ({"b_bar": True}, "b_bar must be a number, got True"),  # a bool is never a number
         ({"b_bar": 0.0}, "b_bar"),
         ({"mu": 0.0}, "mu"),
         ({"nu": -1e-3}, "nu"),
@@ -215,7 +215,7 @@ class TestEffectiveViscousFlux:
 
     def test_linear_velocity(self, params, grid):
         slope = 0.37
-        rho = np.full(grid.n_cells, params.rho_bar)
+        rho = np.full(grid.n_cells, RHO_BAR)
         state = State(rho=rho, mom=rho * slope * grid.x, b=np.full(grid.n_cells, params.b_bar))
         f = effective_viscous_flux(state, params, grid)
         assert np.allclose(f, params.mu * slope, atol=1e-12)
@@ -225,11 +225,11 @@ class TestEffectiveViscousFlux:
         state = build_initial_state(gaussian_spec, params, grid)
         x = grid.x
         bump = np.exp(-(x**2) / gaussian_spec.sigma**2)
-        rho0 = params.rho_bar + gaussian_spec.a_rho * bump
+        rho0 = RHO_BAR + gaussian_spec.a_rho * bump
         b0 = params.b_bar + gaussian_spec.a_b * bump
         u0x = gaussian_spec.a_u * bump * (1.0 - 2.0 * x**2 / gaussian_spec.sigma**2)
         expected = (params.mu * u0x
-                    - (rho0**params.gamma - params.rho_bar**params.gamma)
+                    - (rho0**params.gamma - RHO_BAR**params.gamma)
                     - 0.5 * (b0**2 - params.b_bar**2))
         f = effective_viscous_flux(state, params, grid)
         # mu*u_x uses the stencil; everything else matches pointwise
@@ -277,7 +277,7 @@ def test_field_ops_preserve_length_and_finiteness(params, grid, gaussian_spec):
     state = build_initial_state(gaussian_spec, params, grid)
     n = grid.n_cells
     for field in (pressure(state.rho, params.gamma),
-                  potential_energy(state.rho, params.gamma, params.rho_bar),
+                  potential_energy(state.rho, params.gamma, RHO_BAR),
                   effective_viscous_flux(state, params, grid),
                   material_derivative(state, np.zeros(n), grid),
                   fast_speed_state(state, params)):

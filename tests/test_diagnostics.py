@@ -24,6 +24,7 @@ from mhd1d import (
     tendencies,
     weighted_energy,
 )
+from mhd1d.core import RHO_BAR
 from mhd1d.diagnostics import (
     COLUMNS,
     SPREADING_ALPHA,
@@ -65,7 +66,7 @@ class TestWeightedL2:
         grid = Grid1D(10.0, 65)
         b = np.full(65, params.b_bar)
         b[32] += 5.0  # node exactly at x = 0, weight vanishes there
-        s = State(rho=np.full(65, params.rho_bar), mom=np.zeros(65), b=b)
+        s = State(rho=np.full(65, RHO_BAR), mom=np.zeros(65), b=b)
         assert weighted_energy(s, params, grid) == 0.0
 
 
@@ -84,7 +85,7 @@ class TestEnergies:
         # 0.5 * integral of exp(-2 x^2) = sqrt(pi/2)/2
         grid = Grid1D(10.0, 4096)
         n = grid.n_cells
-        s = State(rho=np.full(n, params.rho_bar), mom=np.zeros(n),
+        s = State(rho=np.full(n, RHO_BAR), mom=np.zeros(n),
                   b=params.b_bar + np.exp(-grid.x**2))
         assert total_energy(s, params, grid) == pytest.approx(0.6266570686577501, rel=1e-7)
 
@@ -92,21 +93,21 @@ class TestEnergies:
         # 0.5 * integral of x^2 exp(-2 x^2) = sqrt(2 pi)/16
         grid = Grid1D(10.0, 4096)
         n = grid.n_cells
-        s = State(rho=np.full(n, params.rho_bar), mom=np.zeros(n),
+        s = State(rho=np.full(n, RHO_BAR), mom=np.zeros(n),
                   b=params.b_bar + np.exp(-grid.x**2))
         assert weighted_energy(s, params, grid) == pytest.approx(0.15666426716443751, rel=1e-7)
 
     def test_reflection_invariance(self, params, grid, rng):
         n = grid.n_cells
         b = params.b_bar + 0.3 * np.exp(-grid.x**2)
-        s1 = State(rho=np.full(n, params.rho_bar), mom=np.zeros(n), b=b)
-        s2 = State(rho=np.full(n, params.rho_bar), mom=np.zeros(n), b=2 * params.b_bar - b)
+        s1 = State(rho=np.full(n, RHO_BAR), mom=np.zeros(n), b=b)
+        s2 = State(rho=np.full(n, RHO_BAR), mom=np.zeros(n), b=2 * params.b_bar - b)
         assert total_energy(s1, params, grid) == pytest.approx(total_energy(s2, params, grid), rel=1e-14)
 
     def test_even_integrand_doubles_half_line(self, params):
         grid = Grid1D(10.0, 256)  # even: nodes mirror about 0
         n = grid.n_cells
-        s = State(rho=np.full(n, params.rho_bar), mom=np.zeros(n),
+        s = State(rho=np.full(n, RHO_BAR), mom=np.zeros(n),
                   b=params.b_bar + np.exp(-grid.x**2))
         full = weighted_energy(s, params, grid)
         density = 0.5 * (s.b - params.b_bar) ** 2 * np.abs(grid.x) ** SPREADING_ALPHA
@@ -221,7 +222,7 @@ class TestRecord:
         accum.start(s, params, grid)
         out = tendencies(s, params, SchemeConfig(), grid)
         row = sample(s, out, params, grid, accum)
-        assert row["sup_rho"] == params.rho_bar
+        assert row["sup_rho"] == RHO_BAR
         assert row["sup_abs_b"] == abs(params.b_bar)
         for key in ("l2_rho_pert", "l4_b_pert", "l2_ux", "l2_sqrt_rho_udot", "xi_sup"):
             assert row[key] == pytest.approx(0.0, abs=1e-13)

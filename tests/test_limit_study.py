@@ -110,9 +110,9 @@ class TestRunPair:
 
         def observe(states, dt):
             ref = states[-1]
-            ref_u = viscous_velocity(ref.mom, ref.rho, params.rho_bar)
+            ref_u = viscous_velocity(ref.mom, ref.rho)
             for i, (s, e) in enumerate(zip(states, expected)):
-                du = viscous_velocity(s.mom, s.rho, params.rho_bar) - ref_u
+                du = viscous_velocity(s.mom, s.rho) - ref_u
                 d_rho, d_u, d_b = l2sq(s.rho - ref.rho), l2sq(du), l2sq(s.b - ref.b)
                 e.e_sup_rho = max(e.e_sup_rho, d_rho)
                 e.e_sup_u = max(e.e_sup_u, d_u)

@@ -17,6 +17,7 @@ from mhd1d import (
     tendencies,
 )
 from mhd1d import solver
+from mhd1d.core import RHO_BAR
 from mhd1d.mms import observed_orders
 from mhd1d.solver import _advective_dt
 
@@ -40,7 +41,7 @@ class TestManufacturedSolution:
             for source in flat.sources(x, t):
                 assert np.all(np.asarray(source) == 0.0)
         state = flat.initial_state(grid)
-        assert np.all(state.rho == ms_params.rho_bar)
+        assert np.all(state.rho == RHO_BAR)
         assert len(state.rho) == grid.n_cells
 
     def test_initial_state_matches_fields(self, ms, ms_params):
@@ -68,7 +69,7 @@ class TestManufacturedSolution:
 
 FIELDS = ("rho", "u", "b", "mom")
 SOURCES = ("source_rho", "source_mom", "source_b")
-PARAM_NAMES = ("gamma", "mu", "nu", "rho_bar", "b_bar", "amplitude", "sigma", "omega")
+PARAM_NAMES = ("gamma", "mu", "nu", "b_bar", "amplitude", "sigma", "omega")
 
 
 @functools.lru_cache(maxsize=1)
@@ -81,10 +82,10 @@ def _sympy_oracle():
     """
     sp = pytest.importorskip("sympy")
     x, t = sp.symbols("x t", real=True)
-    gamma, mu, nu, rho_bar, b_bar, amp, sigma, omega = sp.symbols(PARAM_NAMES, real=True)
+    gamma, mu, nu, b_bar, amp, sigma, omega = sp.symbols(PARAM_NAMES, real=True)
     g = sp.exp(-(x**2) / sigma**2)
     th = sp.cos(omega * t)
-    rho_s = rho_bar + amp * g * th
+    rho_s = RHO_BAR + amp * g * th
     u_s = amp * x * g * th
     b_s = b_bar + amp * g * th
     m_s = rho_s * u_s
@@ -92,27 +93,25 @@ def _sympy_oracle():
     s_mom = (sp.diff(m_s, t) + sp.diff(m_s * u_s + rho_s**gamma + b_s**2 / 2, x)
              - mu * sp.diff(u_s, x, 2))
     s_b = sp.diff(b_s, t) + sp.diff(u_s * b_s, x) - nu * sp.diff(b_s, x, 2)
-    args = (x, t, gamma, mu, nu, rho_bar, b_bar, amp, sigma, omega)
+    args = (x, t, gamma, mu, nu, b_bar, amp, sigma, omega)
     return [sp.lambdify(args, e, "numpy") for e in (rho_s, u_s, b_s, m_s, s_rho, s_mom, s_b)]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(gamma=st.floats(1.1, 3.0), mu=st.floats(0.01, 1.0),
        nu=st.one_of(st.just(0.0), st.floats(1e-5, 0.1)),
-       rho_bar=st.floats(1.0, 2.0),
        b_bar=st.floats(0.5, 2.0).flatmap(lambda v: st.sampled_from((v, -v))),
        amplitude=st.one_of(st.just(0.0), st.floats(-0.5, 0.5)),
        sigma=st.floats(1.0, 4.0), omega=st.floats(0.0, 4.0))
-def test_closed_forms_match_sympy_derivation(gamma, mu, nu, rho_bar, b_bar, amplitude,
-                                             sigma, omega):
+def test_closed_forms_match_sympy_derivation(gamma, mu, nu, b_bar, amplitude, sigma, omega):
     oracle = _sympy_oracle()
-    params = PhysParams(mu=mu, nu=nu, gamma=gamma, rho_bar=rho_bar, b_bar=b_bar)
+    params = PhysParams(mu=mu, nu=nu, gamma=gamma, b_bar=b_bar)
     ms = manufactured_solution(params, amplitude=amplitude, sigma=sigma, omega=omega)
     x = np.linspace(-20.0, 20.0, 257)
     for t in (0.0, 0.37, 1.3, 2.9):
         values = [getattr(ms, name)(x, t) for name in FIELDS] + list(ms.sources(x, t))
         for name, ref_fn, got in zip(FIELDS + SOURCES, oracle, values):
-            ref = ref_fn(x, t, gamma, mu, nu, rho_bar, b_bar, amplitude, sigma, omega) + 0.0 * x
+            ref = ref_fn(x, t, gamma, mu, nu, b_bar, amplitude, sigma, omega) + 0.0 * x
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), (name, t)
 
 
@@ -125,7 +124,7 @@ def reference_sources(params, amplitude, sigma, omega, x, t):
     g_x = -2.0 * x / s2 * g
     g_xx = (4.0 * x**2 / s2 - 2.0) / s2 * g
     ac, aws = amplitude * np.cos(omega * t), amplitude * omega * np.sin(omega * t)
-    rho, u, b = params.rho_bar + ac * g, ac * x * g, params.b_bar + ac * g
+    rho, u, b = RHO_BAR + ac * g, ac * x * g, params.b_bar + ac * g
     rho_x, rho_t, u_x = ac * g_x, -aws * g, ac * (g + x * g_x)
     u_xx, u_t, b_xx = ac * (2.0 * g_x + x * g_xx), -aws * x * g, ac * g_xx
     s_rho = rho_t + rho_x * u + rho * u_x

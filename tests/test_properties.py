@@ -1,7 +1,7 @@
 """Properties that hold over the admissible parameter space, not just at hand-picked points.
 
 Each example is a JSON configuration drawn from admissible physics (gamma > 1,
-mu > 0, nu >= 0 including exactly 0, rho_bar >= 1, b_bar != 0), both presets
+mu > 0, nu >= 0 including exactly 0, b_bar != 0), both presets
 (the vacuum one with a_b = -b_bar, so the field vanishes with the density)
 and both reconstructions, on grids of at most 128 cells and short horizons.  The lockstep-group properties evolve two or three members of
 such a configuration, which differ only in nu, beside their shared reference.
@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from mhd1d import solver
 from mhd1d.config import parse_config
 from mhd1d.core import (
+    RHO_BAR,
     VISC_FLOOR_FRACTION,
     Grid1D,
     State,
@@ -64,7 +65,6 @@ def configs(draw):
         "gamma": draw(st.floats(1.1, 3.0)),
         "mu": draw(st.floats(0.01, 1.0)),
         "nu": draw(st.one_of(st.just(0.0), st.floats(1e-5, 0.1))),
-        "rho_bar": draw(st.floats(1.0, 2.0)),
         "b_bar": b_bar,
     }
     amplitude = st.floats(-0.5, 0.5)
@@ -104,10 +104,10 @@ def test_admissible_run_is_sound(raw):
     # conservative fluxes: total mass moves only through the far-field edges,
     # where the perturbation is exponentially small
     rho0 = build_initial_state(config.spec, params, grid).rho
-    m0 = np.sum(rho0 - params.rho_bar) * grid.dx
-    m1 = np.sum(final.rho - params.rho_bar) * grid.dx
-    rounding = 1e-12 * params.rho_bar * 2.0 * grid.half_width
-    budget = 1e-8 * np.sum(np.abs(rho0 - params.rho_bar)) * grid.dx + rounding
+    m0 = np.sum(rho0 - RHO_BAR) * grid.dx
+    m1 = np.sum(final.rho - RHO_BAR) * grid.dx
+    rounding = 1e-12 * RHO_BAR * 2.0 * grid.half_width
+    budget = 1e-8 * np.sum(np.abs(rho0 - RHO_BAR)) * grid.dx + rounding
     assert abs(m1 - m0) <= budget
 
     # E(0) = 0 is the far field, where the drift has no scale
@@ -151,29 +151,28 @@ def test_viscous_density_rule_and_its_stage_bound(raw):
     params, scheme, grid = config.params, config.scheme, config.grid
     state = build_initial_state(config.spec, params, grid)
     state, _ = step(state, _advective_dt(state, params, grid), params, scheme, grid)
-    rho_bar = params.rho_bar
-    rho = np.sort(np.concatenate([state.rho, np.linspace(0.0, 3.0 * rho_bar, 301)]))
-    r = viscous_density(rho, rho_bar)
+    rho = np.sort(np.concatenate([state.rho, np.linspace(0.0, 3.0 * RHO_BAR, 301)]))
+    r = viscous_density(rho)
     assert np.all(r >= rho)
-    assert np.all(r >= VISC_FLOOR_FRACTION * rho_bar)
+    assert np.all(r >= VISC_FLOOR_FRACTION * RHO_BAR)
     assert np.all(np.diff(r) >= 0.0)
 
     # viscous_velocity divides by it, bit for bit
-    velocity = viscous_velocity(state.mom, state.rho, rho_bar)
-    assert velocity.tobytes() == (state.mom / viscous_density(state.rho, rho_bar)).tobytes()
+    velocity = viscous_velocity(state.mom, state.rho)
+    assert velocity.tobytes() == (state.mom / viscous_density(state.rho)).tobytes()
 
     # r is C1: on a fine ramp through the blend, consecutive difference
     # quotients differ by about h * r'' = h/(2f), with no jump where the
     # pieces meet at 2f
-    f = VISC_FLOOR_FRACTION * rho_bar
+    f = VISC_FLOOR_FRACTION * RHO_BAR
     ramp, h = np.linspace(0.0, 3.0 * f, 1001, retstep=True)
-    quotients = np.diff(viscous_density(ramp, rho_bar)) / h
+    quotients = np.diff(viscous_density(ramp)) / h
     assert np.abs(np.diff(quotients)).max() <= 2.0 * h / f
 
     # the largest rate mu*rho/r^2 that the viscous block applies is at most
     # mu/d, d = viscous_rate_density(rho_min), so one explicit stage of
     # _diffusive_dt stays within DIFFUSION_NUMBER
-    d = viscous_rate_density(float(state.rho.min()), rho_bar)
+    d = viscous_rate_density(float(state.rho.min()))
     w_rate = _blocks(state, params, grid)[1].rate * grid.dx**2  # mu*rho/r^2
     assert w_rate.max() <= params.mu / d * (1.0 + 1e-12)
     dt_diffusive = _diffusive_dt(state, params, grid)
@@ -297,7 +296,7 @@ def test_vacuum_dissipation_uses_the_scheme_velocity():
 
 
 @pytest.mark.parametrize("raw", [
-    # E(0) = 1.6e-19: with Phi(rho) summed as rho^gamma - rho_bar^gamma - ...,
+    # E(0) = 1.6e-19: with Phi(rho) summed as rho^gamma - RHO_BAR^gamma - ...,
     # its ~1e-16 absolute cancellation read as a drift of 7085
     pytest.param(_small({"gamma": 1.5, "mu": 1.0, "nu": 0.0},
                         {"a_rho": 0.0, "a_u": 1e-9, "a_b": 0.0, "sigma": 1.0}, 64),

@@ -10,13 +10,14 @@ from mhd1d import (
     compatibility_residual,
     weighted_energy,
 )
+from mhd1d.core import RHO_BAR
 
 
 class TestBuildInitialState:
     def test_zero_perturbation_is_far_field(self, params, grid):
         spec = ScenarioSpec(a_rho=0.0, a_u=0.0, a_b=0.0)
         s = build_initial_state(spec, params, grid)
-        assert np.all(s.rho == params.rho_bar)
+        assert np.all(s.rho == RHO_BAR)
         assert np.all(s.mom == 0.0)
         assert np.all(s.b == params.b_bar)
 
@@ -38,8 +39,8 @@ class TestBuildInitialState:
         grid = Grid1D(5.0 * sigma, 2048)
         spec = ScenarioSpec(sigma=sigma)
         s = build_initial_state(spec, params, grid)
-        scale = max(params.rho_bar, abs(params.b_bar), 1.0)
-        for arr, far in ((s.rho, params.rho_bar), (s.mom, 0.0), (s.b, params.b_bar)):
+        scale = max(RHO_BAR, abs(params.b_bar))
+        for arr, far in ((s.rho, RHO_BAR), (s.mom, 0.0), (s.b, params.b_bar)):
             assert abs(arr[0] - far) / scale < 1e-10
             assert abs(arr[-1] - far) / scale < 1e-10
 

@@ -21,7 +21,7 @@ from mhd1d import (
 from mhd1d.diagnostics import COLUMNS, DiagnosticsRecord, RunTelemetry, energy_density
 from mhd1d.errors import BoundaryMonitorError, NumericalError, SimulationError
 from mhd1d import solver
-from mhd1d.core import viscous_density
+from mhd1d.core import RHO_BAR, viscous_density
 from mhd1d.solver import (
     _advective_dt,
     _blocks,
@@ -57,7 +57,7 @@ class TestSchemeConfig:
 def _oracle_rhs_first_order(state, params, grid):
     """Scalar re-implementation of the full semi-discrete system, loops and all."""
     n, dx, g = grid.n_cells, grid.dx, params.gamma
-    rho = np.concatenate([[params.rho_bar] * 2, state.rho, [params.rho_bar] * 2])
+    rho = np.concatenate([[RHO_BAR] * 2, state.rho, [RHO_BAR] * 2])
     mom = np.concatenate([[0.0] * 2, state.mom, [0.0] * 2])
     b = np.concatenate([[params.b_bar] * 2, state.b, [params.b_bar] * 2])
 
@@ -82,7 +82,7 @@ def _oracle_rhs_first_order(state, params, grid):
     d_rho = np.array([-(fhat[i + 1][0] - fhat[i][0]) / dx for i in range(n)])
     d_mom = np.array([-(fhat[i + 1][1] - fhat[i][1]) / dx for i in range(n)])
     d_b = np.array([-(fhat[i + 1][2] - fhat[i][2]) / dx for i in range(n)])
-    visc_floor = 0.01 * params.rho_bar
+    visc_floor = 0.01 * RHO_BAR
     uv = mom / np.maximum(rho, visc_floor)
     for i in range(n):
         d_mom[i] += params.mu * (uv[i + 3] - 2.0 * uv[i + 2] + uv[i + 1]) / dx**2
@@ -97,13 +97,13 @@ class TestRhs:
             for operator in (rhs, tendencies):
                 out = operator(constant_state(grid, p), p, scheme, grid)
                 for arr in (out.d_rho, out.d_mom, out.d_b):
-                    assert np.abs(arr).max() < 1e-13 * max(params.rho_bar, params.b_bar, 1.0)
+                    assert np.abs(arr).max() < 1e-13 * max(RHO_BAR, params.b_bar)
 
     def test_matches_hand_rolled_oracle_on_8_nodes(self):
         params = PhysParams(mu=0.05, nu=2e-3)
         grid = Grid1D(4.0, 8)
         x = grid.x
-        rho = np.full(8, params.rho_bar)
+        rho = np.full(8, RHO_BAR)
         u = 0.3 * np.exp(-x**2)
         state = State(rho=rho, mom=rho * u, b=np.full(8, params.b_bar))
         scheme = SchemeConfig(reconstruction="first_order_upwind")
@@ -119,7 +119,7 @@ class TestRhs:
         # neighboring momenta, so d_rho/dt is the central difference of -m
         params = PhysParams()
         grid = Grid1D(4.0, 8)
-        rho = np.full(8, params.rho_bar)
+        rho = np.full(8, RHO_BAR)
         u = 0.3 * np.exp(-grid.x**2)
         state = State(rho=rho, mom=rho * u, b=np.full(8, params.b_bar))
         out = rhs(state, replace(params, nu=0.0),
@@ -178,7 +178,7 @@ class TestStableDt:
         state = constant_state(grid, params)
         dt = _diffusive_dt(state, params, grid)
         assert dt == pytest.approx(
-            solver.DIFFUSION_NUMBER * grid.dx**2 * params.rho_bar / params.mu)
+            solver.DIFFUSION_NUMBER * grid.dx**2 * RHO_BAR / params.mu)
 
     def test_large_resistivity_governs_diffusive_bound(self, grid):
         # nu = 50 sets the resistive block's bound alone: the viscous bound
@@ -188,7 +188,7 @@ class TestStableDt:
         dt = _diffusive_dt(state, params, grid)
         assert dt == _diffusive_dt(state, replace(params, nu=0.0), grid)
         assert dt == pytest.approx(
-            solver.DIFFUSION_NUMBER * grid.dx**2 * params.rho_bar / params.mu)
+            solver.DIFFUSION_NUMBER * grid.dx**2 * RHO_BAR / params.mu)
         dt_res = solver.DIFFUSION_NUMBER * grid.dx**2 / params.nu
         for tau in (1e-3, 1e-2, 1e-1):
             [(s, s_b)] = _stage_counts(2 * tau, [(state, params)], grid)
@@ -208,7 +208,7 @@ class TestStableDt:
         # weight rho/r
         params, grid = PhysParams(mu=0.1, nu=1e-3), Grid1D(20.0, 64)
         state = build_initial_state(ScenarioSpec(preset=preset, a_b=-1.0), params, grid)
-        r = viscous_density(state.rho, params.rho_bar)
+        r = viscous_density(state.rho)
         rho_safe, viscous, _ = _blocks(state, params, grid)
         unweighted = (params.mu / grid.dx**2) / r
         if preset == "gaussian_bump":
@@ -227,7 +227,7 @@ class TestStep:
         for _ in range(5):
             state, clips = step(state, 1e-3, params, scheme, grid)
             assert clips == 0
-        assert np.all(state.rho == params.rho_bar)
+        assert np.all(state.rho == RHO_BAR)
         assert np.all(state.mom == 0.0)
         assert np.all(state.b == params.b_bar)
 
@@ -238,14 +238,14 @@ class TestStep:
         grid = Grid1D(20.0, 1024)
         c, eps, t_end = 1.0, 1e-8, 0.5
         x = grid.x
-        rho = np.full(grid.n_cells, params.rho_bar)
+        rho = np.full(grid.n_cells, RHO_BAR)
         state = State(rho=rho, mom=rho * c, b=params.b_bar + eps * np.exp(-x**2), t=0.0)
         scheme = SchemeConfig()
         while state.t < t_end - 1e-12:
             dt = min(_advective_dt(state, params, grid), t_end - state.t)
             state, _ = step(state, dt, params, scheme, grid)
         core = np.abs(x) < 10.0  # edges are polluted by the far-field ghosts
-        assert np.abs(state.rho - params.rho_bar)[core].max() < 1e-7
+        assert np.abs(state.rho - RHO_BAR)[core].max() < 1e-7
         assert np.abs(state.velocity() - c)[core].max() < 1e-7
         pert = (state.b - params.b_bar)[core]
         centroid = np.sum(x[core] * pert) / np.sum(pert)
@@ -567,13 +567,22 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="empty"):
             load_checkpoint(text)
 
-    # a short row once raised IndexError and a long one loaded silently
+    # a short row once raised IndexError and a long one loaded silently; a NaN
+    # density and an infinite or negative time loaded too, and a fractional
+    # cell count or a word raised a ValueError that named no line
     @pytest.mark.parametrize("line, edit, match", [
         (0, lambda parts: parts[:2], "line 1 has 2 values, not 3"),
         (0, lambda parts: parts + ["0"], "line 1 has 4 values, not 3"),
         (1, lambda parts: parts[:3], "line 2 has 3 values, not 4"),
         (5, lambda parts: parts + ["0"], "line 6 has 5 values, not 4"),
-    ], ids=["header-short", "header-long", "row-short", "row-long"])
+        (3, lambda parts: [parts[0], "nan", *parts[2:]], "line 4 needs finite numbers"),
+        (0, lambda parts: [*parts[:2], "inf"], "line 1 needs finite numbers"),
+        (0, lambda parts: [*parts[:2], "-1"], "line 1 needs .* a non-negative time"),
+        (0, lambda parts: [parts[0] + ".0", *parts[1:]], "line 1: n_cells must be an integer"),
+        (2, lambda parts: [parts[0], "abc", *parts[2:]], "line 3 needs finite numbers"),
+        (4, lambda parts: [parts[0], "-1", *parts[2:]], "line 5 needs .* a non-negative density"),
+    ], ids=["header-short", "header-long", "row-short", "row-long", "nan-density", "inf-time",
+            "negative-time", "fractional-count", "word", "negative-density"])
     def test_rejects_malformed_lines(self, line, edit, match, params, grid):
         lines = save_checkpoint(constant_state(grid, params), grid).splitlines()
         lines[line] = " ".join(edit(lines[line].split()))
