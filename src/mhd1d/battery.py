@@ -20,11 +20,9 @@ from .config import RunConfig
 from .core import RHO_BAR, Grid1D, PhysParams, constant_state, potential_energy
 from .diagnostics import central_tendencies, energy_drift, flux_identity_residual
 from .limit_study import run_group
-from .mms import manufactured_solution, observed_orders
+from .mms import FIELDS, manufactured_solution, observed_orders
 from .scenario import ScenarioSpec, build_initial_state
 from .solver import SchemeConfig, run, tendencies
-
-FIELDS = ("rho", "u", "b")
 
 
 @dataclass(frozen=True)

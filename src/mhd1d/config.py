@@ -26,11 +26,17 @@ def _section(source) -> dict:
     return {f.name: getattr(source, f.name) for f in fields(source)}
 
 
+# Each file section: the RunConfig attribute that holds it, and the dataclass it builds.
+SECTIONS = {
+    "physics": ("params", PhysParams),
+    "scenario": ("spec", ScenarioSpec),
+    "grid": ("grid", Grid1D),
+    "scheme": ("scheme", SchemeConfig),
+}
+
+# Every section's defaults by field, then the top-level entries: the shape of a file.
 DEFAULTS = {
-    "physics": _section(PhysParams),
-    "scenario": _section(ScenarioSpec),
-    "grid": _section(Grid1D),
-    "scheme": _section(SchemeConfig),
+    **{name: _section(cls) for name, (_, cls) in SECTIONS.items()},
     "nu_list": [1e-2, 3e-3, 1e-3, 3e-4, 1e-4],
     "jobs": 1,
 }
@@ -73,10 +79,7 @@ class RunConfig:
 
     def as_dict(self) -> dict:
         return {
-            "physics": _section(self.params),
-            "scenario": _section(self.spec),
-            "grid": _section(self.grid),
-            "scheme": _section(self.scheme),
+            **{name: _section(getattr(self, attr)) for name, (attr, _) in SECTIONS.items()},
             "nu_list": list(self.nu_list),
             "jobs": self.jobs,
         }
@@ -116,25 +119,22 @@ def parse_config(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError(["top level: expected a JSON object"])
     problems = [f"{key}: unknown field" for key in raw if key not in DEFAULTS]
-    sections = {"physics": PhysParams, "scenario": ScenarioSpec, "grid": Grid1D,
-                "scheme": SchemeConfig}
     built = {}
-    for section, cls in sections.items():
+    for section, (attr, cls) in SECTIONS.items():
         try:
-            built[section] = cls(**_merged(raw, section, problems))
+            built[attr] = cls(**_merged(raw, section, problems))
         except ValueError as exc:
             problems.extend(f"{section}: {p}" for p in exc.args)
-    params, spec, grid, scheme = (built.get(section) for section in sections)
     try:
-        config = RunConfig(params=params, spec=spec, grid=grid, scheme=scheme,
+        config = RunConfig(**{attr: built.get(attr) for attr, _ in SECTIONS.values()},
                            nu_list=raw.get("nu_list", DEFAULTS["nu_list"]),
                            jobs=raw.get("jobs", DEFAULTS["jobs"]))
     except ValueError as exc:
         problems.extend(exc.args)
 
     # Cross-section checks, reported here so they fail at load time.
-    if spec is not None and grid is not None:
-        problems.extend(admissibility_problems(spec, grid))
+    if "spec" in built and "grid" in built:
+        problems.extend(admissibility_problems(built["spec"], built["grid"]))
 
     if problems:
         raise ConfigError(problems)
@@ -158,4 +158,4 @@ def load_config(path: str) -> RunConfig:
     return parse_config(raw)
 
 
-__all__ = ["DEFAULTS", "RunConfig", "parse_config", "load_config"]
+__all__ = ["SECTIONS", "DEFAULTS", "RunConfig", "parse_config", "load_config"]

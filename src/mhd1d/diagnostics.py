@@ -170,20 +170,24 @@ def central_tendencies(state: State, params: PhysParams, grid: Grid1D) -> RhsOut
     return RhsOutput(d_rho=d_rho, d_mom=d_mom, d_b=d_b)
 
 
+# The running-total columns, by their CSV names, in ``Accumulators.integrand``'s order.
+ACCUMULATED = ("diss_u", "diss_b", "diss_u_weighted", "diss_b_weighted", "l6_b_pert_accum")
+
+
 @dataclass
 class Accumulators:
-    """Time integrals of one run, updated every accepted step (trapezoid in time)."""
+    """Time integrals of one run, updated every accepted step (trapezoid in time).
 
-    diss_u: float = 0.0
-    diss_b: float = 0.0
-    diss_u_weighted: float = 0.0
-    diss_b_weighted: float = 0.0
-    l6_b_pert: float = 0.0
-    clip_count: int = 0  # density clips of this run alone
+    ``totals`` maps each ``ACCUMULATED`` column to its running total;
+    ``clip_count`` counts this run's density clips.
+    """
+
+    totals: dict = field(default_factory=lambda: dict.fromkeys(ACCUMULATED, 0.0))
+    clip_count: int = 0
     _last: tuple | None = None
 
     def integrand(self, state: State, params: PhysParams, grid: Grid1D) -> tuple:
-        """Integrands of the five accumulators at one instant."""
+        """Integrands of the ``ACCUMULATED`` columns at one instant."""
         dx = grid.dx
         weight = _spreading_weight(grid)
         u_x2 = derivative(viscous_velocity(state.mom, state.rho), dx) ** 2
@@ -201,13 +205,9 @@ class Accumulators:
 
     def advance(self, state: State, params: PhysParams, grid: Grid1D, dt: float):
         cur = self.integrand(state, params, grid)
-        prev = self._last
         half_dt = 0.5 * dt
-        self.diss_u += half_dt * (prev[0] + cur[0])
-        self.diss_b += half_dt * (prev[1] + cur[1])
-        self.diss_u_weighted += half_dt * (prev[2] + cur[2])
-        self.diss_b_weighted += half_dt * (prev[3] + cur[3])
-        self.l6_b_pert += half_dt * (prev[4] + cur[4])
+        for name, prev, now in zip(ACCUMULATED, self._last, cur):
+            self.totals[name] += half_dt * (prev + now)
         self._last = cur
 
 
@@ -270,8 +270,7 @@ class DiagnosticsRecord:
         t = data[:, 0]
         if len(t) > 1 and not np.all(np.diff(t) > 0):
             raise ValueError("sample times must be strictly increasing")
-        for name in ("diss_u", "diss_b", "diss_u_weighted", "diss_b_weighted",
-                     "l6_b_pert_accum", "clip_count"):
+        for name in (*ACCUMULATED, "clip_count"):
             col = self.column(name)
             if len(col) > 1 and np.any(np.diff(col) < 0):
                 raise ValueError(f"accumulator column {name} must be non-decreasing")
@@ -314,16 +313,11 @@ def sample(state: State, rhs_output, params: PhysParams, grid: Grid1D,
         "t": state.t,
         "energy": float(np.trapezoid(energy, dx=grid.dx)),
         "energy_weighted": float(np.trapezoid(energy * _spreading_weight(grid), dx=grid.dx)),
-        "diss_u": accum.diss_u,
-        "diss_b": accum.diss_b,
-        "diss_u_weighted": accum.diss_u_weighted,
-        "diss_b_weighted": accum.diss_b_weighted,
         "sup_rho": float(np.max(state.rho)),
         "sup_abs_b": lp_norm(state.b, "inf", grid),
         "sup_abs_u": lp_norm(u, "inf", grid),
         "l2_rho_pert": lp_norm(state.rho - RHO_BAR, 2, grid),
         "l4_b_pert": lp_norm(b_pert, 4, grid),
-        "l6_b_pert_accum": accum.l6_b_pert,
         "l2_ux": lp_norm(derivative(viscous_velocity(state.mom, state.rho), grid.dx), 2, grid),
         "l2_bx": lp_norm(derivative(state.b, grid.dx), 2, grid),
         "l2_rhox": lp_norm(derivative(state.rho, grid.dx), 2, grid),
@@ -332,6 +326,7 @@ def sample(state: State, rhs_output, params: PhysParams, grid: Grid1D,
         "l2_sqrt_rho_udot": lp_norm(np.sqrt(state.rho) * udot, 2, grid),
         "flux_residual": _flux_residual(state, udot, params, grid),
         "xi_sup": lp_norm(momentum_potential(state, grid), "inf", grid),
+        **accum.totals,
         "clip_count": accum.clip_count,
     }
 
@@ -419,6 +414,7 @@ def nu_independence_report(entries: list[tuple[float, DiagnosticsRecord]]) -> Nu
 
 __all__ = [
     "COLUMNS",
+    "ACCUMULATED",
     "SPREAD_TOLERANCE",
     "SPREADING_ALPHA",
     "unfit_reason",

@@ -18,6 +18,9 @@ from .core import RHO_BAR, Grid1D, PhysParams, State
 from .diagnostics import lp_norm
 from .solver import RhsOutput, SchemeConfig, rhs, run_lockstep
 
+# The fields a manufactured run is compared on, each a callable of ManufacturedSolution.
+FIELDS = ("rho", "u", "b")
+
 
 @dataclass(frozen=True)
 class ManufacturedSolution:
@@ -38,13 +41,10 @@ class ManufacturedSolution:
         return State(rho=self.rho(x, 0.0), mom=self.mom(x, 0.0), b=self.b(x, 0.0), t=0.0)
 
     def errors(self, state: State, grid: Grid1D) -> dict[str, float]:
-        """Discrete L2 errors of (rho, u, b) against the exact fields."""
-        x = grid.x
-        return {
-            "rho": lp_norm(state.rho - self.rho(x, state.t), 2, grid),
-            "u": lp_norm(state.velocity() - self.u(x, state.t), 2, grid),
-            "b": lp_norm(state.b - self.b(x, state.t), 2, grid),
-        }
+        """Discrete L2 errors of the ``FIELDS`` against the exact fields."""
+        computed = (state.rho, state.velocity(), state.b)  # in FIELDS order
+        return {k: lp_norm(v - getattr(self, k)(grid.x, state.t), 2, grid)
+                for k, v in zip(FIELDS, computed)}
 
 
 def manufactured_solution(params: PhysParams, amplitude: float = 0.1,
@@ -129,10 +129,11 @@ def observed_orders(params: PhysParams, scheme: SchemeConfig, n_cells: tuple[int
     errs = [run_manufactured(params, scheme, grid, ms) for grid in grids]
     log_dx = np.log([grid.dx for grid in grids])
     return {k: float(np.polyfit(log_dx, np.log([e[k] for e in errs]), 1)[0])
-            for k in ("rho", "u", "b")}
+            for k in FIELDS}
 
 
 __all__ = [
+    "FIELDS",
     "ManufacturedSolution",
     "manufactured_solution",
     "mms_rhs",

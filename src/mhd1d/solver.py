@@ -484,13 +484,14 @@ def check_boundary(state: State, params: PhysParams) -> float:
     """Abort when the perturbation reaches the outermost interior nodes.
 
     Returns the largest deviation from the far field over those nodes; a NaN
-    there, which max() would drop, raises ``NumericalError``.
+    or infinite value there (max() would drop a NaN, and an infinity would read
+    as a deviation) raises ``NumericalError`` naming its node.
     """
     k = BOUNDARY_NODES
     dev = 0.0
     for q, far in ((state.rho, RHO_BAR), (state.mom, 0.0), (state.b, params.b_bar)):
         for j, value in enumerate(q[:k].tolist() + q[-k:].tolist()):
-            if value != value:
+            if not math.isfinite(value):
                 node = j if j < k else len(q) - 2 * k + j
                 raise NumericalError("non-finite state at the boundary", node=node, time=state.t)
             dev = max(dev, abs(value - far))

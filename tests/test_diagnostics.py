@@ -242,6 +242,18 @@ class TestRecord:
         row = sample(s, out, params, grid, accum)
         assert all(np.isfinite(v) for v in row.values())
 
+    @pytest.mark.parametrize("spec", [ScenarioSpec(), ScenarioSpec(preset="interior_vacuum",
+                                                                   a_b=-PhysParams().b_bar)],
+                             ids=["gaussian_bump", "interior_vacuum"])
+    def test_sample_row_keys_are_the_columns(self, params, grid, spec):
+        # append reads COLUMNS alone, so a misspelled key would be dropped silently
+        s = build_initial_state(spec, params, grid)
+        accum = Accumulators()
+        accum.start(s, params, grid)
+        accum.advance(s, params, grid, 1e-3)
+        row = sample(s, tendencies(s, params, SchemeConfig(), grid), params, grid, accum)
+        assert sorted(row) == sorted(COLUMNS)
+
 
 class TestEnergyDrift:
     def test_monotone_series_has_zero_drift(self):

@@ -1,7 +1,9 @@
-"""Golden outputs: the criterion-10 sweep, a short interior-vacuum run and
-the lines ``mhd1d verify`` prints.
+"""Golden outputs: the criterion-10 sweep, a short interior-vacuum run,
+criterion 9's interior-vacuum run to T = 1 (the benchmark's seed-0
+``vacuum_run``, so the near-vacuum path is held to its bytes) and the lines
+``mhd1d verify`` prints, which README's quoted check lines must match.
 
-Both run through the command line, so the test does not depend on the
+Every case runs through the command line, so the test does not depend on the
 library API.  Every number of ``report.json`` and every row of the CSV and
 checkpoint outputs is compared with the checked-in copy under
 ``tests/golden`` at relative tolerance 1e-12, which holds across numpy
@@ -33,11 +35,13 @@ import pytest
 from mhd1d.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+README = GOLDEN.parent.parent / "README.md"
 RTOL = 1e-12
 COLUMN_FLOOR = 1e-15
 
-# Acceptance criterion 10's configuration, and a short interior-vacuum run
-# whose magnetic field vanishes with the density (a_b = -b_bar).
+# Acceptance criterion 10's configuration, a short interior-vacuum run whose
+# magnetic field vanishes with the density (a_b = -b_bar), and criterion 9's
+# full-length run of the same preset.
 CASES = {
     "criterion10_sweep": ("sweep", {
         "grid": {"half_width": 20.0, "n_cells": 256},
@@ -48,6 +52,13 @@ CASES = {
         "scenario": {"preset": "interior_vacuum", "a_b": -1.0},
         "grid": {"n_cells": 256},
         "scheme": {"t_end": 0.1, "n_samples": 5},
+    }),
+    "vacuum_run": ("simulate", {
+        "physics": {"mu": 0.1, "nu": 1e-3},
+        "scenario": {"preset": "interior_vacuum", "a_u": 0.2, "a_b": -1.0, "sigma": 2.0},
+        "grid": {"half_width": 20.0, "n_cells": 1024},
+        "scheme": {"t_end": 1.0},
+        "jobs": 1,
     }),
 }
 
@@ -107,6 +118,7 @@ def _assert_table_close(actual: str, expected: str, where: str):
     # the guard's doubled-grid pair runs in a worker process; the outputs must not change
     pytest.param("criterion10_sweep", {"jobs": 2}, id="criterion10_sweep-jobs2"),
     pytest.param("interior_vacuum_simulate", None, id="interior_vacuum_simulate"),
+    pytest.param("vacuum_run", None, id="vacuum_run"),
 ])
 def test_outputs_match_golden(case, overrides, tmp_path):
     recorded = json.loads((GOLDEN / "golden.json").read_text())
@@ -132,6 +144,15 @@ def test_verify_lines_match_golden():
     assert [ln.split(":")[0] for ln in lines] == [ln.split(":")[0] for ln in expected]
     if np.__version__ == recorded["numpy"]:
         assert lines == expected
+
+
+def test_readme_check_lines_are_golden():
+    # the [PASS]/[FAIL] lines README quotes, wall times stripped, are lines verify prints
+    quoted = [re.sub(r" \([0-9.]+ s\)$", "", ln)
+              for ln in re.findall(r"`(\[(?:PASS|FAIL)\][^`]*)`", README.read_text())]
+    assert quoted
+    expected = (GOLDEN / "verify.txt").read_text().splitlines()
+    assert [ln for ln in quoted if ln not in expected] == []
 
 
 def regenerate():

@@ -18,7 +18,8 @@ from mhd1d import (
     step,
     tendencies,
 )
-from mhd1d.diagnostics import COLUMNS, DiagnosticsRecord, RunTelemetry, energy_density
+from mhd1d.diagnostics import (ACCUMULATED, COLUMNS, DiagnosticsRecord, RunTelemetry,
+                               energy_density)
 from mhd1d.errors import BoundaryMonitorError, NumericalError, SimulationError
 from mhd1d import solver
 from mhd1d.core import RHO_BAR, viscous_density
@@ -305,12 +306,17 @@ class TestRun:
         final, record = run(spec, params, SchemeConfig(t_end=1.0), Grid1D(20.0, 512))
         assert final.t == 1.0 and record.final("clip_count") == 0
 
-    @pytest.mark.parametrize("field", ["rho", "mom", "b"])
+    # the NaN cases keep the bare field as their id
+    @pytest.mark.parametrize("field, value", [
+        pytest.param(field, value, id=field + suffix)
+        for value, suffix in ((np.nan, ""), (np.inf, "-inf"), (-np.inf, "-neg_inf"))
+        for field in ("rho", "mom", "b")])
     @pytest.mark.parametrize("node", [0, 2, -3, -1])
-    def test_boundary_monitor_fails_closed_on_nan(self, params, grid, field, node):
-        # max(0.0, nan) is 0.0, so a NaN edge node would read as the far field
+    def test_boundary_monitor_fails_closed_on_nan(self, params, grid, field, value, node):
+        # max(0.0, nan) is 0.0, so a NaN edge node would read as the far field;
+        # an infinite one would read as a deviation, not as a numerical failure
         state = constant_state(grid, params)
-        getattr(state, field)[node] = np.nan
+        getattr(state, field)[node] = value
         with pytest.raises(NumericalError) as err:
             solver.check_boundary(state, params)
         assert err.value.node == node % grid.n_cells
@@ -320,7 +326,7 @@ class TestRun:
         _, record = run(gaussian_spec, params, SchemeConfig(t_end=0.3, n_samples=10),
                         grid)
         record.validate()
-        for col in ("diss_u", "diss_b", "l6_b_pert_accum"):
+        for col in ACCUMULATED:
             assert np.all(np.diff(record.column(col)) >= 0)
 
 
