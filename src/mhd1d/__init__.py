@@ -10,7 +10,6 @@ from .core import (
     derivative,
     effective_viscous_flux,
     fast_speed,
-    fast_speed_state,
     material_derivative,
     potential_energy,
     pressure,

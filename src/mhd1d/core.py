@@ -305,10 +305,6 @@ def fast_speed(rho: FieldScalar, mom: FieldScalar, b: FieldScalar, gamma: float)
     return np.abs(u) + np.sqrt(gamma * rho_safe ** (gamma - 1.0) + b**2 / rho_safe)
 
 
-def fast_speed_state(state: State, params: PhysParams) -> FieldScalar:
-    return fast_speed(state.rho, state.mom, state.b, params.gamma)
-
-
 def constant_state(grid: Grid1D, params: PhysParams) -> State:
     """The far-field state (RHO_BAR, 0, b_bar) sampled on the grid."""
     n = grid.n_cells
@@ -340,6 +336,5 @@ __all__ = [
     "effective_viscous_flux",
     "material_derivative",
     "fast_speed",
-    "fast_speed_state",
     "constant_state",
 ]

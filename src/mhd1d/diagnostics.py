@@ -79,11 +79,11 @@ def unfit_reason(nus) -> str | None:
 
 
 def lp_norm(values: FieldScalar, p, grid: Grid1D) -> float:
-    """Discrete Lp norm: (sum |f|^p dx)^(1/p), or max|f| for p = inf."""
+    """Discrete Lp norm: (sum |f|^p dx)^(1/p), or max|f| for p = "inf"."""
     f = np.asarray(values, dtype=float)
     if p == 2:  # the sampled norms: |f|^2 is f^2
         return float((np.add.reduce(np.square(f)) * grid.dx) ** 0.5)
-    if p in ("inf", np.inf):
+    if p == "inf":
         return float(np.max(np.abs(f))) if f.size else 0.0
     if p not in (2, 4, 6):
         raise ValueError(f"unsupported norm order {p!r}")
@@ -344,8 +344,8 @@ def energy_drift(record: DiagnosticsRecord) -> float:
     return float(np.max(m - running_min) / abs(m[0]))
 
 
-# Quantities whose sup-in-time values must not depend on the resistivity.
-# diss_b is reported alongside but excluded: its definition carries nu.
+# The audited quantities as (name, DiagnosticsRecord reduction, column): their
+# sup-in-time values must not depend on the resistivity, bar EXCLUDED's.
 MONITORED = [
     ("sup_rho", "sup", "sup_rho"),
     ("sup_abs_b", "sup", "sup_abs_b"),
@@ -359,9 +359,11 @@ MONITORED = [
     ("sup_l4_b_pert", "sup", "l4_b_pert"),
     ("l6_b_pert_accum", "final", "l6_b_pert_accum"),
     ("sup_l2_bx", "sup", "l2_bx"),
+    ("diss_b", "final", "diss_b"),
 ]
 
-EXCLUDED = [("diss_b", "final", "diss_b")]
+# Reported but never flagged: diss_b's definition carries nu.
+EXCLUDED = {"diss_b"}
 
 
 @dataclass(frozen=True)
@@ -404,11 +406,9 @@ def nu_independence_report(entries: list[tuple[float, DiagnosticsRecord]]) -> Nu
     for name, kind, col in MONITORED:
         vals = np.array([getattr(rec, kind)(col) for _, rec in entries])
         spread = _relative_spread(vals)
-        flagged = not spread <= SPREAD_TOLERANCE  # a NaN spread too
-        rows.append(QuantitySpread(name, tuple(vals), spread, flagged, False))
-    for name, kind, col in EXCLUDED:
-        vals = np.array([getattr(rec, kind)(col) for _, rec in entries])
-        rows.append(QuantitySpread(name, tuple(vals), _relative_spread(vals), False, True))
+        excluded = name in EXCLUDED
+        flagged = not excluded and not spread <= SPREAD_TOLERANCE  # a NaN spread too
+        rows.append(QuantitySpread(name, tuple(vals), spread, flagged, excluded))
     return NuIndependenceReport(nu_values=tuple(nus), rows=rows)
 
 

@@ -38,7 +38,7 @@ from .core import (
     PhysParams,
     RhsOutput,
     State,
-    fast_speed_state,
+    fast_speed,
     field_problems,
     viscous_density,
     viscous_rate_density,
@@ -355,7 +355,7 @@ def tendencies(state: State, params: PhysParams, scheme: SchemeConfig, grid: Gri
 
 def _advective_dt(state: State, params: PhysParams, grid: Grid1D) -> float:
     """The CFL bound of the hyperbolic step: CFL_NUMBER * dx / max fast speed."""
-    return CFL_NUMBER * grid.dx / float(fast_speed_state(state, params).max())
+    return CFL_NUMBER * grid.dx / float(fast_speed(state.rho, state.mom, state.b, params.gamma).max())
 
 
 def _diffusive_dt(state: State, params: PhysParams, grid: Grid1D) -> float:

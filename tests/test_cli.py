@@ -673,7 +673,7 @@ def _fresh_python(code: str) -> str:
 
 @pytest.mark.parametrize("command", ["simulate", "sweep", "verify"])
 def test_a_command_imports_only_numpy_beyond_the_standard_library(command, tmp_path):
-    # numpy is the one runtime dependency; the test extras (scipy, sympy,
+    # numpy is the one runtime dependency; the test extras (mpmath, sympy,
     # hypothesis) are installed here too, so only this check sees a stray import
     argv = [command]
     if command != "verify":

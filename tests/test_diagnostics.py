@@ -27,6 +27,7 @@ from mhd1d import (
 from mhd1d.core import RHO_BAR
 from mhd1d.diagnostics import (
     COLUMNS,
+    MONITORED,
     SPREADING_ALPHA,
     Accumulators,
     central_tendencies,
@@ -59,6 +60,10 @@ class TestLpNorm:
     def test_rejects_odd_order(self, grid):
         with pytest.raises(ValueError):
             lp_norm(np.ones(grid.n_cells), 3, grid)
+
+    def test_sup_norm_is_spelled_inf(self, grid):
+        with pytest.raises(ValueError, match="unsupported norm order inf"):
+            lp_norm(np.ones(grid.n_cells), np.inf, grid)
 
 
 class TestWeightedL2:
@@ -303,6 +308,7 @@ class TestNuIndependence:
     def test_diss_b_is_excluded(self):
         entries = [(nu, self._record()) for nu in (1e-2, 1e-3, 1e-4)]
         report = nu_independence_report(entries)
+        assert [r.name for r in report.rows] == [name for name, _, _ in MONITORED]
         excluded = [r for r in report.rows if r.excluded]
         assert [r.name for r in excluded] == ["diss_b"]
         assert not any(r.flagged for r in excluded)

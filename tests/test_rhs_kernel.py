@@ -38,7 +38,6 @@ from mhd1d.core import (
     derivative,
     effective_viscous_flux,
     fast_speed,
-    fast_speed_state,
     material_derivative,
     viscous_velocity,
 )
@@ -329,7 +328,7 @@ def reference_integrand(state: State, params: PhysParams, grid: Grid1D) -> tuple
 def reference_dt_bounds(state: State, params: PhysParams, grid: Grid1D) -> tuple[float, float]:
     """The advective CFL bound and the dx^2 bound of one explicit stage of the
     viscous block, at its peak diffusivity mu/d; nu bounds the resistive block alone."""
-    dt_adv = CFL_NUMBER * grid.dx / float(np.max(fast_speed_state(state, params)))
+    dt_adv = CFL_NUMBER * grid.dx / float(np.max(fast_speed(state.rho, state.mom, state.b, params.gamma)))
     d = reference_rate_density(float(np.min(state.rho)))
     dt_diff = DIFFUSION_NUMBER * grid.dx**2 / (params.mu / d)
     return dt_adv, dt_diff
