@@ -17,7 +17,10 @@ Strang-split around the hyperbolic step, so the advective CFL bound at
 Far-field Dirichlet values enter through ghost cells.  One driver advances
 any number of runs on a shared dt sequence: a single run is one member, a
 sweep group is one member per resistivity plus a shared non-resistive
-reference.  Plain sequential numpy, so repeated runs are bit-reproducible.
+reference.  Plain numpy; each RKL2 stage sums its terms in one BLAS dgemv
+(``np.dot``) through the OpenBLAS bundled with numpy, whose bytes do not
+depend on the BLAS thread count or on the arrays' alignment, so repeated
+runs are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -101,6 +104,8 @@ class _Workspace:
     flux and wave-speed ones, then the interface flux and jump, each set
     dead before the next is written.  Every view of these arrays that ``rhs``
     and the limiter read or write is sliced here once, not once per call.
+    ``stage_stack`` is the (4, n) operand of each stage of
+    ``_Diffusion.rkl2``, held here for the same reason, with its rows.
     """
 
     def __init__(self, n: int):
@@ -137,6 +142,8 @@ class _Workspace:
         # interface flux
         self.f_hat, self.jump = scratch[:6 * w].reshape(2, 3, w)
         self.f_hat_shifts = self.f_hat[:, 1:n + 1], self.f_hat[:, :n]
+        self.stage_stack = np.empty((4, n))
+        self.stage_rows = tuple(self.stage_stack)
 
 
 _workspace: _Workspace | None = None
@@ -145,8 +152,8 @@ _workspace: _Workspace | None = None
 def _workspace_for(n: int) -> _Workspace:
     """The shared workspace, reallocated only when the grid size changes.
 
-    One module-level workspace makes ``rhs`` non-re-entrant across threads;
-    parallel sweeps use processes.
+    One module-level workspace makes ``rhs`` and ``_Diffusion.rkl2``
+    non-re-entrant across threads; parallel sweeps use processes.
     """
     global _workspace
     if _workspace is None or _workspace.n != n:
@@ -291,33 +298,58 @@ class _Diffusion:
         On increments d_j = Y_j - Y_0 (the recursion's Y_0 terms cancel
         exactly, their weights summing to one):
             d_1 = l_0 mu~_1 with l_0 = L(Y_0) tau,
-            d_j = ((nu_j d_{j-2} + L(Y_0 + d_{j-1}) (mu~_j tau)) + mu_j d_{j-1}) + l_0 gamma~_j.
-        One stage loop serves both blocks; it applies the operator inline,
-        with the arithmetic of ``__call__``.
+            d_j = nu_j d_{j-2} + mu_j d_{j-1} + (mu~_j c) R_j + gamma~_j l_0,
+        R_j the second difference d2 at Y_0 + d_{j-1}, times the rate for the
+        viscous block (c = tau); the resistive block folds its scalar rate
+        into c = rate * tau.  Each stage sums its four terms in one ``np.dot``
+        of the weights with the workspace's stage stack, rows (d_even, d_odd,
+        R_j, l_0): d_k sits in row k mod 2, so d_j overwrites d_{j-2} and the
+        weights follow the rows.  That dot is numpy's BLAS dgemv, which fuses
+        multiply and add; its bytes do not depend on the BLAS thread count or
+        on the arrays' alignment, so runs stay bit-reproducible.  One stage
+        loop serves both blocks; it applies the operator inline, with the
+        arithmetic of ``__call__``.
         """
         y0, field, grad, rate = self.y0, self.field, self.grad, self.rate
         ext_hi, ext_lo, grad_hi, grad_lo = self.shifts
-        add, subtract, multiply = np.add, np.subtract, np.multiply  # looked up once, not per stage
+        add, subtract, dot, copyto = np.add, np.subtract, np.dot, np.copyto  # looked up once
         viscous = isinstance(rate, np.ndarray)
-        l0 = self(tau, out=np.empty_like(y0))
-        mu1, stages = rkl2_coefficients(s)
-        prev2, prev = np.zeros(len(y0)), l0 * mu1
-        scratch = np.empty_like(y0)
-        for mu, nu, mu_t, gamma_t in stages:
-            add(y0, prev, out=field)
-            prev2 *= nu  # d_{j-2} is not needed after this stage
+        ws = _workspace_for(len(y0))
+        stack, (even, odd, term, l0) = ws.stage_stack, ws.stage_rows
+        self(tau, out=l0)
+        even.fill(0.0)
+        np.multiply(l0, rkl2_coefficients(s)[0], out=odd)
+        slots = (even, odd), (odd, even)  # the rows of (d_{j-2}, d_{j-1}) for even and odd j
+        d = np.empty_like(y0)  # the result, fresh
+        for j, w in enumerate(_rkl2_stage_weights(s, tau if viscous else rate * tau), start=2):
+            older, last = slots[j % 2]
+            add(y0, last, out=field)
             subtract(ext_hi, ext_lo, out=grad)
-            rates = subtract(grad_hi, grad_lo, out=scratch)
+            subtract(grad_hi, grad_lo, out=term)
             if viscous:
-                rates *= rate
-                rates *= mu_t * tau
-            else:
-                rates *= rate * (mu_t * tau)
-            prev2 += rates
-            prev2 += multiply(prev, mu, out=scratch)
-            prev2 += multiply(l0, gamma_t, out=scratch)
-            prev2, prev = prev, prev2
-        return prev
+                term *= rate
+            dot(w, stack, out=d)  # out must not overlap the stack
+            if j < s:
+                copyto(older, d)
+        return d
+
+
+@lru_cache(maxsize=16)
+def _rkl2_stage_weights(s: int, c: float) -> np.ndarray:
+    """The weights of stages j = 2..s of ``_Diffusion.rkl2``, one row per stage
+    in its stack's row order (d_even, d_odd, R_j, l_0): (nu_j, mu_j, mu~_j c,
+    gamma~_j) for even j, (mu_j, nu_j, mu~_j c, gamma~_j) for odd j.
+
+    Read-only, as the cache shares it: both half-steps of a step take the same
+    c, and every member of a lockstep group the same viscous c = tau.  A step's
+    keys are one viscous c and one resistive c per nu, so 16 entries hold them
+    for groups of the acceptance sweep's size.
+    """
+    rows = [(nu, mu, mu_t * c, gamma_t) if j % 2 == 0 else (mu, nu, mu_t * c, gamma_t)
+            for j, (mu, nu, mu_t, gamma_t) in enumerate(rkl2_coefficients(s)[1], start=2)]
+    weights = np.array(rows)
+    weights.flags.writeable = False
+    return weights
 
 
 def _blocks(state: State, params: PhysParams, grid: Grid1D):

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import json
 import os
 import re
@@ -690,6 +691,29 @@ def test_importing_the_cli_leaves_multiprocessing_out():
     # only a sweep with jobs >= 2 starts a worker; nothing else pays for the import
     code = "import sys, mhd1d.cli; print('multiprocessing' in sys.modules)"
     assert _fresh_python(code) == "False"
+
+
+def test_blas_threads_change_no_output(tmp_path):
+    # each RKL2 stage sums its terms in one BLAS dgemv over a 4 x n stack; at
+    # 131,072 cells OpenBLAS 0.3.31 splits that product across threads (a
+    # second thread speeds it up there, not at 65,536), and the bytes must
+    # not depend on how many it uses
+    payload = {"physics": {"mu": 0.1, "nu": 1e-3},
+               "scenario": {"preset": "interior_vacuum", "a_u": 0.2, "a_b": -1.0, "sigma": 2.0},
+               "grid": {"n_cells": 131072}, "scheme": {"t_end": 1e-4, "n_samples": 2}}
+    cfg = write_config(tmp_path, payload)
+    digests = {}
+    for threads in (1, 2):
+        out = tmp_path / f"threads{threads}"
+        argv = ["simulate", "--config", cfg, "--output-dir", str(out)]
+        code = f"import sys; from mhd1d.cli import main; sys.exit(main({argv!r}))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**_checkout_env(), "OPENBLAS_NUM_THREADS": str(threads)},
+                              timeout=300)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        digests[threads] = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                            for name in ("state_final.txt", "diagnostics.csv")}
+    assert digests[2] == digests[1]
 
 
 UNGUARDED_SWEEP = """\

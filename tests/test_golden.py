@@ -16,7 +16,10 @@ and dispatches to the same SIMD targets (``golden.json`` records both), the
 SHA-256 of every output must match as well, and so must the text of the nine
 ``verify`` lines, wall times stripped (``verify.txt``); on another build only
 their check names and verdicts are compared, since their numbers are printed
-rounded.
+rounded.  The bytes also depend on the OpenBLAS kernel bundled with the numpy
+wheel, which sums each RKL2 stage's terms in one fused dgemv; its bytes do
+not depend on the BLAS thread count, and CI runs this module at one thread
+too.
 
 A change that moves numbers on purpose regenerates the copy with
 ``python tests/test_golden.py`` and commits it in the same change, so the

@@ -11,8 +11,11 @@ expression, and ``reference_dt_bounds`` is the pair of step bounds,
 advective and viscous, from public pieces.  The production code must
 reproduce them bit for bit (sign of zero included) over the admissible
 parameter space, so any change to its arithmetic shows up here first.
-``previous_rkl2`` is the RKL2 step as it was before it ran on the viscous
-velocity: the production step must match it to rounding.  Every RKL2 form
+``reference_block_increment`` sums each RKL2 stage's terms in one
+``np.dot``, as the production step does, so the bits match;
+``sequential_block_increment``, the earlier one-pass-per-term sum, and
+``previous_rkl2``, the RKL2 step as it was before it ran on the viscous
+velocity, must match the production step to rounding.  Every RKL2 form
 takes one stage count per diffusion block, viscous and resistive.  The
 properties of the limiter, the diffusion operator and the RKL2 integrator
 follow.
@@ -181,17 +184,23 @@ def reference_rate_density(rho_min: float) -> float:
     return r * r / rho
 
 
+def reference_second_differences(w, b, params: PhysParams):
+    """w_{i+1} - 2 w_i + w_{i-1} and the same of b, with far-field ghosts,
+    taken as differences of differences."""
+    w_e = np.concatenate([[0.0], w, [0.0]])
+    b_e = np.concatenate([[params.b_bar], b, [params.b_bar]])
+    return np.diff(w_e, 2), np.diff(b_e, 2)
+
+
 def reference_rates(rho, w, b, params: PhysParams, grid: Grid1D, scale: float = 1.0):
     """scale times the rates of the viscous velocity w and of b under the
     diffusion terms at frozen density rho: w_rate * w_xx with w_rate =
     mu/dx^2 / rho_safe * (rho/rho_safe), rho_safe = r(rho), and
-    nu * b_xx, with far-field ghosts and the second differences taken as
-    differences of differences."""
+    nu * b_xx, the second differences those of ``reference_second_differences``."""
     rho_safe = reference_viscous_density(rho)
     w_rate = (params.mu / grid.dx**2) / rho_safe * (rho / rho_safe)
-    w_e = np.concatenate([[0.0], w, [0.0]])
-    b_e = np.concatenate([[params.b_bar], b, [params.b_bar]])
-    return np.diff(w_e, 2) * w_rate * scale, np.diff(b_e, 2) * (params.nu / grid.dx**2 * scale)
+    w_xx, b_xx = reference_second_differences(w, b, params)
+    return w_xx * w_rate * scale, b_xx * (params.nu / grid.dx**2 * scale)
 
 
 def reference_diffusion(state: State, params: PhysParams, grid: Grid1D):
@@ -205,9 +214,28 @@ def reference_diffusion(state: State, params: PhysParams, grid: Grid1D):
 # reference Strang step and accumulator integrand (out-of-place forms)
 
 
-def reference_block_increment(y0, rates, tau: float, s: int):
+def reference_block_increment(y0, rates, term, weight: float, tau: float, s: int):
     """The increment of one diffusion block over an s-stage RKL2 step, with
-    ``rates(y, scale)`` its scaled rates."""
+    ``rates(y, scale)`` its scaled rates and ``rates(y, 1.0)`` equal to
+    ``term(y) * weight``.  Each stage's four terms are summed in one
+    ``np.dot``, as the production step sums them: the weights (nu_j, mu_j,
+    mu~_j * (weight * tau), gamma~_j) against the rows (d_{j-2}, d_{j-1},
+    term(y0 + d_{j-1}), l_0), with d_k in row k mod 2."""
+    mu1, stages = rkl2_coefficients(s)
+    l0 = rates(y0, tau)
+    d = [np.zeros_like(y0), l0 * mu1]  # d_k at d[k % 2]
+    for j, (mu, nu, mu_t, gamma_t) in enumerate(stages, start=2):
+        weights = [0.0, 0.0, mu_t * (weight * tau), gamma_t]
+        weights[j % 2], weights[1 - j % 2] = nu, mu
+        rows = np.stack([d[0], d[1], term(y0 + d[1 - j % 2]), l0])
+        d[j % 2] = np.dot(np.array(weights), rows)
+    return d[s % 2]
+
+
+def sequential_block_increment(y0, rates, term, weight: float, tau: float, s: int):
+    """``reference_block_increment`` as the earlier step summed each stage, one
+    rounded pass per term: ((nu_j d_{j-2} + rates(y0 + d_{j-1}, mu~_j tau))
+    + mu_j d_{j-1}) + l_0 gamma~_j.  ``term`` and ``weight`` are unused."""
     mu1, stages = rkl2_coefficients(s)
     l0 = rates(y0, tau)
     prev2, prev = np.zeros_like(y0), l0 * mu1
@@ -217,18 +245,22 @@ def reference_block_increment(y0, rates, tau: float, s: int):
     return prev
 
 
-def reference_rkl2(state: State, tau: float, params, grid, s: int, s_b: int) -> State:
+def reference_rkl2(state: State, tau: float, params, grid, s: int, s_b: int,
+                   block_increment=reference_block_increment) -> State:
     """RKL2 step of the diffusion terms at frozen density, one block at a time:
     s stages on the increments of w = m/r(rho), s_b on those of b
-    (no b block when nu = 0)."""
+    (no b block when nu = 0).  The viscous term is the rate w_rate * w_xx,
+    weight 1; the resistive one is b_xx, weight nu/dx^2."""
     rho_safe = reference_viscous_density(state.rho)
     w0 = state.mom / rho_safe
-    d_w = reference_block_increment(
-        w0, lambda w, scale: reference_rates(state.rho, w, state.b, params, grid, scale)[0], tau, s)
+    d_w = block_increment(
+        w0, lambda w, scale: reference_rates(state.rho, w, state.b, params, grid, scale)[0],
+        lambda w: reference_rates(state.rho, w, state.b, params, grid)[0], 1.0, tau, s)
     b = state.b
     if params.nu > 0:
-        b = state.b + reference_block_increment(
+        b = state.b + block_increment(
             state.b, lambda b, scale: reference_rates(state.rho, w0, b, params, grid, scale)[1],
+            lambda b: reference_second_differences(w0, b, params)[1], params.nu / grid.dx**2,
             tau, s_b)
     return State(state.rho, state.mom + d_w * rho_safe, b, state.t)
 
@@ -689,6 +721,22 @@ def test_diffuse_matches_reference_rkl2_bitwise(nu, s, preset, state, params, gr
     assert s_viscous == s >= s_b and (s_b == 0) == (nu == 0)
     assert_same_bits(_diffuse(state, tau, params, grid, s, s),
                      reference_rkl2(state, tau, params, grid, s, s), names=("rho", "mom", "b"))
+
+
+@pytest.mark.parametrize("nu", [1e-3, 0.0])
+@pytest.mark.parametrize("s", [2, 3, 15, 30])
+@pytest.mark.parametrize("preset, state, params, grid", list(_stage_cases()),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_stacked_stages_match_the_sequential_sum_to_rounding(nu, s, preset, state, params, grid):
+    # one fused dot per stage against the one-pass-per-term sum it replaced:
+    # a different rounding of the same recursion, the same bound as the
+    # previous-recursion test above
+    params = replace(params, nu=nu)
+    tau = _diffusive_dt(state, params, grid) * (s * s + s - 2) / 4.0
+    new = _diffuse(state, tau, params, grid, s, s)
+    old = reference_rkl2(state, tau, params, grid, s, s, block_increment=sequential_block_increment)
+    for got, want in ((new.mom, old.mom), (new.b, old.b)):
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize("block, s", [(1, 3), (2, 2)], ids=["viscous", "resistive"])
