@@ -40,6 +40,6 @@ from .scenario import (
     build_initial_state,
     compatibility_residual,
 )
-from .solver import RhsOutput, SchemeConfig, rhs, run, run_lockstep, step, tendencies
+from .solver import SchemeConfig, rhs, run, run_lockstep, step, tendencies
 
 __version__ = "0.1.0"

@@ -103,7 +103,7 @@ class Battery:
     def steady_state_fixed_point(self) -> Outcome:
         params, grid = self.params, self.standard_grid
         out = tendencies(constant_state(grid, params), params, SchemeConfig(), grid)
-        sup = max(np.abs(out.d_rho).max(), np.abs(out.d_mom).max(), np.abs(out.d_b).max())
+        sup = np.abs(out).max()
         tol = 1e-13 * max(RHO_BAR, abs(params.b_bar))
         return Outcome(sup < tol, f"tendency sup-norm {sup:.3e} (tolerance {tol:.1e})",
                        {"sup": sup})

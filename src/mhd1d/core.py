@@ -131,7 +131,11 @@ class PhysParams:
 
 @dataclass
 class State:
-    """Fields (rho, m, b) at one instant; m = rho*u is the momentum density."""
+    """Fields (rho, m, b) at one instant; m = rho*u is the momentum density.
+
+    The constructor copies them into one C-contiguous (3, n) float block ``q``
+    and ``rho``, ``mom`` and ``b`` are its row views.  Tendencies share the layout.
+    """
 
     rho: FieldScalar
     mom: FieldScalar
@@ -142,17 +146,21 @@ class State:
         n = len(self.rho)
         if len(self.mom) != n or len(self.b) != n:
             raise ValueError("rho, mom and b must have equal length")
+        self.q = np.array((self.rho, self.mom, self.b), dtype=float)
+        self.rho, self.mom, self.b = self.q
         if (self.rho < 0).any():
             raise ValueError("density must be non-negative at every node")
 
     @classmethod
-    def _unchecked(cls, rho: FieldScalar, mom: FieldScalar, b: FieldScalar, t: float) -> "State":
-        """A State built without ``__post_init__``, for fields valid by construction.
+    def _unchecked(cls, q: np.ndarray, t: float) -> "State":
+        """A State on the (3, n) block ``q`` itself, without ``__post_init__``'s
+        copy and checks, for fields valid by construction.
 
         The RK stages use it: they clip the density to >= 0 themselves.
         """
         state = object.__new__(cls)
-        state.rho, state.mom, state.b, state.t = rho, mom, b, t
+        state.q, state.t = q, t
+        state.rho, state.mom, state.b = q
         return state
 
     def velocity(self) -> FieldScalar:
@@ -160,16 +168,7 @@ class State:
         return self.mom / np.maximum(self.rho, RHO_FLOOR)
 
     def copy(self) -> "State":
-        return State(self.rho.copy(), self.mom.copy(), self.b.copy(), self.t)
-
-
-@dataclass
-class RhsOutput:
-    """Tendencies of (rho, m, b)."""
-
-    d_rho: FieldScalar
-    d_mom: FieldScalar
-    d_b: FieldScalar
+        return State(*self.q, self.t)
 
 
 def viscous_density(rho: FieldScalar | float) -> FieldScalar | float:
@@ -308,12 +307,7 @@ def fast_speed(rho: FieldScalar, mom: FieldScalar, b: FieldScalar, gamma: float)
 def constant_state(grid: Grid1D, params: PhysParams) -> State:
     """The far-field state (RHO_BAR, 0, b_bar) sampled on the grid."""
     n = grid.n_cells
-    return State(
-        rho=np.full(n, RHO_BAR),
-        mom=np.zeros(n),
-        b=np.full(n, params.b_bar),
-        t=0.0,
-    )
+    return State(np.full(n, RHO_BAR), np.zeros(n), np.full(n, params.b_bar))
 
 
 __all__ = [
@@ -325,7 +319,6 @@ __all__ = [
     "Grid1D",
     "PhysParams",
     "State",
-    "RhsOutput",
     "viscous_density",
     "viscous_rate_density",
     "viscous_velocity",

@@ -22,7 +22,6 @@ from .core import (
     FieldScalar,
     Grid1D,
     PhysParams,
-    RhsOutput,
     State,
     derivative,
     effective_viscous_flux,
@@ -130,10 +129,10 @@ def momentum_potential(state: State, grid: Grid1D) -> FieldScalar:
     return xi
 
 
-def velocity_tendency(state: State, tendencies) -> FieldScalar:
-    """u_t = (m_t - u*rho_t) / max(rho, RHO_FLOOR) from the tendencies of rho and m."""
+def velocity_tendency(state: State, tendencies: np.ndarray) -> FieldScalar:
+    """u_t = (m_t - u*rho_t) / max(rho, RHO_FLOOR) from rows 0 and 1 of the (3, n) tendencies."""
     u = state.velocity()
-    return (tendencies.d_mom - u * tendencies.d_rho) / np.maximum(state.rho, RHO_FLOOR)
+    return (tendencies[1] - u * tendencies[0]) / np.maximum(state.rho, RHO_FLOOR)
 
 
 def _flux_residual(state: State, udot: FieldScalar, params: PhysParams, grid: Grid1D) -> float:
@@ -144,15 +143,15 @@ def _flux_residual(state: State, udot: FieldScalar, params: PhysParams, grid: Gr
 def flux_identity_residual(state: State, tendencies, params: PhysParams, grid: Grid1D) -> float:
     """L2 norm of rho*du/dt - F_x; vanishes at the scheme's order on smooth states.
 
-    ``tendencies`` is an ``RhsOutput`` of the full semi-discrete tendency, from
+    ``tendencies`` is the (3, n) full semi-discrete tendency, from
     ``solver.tendencies`` or ``central_tendencies``.
     """
     udot = material_derivative(state, velocity_tendency(state, tendencies), grid)
     return _flux_residual(state, udot, params, grid)
 
 
-def central_tendencies(state: State, params: PhysParams, grid: Grid1D) -> RhsOutput:
-    """Tendencies evaluated with this module's central stencils only.
+def central_tendencies(state: State, params: PhysParams, grid: Grid1D) -> np.ndarray:
+    """The (3, n) tendencies evaluated with this module's central stencils only.
 
     The production scheme's interface fluxes carry slope-limiter kinks near
     extrema; this limiter-free evaluation converges cleanly at second order
@@ -167,7 +166,7 @@ def central_tendencies(state: State, params: PhysParams, grid: Grid1D) -> RhsOut
     d_b = -derivative(u * state.b, dx)
     if params.nu > 0:
         d_b = d_b + params.nu * second_derivative(state.b, dx)
-    return RhsOutput(d_rho=d_rho, d_mom=d_mom, d_b=d_b)
+    return np.array((d_rho, d_mom, d_b))
 
 
 # The running-total columns, by their CSV names, in ``Accumulators.integrand``'s order.
@@ -321,8 +320,8 @@ def sample(state: State, rhs_output, params: PhysParams, grid: Grid1D,
         "l2_ux": lp_norm(derivative(viscous_velocity(state.mom, state.rho), grid.dx), 2, grid),
         "l2_bx": lp_norm(derivative(state.b, grid.dx), 2, grid),
         "l2_rhox": lp_norm(derivative(state.rho, grid.dx), 2, grid),
-        "l2_rho_t": lp_norm(rhs_output.d_rho, 2, grid),
-        "l2_b_t": lp_norm(rhs_output.d_b, 2, grid),
+        "l2_rho_t": lp_norm(rhs_output[0], 2, grid),
+        "l2_b_t": lp_norm(rhs_output[2], 2, grid),
         "l2_sqrt_rho_udot": lp_norm(np.sqrt(state.rho) * udot, 2, grid),
         "flux_residual": _flux_residual(state, udot, params, grid),
         "xi_sup": lp_norm(momentum_potential(state, grid), "inf", grid),

@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import RHO_BAR, Grid1D, PhysParams, State
 from .diagnostics import lp_norm
-from .solver import RhsOutput, SchemeConfig, rhs, run_lockstep
+from .solver import SchemeConfig, rhs, run_lockstep
 
 # The fields a manufactured run is compared on, each a callable of ManufacturedSolution.
 FIELDS = ("rho", "u", "b")
@@ -93,13 +93,13 @@ def manufactured_solution(params: PhysParams, amplitude: float = 0.1,
 
 
 def mms_rhs(state: State, params: PhysParams, scheme: SchemeConfig, grid: Grid1D,
-            manufactured: ManufacturedSolution) -> RhsOutput:
-    """Hyperbolic tendencies of ``rhs`` plus the full analytic sources at state.t,
-    diffusion residuals included: in a stepped run all of the forcing rides on
-    the hyperbolic stages.  ``tendencies`` adds the diffusion terms."""
+            manufactured: ManufacturedSolution) -> np.ndarray:
+    """The (3, n) hyperbolic tendencies of ``rhs`` plus the full analytic sources
+    at state.t, added in place, diffusion residuals included: in a stepped run
+    all of the forcing rides on the hyperbolic stages.  ``tendencies`` adds the
+    diffusion terms."""
     out = rhs(state, params, scheme, grid)
-    for d, source in zip((out.d_rho, out.d_mom, out.d_b), manufactured.sources(grid.x, state.t)):
-        d += source
+    out += manufactured.sources(grid.x, state.t)
     return out
 
 

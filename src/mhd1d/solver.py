@@ -14,13 +14,15 @@ density, m/r(rho) and b each at their own ``_stage_counts``, every stage
 within ``DIFFUSION_NUMBER`` * dx^2 / (the block's largest diffusivity),
 Strang-split around the hyperbolic step, so the advective CFL bound at
 ``CFL_NUMBER`` alone sets dt; ``tendencies`` is the sum.
-Far-field Dirichlet values enter through ghost cells.  One driver advances
-any number of runs on a shared dt sequence: a single run is one member, a
-sweep group is one member per resistivity plus a shared non-resistive
-reference.  Plain numpy; each RKL2 stage sums its terms in one BLAS dgemv
-(``np.dot``) through the OpenBLAS bundled with numpy, whose bytes do not
-depend on the BLAS thread count or on the arrays' alignment, so repeated
-runs are bit-reproducible.
+Far-field Dirichlet values enter through ghost cells.  A state (``State.q``)
+and a tendency (what ``rhs``, ``tendencies`` and any ``rhs_fn`` return) are
+one (3, n) array each, rows (rho, m, b), so an SSPRK2 stage is a whole-block
+operation.  One driver advances any number of runs on a shared dt sequence:
+a single run is one member, a sweep group is one member per resistivity plus
+a shared non-resistive reference.  Plain numpy; each RKL2 stage sums its
+terms in one BLAS dgemv (``np.dot``) through the OpenBLAS bundled with numpy,
+whose bytes do not depend on the BLAS thread count or on the arrays'
+alignment, so repeated runs are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .core import (
     VISC_FLOOR_FRACTION,  # re-exported too
     Grid1D,
     PhysParams,
-    RhsOutput,
     State,
     fast_speed,
     field_problems,
@@ -112,7 +113,7 @@ class _Workspace:
         w = n + 4
         self.n = n
         self.ext = ext = np.empty((3, w))           # fields plus two ghosts per side
-        self.rows = tuple(ext[:, 2:-2])             # the interior of each field
+        self.interior = ext[:, 2:-2]                # the fields, rows (rho, m, b)
         self.ghosts = ext[:, :2], ext[:, -2:]
         self.far = np.array([[RHO_BAR], [0.0], [0.0]])  # far-field column (RHO_BAR, 0, b_bar)
         self.half_slope = np.zeros((3, w))          # [field, extended cell - 1]
@@ -180,18 +181,17 @@ def _half_minmod_slopes(ws: _Workspace) -> np.ndarray:
     return ws.half_slope
 
 
-def rhs(state: State, params: PhysParams, scheme: SchemeConfig, grid: Grid1D) -> RhsOutput:
+def rhs(state: State, params: PhysParams, scheme: SchemeConfig, grid: Grid1D) -> np.ndarray:
     """Hyperbolic tendencies at one instant, the operator of the SSP stages.
 
     Local Lax-Friedrichs interface fluxes with the configured reconstruction;
     the diffusion terms are ``diffusion_tendency``'s, and ``tendencies`` adds
-    the two.  Every temporary lives in a per-grid-size workspace; only the
-    returned tendencies are fresh arrays.
+    the two.  Returns a fresh (3, n) float array, rows (rho, m, b) as in
+    ``State.q``; every temporary lives in a per-grid-size workspace.
     """
     n = grid.n_cells
     ws = _workspace_for(n)
-    rho_row, mom_row, b_row = ws.rows
-    rho_row[...], mom_row[...], b_row[...] = state.rho, state.mom, state.b
+    ws.interior[...] = state.q
     ws.far[2] = params.b_bar
     low, high = ws.ghosts
     low[...] = high[...] = ws.far
@@ -249,7 +249,7 @@ def rhs(state: State, params: PhysParams, scheme: SchemeConfig, grid: Grid1D) ->
     if not finite.all():
         bad = np.flatnonzero(~finite.all(axis=0))
         raise NumericalError("non-finite tendency", node=int(bad[0]), time=state.t)
-    return RhsOutput(d_rho=tend[0], d_mom=tend[1], d_b=tend[2])
+    return tend
 
 
 class _Diffusion:
@@ -374,20 +374,21 @@ def diffusion_tendency(state: State, params: PhysParams,
 
 
 def tendencies(state: State, params: PhysParams, scheme: SchemeConfig, grid: Grid1D,
-               rhs_fn=None) -> RhsOutput:
-    """The full semi-discrete tendency: ``rhs_fn`` (default ``rhs``) plus
-    ``diffusion_tendency``, added in place to the arrays ``rhs_fn`` returns."""
+               rhs_fn=None) -> np.ndarray:
+    """The full semi-discrete tendency, a (3, n) array: ``rhs_fn`` (default
+    ``rhs``) plus ``diffusion_tendency``, added in place to the m and b rows of
+    the array ``rhs_fn`` returns."""
     out = (rhs_fn or rhs)(state, params, scheme, grid)
     d_mom, d_b = diffusion_tendency(state, params, grid)
-    out.d_mom += d_mom
+    out[1] += d_mom
     if d_b is not None:
-        out.d_b += d_b
+        out[2] += d_b
     return out
 
 
 def _advective_dt(state: State, params: PhysParams, grid: Grid1D) -> float:
     """The CFL bound of the hyperbolic step: CFL_NUMBER * dx / max fast speed."""
-    return CFL_NUMBER * grid.dx / float(fast_speed(state.rho, state.mom, state.b, params.gamma).max())
+    return CFL_NUMBER * grid.dx / float(fast_speed(*state.q, params.gamma).max())
 
 
 def _diffusive_dt(state: State, params: PhysParams, grid: Grid1D) -> float:
@@ -449,45 +450,41 @@ def rkl2_coefficients(s: int) -> tuple[float, tuple[tuple[float, float, float, f
 def _diffuse(state: State, tau: float, params: PhysParams, grid: Grid1D, s: int, s_b: int) -> State:
     """Advance (m, b) by tau under the diffusion terms alone: an s-stage RKL2
     step of the viscous block, m = m_0 + r d_w, and an s_b-stage one of b, b =
-    b_0 + d_b (none at nu = 0).  The far field stays bit for bit.  The result
-    shares rho (and b at nu = 0) with ``state``; its other fields are fresh.
+    b_0 + d_b (none at nu = 0), added to a fresh copy of the block.  The far
+    field stays bit for bit.
     """
     rho_safe, viscous, resistive = _blocks(state, params, grid)
-    mom = viscous.rkl2(tau, s)
-    mom *= rho_safe
-    mom += state.mom
-    b = state.b
+    q = state.q.copy()
+    d_mom = viscous.rkl2(tau, s)
+    d_mom *= rho_safe
+    q[1] += d_mom
     if resistive is not None:
-        b = resistive.rkl2(tau, s_b)
-        b += state.b
-    return State._unchecked(state.rho, mom, b, state.t)
+        q[2] += resistive.rkl2(tau, s_b)
+    return State._unchecked(q, state.t)
 
 
 def _euler_stage(state: State, dt: float, params, scheme, grid, rhs_fn):
-    """q + dt*d of the hyperbolic tendencies into fresh arrays, density clipped to >= 0."""
-    out = rhs_fn(state, params, scheme, grid)
-    rho, mom, b = (np.multiply(d, dt) for d in (out.d_rho, out.d_mom, out.d_b))
-    rho += state.rho
-    mom += state.mom
-    b += state.b
+    """q + dt*d of the hyperbolic tendencies into a fresh block, density clipped to >= 0."""
+    q = rhs_fn(state, params, scheme, grid) * dt
+    q += state.q
+    rho = q[0]
     clipped = int(np.count_nonzero(rho < 0.0))
     if clipped:
         np.maximum(rho, 0.0, out=rho)
-    return State._unchecked(rho, mom, b, state.t + dt), clipped
+    return State._unchecked(q, state.t + dt), clipped
 
 
 def _hyperbolic_step(state: State, dt: float, params, scheme, grid, rhs_fn) -> tuple[State, int]:
     """One SSPRK2 step of the hyperbolic tendencies ``rhs_fn``: 0.5 * (q + E(E(q))),
     E the forward-Euler stage, so ``RHS_PER_STEP`` evaluations.
 
-    The combination is written into the arrays of the second stage, which
+    The combination is written into the block of the second stage, which
     nothing else holds.
     """
     s1, c1 = _euler_stage(state, dt, params, scheme, grid, rhs_fn)
     s2, c2 = _euler_stage(s1, dt, params, scheme, grid, rhs_fn)
-    for q, new in ((state.rho, s2.rho), (state.mom, s2.mom), (state.b, s2.b)):
-        new += q
-        new *= 0.5
+    s2.q += state.q
+    s2.q *= 0.5
     s2.t = state.t + dt
     return s2, c1 + c2
 
@@ -521,7 +518,7 @@ def check_boundary(state: State, params: PhysParams) -> float:
     """
     k = BOUNDARY_NODES
     dev = 0.0
-    for q, far in ((state.rho, RHO_BAR), (state.mom, 0.0), (state.b, params.b_bar)):
+    for q, far in zip(state.q, (RHO_BAR, 0.0, params.b_bar)):
         for j, value in enumerate(q[:k].tolist() + q[-k:].tolist()):
             if not math.isfinite(value):
                 node = j if j < k else len(q) - 2 * k + j
@@ -644,7 +641,7 @@ def run(spec: ScenarioSpec, params: PhysParams, scheme: SchemeConfig, grid: Grid
 def save_checkpoint(state: State, grid: Grid1D) -> str:
     """Text checkpoint: header "n_cells L t", then one "x rho mom b" row per
     node in full double precision scientific notation."""
-    values = np.column_stack((grid.x, state.rho, state.mom, state.b)).ravel().tolist()
+    values = np.column_stack((grid.x, *state.q)).ravel().tolist()
     return (f"{grid.n_cells} {grid.half_width:.17e} {state.t:.17e}\n"
             + "%.17e %.17e %.17e %.17e\n" * grid.n_cells % tuple(values))
 
@@ -681,7 +678,7 @@ def load_checkpoint(text: str) -> tuple[State, Grid1D]:
     off = np.flatnonzero(np.abs(data[:, 0] - grid.x) > 1e-12)
     if off.size:
         raise ValueError(f"checkpoint line {off[0] + 2}: node coordinates off the grid")
-    return State(rho=data[:, 1], mom=data[:, 2], b=data[:, 3], t=t), grid
+    return State(*data[:, 1:].T, t=t), grid
 
 
 __all__ = [
@@ -693,7 +690,6 @@ __all__ = [
     "BOUNDARY_TOLERANCE",
     "BOUNDARY_NODES",
     "SchemeConfig",
-    "RhsOutput",
     "rhs",
     "diffusion_tendency",
     "tendencies",

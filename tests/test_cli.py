@@ -471,7 +471,7 @@ class TestSweepCommand:
         def clipping_rhs(state, params, scheme, grid):
             out = plain_rhs(state, params, scheme, grid)
             if params.nu == 0.0 and state.t == 0.0:
-                out.d_rho[mid] = -1e6  # first stage of the nu = 0 member only
+                out[0, mid] = -1e6  # first stage of the nu = 0 member only
             return out
 
         monkeypatch.setattr(solver, "rhs", clipping_rhs)

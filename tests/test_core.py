@@ -19,7 +19,7 @@ from mhd1d import (
     potential_energy,
     pressure,
 )
-from mhd1d.core import RHO_BAR, RHO_FLOOR, second_derivative
+from mhd1d.core import RHO_BAR, RHO_FLOOR, second_derivative, viscous_density
 
 
 class TestGrid:
@@ -108,6 +108,33 @@ class TestState:
     def test_velocity(self):
         s = State(rho=np.full(8, 2.0), mom=np.full(8, 3.0), b=np.ones(8))
         assert np.allclose(s.velocity(), 1.5)
+
+    def test_fields_are_the_rows_of_one_copied_block(self):
+        rho, mom, b = np.full(8, 2.0), np.arange(8.0), np.ones(8, dtype=int)
+        s = State(rho=rho, mom=mom, b=b, t=0.5)
+        assert s.q.shape == (3, 8) and s.q.dtype == float and s.q.flags.c_contiguous
+        for name, field, given in zip(("rho", "mom", "b"), (s.rho, s.mom, s.b), (rho, mom, b)):
+            assert field.base is s.q, name
+            assert np.array_equal(field, given) and not np.shares_memory(field, given), name
+        s.mom[3] = -7.0
+        assert s.q[1, 3] == -7.0 and mom[3] == 3.0
+        assert viscous_density(s.rho) is s.rho
+
+    @pytest.mark.parametrize("short", ["rho", "mom", "b"])
+    def test_ragged_fields_raise(self, short):
+        kwargs = {"rho": np.ones(8), "mom": np.zeros(8), "b": np.ones(8)}
+        kwargs[short] = kwargs[short][:7]
+        with pytest.raises(ValueError, match="rho, mom and b must have equal length"):
+            State(**kwargs)
+
+    def test_copy_is_a_fresh_checked_block(self):
+        s = State(rho=np.ones(8), mom=np.zeros(8), b=np.ones(8), t=0.25)
+        c = s.copy()
+        assert not np.shares_memory(c.q, s.q)
+        assert c.q.tobytes() == s.q.tobytes() and c.t == s.t
+        s.rho[2] = -1.0
+        with pytest.raises(ValueError, match="density must be non-negative"):
+            s.copy()
 
 
 class TestPressure:

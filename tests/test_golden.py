@@ -19,7 +19,8 @@ their check names and verdicts are compared, since their numbers are printed
 rounded.  The bytes also depend on the OpenBLAS kernel bundled with the numpy
 wheel, which sums each RKL2 stage's terms in one fused dgemv; its bytes do
 not depend on the BLAS thread count, and CI runs this module at one thread
-too.
+too.  ``golden.json`` records that OpenBLAS version (``openblas``) for
+reference; it does not decide whether the SHA-256 checks run.
 
 A change that moves numbers on purpose regenerates the copy with
 ``python tests/test_golden.py`` and commits it in the same change, so the
@@ -75,6 +76,11 @@ def _numpy_build() -> dict:
     return {"numpy": np.__version__,
             "numpy_simd_targets": sorted(k for k, v in m.__cpu_features__.items()
                                          if v and k in m.__cpu_dispatch__)}
+
+
+def _openblas_version() -> str:
+    """The version of the BLAS bundled with numpy, which rounds each RKL2 stage's dgemv."""
+    return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["version"]
 
 
 def _same_build(recorded: dict) -> bool:
@@ -165,6 +171,13 @@ def test_verify_lines_match_golden():
         assert lines == expected
 
 
+def test_golden_records_the_build():
+    # numpy, its SIMD targets and the bundled OpenBLAS, beside the digests
+    recorded = json.loads((GOLDEN / "golden.json").read_text())
+    assert sorted(recorded) == ["numpy", "numpy_simd_targets", "openblas", "sha256"]
+    assert isinstance(recorded["openblas"], str) and recorded["openblas"]
+
+
 def test_readme_check_lines_are_golden():
     # the [PASS]/[FAIL] lines README quotes, wall times stripped, are lines verify prints
     quoted = [re.sub(r" \([0-9.]+ s\)$", "", ln)
@@ -178,7 +191,7 @@ def regenerate():
     """Rewrite the golden copy from the current code."""
     import tempfile
 
-    recorded = {**_numpy_build(), "sha256": {}}
+    recorded = {**_numpy_build(), "openblas": _openblas_version(), "sha256": {}}
     with tempfile.TemporaryDirectory() as work:
         for case in sorted(CASES):
             outputs = _produce(case, Path(work))

@@ -36,7 +36,6 @@ from mhd1d.core import (
     RHO_BAR,
     RHO_FLOOR,
     VISC_FLOOR_FRACTION,
-    RhsOutput,
     constant_state,
     derivative,
     effective_viscous_flux,
@@ -97,9 +96,9 @@ def _flux_and_speed(rho, mom, b, gamma):
 
 
 def reference_rhs(state: State, params: PhysParams, scheme: SchemeConfig,
-                  grid: Grid1D) -> RhsOutput:
-    """Hyperbolic tendencies at one instant: local Lax-Friedrichs interface
-    fluxes with the configured reconstruction."""
+                  grid: Grid1D) -> np.ndarray:
+    """Hyperbolic tendencies at one instant, rows (rho, m, b): local
+    Lax-Friedrichs interface fluxes with the configured reconstruction."""
     n = grid.n_cells
     dx = grid.dx
     rho_e, mom_e, b_e = _extend(state, params)
@@ -140,22 +139,21 @@ def reference_rhs(state: State, params: PhysParams, scheme: SchemeConfig,
     if not (np.all(np.isfinite(d_rho)) and np.all(np.isfinite(d_mom)) and np.all(np.isfinite(d_b))):
         bad = np.flatnonzero(~(np.isfinite(d_rho) & np.isfinite(d_mom) & np.isfinite(d_b)))
         raise NumericalError("non-finite tendency", node=int(bad[0]), time=state.t)
-    return RhsOutput(d_rho=d_rho, d_mom=d_mom, d_b=d_b)
+    return np.array((d_rho, d_mom, d_b))
 
 
 def reference_tendencies(state: State, params: PhysParams, scheme: SchemeConfig,
-                         grid: Grid1D) -> RhsOutput:
+                         grid: Grid1D) -> np.ndarray:
     """The full tendency: ``reference_rhs`` plus ``reference_diffusion``
     (nu*b_xx for nu > 0 only)."""
-    ref = reference_rhs(state, params, scheme, grid)
+    d_rho, d_mom, d_b = reference_rhs(state, params, scheme, grid)
     d_visc, d_res = reference_diffusion(state, params, grid)
-    return RhsOutput(d_rho=ref.d_rho, d_mom=ref.d_mom + d_visc,
-                     d_b=ref.d_b + d_res if params.nu > 0 else ref.d_b)
+    return np.array((d_rho, d_mom + d_visc, d_b + d_res if params.nu > 0 else d_b))
 
 
-def reference_sample_terms(state, ref: RhsOutput, params, grid) -> dict:
+def reference_sample_terms(state, ref: np.ndarray, params, grid) -> dict:
     """The two sampled columns that read u_t, from the reference full tendency."""
-    u_t = (ref.d_mom - state.velocity() * ref.d_rho) / np.maximum(state.rho, RHO_FLOOR)
+    u_t = (ref[1] - state.velocity() * ref[0]) / np.maximum(state.rho, RHO_FLOOR)
     udot = material_derivative(state, u_t, grid)
     flux = effective_viscous_flux(state, params, grid)
     return {
@@ -297,11 +295,11 @@ def previous_rkl2(state: State, tau: float, params, grid, s: int, s_b: int) -> S
 
 def _reference_euler_stage(state: State, dt: float, params, scheme, grid):
     out = rhs(state, params, scheme, grid)
-    rho = state.rho + dt * out.d_rho
+    rho = state.rho + dt * out[0]
     clipped = np.count_nonzero(rho < 0.0)
     if clipped:
         rho = np.maximum(rho, 0.0)
-    return State(rho, state.mom + dt * out.d_mom, state.b + dt * out.d_b,
+    return State(rho, state.mom + dt * out[1], state.b + dt * out[2],
                  state.t + dt), clipped
 
 
@@ -371,8 +369,8 @@ def reference_dt_bounds(state: State, params: PhysParams, grid: Grid1D) -> tuple
 
 
 def assert_same_bits(out, ref, names=("d_rho", "d_mom", "d_b")):
-    for name in names:
-        got, want = getattr(out, name), getattr(ref, name)
+    """Two (3, n) blocks, tendencies or ``State.q``, equal bit for bit, row by row."""
+    for name, got, want in zip(names, out, ref, strict=True):
         assert np.array_equal(got, want), name
         assert got.tobytes() == want.tobytes(), f"{name}: sign of zero differs"
 
@@ -381,7 +379,7 @@ def assert_same_step(state, dt, params, scheme, grid):
     """``step`` against ``reference_step``: same fields, time and clips, no shared memory."""
     new, clips = step(state, dt, params, scheme, grid)
     ref, ref_clips = reference_step(state, dt, params, scheme, grid)
-    assert_same_bits(new, ref, names=("rho", "mom", "b"))
+    assert_same_bits(new.q, ref.q, names=("rho", "mom", "b"))
     assert (new.t, clips) == (ref.t, ref_clips)
     for a in (new.rho, new.mom, new.b):
         assert not any(np.shares_memory(a, q) for q in (state.rho, state.mom, state.b))
@@ -719,8 +717,8 @@ def test_diffuse_matches_reference_rkl2_bitwise(nu, s, preset, state, params, gr
     tau = dt_diffusive * (s * s + s - 2) / 4.0
     [(s_viscous, s_b)] = _stage_counts(2 * tau, [(state, params)], grid)
     assert s_viscous == s >= s_b and (s_b == 0) == (nu == 0)
-    assert_same_bits(_diffuse(state, tau, params, grid, s, s),
-                     reference_rkl2(state, tau, params, grid, s, s), names=("rho", "mom", "b"))
+    assert_same_bits(_diffuse(state, tau, params, grid, s, s).q,
+                     reference_rkl2(state, tau, params, grid, s, s).q, names=("rho", "mom", "b"))
 
 
 @pytest.mark.parametrize("nu", [1e-3, 0.0])
@@ -788,13 +786,13 @@ def test_outputs_do_not_alias_the_workspace(params):
     grid = Grid1D(20.0, 256)
     first_state = build_initial_state(ScenarioSpec(), params, grid)
     first = rhs(first_state, params, scheme, grid)
-    kept = [a.copy() for a in (first.d_rho, first.d_mom, first.d_b)]
+    kept = [a.copy() for a in first]
 
     other = build_initial_state(ScenarioSpec(a_u=-0.3, a_b=0.4), params, grid)
     rhs(other, params, scheme, grid)
     finer = Grid1D(20.0, 512)
     rhs(build_initial_state(ScenarioSpec(), params, finer), params, scheme, finer)
-    for before, after in zip(kept, (first.d_rho, first.d_mom, first.d_b)):
+    for before, after in zip(kept, first):
         assert before.tobytes() == after.tobytes()
     assert_same_bits(rhs(first_state, params, scheme, grid),
                      reference_rhs(first_state, params, scheme, grid))

@@ -97,8 +97,31 @@ class TestRhs:
         for p in (params, replace(params, nu=0.0)):
             for operator in (rhs, tendencies):
                 out = operator(constant_state(grid, p), p, scheme, grid)
-                for arr in (out.d_rho, out.d_mom, out.d_b):
+                for arr in out:
                     assert np.abs(arr).max() < 1e-13 * max(RHO_BAR, params.b_bar)
+
+    def test_operators_return_one_block_and_add_diffusion_in_place(self, params, grid,
+                                                                   gaussian_spec):
+        state = build_initial_state(gaussian_spec, params, grid)
+        scheme = SchemeConfig()
+        for p in (params, replace(params, nu=0.0)):
+            hyperbolic = rhs(state, p, scheme, grid)
+            returned = []
+
+            def rhs_fn(*args):
+                returned.append(rhs(*args))
+                return returned[-1]
+
+            out = tendencies(state, p, scheme, grid, rhs_fn)
+            for block in (hyperbolic, out):
+                assert block.shape == (3, grid.n_cells) and block.dtype == float
+                assert block.flags.c_contiguous
+            assert out is returned[0]
+            d_mom, d_b = diffusion_tendency(state, p, grid)
+            assert out[0].tobytes() == hyperbolic[0].tobytes()
+            assert out[1].tobytes() == (hyperbolic[1] + d_mom).tobytes()
+            assert out[2].tobytes() == (hyperbolic[2] if d_b is None
+                                        else hyperbolic[2] + d_b).tobytes()
 
     def test_matches_hand_rolled_oracle_on_8_nodes(self):
         params = PhysParams(mu=0.05, nu=2e-3)
@@ -111,9 +134,9 @@ class TestRhs:
         for p in (params, replace(params, nu=0.0)):
             out = tendencies(state, p, scheme, grid)
             o_rho, o_mom, o_b = _oracle_rhs_first_order(state, p, grid)
-            assert np.allclose(out.d_rho, o_rho, atol=1e-13)
-            assert np.allclose(out.d_mom, o_mom, atol=1e-13)
-            assert np.allclose(out.d_b, o_b, atol=1e-13)
+            assert np.allclose(out[0], o_rho, atol=1e-13)
+            assert np.allclose(out[1], o_mom, atol=1e-13)
+            assert np.allclose(out[2], o_b, atol=1e-13)
 
     def test_mass_tendency_is_central_difference_for_uniform_density(self):
         # with rho and b constant the LLF mass flux reduces to the average of
@@ -127,7 +150,7 @@ class TestRhs:
                   SchemeConfig(reconstruction="first_order_upwind"), grid)
         m_ext = np.concatenate([[0.0], rho * u, [0.0]])
         expected = -(m_ext[2:] - m_ext[:-2]) / (2.0 * grid.dx)
-        assert np.allclose(out.d_rho, expected, atol=1e-14)
+        assert np.allclose(out[0], expected, atol=1e-14)
 
     def test_modes_differ_exactly_by_resistive_term(self, params, grid, gaussian_spec):
         # rhs does not read nu; the resistive term is diffusion_tendency's d_b alone
@@ -135,8 +158,8 @@ class TestRhs:
         scheme = SchemeConfig()
         out_r = rhs(state, params, scheme, grid)
         out_n = rhs(state, replace(params, nu=0.0), scheme, grid)
-        for name in ("d_rho", "d_mom", "d_b"):
-            assert getattr(out_r, name).tobytes() == getattr(out_n, name).tobytes(), name
+        for name, got_r, got_n in zip(("d_rho", "d_mom", "d_b"), out_r, out_n):
+            assert got_r.tobytes() == got_n.tobytes(), name
         d_mom_r, d_b = diffusion_tendency(state, params, grid)
         d_mom_n, d_b_n = diffusion_tendency(state, replace(params, nu=0.0), grid)
         assert np.array_equal(d_mom_r, d_mom_n) and d_b_n is None
@@ -408,7 +431,7 @@ class TestRunLockstep:
         def rhs_fn(state, params_, scheme_, grid_):
             out = rhs(state, params_, scheme_, grid_)
             if params_.nu == 0.0 and state.t == 0.0:
-                out.d_rho[mid] = -1e6  # first stage of the nu = 0 member only
+                out[0, mid] = -1e6  # first stage of the nu = 0 member only
             return out
 
         scheme = SchemeConfig(t_end=1e-3, n_samples=1)
