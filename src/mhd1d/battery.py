@@ -127,8 +127,8 @@ class Battery:
     def mms_orders(self) -> Outcome:
         sizes = self.sizes
         orders = {
-            name: observed_orders(self.params, SchemeConfig(t_end=0.4, reconstruction=recon),
-                                  n_cells=sizes.mms_cells, manufactured=self.manufactured)
+            name: observed_orders(self.manufactured, SchemeConfig(t_end=0.4, reconstruction=recon),
+                                  n_cells=sizes.mms_cells)
             for name, recon in (("muscl", "muscl_minmod"), ("upwind", "first_order_upwind"))
         }
         ok = (all(orders["muscl"][k] >= sizes.muscl_order for k in FIELDS)

@@ -72,7 +72,8 @@ def unfit_reason(nus) -> str | None:
     """Why a rate fit or spread audit over these resistivities would be skipped, if it would."""
     if len(nus) < 3:
         return "fewer than 3 usable resistivity values"
-    if max(nus) < MIN_DECADES_SPAN * min(nus):
+    # the slack absorbs rounding: 3e-4 over 3e-6 is 99.99999999999999 in floats
+    if max(nus) < (1.0 - 1e-12) * MIN_DECADES_SPAN * min(nus):
         return "resistivity values span fewer than two decades"
     return None
 

@@ -18,33 +18,32 @@ from .core import RHO_BAR, Grid1D, PhysParams, State
 from .diagnostics import lp_norm
 from .solver import SchemeConfig, rhs, run_lockstep
 
-# The fields a manufactured run is compared on, each a callable of ManufacturedSolution.
+# The fields a manufactured run is compared on, in the order ``fields`` returns them.
 FIELDS = ("rho", "u", "b")
 
 
 @dataclass(frozen=True)
 class ManufacturedSolution:
-    """Closed-form fields and their source terms, all callables of (x, t).
+    """A forced system: its physics, closed-form fields and source terms.
 
-    ``sources(x, t)`` returns the (rho, m, b) sources together, from one
-    evaluation of the closed-form derivatives.
+    ``fields(x, t)`` returns the ``FIELDS`` and ``sources(x, t)`` the (rho, m, b)
+    sources, each from one evaluation of the closed-form terms.  The sources
+    are built for ``params``, so a forced run takes its physics from here.
     """
 
-    rho: Callable
-    u: Callable
-    b: Callable
-    mom: Callable
+    params: PhysParams
+    fields: Callable
     sources: Callable
 
     def initial_state(self, grid: Grid1D) -> State:
-        x = grid.x
-        return State(rho=self.rho(x, 0.0), mom=self.mom(x, 0.0), b=self.b(x, 0.0), t=0.0)
+        rho, u, b = self.fields(grid.x, 0.0)
+        return State(rho=rho, mom=rho * u, b=b, t=0.0)
 
     def errors(self, state: State, grid: Grid1D) -> dict[str, float]:
         """Discrete L2 errors of the ``FIELDS`` against the exact fields."""
         computed = (state.rho, state.velocity(), state.b)  # in FIELDS order
-        return {k: lp_norm(v - getattr(self, k)(grid.x, state.t), 2, grid)
-                for k, v in zip(FIELDS, computed)}
+        return {k: lp_norm(v - exact, 2, grid)
+                for k, v, exact in zip(FIELDS, computed, self.fields(grid.x, state.t))}
 
 
 def manufactured_solution(params: PhysParams, amplitude: float = 0.1,
@@ -55,8 +54,7 @@ def manufactured_solution(params: PhysParams, amplitude: float = 0.1,
     rho* = RHO_BAR + A g c, u* = A x g c, b* = b_bar + A g c.  The sources are
     the residuals of the governing equations, assembled from the closed-form
     derivatives of the trio.  The magnetic source carries params.nu (nothing at
-    nu = 0), so (rho*, u*, b*) solves the forced system of the run with the
-    same params.
+    nu = 0); the solution keeps params, and its forced runs step with them.
     """
     s2 = sigma**2
 
@@ -74,10 +72,6 @@ def manufactured_solution(params: PhysParams, amplitude: float = 0.1,
                 ac * g_x, -aws * g, ac * (g + x * g_x), ac * (2.0 * g_x + x * g_xx),
                 -aws * x * g, ac * g_xx)
 
-    def mom(x, t):
-        rho, u, *_ = terms(x, t)
-        return rho * u
-
     def sources(x, t):
         rho, u, b, rho_x, rho_t, u_x, u_xx, u_t, b_xx = terms(x, t)
         return (rho_t + rho_x * u + rho * u_x,
@@ -86,10 +80,7 @@ def manufactured_solution(params: PhysParams, amplitude: float = 0.1,
                 - params.mu * u_xx,
                 rho_t + u_x * b + u * rho_x - params.nu * b_xx)
 
-    return ManufacturedSolution(
-        rho=lambda x, t: terms(x, t)[0], u=lambda x, t: terms(x, t)[1],
-        b=lambda x, t: terms(x, t)[2], mom=mom, sources=sources,
-    )
+    return ManufacturedSolution(params, fields=lambda x, t: terms(x, t)[:3], sources=sources)
 
 
 def mms_rhs(state: State, params: PhysParams, scheme: SchemeConfig, grid: Grid1D,
@@ -103,30 +94,29 @@ def mms_rhs(state: State, params: PhysParams, scheme: SchemeConfig, grid: Grid1D
     return out
 
 
-def run_manufactured(params: PhysParams, scheme: SchemeConfig, grid: Grid1D,
-                     manufactured: ManufacturedSolution) -> dict[str, float]:
-    """Integrate the forced system from the exact initial data; return the L2
-    errors of the final state.
+def run_manufactured(manufactured: ManufacturedSolution, scheme: SchemeConfig,
+                     grid: Grid1D) -> dict[str, float]:
+    """Integrate the forced system from the exact initial data, with the
+    solution's own params; return the L2 errors of the final state.
 
     The run is unrecorded and only its final state is read, so it lands on
     ``t_end`` alone: ``scheme.n_samples`` is ignored, and every step but the
     last takes the advective CFL bound.  dt then refines with dx at a fixed
     CFL number, as a grid-convergence study needs."""
 
-    def forced(state, params_, scheme_, grid_):
-        return mms_rhs(state, params_, scheme_, grid_, manufactured)
+    def forced(state, params, scheme_, grid_):
+        return mms_rhs(state, params, scheme_, grid_, manufactured)
 
-    (final,), _ = run_lockstep([(manufactured.initial_state(grid), params)],
+    (final,), _ = run_lockstep([(manufactured.initial_state(grid), manufactured.params)],
                                replace(scheme, n_samples=1), grid, rhs_fn=forced, recorded=0)
     return manufactured.errors(final, grid)
 
 
-def observed_orders(params: PhysParams, scheme: SchemeConfig, n_cells: tuple[int, ...],
-                    manufactured: ManufacturedSolution | None = None) -> dict[str, float]:
+def observed_orders(manufactured: ManufacturedSolution, scheme: SchemeConfig,
+                    n_cells: tuple[int, ...]) -> dict[str, float]:
     """Least-squares slope of log error against log dx over default-domain grids."""
-    ms = manufactured or manufactured_solution(params)
     grids = [Grid1D(n_cells=n) for n in n_cells]
-    errs = [run_manufactured(params, scheme, grid, ms) for grid in grids]
+    errs = [run_manufactured(manufactured, scheme, grid) for grid in grids]
     log_dx = np.log([grid.dx for grid in grids])
     return {k: float(np.polyfit(log_dx, np.log([e[k] for e in errs]), 1)[0])
             for k in FIELDS}

@@ -32,6 +32,7 @@ from mhd1d.diagnostics import (
     Accumulators,
     central_tendencies,
     energy_density,
+    unfit_reason,
 )
 
 
@@ -335,3 +336,18 @@ class TestNuIndependence:
         entries = [(nu, self._record()) for nu in (1e-2, 5e-3, 2e-3)]
         with pytest.raises(ValueError, match="decades"):
             nu_independence_report(entries)
+
+    @pytest.mark.parametrize("nus", [(3e-4, 3e-5, 3e-6), (0.7, 0.07, 0.007),
+                                     (1e-7, 1e-8, 1e-9)])
+    def test_accepts_exactly_two_decades(self, nus):
+        # max/min rounds to 99.99999999999999 in each list
+        assert max(nus) < 100.0 * min(nus)
+        report = nu_independence_report([(nu, self._record()) for nu in nus])
+        assert report.flagged == []
+
+    def test_two_decade_rule_ignores_rounding(self):
+        # m 10^e over m 10^(e-2) spans two decades whatever rounding the quotient takes
+        for m in range(1, 100):
+            for e in range(-8, 0):
+                nus = [float(f"{m}e{e}"), float(f"{m}e{e - 1}"), float(f"{m}e{e - 2}")]
+                assert unfit_reason(nus) is None, nus

@@ -18,7 +18,7 @@ from mhd1d import (
 )
 from mhd1d import solver
 from mhd1d.core import RHO_BAR
-from mhd1d.mms import observed_orders
+from mhd1d.mms import FIELDS, observed_orders
 from mhd1d.solver import _advective_dt
 
 
@@ -44,22 +44,24 @@ class TestManufacturedSolution:
         assert np.all(state.rho == RHO_BAR)
         assert len(state.rho) == grid.n_cells
 
-    def test_initial_state_matches_fields(self, ms, ms_params):
+    def test_initial_state_matches_fields(self, ms):
         grid = Grid1D(20.0, 128)
         state = ms.initial_state(grid)
-        assert np.allclose(state.rho, ms.rho(grid.x, 0.0))
-        assert np.allclose(state.velocity(), ms.u(grid.x, 0.0), atol=1e-12)
+        rho, u, b = ms.fields(grid.x, 0.0)
+        assert np.allclose(state.rho, rho)
+        assert np.allclose(state.velocity(), u, atol=1e-12)
+        assert np.array_equal(state.b, b)
         errs = ms.errors(state, grid)
         assert all(v < 1e-12 for v in errs.values())
 
-    def test_forced_tendency_vanishes_with_resolution(self, ms, ms_params):
+    def test_forced_tendency_vanishes_with_resolution(self, ms):
         # at t=0 the exact fields have zero time derivative (cosine factor), so
         # the full forced tendencies are pure stencil truncation: small and shrinking
         sups = []
         for n in (256, 512, 1024):
             grid = Grid1D(20.0, n)
             state = ms.initial_state(grid)
-            out = tendencies(state, ms_params, SchemeConfig(), grid,
+            out = tendencies(state, ms.params, SchemeConfig(), grid,
                              lambda *args: mms_rhs(*args, ms))
             sups.append(max(np.abs(out[0]).max(), np.abs(out[1]).max(),
                             np.abs(out[2]).max()))
@@ -67,7 +69,7 @@ class TestManufacturedSolution:
         assert sups[0] > sups[1] > sups[2]
 
 
-FIELDS = ("rho", "u", "b", "mom")
+ORACLE_FIELDS = (*FIELDS, "mom")
 SOURCES = ("source_rho", "source_mom", "source_b")
 PARAM_NAMES = ("gamma", "mu", "nu", "b_bar", "amplitude", "sigma", "omega")
 
@@ -107,12 +109,21 @@ def test_closed_forms_match_sympy_derivation(gamma, mu, nu, b_bar, amplitude, si
     oracle = _sympy_oracle()
     params = PhysParams(mu=mu, nu=nu, gamma=gamma, b_bar=b_bar)
     ms = manufactured_solution(params, amplitude=amplitude, sigma=sigma, omega=omega)
+    assert ms.params is params
+    # the initial momentum is rho * u of one evaluation of the fields, bit for bit
+    grid = Grid1D(20.0, 128)
+    rho, u, _ = ms.fields(grid.x, 0.0)
+    assert np.array_equal(ms.initial_state(grid).mom, rho * u)
     x = np.linspace(-20.0, 20.0, 257)
     for t in (0.0, 0.37, 1.3, 2.9):
-        values = [getattr(ms, name)(x, t) for name in FIELDS] + list(ms.sources(x, t))
-        for name, ref_fn, got in zip(FIELDS + SOURCES, oracle, values):
+        rho, u, b = ms.fields(x, t)
+        values = [rho, u, b, rho * u, *ms.sources(x, t)]
+        for name, ref_fn, got in zip(ORACLE_FIELDS + SOURCES, oracle, values):
             ref = ref_fn(x, t, gamma, mu, nu, b_bar, amplitude, sigma, omega) + 0.0 * x
-            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), (name, t)
+            # relative, down to the smallest normal float: a subnormal
+            # amplitude leaves fields with no relative precision to compare
+            tol = max(1e-13 * np.max(np.abs(ref)), np.finfo(float).tiny)
+            assert np.max(np.abs(got - ref)) <= tol, (name, t)
 
 
 def reference_sources(params, amplitude, sigma, omega, x, t):
@@ -158,23 +169,20 @@ def test_sources_and_forced_rhs_match_reference_bitwise(gamma, mu, nu, amplitude
 
 
 class TestForcedRuns:
-    def test_forced_run_tracks_exact_solution(self, ms, ms_params):
-        errs = run_manufactured(ms_params, SchemeConfig(t_end=0.3, n_samples=3),
-                                Grid1D(20.0, 256), ms)
+    def test_forced_run_tracks_exact_solution(self, ms):
+        errs = run_manufactured(ms, SchemeConfig(t_end=0.3, n_samples=3), Grid1D(20.0, 256))
         assert all(v < 1e-3 for v in errs.values())
 
-    def test_two_grid_orders(self, ms_params, ms):
-        orders = observed_orders(ms_params, SchemeConfig(t_end=0.4, n_samples=4),
-                                 n_cells=(128, 256), manufactured=ms)
+    def test_two_grid_orders(self, ms):
+        orders = observed_orders(ms, SchemeConfig(t_end=0.4, n_samples=4), n_cells=(128, 256))
         assert all(v >= 1.6 for v in orders.values())
 
-    def test_upwind_first_order(self, ms_params, ms):
+    def test_upwind_first_order(self, ms):
         scheme = SchemeConfig(t_end=0.4, n_samples=4, reconstruction="first_order_upwind")
-        orders = observed_orders(ms_params, scheme,
-                                 n_cells=(128, 256), manufactured=ms)
+        orders = observed_orders(ms, scheme, n_cells=(128, 256))
         assert all(0.8 <= v < 1.6 for v in orders.values())
 
-    def test_forced_run_lands_only_on_t_end(self, ms, ms_params, monkeypatch):
+    def test_forced_run_lands_only_on_t_end(self, ms, monkeypatch):
         # only the final state is read, so every step before the last takes the
         # advective bound: dt refines with dx, and the caller's n_samples is moot
         calls = []  # (t before the step, dt, advective bound), step by step
@@ -191,7 +199,7 @@ class TestForcedRuns:
             for n_samples in (3, 50):
                 calls.clear()
                 scheme = SchemeConfig(t_end=0.4, n_samples=n_samples)
-                errs.append(run_manufactured(ms_params, scheme, Grid1D(20.0, n), ms))
+                errs.append(run_manufactured(ms, scheme, Grid1D(20.0, n)))
                 *bounded, (t_last, dt_last, adv_last) = calls
                 assert all(dt == adv for _, dt, adv in bounded)
                 assert dt_last <= adv_last and t_last + dt_last == pytest.approx(0.4, abs=1e-12)
@@ -203,8 +211,7 @@ class TestForcedRuns:
     def test_rk2_converges_when_time_error_dominates(self):
         params = PhysParams(mu=0.01, nu=1e-3)
         ms = manufactured_solution(params, omega=4.0)
-        errs = run_manufactured(params, SchemeConfig(t_end=1.0, n_samples=4),
-                                Grid1D(20.0, 256), ms)
+        errs = run_manufactured(ms, SchemeConfig(t_end=1.0, n_samples=4), Grid1D(20.0, 256))
         for field in ("rho", "u", "b"):
             assert errs[field] < 5e-3
 
@@ -212,6 +219,5 @@ class TestForcedRuns:
         # the non-resistive manufactured trio solves the non-resistive system
         params_n = replace(ms_params, nu=0.0)
         ms_n = manufactured_solution(params_n)
-        errs = run_manufactured(params_n, SchemeConfig(t_end=0.3, n_samples=3),
-                                Grid1D(20.0, 256), ms_n)
+        errs = run_manufactured(ms_n, SchemeConfig(t_end=0.3, n_samples=3), Grid1D(20.0, 256))
         assert all(v < 1e-3 for v in errs.values())
