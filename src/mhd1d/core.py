@@ -148,7 +148,7 @@ class State:
             raise ValueError("rho, mom and b must have equal length")
         self.q = np.array((self.rho, self.mom, self.b), dtype=float)
         self.rho, self.mom, self.b = self.q
-        if (self.rho < 0).any():
+        if not (self.rho >= 0).all():  # a NaN density fails too
             raise ValueError("density must be non-negative at every node")
 
     @classmethod
@@ -245,7 +245,7 @@ def second_derivative(values: FieldScalar, dx: float) -> FieldScalar:
 def pressure(rho: FieldScalar, gamma: float) -> FieldScalar:
     """Isentropic pressure P = rho**gamma (gas constant normalized to 1)."""
     rho = np.asarray(rho, dtype=float)
-    if np.any(rho < 0):
+    if not (rho >= 0).all():  # a NaN density fails too
         raise ValueError("pressure requires rho >= 0")
     return rho**gamma
 
@@ -262,12 +262,13 @@ def potential_energy(rho: FieldScalar, gamma: float, rho_bar: float) -> FieldSca
     as a binomial series in d for |d| < 1e-3, so nothing cancels near rho_bar.
     """
     rho = np.asarray(rho, dtype=float)
-    if np.any(rho < 0):
+    if not (rho >= 0).all():  # a NaN density fails too
         raise ValueError("potential_energy requires rho >= 0")
     d = (rho - rho_bar) / rho_bar  # the difference is exact near rho_bar
-    series = np.zeros_like(d)
-    for k in range(5, 1, -1):  # Horner: sum over k = 2..5 of (gamma-2)...(gamma-k+1)/k! d^(k-2)
-        series = series * d + math.prod(gamma - j for j in range(2, k)) / math.factorial(k)
+    series = np.full_like(d, (gamma - 2) * (gamma - 3) * (gamma - 4) / 120)  # Horner in place
+    for k in range(4, 1, -1):  # sum over k = 2..5 of (gamma-2)...(gamma-k+1)/k! d^(k-2)
+        series *= d
+        series += math.prod(gamma - j for j in range(2, k)) / math.factorial(k)
     with np.errstate(divide="ignore"):  # vacuum: log1p(-1) = -inf, expm1(-inf) = -1
         phi = (np.expm1(gamma * np.log1p(d)) - gamma * d) / (gamma - 1.0)
     return rho_bar**gamma * np.where(np.abs(d) < 1e-3, gamma * d * d * series, phi)

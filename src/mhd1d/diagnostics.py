@@ -78,6 +78,10 @@ def unfit_reason(nus) -> str | None:
     return None
 
 
+def _trapezoid(f: FieldScalar, dx: float) -> float:  # np.trapezoid's operations, unwrapped
+    return float(np.add.reduce(dx * (f[1:] + f[:-1]) / 2.0))
+
+
 def lp_norm(values: FieldScalar, p, grid: Grid1D) -> float:
     """Discrete Lp norm: (sum |f|^p dx)^(1/p), or max|f| for p = "inf"."""
     f = np.asarray(values, dtype=float)
@@ -136,11 +140,6 @@ def velocity_tendency(state: State, tendencies: np.ndarray) -> FieldScalar:
     return (tendencies[1] - u * tendencies[0]) / np.maximum(state.rho, RHO_FLOOR)
 
 
-def _flux_residual(state: State, udot: FieldScalar, params: PhysParams, grid: Grid1D) -> float:
-    flux = effective_viscous_flux(state, params, grid)
-    return lp_norm(state.rho * udot - derivative(flux, grid.dx), 2, grid)
-
-
 def flux_identity_residual(state: State, tendencies, params: PhysParams, grid: Grid1D) -> float:
     """L2 norm of rho*du/dt - F_x; vanishes at the scheme's order on smooth states.
 
@@ -148,7 +147,8 @@ def flux_identity_residual(state: State, tendencies, params: PhysParams, grid: G
     ``solver.tendencies`` or ``central_tendencies``.
     """
     udot = material_derivative(state, velocity_tendency(state, tendencies), grid)
-    return _flux_residual(state, udot, params, grid)
+    flux = effective_viscous_flux(state, params, grid)
+    return lp_norm(state.rho * udot - derivative(flux, grid.dx), 2, grid)
 
 
 def central_tendencies(state: State, params: PhysParams, grid: Grid1D) -> np.ndarray:
@@ -170,6 +170,12 @@ def central_tendencies(state: State, params: PhysParams, grid: Grid1D) -> np.nda
     return np.array((d_rho, d_mom, d_b))
 
 
+def _gradients(state: State, dx: float) -> tuple:
+    """(state, w_x, w_x^2, b_x^2), w the viscous velocity, for ``integrand`` and ``sample``."""
+    w_x = derivative(viscous_velocity(state.mom, state.rho), dx)
+    return state, w_x, w_x**2, derivative(state.b, dx) ** 2
+
+
 # The running-total columns, by their CSV names, in ``Accumulators.integrand``'s order.
 ACCUMULATED = ("diss_u", "diss_b", "diss_u_weighted", "diss_b_weighted", "l6_b_pert_accum")
 
@@ -185,13 +191,15 @@ class Accumulators:
     totals: dict = field(default_factory=lambda: dict.fromkeys(ACCUMULATED, 0.0))
     clip_count: int = 0
     _last: tuple | None = None
+    _fields: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def integrand(self, state: State, params: PhysParams, grid: Grid1D) -> tuple:
-        """Integrands of the ``ACCUMULATED`` columns at one instant."""
+        """Integrands of the ``ACCUMULATED`` columns at one instant; keeps the state's
+        ``_gradients`` for its ``sample``."""
         dx = grid.dx
         weight = _spreading_weight(grid)
-        u_x2 = derivative(viscous_velocity(state.mom, state.rho), dx) ** 2
-        b_x2 = derivative(state.b, dx) ** 2
+        self._fields = _gradients(state, dx)
+        _, _, u_x2, b_x2 = self._fields
         return (
             params.mu * u_x2.sum() * dx,
             params.nu * b_x2.sum() * dx,
@@ -297,35 +305,44 @@ class DiagnosticsRecord:
 
 def sample(state: State, rhs_output, params: PhysParams, grid: Grid1D,
            accum: Accumulators) -> dict:
-    """Evaluate every record column at one instant.
+    """Evaluate every record column at one instant, each derived field once.
 
     ``l2_ux`` and the viscous flux inside ``flux_residual`` differentiate the
-    viscous velocity m/viscous_density(rho), the velocity the scheme's
-    viscosity acts on and ``diss_u`` integrates; it equals m/rho wherever
-    the viscous density is rho.  ``sup_abs_u`` reads m/max(rho,
-    RHO_FLOOR).
+    viscous velocity w = m/viscous_density(rho), the velocity the scheme's
+    viscosity acts on and ``diss_u`` integrates; ``sup_abs_u`` reads
+    u = m/max(rho, RHO_FLOOR).  w_x, w_x^2 and b_x^2 are ``accum``'s if its last
+    ``integrand`` was of this very state object, else recomputed; ``run_lockstep``
+    keeps them only for a sample with no ``observe``, which may write, before it.
     """
-    u = state.velocity()
-    b_pert = state.b - params.b_bar
-    energy = energy_density(state, params)  # weighted_energy's integrand, unweighted
-    udot = material_derivative(state, velocity_tendency(state, rhs_output), grid)
+    dx, rho, b = grid.dx, state.rho, state.b
+    fields = accum._fields if accum._fields and accum._fields[0] is state else _gradients(state, dx)
+    _, w_x, u_x2, b_x2 = fields
+    rho_safe = np.maximum(rho, RHO_FLOOR)
+    u = state.mom / rho_safe
+    b_pert = b - params.b_bar
+    energy = 0.5 * rho * np.square(u) + potential_energy(rho, params.gamma, RHO_BAR)
+    energy += 0.5 * np.square(b_pert)  # energy_density, term by term in its order
+    udot = (rhs_output[1] - u * rhs_output[0]) / rho_safe + u * derivative(u, dx)  # u_t + u*u_x
+    flux = params.mu * w_x - (pressure(rho, params.gamma) - RHO_BAR**params.gamma
+                              + 0.5 * (np.square(b) - params.b_bar**2))  # effective_viscous_flux
+    residual = rho * udot - derivative(flux, dx)
     return {
         "t": state.t,
-        "energy": float(np.trapezoid(energy, dx=grid.dx)),
-        "energy_weighted": float(np.trapezoid(energy * _spreading_weight(grid), dx=grid.dx)),
-        "sup_rho": float(np.max(state.rho)),
-        "sup_abs_b": lp_norm(state.b, "inf", grid),
-        "sup_abs_u": lp_norm(u, "inf", grid),
-        "l2_rho_pert": lp_norm(state.rho - RHO_BAR, 2, grid),
+        "energy": _trapezoid(energy, dx),
+        "energy_weighted": _trapezoid(energy * _spreading_weight(grid), dx),
+        "sup_rho": float(rho.max()),
+        "sup_abs_b": float(np.abs(b).max()),
+        "sup_abs_u": float(np.abs(u).max()),
+        "l2_rho_pert": lp_norm(rho - RHO_BAR, 2, grid),
         "l4_b_pert": lp_norm(b_pert, 4, grid),
-        "l2_ux": lp_norm(derivative(viscous_velocity(state.mom, state.rho), grid.dx), 2, grid),
-        "l2_bx": lp_norm(derivative(state.b, grid.dx), 2, grid),
-        "l2_rhox": lp_norm(derivative(state.rho, grid.dx), 2, grid),
+        "l2_ux": float((np.add.reduce(u_x2) * dx) ** 0.5),
+        "l2_bx": float((np.add.reduce(b_x2) * dx) ** 0.5),
+        "l2_rhox": lp_norm(derivative(rho, dx), 2, grid),
         "l2_rho_t": lp_norm(rhs_output[0], 2, grid),
         "l2_b_t": lp_norm(rhs_output[2], 2, grid),
-        "l2_sqrt_rho_udot": lp_norm(np.sqrt(state.rho) * udot, 2, grid),
-        "flux_residual": _flux_residual(state, udot, params, grid),
-        "xi_sup": lp_norm(momentum_potential(state, grid), "inf", grid),
+        "l2_sqrt_rho_udot": lp_norm(np.sqrt(rho) * udot, 2, grid),
+        "flux_residual": lp_norm(residual, 2, grid),
+        "xi_sup": float(np.abs(momentum_potential(state, grid)).max()),
         **accum.totals,
         "clip_count": accum.clip_count,
     }

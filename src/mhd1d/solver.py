@@ -608,6 +608,8 @@ def run_lockstep(members: list[tuple[State, PhysParams]], scheme: SchemeConfig,
                     states[member].t = target
             for member in range(recorded):
                 accums[member].advance(states[member], params[member], grid, dt)
+                if observe is not None or not landed:  # kept only for a sample, no callback between
+                    accums[member]._fields = None
             for member in range(len(states)):
                 check(member)
             member = None

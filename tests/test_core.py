@@ -105,6 +105,12 @@ class TestState:
         with pytest.raises(ValueError, match="non-negative"):
             State(rho=rho, mom=np.zeros(8), b=np.ones(8))
 
+    def test_rejects_nan_density(self):
+        rho = np.ones(8)
+        rho[3] = np.nan
+        with pytest.raises(ValueError, match="density must be non-negative at every node"):
+            State(rho=rho, mom=np.zeros(8), b=np.ones(8))
+
     def test_velocity(self):
         s = State(rho=np.full(8, 2.0), mom=np.full(8, 3.0), b=np.ones(8))
         assert np.allclose(s.velocity(), 1.5)
@@ -152,6 +158,10 @@ class TestPressure:
         with pytest.raises(ValueError):
             pressure(np.array([-0.1]), 1.4)
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="pressure requires rho >= 0"):
+            pressure(np.array([1.0, np.nan]), 1.4)
+
 
 class TestPotentialEnergy:
     def test_vanishes_at_far_field(self):
@@ -167,6 +177,33 @@ class TestPotentialEnergy:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             potential_energy(np.array([-1e-9]), 1.4, 1.0)
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="potential_energy requires rho >= 0"):
+            potential_energy(np.array([1.0, np.nan]), 1.4, 1.0)
+
+    @pytest.mark.parametrize("gamma", [1.05, 1.4, 2.0, 3.0])
+    def test_matches_the_zero_started_horner_form_bitwise(self, gamma):
+        # the in-place Horner series starts at c_5*d; the form below starts at 0
+        # and takes a fresh array per term, and 0*d + c_5 = c_5 for finite d
+        def zero_started(rho, gamma, rho_bar):
+            d = (rho - rho_bar) / rho_bar
+            series = np.zeros_like(d)
+            for k in range(5, 1, -1):
+                series = series * d + math.prod(gamma - j for j in range(2, k)) / math.factorial(k)
+            with np.errstate(divide="ignore"):
+                phi = (np.expm1(gamma * np.log1p(d)) - gamma * d) / (gamma - 1.0)
+            return rho_bar**gamma * np.where(np.abs(d) < 1e-3, gamma * d * d * series, phi)
+
+        edges = [RHO_BAR + s * 1e-3 for s in (-1.0, 1.0)]
+        near_edges = [np.nextafter(e, direction) for e in edges for direction in (0.0, 2.0)]
+        rho = np.concatenate([
+            np.linspace(0.0, 10.0, 10_001),  # exact vacuum, RHO_BAR and 10 among them
+            RHO_BAR + np.linspace(-2e-3, 2e-3, 4_001),  # across the series band
+            [0.0, RHO_BAR, np.nextafter(RHO_BAR, 0.0), np.nextafter(RHO_BAR, 2.0)],
+            edges, near_edges])
+        got = potential_energy(rho, gamma, RHO_BAR)
+        assert got.tobytes() == zero_started(rho, gamma, RHO_BAR).tobytes()
 
     @pytest.mark.parametrize("gamma", [1.05, 1.5, 2.0, 3.0])
     def test_relative_accuracy_without_cancellation(self, gamma):

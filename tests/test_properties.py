@@ -6,19 +6,18 @@ mu > 0, nu >= 0 including exactly 0, b_bar != 0), both presets
 and both reconstructions, on grids of at most 128 cells and short horizons.  The lockstep-group properties evolve two or three members of
 such a configuration, which differ only in nu, beside their shared reference.
 
-The default profile is derandomized with a small example budget, so the suite
-is reproducible and cheap; ``HYPOTHESIS_PROFILE=explore`` draws many more,
-random, examples.
+The default profile (registered in ``conftest.py``) is derandomized with a
+small example budget, so the suite is reproducible and cheap;
+``HYPOTHESIS_PROFILE=explore`` draws many more, random, examples.
 """
 
 import json
-import os
 from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mhd1d import solver
@@ -48,13 +47,8 @@ from mhd1d.solver import (
     step,
 )
 
-settings.register_profile("default", max_examples=60, derandomize=True, deadline=None,
-                          database=None, suppress_health_check=[HealthCheck.too_slow])
-settings.register_profile("explore", max_examples=300, deadline=None, database=None,
-                          suppress_health_check=[HealthCheck.too_slow])
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 # the lockstep-group properties run several members per example, so they draw
-# a share of the loaded profile's budget: 15, 15 and 6 by default
+# a share of the loaded profile's (conftest.py) budget: 15, 15 and 6 by default
 
 
 @st.composite
