@@ -8,9 +8,7 @@ from .core import (
     State,
     constant_state,
     derivative,
-    effective_viscous_flux,
     fast_speed,
-    material_derivative,
     potential_energy,
     pressure,
 )

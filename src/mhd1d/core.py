@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -153,11 +153,13 @@ class State:
 
     @classmethod
     def _unchecked(cls, q: np.ndarray, t: float) -> "State":
-        """A State on the (3, n) block ``q`` itself, without ``__post_init__``'s
-        copy and checks, for fields valid by construction.
+        """A read-only State on the (3, n) block ``q`` itself, without
+        ``__post_init__``'s copy and checks, for fields valid by construction.
 
-        The RK stages use it: they clip the density to >= 0 themselves.
+        The RK stages use it: they clip the density to >= 0 themselves.  ``q``
+        is made read-only before the row views, as a view made earlier stays writable.
         """
+        q.flags.writeable = False
         state = object.__new__(cls)
         state.q, state.t = q, t
         state.rho, state.mom, state.b = q
@@ -250,6 +252,13 @@ def pressure(rho: FieldScalar, gamma: float) -> FieldScalar:
     return rho**gamma
 
 
+@lru_cache(maxsize=16)
+def _series_coefficients(gamma: float) -> tuple[float, ...]:
+    """(gamma-2)...(gamma-k+1)/k! for k = 5 down to 2, ``potential_energy``'s Horner series."""
+    return tuple(math.prod(gamma - j for j in range(2, k)) / math.factorial(k)
+                 for k in range(5, 1, -1))
+
+
 def potential_energy(rho: FieldScalar, gamma: float, rho_bar: float) -> FieldScalar:
     """Potential energy of compression relative to a far-field density rho_bar.
 
@@ -265,33 +274,14 @@ def potential_energy(rho: FieldScalar, gamma: float, rho_bar: float) -> FieldSca
     if not (rho >= 0).all():  # a NaN density fails too
         raise ValueError("potential_energy requires rho >= 0")
     d = (rho - rho_bar) / rho_bar  # the difference is exact near rho_bar
-    series = np.full_like(d, (gamma - 2) * (gamma - 3) * (gamma - 4) / 120)  # Horner in place
-    for k in range(4, 1, -1):  # sum over k = 2..5 of (gamma-2)...(gamma-k+1)/k! d^(k-2)
+    top, *lower = _series_coefficients(gamma)
+    series = np.full_like(d, top)  # Horner in place
+    for c in lower:
         series *= d
-        series += math.prod(gamma - j for j in range(2, k)) / math.factorial(k)
+        series += c
     with np.errstate(divide="ignore"):  # vacuum: log1p(-1) = -inf, expm1(-inf) = -1
         phi = (np.expm1(gamma * np.log1p(d)) - gamma * d) / (gamma - 1.0)
     return rho_bar**gamma * np.where(np.abs(d) < 1e-3, gamma * d * d * series, phi)
-
-
-def effective_viscous_flux(state: State, params: PhysParams, grid: Grid1D) -> FieldScalar:
-    """F = mu*u_x - (P(rho) - P(RHO_BAR) + (b^2 - b_bar^2)/2).
-
-    The momentum equation reads rho*du/dt = F_x, which makes F the natural
-    quantity for flux-identity audits.  u_x is taken of the viscous velocity,
-    the one the scheme's viscosity acts on; it is m/rho wherever the density
-    is at least the viscous floor.
-    """
-    u = viscous_velocity(state.mom, state.rho)
-    p_pert = pressure(state.rho, params.gamma) - RHO_BAR**params.gamma
-    mag_pert = 0.5 * (state.b**2 - params.b_bar**2)
-    return params.mu * derivative(u, grid.dx) - (p_pert + mag_pert)
-
-
-def material_derivative(state: State, u_t: FieldScalar, grid: Grid1D) -> FieldScalar:
-    """du/dt following the flow: u_t + u*u_x."""
-    u = state.velocity()
-    return np.asarray(u_t, dtype=float) + u * derivative(u, grid.dx)
 
 
 def fast_speed(rho: FieldScalar, mom: FieldScalar, b: FieldScalar, gamma: float) -> FieldScalar:
@@ -327,8 +317,6 @@ __all__ = [
     "second_derivative",
     "pressure",
     "potential_energy",
-    "effective_viscous_flux",
-    "material_derivative",
     "fast_speed",
     "constant_state",
 ]

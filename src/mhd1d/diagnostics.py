@@ -11,6 +11,7 @@ small relative spread.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
@@ -24,8 +25,6 @@ from .core import (
     PhysParams,
     State,
     derivative,
-    effective_viscous_flux,
-    material_derivative,
     potential_energy,
     pressure,
     second_derivative,
@@ -134,10 +133,16 @@ def momentum_potential(state: State, grid: Grid1D) -> FieldScalar:
     return xi
 
 
-def velocity_tendency(state: State, tendencies: np.ndarray) -> FieldScalar:
-    """u_t = (m_t - u*rho_t) / max(rho, RHO_FLOOR) from rows 0 and 1 of the (3, n) tendencies."""
-    u = state.velocity()
-    return (tendencies[1] - u * tendencies[0]) / np.maximum(state.rho, RHO_FLOOR)
+def _flux_identity(state: State, tendencies, params: PhysParams, dx: float, w_x) -> tuple:
+    """(u, du/dt, F, rho*du/dt - F_x): u = m/max(rho, RHO_FLOOR), du/dt = u_t + u*u_x with
+    u_t = (m_t - u*rho_t)/max(rho, RHO_FLOOR) from the (3, n) tendencies, and the flux
+    F = mu*w_x - (P(rho) - P(RHO_BAR) + (b^2 - b_bar^2)/2) of rho*du/dt = F_x."""
+    rho_safe = np.maximum(state.rho, RHO_FLOOR)
+    u = state.mom / rho_safe
+    udot = (tendencies[1] - u * tendencies[0]) / rho_safe + u * derivative(u, dx)
+    flux = params.mu * w_x - (pressure(state.rho, params.gamma) - RHO_BAR**params.gamma
+                              + 0.5 * (np.square(state.b) - params.b_bar**2))
+    return u, udot, flux, state.rho * udot - derivative(flux, dx)
 
 
 def flux_identity_residual(state: State, tendencies, params: PhysParams, grid: Grid1D) -> float:
@@ -146,9 +151,8 @@ def flux_identity_residual(state: State, tendencies, params: PhysParams, grid: G
     ``tendencies`` is the (3, n) full semi-discrete tendency, from
     ``solver.tendencies`` or ``central_tendencies``.
     """
-    udot = material_derivative(state, velocity_tendency(state, tendencies), grid)
-    flux = effective_viscous_flux(state, params, grid)
-    return lp_norm(state.rho * udot - derivative(flux, grid.dx), 2, grid)
+    w_x = _gradients(state, grid.dx)[0]
+    return lp_norm(_flux_identity(state, tendencies, params, grid.dx, w_x)[3], 2, grid)
 
 
 def central_tendencies(state: State, params: PhysParams, grid: Grid1D) -> np.ndarray:
@@ -171,9 +175,9 @@ def central_tendencies(state: State, params: PhysParams, grid: Grid1D) -> np.nda
 
 
 def _gradients(state: State, dx: float) -> tuple:
-    """(state, w_x, w_x^2, b_x^2), w the viscous velocity, for ``integrand`` and ``sample``."""
+    """(w_x, w_x^2, b_x^2), w the viscous velocity: ``integrand``'s, and w_x for F."""
     w_x = derivative(viscous_velocity(state.mom, state.rho), dx)
-    return state, w_x, w_x**2, derivative(state.b, dx) ** 2
+    return w_x, w_x**2, derivative(state.b, dx) ** 2
 
 
 # The running-total columns, by their CSV names, in ``Accumulators.integrand``'s order.
@@ -194,15 +198,15 @@ class Accumulators:
     _fields: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def integrand(self, state: State, params: PhysParams, grid: Grid1D) -> tuple:
-        """Integrands of the ``ACCUMULATED`` columns at one instant; keeps the state's
-        ``_gradients`` for its ``sample``."""
+        """Integrands of the ``ACCUMULATED`` columns at one instant; keeps w_x and the sums
+        of w_x^2 and b_x^2 for ``sample`` of this state, held weakly so it can be freed."""
         dx = grid.dx
         weight = _spreading_weight(grid)
-        self._fields = _gradients(state, dx)
-        _, _, u_x2, b_x2 = self._fields
+        w_x, u_x2, b_x2 = _gradients(state, dx)
+        self._fields = weakref.ref(state), w_x, u_x2.sum(), b_x2.sum()
         return (
-            params.mu * u_x2.sum() * dx,
-            params.nu * b_x2.sum() * dx,
+            params.mu * self._fields[2] * dx,
+            params.nu * self._fields[3] * dx,
             params.mu * _weighted_l2_of_square(u_x2, weight, dx) ** 2,
             params.nu * _weighted_l2_of_square(b_x2, weight, dx) ** 2,
             lp_norm(state.b - params.b_bar, 6, grid) ** 6,
@@ -305,27 +309,21 @@ class DiagnosticsRecord:
 
 def sample(state: State, rhs_output, params: PhysParams, grid: Grid1D,
            accum: Accumulators) -> dict:
-    """Evaluate every record column at one instant, each derived field once.
+    """Evaluate every record column at one instant, each formula by its one spelling.
 
     ``l2_ux`` and the viscous flux inside ``flux_residual`` differentiate the
     viscous velocity w = m/viscous_density(rho), the velocity the scheme's
     viscosity acts on and ``diss_u`` integrates; ``sup_abs_u`` reads
-    u = m/max(rho, RHO_FLOOR).  w_x, w_x^2 and b_x^2 are ``accum``'s if its last
-    ``integrand`` was of this very state object, else recomputed; ``run_lockstep``
-    keeps them only for a sample with no ``observe``, which may write, before it.
+    u = m/max(rho, RHO_FLOOR).  w_x and the sums of w_x^2 and b_x^2 are those of
+    ``accum``'s last ``integrand``, which must have been of this very state object,
+    as it is in ``run_lockstep``, whose states are read-only; else ValueError.
     """
+    if accum._fields is None or accum._fields[0]() is not state:
+        raise ValueError("the accumulators' last integrand is not of the sampled state")
+    _, w_x, u_x2_sum, b_x2_sum = accum._fields
     dx, rho, b = grid.dx, state.rho, state.b
-    fields = accum._fields if accum._fields and accum._fields[0] is state else _gradients(state, dx)
-    _, w_x, u_x2, b_x2 = fields
-    rho_safe = np.maximum(rho, RHO_FLOOR)
-    u = state.mom / rho_safe
-    b_pert = b - params.b_bar
-    energy = 0.5 * rho * np.square(u) + potential_energy(rho, params.gamma, RHO_BAR)
-    energy += 0.5 * np.square(b_pert)  # energy_density, term by term in its order
-    udot = (rhs_output[1] - u * rhs_output[0]) / rho_safe + u * derivative(u, dx)  # u_t + u*u_x
-    flux = params.mu * w_x - (pressure(rho, params.gamma) - RHO_BAR**params.gamma
-                              + 0.5 * (np.square(b) - params.b_bar**2))  # effective_viscous_flux
-    residual = rho * udot - derivative(flux, dx)
+    u, udot, _, residual = _flux_identity(state, rhs_output, params, dx, w_x)
+    energy = energy_density(state, params)
     return {
         "t": state.t,
         "energy": _trapezoid(energy, dx),
@@ -334,9 +332,9 @@ def sample(state: State, rhs_output, params: PhysParams, grid: Grid1D,
         "sup_abs_b": float(np.abs(b).max()),
         "sup_abs_u": float(np.abs(u).max()),
         "l2_rho_pert": lp_norm(rho - RHO_BAR, 2, grid),
-        "l4_b_pert": lp_norm(b_pert, 4, grid),
-        "l2_ux": float((np.add.reduce(u_x2) * dx) ** 0.5),
-        "l2_bx": float((np.add.reduce(b_x2) * dx) ** 0.5),
+        "l4_b_pert": lp_norm(b - params.b_bar, 4, grid),
+        "l2_ux": float((u_x2_sum * dx) ** 0.5),
+        "l2_bx": float((b_x2_sum * dx) ** 0.5),
         "l2_rhox": lp_norm(derivative(rho, dx), 2, grid),
         "l2_rho_t": lp_norm(rhs_output[0], 2, grid),
         "l2_b_t": lp_norm(rhs_output[2], 2, grid),
@@ -439,7 +437,6 @@ __all__ = [
     "energy_density",
     "weighted_energy",
     "momentum_potential",
-    "velocity_tendency",
     "flux_identity_residual",
     "central_tendencies",
     "Accumulators",

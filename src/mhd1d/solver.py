@@ -471,7 +471,7 @@ def _euler_stage(state: State, dt: float, params, scheme, grid, rhs_fn):
     clipped = int(np.count_nonzero(rho < 0.0))
     if clipped:
         np.maximum(rho, 0.0, out=rho)
-    return State._unchecked(q, state.t + dt), clipped
+    return q, clipped
 
 
 def _hyperbolic_step(state: State, dt: float, params, scheme, grid, rhs_fn) -> tuple[State, int]:
@@ -481,12 +481,11 @@ def _hyperbolic_step(state: State, dt: float, params, scheme, grid, rhs_fn) -> t
     The combination is written into the block of the second stage, which
     nothing else holds.
     """
-    s1, c1 = _euler_stage(state, dt, params, scheme, grid, rhs_fn)
-    s2, c2 = _euler_stage(s1, dt, params, scheme, grid, rhs_fn)
-    s2.q += state.q
-    s2.q *= 0.5
-    s2.t = state.t + dt
-    return s2, c1 + c2
+    q1, c1 = _euler_stage(state, dt, params, scheme, grid, rhs_fn)
+    q, c2 = _euler_stage(State._unchecked(q1, state.t + dt), dt, params, scheme, grid, rhs_fn)
+    q += state.q
+    q *= 0.5
+    return State._unchecked(q, state.t + dt), c1 + c2
 
 
 def step(state: State, dt: float, params: PhysParams, scheme: SchemeConfig,
@@ -499,7 +498,7 @@ def step(state: State, dt: float, params: PhysParams, scheme: SchemeConfig,
     ``_stage_counts``; H is an SSPRK2 step of ``rhs_fn``, the hyperbolic
     tendencies.  Only H evaluates ``rhs_fn``, and only H moves the
     time label, so time-dependent forcing sees the hyperbolic stage times.
-    The new state shares no memory with ``state``.
+    The new state shares no memory with ``state`` and is read-only.
     """
     rhs_fn = rhs_fn or rhs
     half = 0.5 * dt
@@ -547,17 +546,17 @@ def run_lockstep(members: list[tuple[State, PhysParams]], scheme: SchemeConfig,
     clips.  With ``recorded = 0`` nothing is sampled or accumulated; the
     steps, sample landings and final states are those of a recorded run,
     and no record is returned.
-    ``observe(states, dt)`` is called at t = 0 with dt = 0 and after every
-    accepted step.  The group's steps, rhs evaluations, the bound that set
-    each dt, the RKL2 stages ``step`` was given and the density clips of
-    every member are added to the caller's ``telemetry``, a failed run's too;
-    ``max_steps`` counts this call's steps alone.
+    ``observe(states, dt)`` runs at t = 0 with dt = 0 and after every accepted
+    step; its states, like the returned ones, are read-only.  The group's
+    steps, rhs evaluations, the bound that set each dt, the RKL2 stages
+    ``step`` was given and the density clips of every member are added to the
+    caller's ``telemetry``, a failed run's too; ``max_steps`` counts this call's steps alone.
 
     A ``SimulationError`` leaves with ``exc.member``, the index of the member
     that raised (None when no single member did), and ``exc.record``, that
     member's record so far (None when it carries none).
     """
-    states = [s for s, _ in members]
+    states = [State._unchecked(s.q.view(), s.t) for s, _ in members]  # the caller's stay writable
     params = [p for _, p in members]
     telemetry = telemetry if telemetry is not None else diagnostics.RunTelemetry()
     records = [diagnostics.DiagnosticsRecord() for _ in range(recorded)]
@@ -608,8 +607,6 @@ def run_lockstep(members: list[tuple[State, PhysParams]], scheme: SchemeConfig,
                     states[member].t = target
             for member in range(recorded):
                 accums[member].advance(states[member], params[member], grid, dt)
-                if observe is not None or not landed:  # kept only for a sample, no callback between
-                    accums[member]._fields = None
             for member in range(len(states)):
                 check(member)
             member = None

@@ -99,7 +99,7 @@ def _sympy_oracle():
     return [sp.lambdify(args, e, "numpy") for e in (rho_s, u_s, b_s, m_s, s_rho, s_mom, s_b)]
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40, deadline=None)
 @given(gamma=st.floats(1.1, 3.0), mu=st.floats(0.01, 1.0),
        nu=st.one_of(st.just(0.0), st.floats(1e-5, 0.1)),
        b_bar=st.floats(0.5, 2.0).flatmap(lambda v: st.sampled_from((v, -v))),
@@ -146,7 +146,7 @@ def reference_sources(params, amplitude, sigma, omega, x, t):
     return s_rho, s_mom, s_b
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40, deadline=None)
 @given(gamma=st.floats(1.1, 3.0), mu=st.floats(0.01, 1.0),
        nu=st.one_of(st.just(0.0), st.floats(1e-5, 0.1)),
        amplitude=st.one_of(st.just(0.0), st.floats(-0.5, 0.5)),

@@ -6,6 +6,9 @@ mu > 0, nu >= 0 including exactly 0, b_bar != 0), both presets
 and both reconstructions, on grids of at most 128 cells and short horizons.  The lockstep-group properties evolve two or three members of
 such a configuration, which differ only in nu, beside their shared reference.
 
+The symmetry test at the end runs fixed configurations instead: the mirror
+and sign maps must commute with a run bit for bit.
+
 The default profile (registered in ``conftest.py``) is derandomized with a
 small example budget, so the suite is reproducible and cheap;
 ``HYPOTHESIS_PROFILE=explore`` draws many more, random, examples.
@@ -26,16 +29,18 @@ from mhd1d.core import (
     RHO_BAR,
     VISC_FLOOR_FRACTION,
     Grid1D,
+    PhysParams,
     State,
     viscous_density,
     viscous_rate_density,
     viscous_velocity,
 )
-from mhd1d.diagnostics import DiagnosticsRecord, energy_drift
+from mhd1d.diagnostics import DiagnosticsRecord, RunTelemetry, energy_drift
 from mhd1d.errors import BoundaryMonitorError
 from mhd1d.limit_study import ConvergenceReport, run_group, sweep
-from mhd1d.scenario import build_initial_state
+from mhd1d.scenario import ScenarioSpec, build_initial_state
 from mhd1d.solver import (
+    SchemeConfig,
     _advective_dt,
     _blocks,
     _diffuse,
@@ -299,3 +304,43 @@ def test_vacuum_dissipation_uses_the_scheme_velocity():
 def test_energy_drift_reads_physics_not_rounding(raw):
     _, _, record = _simulate(raw)
     assert energy_drift(record) <= 1e-3
+
+
+# The mirror map M (x -> -x: every row of q reversed, m negated) and the sign
+# map B (b and b_bar negated), as row factors of q.
+MIRROR = np.array([[1.0], [-1.0], [1.0]])
+SIGN = np.array([[1.0], [1.0], [-1.0]])
+
+
+@pytest.mark.parametrize("nu", [0.0, 1e-3])
+@pytest.mark.parametrize("reconstruction", ["muscl_minmod", "first_order_upwind"])
+@pytest.mark.parametrize("preset", ["gaussian_bump", "interior_vacuum"])
+def test_mirror_and_sign_maps_commute_with_the_run(preset, reconstruction, nu):
+    # the LLF flux, the limiter, the ghosts, the dt bound and the RKL2 stages
+    # are exactly symmetric, so each map commutes with run_lockstep bit for
+    # bit: on the final state, on the counters and, for B, on the record too
+    params = PhysParams(nu=nu)
+    grid = Grid1D(20.0, 256)
+    spec = (ScenarioSpec() if preset == "gaussian_bump"
+            else ScenarioSpec(preset, a_u=0.5, a_b=-params.b_bar))
+    rho, mom, b = build_initial_state(spec, params, grid).q
+    # an off-centre bump, so that neither map leaves the data as they are;
+    # scaled by rho and b, it keeps the vacuum preset's b vanishing with rho
+    bump = 0.2 * np.exp(-(((grid.x - 3.0) / 1.5) ** 2))
+    q = np.array((rho * (1.0 + bump), mom + rho * bump, b * (1.0 - bump)))
+    scheme = SchemeConfig(reconstruction, t_end=0.25, n_samples=4)
+
+    def run(q, params):
+        telemetry = RunTelemetry()
+        (final,), (record,) = solver.run_lockstep([(State(*q), params)], scheme, grid,
+                                                  telemetry=telemetry)
+        return final.q, telemetry.as_dict(), record.to_csv()
+
+    final, counters, csv = run(q, params)
+    mirrored, mirrored_counters, _ = run(q[:, ::-1] * MIRROR, params)
+    signed, signed_counters, signed_csv = run(q * SIGN, replace(params, b_bar=-params.b_bar))
+    assert counters["steps"] > 0
+    assert mirrored.tobytes() == (final[:, ::-1] * MIRROR).tobytes()
+    assert signed.tobytes() == (final * SIGN).tobytes()
+    assert mirrored_counters == counters == signed_counters
+    assert signed_csv == csv

@@ -9,8 +9,10 @@ Strang step: RKL2 diffusion half-steps around the SSP Runge-Kutta step of
 ``rhs``) and ``Accumulators.integrand``, with a fresh array for every
 expression, and ``reference_dt_bounds`` is the pair of step bounds,
 advective and viscous, from public pieces.  ``reference_sample`` is every
-diagnostics column from the public helpers, each evaluating its own fields,
-as ``sample`` once did.  The production code must
+diagnostics column from the helper chain ``sample`` once used, each helper
+evaluating its own fields; ``velocity_tendency``, ``material_derivative`` and
+``effective_viscous_flux``, no longer in the package, are kept here as copies.
+The production code must
 reproduce them bit for bit (sign of zero included) over the admissible
 parameter space, so any change to its arithmetic shows up here first.
 ``reference_block_increment`` sums each RKL2 stage's terms in one
@@ -40,9 +42,8 @@ from mhd1d.core import (
     VISC_FLOOR_FRACTION,
     constant_state,
     derivative,
-    effective_viscous_flux,
     fast_speed,
-    material_derivative,
+    pressure,
     viscous_velocity,
 )
 from mhd1d.diagnostics import (
@@ -53,7 +54,6 @@ from mhd1d.diagnostics import (
     lp_norm,
     momentum_potential,
     sample,
-    velocity_tendency,
 )
 from mhd1d.errors import NumericalError
 from mhd1d.solver import (
@@ -161,10 +161,30 @@ def reference_tendencies(state: State, params: PhysParams, scheme: SchemeConfig,
     return np.array((d_rho, d_mom + d_visc, d_b + d_res if params.nu > 0 else d_b))
 
 
+def velocity_tendency(state: State, tendencies: np.ndarray) -> np.ndarray:
+    """u_t = (m_t - u*rho_t) / max(rho, RHO_FLOOR) from rows 0 and 1 of the (3, n) tendencies."""
+    u = state.velocity()
+    return (tendencies[1] - u * tendencies[0]) / np.maximum(state.rho, RHO_FLOOR)
+
+
+def material_derivative(state: State, u_t: np.ndarray, grid: Grid1D) -> np.ndarray:
+    """du/dt following the flow: u_t + u*u_x."""
+    u = state.velocity()
+    return np.asarray(u_t, dtype=float) + u * derivative(u, grid.dx)
+
+
+def effective_viscous_flux(state: State, params: PhysParams, grid: Grid1D) -> np.ndarray:
+    """F = mu*u_x - (P(rho) - P(RHO_BAR) + (b^2 - b_bar^2)/2), u_x of the viscous velocity."""
+    u = viscous_velocity(state.mom, state.rho)
+    p_pert = pressure(state.rho, params.gamma) - RHO_BAR**params.gamma
+    mag_pert = 0.5 * (state.b**2 - params.b_bar**2)
+    return params.mu * derivative(u, grid.dx) - (p_pert + mag_pert)
+
+
 def reference_sample(state: State, tendency: np.ndarray, params: PhysParams, grid: Grid1D,
                      accum: Accumulators) -> dict:
-    """Every record column from the public helpers, each evaluating its own fields:
-    ``sample``'s former helper chain, one fresh array per expression."""
+    """Every record column from ``sample``'s former helper chain, each helper
+    evaluating its own fields, one fresh array per expression."""
     dx = grid.dx
     energy = energy_density(state, params)
     udot = material_derivative(state, velocity_tendency(state, tendency), grid)
@@ -405,13 +425,15 @@ def assert_same_bits(out, ref, names=("d_rho", "d_mom", "d_b")):
 
 
 def assert_same_step(state, dt, params, scheme, grid):
-    """``step`` against ``reference_step``: same fields, time and clips, no shared memory."""
+    """``step`` against ``reference_step``: same fields, time and clips, no shared
+    memory, and a read-only new state."""
     new, clips = step(state, dt, params, scheme, grid)
     ref, ref_clips = reference_step(state, dt, params, scheme, grid)
     assert_same_bits(new.q, ref.q, names=("rho", "mom", "b"))
     assert (new.t, clips) == (ref.t, ref_clips)
-    for a in (new.rho, new.mom, new.b):
+    for a in (new.q, new.rho, new.mom, new.b):
         assert not any(np.shares_memory(a, q) for q in (state.rho, state.mom, state.b))
+        assert not a.flags.writeable
     return clips
 
 
@@ -464,6 +486,7 @@ def dt_cases(draw):
     for _ in range(draw(st.integers(0, 2))):
         state, _ = step(state, _advective_dt(state, params, grid), params, SchemeConfig(), grid)
     if preset == "interior_vacuum":
+        state = state.copy()  # a stepped state is read-only
         k = int(np.argmin(state.rho))
         state.rho[max(k - 1, 0):k + 2] = 0.0
     dt_adv, _ = reference_dt_bounds(state, params, grid)
@@ -512,39 +535,41 @@ def assert_same_row(row: dict, ref: dict):
 def test_sample_matches_reference_bitwise(case, handover):
     # handover: the accumulators last evaluated this very state, and sample
     # takes their gradients; otherwise they last evaluated another state and
-    # sample must evaluate its own
+    # sample raises rather than read that state's gradients
     state, params, scheme, grid = case
     other = State(state.rho, 2.0 * state.mom + 1.0, 1.5 * state.b - 0.25, state.t)
     accum = Accumulators(clip_count=3)
     accum.start(other if handover else state, params, grid)
     accum.advance(state if handover else other, params, grid, 0.125)
-    assert (accum._fields[0] is state) == handover
+    assert (accum._fields[0]() is state) == handover
     out = tendencies(state, params, scheme, grid)
+    if not handover:
+        with pytest.raises(ValueError, match="not of the sampled state"):
+            sample(state, out, params, grid, accum)
+        return
     ref = reference_sample(state, reference_tendencies(state, params, scheme, grid),
                            params, grid, accum)
     assert_same_row(sample(state, out, params, grid, accum), ref)
 
 
-def test_a_state_observe_writes_into_is_sampled_afresh(params, grid, gaussian_spec):
-    # the observer damps the momentum in place after each step's accumulator
-    # update; every later row must be that of the damped state
+def test_an_observer_that_writes_into_a_state_raises(params, grid, gaussian_spec):
+    # every state the observer is handed, the initial one and the stepped ones,
+    # is read-only, so the samples always read the fields the accumulators last
+    # read; the write raises at the first call that makes it
     scheme = SchemeConfig(t_end=0.05, n_samples=3)
-    seen = {}
-
-    def observe(states, dt):
-        states[0].mom[:] *= 0.99
-        seen[states[0].t] = states[0].copy()
-
     state = build_initial_state(gaussian_spec, params, grid)
-    _, (record,) = solver.run_lockstep([(state, params)], scheme, grid, observe=observe)
-    assert len(record.rows) == 4
-    for values in record.rows[1:]:
-        row = dict(zip(COLUMNS, values))
-        damped = seen[row["t"]]
-        fresh = sample(damped, tendencies(damped, params, scheme, grid), params, grid,
-                       Accumulators())
-        for key in ("l2_ux", "flux_residual", "sup_abs_u", "xi_sup"):
-            assert row[key] == fresh[key], key
+    for t_write in (0.0, scheme.t_end / scheme.n_samples):
+        times = []
+
+        def observe(states, dt):
+            times.append(states[0].t)
+            if states[0].t >= t_write:
+                states[0].mom[:] *= 0.99
+
+        with pytest.raises(ValueError, match="read-only"):
+            solver.run_lockstep([(state, params)], scheme, grid, observe=observe)
+        assert times[-1] >= t_write and all(t < t_write for t in times[:-1])
+    assert state.mom.flags.writeable  # the caller's own state stays writable
 
 
 @settings(max_examples=100)
